@@ -8,15 +8,16 @@ Example:
 
 import argparse
 from fractions import Fraction
+from itertools import islice
 
 from perfproj import (
     PAdicFrac,
     bezout_line,
-    enumerate_h0_monomials,
-    enumerate_hn_monomials,
     euler,
     h0,
     hn_top,
+    iter_h0_monomials,
+    iter_hn_monomials,
     line_bundle,
 )
 
@@ -29,17 +30,13 @@ def dimension_table(n: int, deg: PAdicFrac, p: int, grades: int) -> None:
     print(f"O({deg}) on P^{n}, p={p}")
     print("power of p | monomials | h0 | hn | chi")
     for label in range(grades):
-        if deg.num >= 0 and label >= deg.pexp:
-            piece = enumerate_h0_monomials(n, deg.num, label - deg.pexp, p)
-        elif deg.num < 0 and label >= deg.pexp:
-            piece = enumerate_hn_monomials(n, -deg.num, label - deg.pexp, p)
-        else:
-            piece = None
         cell = ""
-        if piece is not None:
+        if label >= deg.pexp:
+            family = iter_h0_monomials if deg.num >= 0 else iter_hn_monomials
+            head = list(islice(family(n, abs(deg.num), label - deg.pexp, p), 7))
             shown = ["(" + ",".join(str(e.scaled(label)) for e in v) + ")"
-                     for v in piece.vectors[:6]]
-            if piece.count > 6:
+                     for v in head[:6]]
+            if len(head) > 6:
                 shown.append("...")
             cell = " ".join(shown)
         print(f"{label} | {cell} | {hd.at(label)} | {ht.at(label)} | {chi.at(label)}")

@@ -31,6 +31,8 @@ from .enumeration import (
     count_hn_monomials,
     enumerate_h0_monomials,
     enumerate_hn_monomials,
+    iter_h0_monomials,
+    iter_hn_monomials,
 )
 from .errors import (
     ComputationDiagnostic,

@@ -7,13 +7,15 @@ outside S is non-negative; equivalently, the spots present are exactly the
 supersets of the set of strictly negative positions.  Cohomology is computed
 two independent ways: the sign case analysis (classify_weight) and exact
 Gaussian elimination over the rationals on the incidence matrices
-(cohomology_ranks).  verify_theorems runs both on every weight of the
-requested degrees and cross-checks the totals against the closed forms.
+(cohomology_ranks).  verify_theorems runs both for every weight of the
+requested degrees, once per sign mask since both depend only on it, and
+cross-checks the totals against the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -81,11 +83,14 @@ def classify_weight(w: WeightVector, n: int) -> tuple[int, ...]:
     """Cohomology profile by sign pattern: H^0 iff all l_j >= 0, H^n iff all < 0."""
     if len(w.entries) != n + 1:
         raise DomainError("weight length does not match n + 1")
+    return _classify_mask(n, w.negative_mask())
+
+
+def _classify_mask(n: int, neg_mask: int) -> tuple[int, ...]:
     profile = [0] * (n + 1)
-    mask = w.negative_mask()
-    if mask == 0:
+    if neg_mask == 0:
         profile[0] = 1
-    elif mask == (1 << (n + 1)) - 1:
+    elif neg_mask == (1 << (n + 1)) - 1:
         profile[n] = 1
     return tuple(profile)
 
@@ -234,14 +239,55 @@ class CechReport:
         }
 
 
+def _neg_mask(ints) -> int:
+    return sum(1 << j for j, v in enumerate(ints) if v < 0)
+
+
+def _weights_by_mask(n: int, target: int, bound: int) -> Counter:
+    """Integer weights in [-bound, bound]**(n+1) summing to target, counted by
+    negative mask.
+
+    The first n-1 entries are walked; for each such prefix the last two
+    entries x and target - sum(prefix) - x range over an interval of x that
+    the signs of both split into at most four runs, counted in closed form.
+    """
+    counts: Counter = Counter()
+    x_bit, last_bit = 1 << (n - 1), 1 << n
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=n - 1):
+        rest = target - sum(prefix)  # x + last
+        lo, hi = max(-bound, rest - bound), min(bound, rest + bound)
+        mask = _neg_mask(prefix)
+        # x < 0 iff x <= -1; last < 0 iff x >= rest + 1
+        for x_lo, x_hi, bits in ((lo, min(hi, -1, rest), x_bit),
+                                 (max(lo, 0), min(hi, rest), 0),
+                                 (max(lo, rest + 1), min(hi, -1), x_bit | last_bit),
+                                 (max(lo, 0, rest + 1), hi, last_bit)):
+            if x_hi >= x_lo:
+                counts[mask | bits] += x_hi - x_lo + 1
+    return counts
+
+
+def _weights_in_masks(n: int, target: int, bound: int, masks):
+    """The weights of _weights_by_mask whose mask is in masks, in walk order."""
+    for head in itertools.product(range(-bound, bound + 1), repeat=n):
+        last = target - sum(head)
+        if -bound <= last <= bound:
+            ints = head + (last,)
+            if _neg_mask(ints) in masks:
+                yield ints
+
+
 def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     """Cross-check the case analysis against exact ranks, degree by degree.
 
-    For each degree this enumerates every weight with denominator exponent
+    For each degree this checks every weight with denominator exponent
     <= i and entries in [-B, B], B = ceil(|degree|) + 1.  The box covers all
     weights that can carry nonzero cohomology (all-non-negative or
     all-negative vectors of the degree), so the per-degree totals are exact
-    and must equal the closed-form counts, with zero middle cohomology.
+    and must equal the closed forms, with zero middle cohomology.  Both
+    profiles depend only on a weight's negative mask, so weights are counted
+    per mask and each mask is checked once; exact weight vectors are built
+    only to report counterexamples.
     """
     _require_prime(p)
     if n < 1:
@@ -256,26 +302,26 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
         bound = bound_abs // p**d.pexp + 2  # ceil(|d|) + 1, integer arithmetic
         m_int = bound * p**i
         h0_total = middle_total = hn_total = checked = 0
-        for head in itertools.product(range(-m_int, m_int + 1), repeat=n):
-            last = target - sum(head)
-            if not -m_int <= last <= m_int:
-                continue
-            ints = head + (last,)
-            w = WeightVector(tuple(normalize(v, i, p) for v in ints))
-            profile = classify_weight(w, n)
-            ranks = _ranks_for_mask(n, w.negative_mask())
-            checked += 1
+        mismatched = {}
+        for mask, count in _weights_by_mask(n, target, m_int).items():
+            profile = _classify_mask(n, mask)
+            ranks = _ranks_for_mask(n, mask)
+            checked += count
             if profile != ranks:
+                mismatched[mask] = (profile, ranks)
+                continue
+            h0_total += count * ranks[0]
+            hn_total += count * ranks[n]
+            middle_total += count * sum(ranks[1:n])
+        if mismatched:  # walk the box again, in order, to report them
+            for ints in _weights_in_masks(n, target, m_int, mismatched):
+                classified, ranks = mismatched[_neg_mask(ints)]
                 report.counterexamples.append({
                     "degree": str(d),
-                    "weight": str(w),
-                    "classified": list(profile),
+                    "weight": str(WeightVector(tuple(normalize(v, i, p) for v in ints))),
+                    "classified": list(classified),
                     "ranks": list(ranks),
                 })
-                continue
-            h0_total += ranks[0]
-            hn_total += ranks[n]
-            middle_total += sum(ranks[1:n])
         h0_expected = count_h0_monomials(n, d, i, p) if d.num >= 0 else 0
         hn_expected = count_hn_monomials(n, -d, i, p) if d.num < 0 else 0
         report.per_degree.append(DegreeSummary(

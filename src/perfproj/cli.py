@@ -14,10 +14,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import braided, cech, geometry, intersect
 from .braided import LineBundle, bundle_cohomology, kunneth
-from .enumeration import enumerate_h0_monomials, enumerate_hn_monomials
+from .enumeration import iter_h0_monomials, iter_hn_monomials
 from .errors import ComputationDiagnostic, DomainError, ParseError
 from .exponents import PAdicFrac
 from .fracpoly import parse as parse_poly
@@ -126,23 +127,22 @@ def _scaled_tuple(vec, label: int) -> str:
     return "(" + ",".join(str(e.scaled(label)) for e in vec) + ")"
 
 
-def _monomial_cell(piece) -> str:
-    shown = [_scaled_tuple(v, piece.grade) for v in piece.vectors[:_MONOMIAL_CAP]]
-    if piece.count > _MONOMIAL_CAP:
+def _monomial_cell(vectors, grade: int) -> str:
+    """The first _MONOMIAL_CAP vectors, then "..." if there are more."""
+    head = list(islice(vectors, _MONOMIAL_CAP + 1))
+    shown = [_scaled_tuple(v, grade) for v in head[:_MONOMIAL_CAP]]
+    if len(head) > _MONOMIAL_CAP:
         shown.append("...")
     return " ".join(shown)
 
 
-def _dim_table(dim: braided.BraidedDim, lines: list[str],
-               enumerate_rows=None) -> None:
-    header = "power of p | monomials | dim" if enumerate_rows else "power of p | dim"
+def _dim_table(dim: braided.BraidedDim, lines: list[str], cell=None) -> None:
+    header = "power of p | monomials | dim" if cell else "power of p | dim"
     lines.append(header)
     for j, value in enumerate(dim.grades_list()):
         label = dim.offset + j
-        if enumerate_rows:
-            piece = enumerate_rows(label)
-            cell = _monomial_cell(piece) if piece is not None else ""
-            lines.append(f"{label} | {cell} | {value}")
+        if cell:
+            lines.append(f"{label} | {cell(label)} | {value}")
         else:
             lines.append(f"{label} | {value}")
 
@@ -154,15 +154,21 @@ def _run_h0_family(args, cfg: Config, which: str) -> tuple[dict, list[str]]:
     bundle = LineBundle(args.n, deg)
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, cfg.grades, reduced=cfg.reduced)
-    lines: list[str] = []
-    enumerate_rows = None
+    if cfg.json_output:
+        return dim.to_json_dict(), []  # counts only: nothing is enumerated
+    family = None
     if which == "h0" and deg.num >= 0:
-        enumerate_rows = lambda label: enumerate_h0_monomials(
-            args.n, deg.num, label - deg.pexp, cfg.p, reduced=cfg.reduced)
+        family, size = iter_h0_monomials, deg.num
     elif which == "hn" and deg.num < 0:
-        enumerate_rows = lambda label: enumerate_hn_monomials(
-            args.n, -deg.num, label - deg.pexp, cfg.p, reduced=cfg.reduced)
-    _dim_table(dim, lines, enumerate_rows)
+        family, size = iter_hn_monomials, -deg.num
+    cell = None
+    if family:
+        def cell(label: int) -> str:
+            grade = label - deg.pexp
+            return _monomial_cell(
+                family(args.n, size, grade, cfg.p, reduced=cfg.reduced), grade)
+    lines: list[str] = []
+    _dim_table(dim, lines, cell)
     return dim.to_json_dict(), lines
 
 

@@ -76,32 +76,76 @@ def _positive_compositions_asc(total: int, parts: int) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
-    """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
+class _Values(dict):
+    """normalize(sign * c, i, p) keyed by c, each built on first use.
+
+    A grade-i vector's entries are integers 0..total over p**i, so one piece
+    needs at most total+1 distinct normalized values.
+    """
+
+    def __init__(self, sign: int, i: int, p: int):
+        super().__init__()
+        self.sign, self.i, self.p = sign, i, p
+
+    def __missing__(self, c: int) -> PAdicFrac:
+        value = self[c] = normalize(self.sign * c, self.i, self.p)
+        return value
+
+
+def _vectors(compositions: Iterator[tuple[int, ...]], sign: int, i: int, p: int,
+             reduced: bool) -> Iterator[tuple[PAdicFrac, ...]]:
+    # reduced keeps vectors with an entry of exact denominator p**i, i.e. a
+    # part not divisible by p
+    skip_coarse = reduced and i > 0
+    values = _Values(sign, i, p)
+    lookup = values.__getitem__
+    for comp in compositions:
+        if skip_coarse and all(c % p == 0 for c in comp):
+            continue
+        yield tuple(map(lookup, comp))
+
+
+def _h0_total(d, i: int, p: int) -> int:
+    """p**i * d for a valid degree d >= 0 at grade i."""
     _require_prime(p)
     d = _as_padic(d, p)
     if d.num < 0:
         raise DomainError("degree must be non-negative")
-    total = _scaled_degree(d, i)
+    return _scaled_degree(d, i)
+
+
+def _hn_total(m, i: int, p: int) -> int:
+    """p**i * m for a valid m > 0 at grade i."""
+    _require_prime(p)
+    m = _as_padic(m, p)
+    if m.num <= 0:
+        raise DomainError("m must be positive")
+    return _scaled_degree(m, i)
+
+
+def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
+    """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
+    total = _h0_total(d, i, p)
     count = comb(total + n, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p + n, n)
     return count
 
 
+def iter_h0_monomials(n: int, d, i: int, p: int,
+                      reduced: bool = False) -> Iterator[tuple[PAdicFrac, ...]]:
+    """The grade-i degree-d vectors, lazily, in descending lexicographic order.
+
+    Arguments are checked at call time; nothing is enumerated until the
+    iterator is advanced.
+    """
+    total = _h0_total(d, i, p)
+    return _vectors(_compositions_desc(total, n + 1), 1, i, p, reduced)
+
+
 def enumerate_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> GradedPiece:
-    _require_prime(p)
-    d = _as_padic(d, p)
-    if d.num < 0:
-        raise DomainError("degree must be non-negative")
-    total = _scaled_degree(d, i)
-    vectors = []
-    for comp in _compositions_desc(total, n + 1):
-        vec = tuple(normalize(c, i, p) for c in comp)
-        if reduced and i > 0 and not any(e.pexp == i for e in vec):
-            continue
-        vectors.append(vec)
-    return GradedPiece(n, d, i, tuple(vectors), negative=False)
+    vectors = iter_h0_monomials(n, d, i, p, reduced)
+    return GradedPiece(n, _as_padic(d, p), i, tuple(vectors), negative=False)
 
 
 def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
@@ -110,27 +154,21 @@ def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
     Compositions of p**i * m into n+1 strictly positive parts, negated;
     comb(a, n) is 0 for a < n, so classically vanishing cases come out 0.
     """
-    _require_prime(p)
-    m = _as_padic(m, p)
-    if m.num <= 0:
-        raise DomainError("m must be positive")
-    total = _scaled_degree(m, i)
+    total = _hn_total(m, i, p)
     count = comb(total - 1, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p - 1, n)
     return count
 
 
+def iter_hn_monomials(n: int, m, i: int, p: int,
+                      reduced: bool = False) -> Iterator[tuple[PAdicFrac, ...]]:
+    """The grade-i all-negative degree -m vectors, lazily, in the order of
+    ascending positive compositions; arguments are checked at call time."""
+    total = _hn_total(m, i, p)
+    return _vectors(_positive_compositions_asc(total, n + 1), -1, i, p, reduced)
+
+
 def enumerate_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> GradedPiece:
-    _require_prime(p)
-    m = _as_padic(m, p)
-    if m.num <= 0:
-        raise DomainError("m must be positive")
-    total = _scaled_degree(m, i)
-    vectors = []
-    for comp in _positive_compositions_asc(total, n + 1):
-        vec = tuple(normalize(-c, i, p) for c in comp)
-        if reduced and i > 0 and not any(e.pexp == i for e in vec):
-            continue
-        vectors.append(vec)
-    return GradedPiece(n, -m, i, tuple(vectors), negative=True)
+    vectors = iter_hn_monomials(n, m, i, p, reduced)
+    return GradedPiece(n, -_as_padic(m, p), i, tuple(vectors), negative=True)

@@ -61,10 +61,6 @@ class PAdicFrac:
             )
 
     @classmethod
-    def from_int(cls, k: int, p: int) -> "PAdicFrac":
-        return cls(k, 0, p)
-
-    @classmethod
     def from_fraction(cls, fr: Fraction, p: int) -> "PAdicFrac":
         """Exact conversion; rejects denominators that are not powers of p."""
         _require_prime(p)
@@ -165,15 +161,21 @@ class PAdicFrac:
 
 
 def normalize(a: int, b: int, p: int) -> PAdicFrac:
-    """Canonical form of a / p**b: common powers of p cancelled, zero is (0, 0)."""
-    _require_prime(p)
+    """Canonical form of a / p**b: common powers of p cancelled, zero is (0, 0).
+
+    The prime is checked once, by the PAdicFrac this returns.
+    """
     if b < 0:
         raise DomainError("pexp must be non-negative")
     if a == 0:
         return PAdicFrac(0, 0, p)
-    while b > 0 and a % p == 0:
-        a //= p
-        b -= 1
+    try:
+        while b > 0 and a % p == 0:
+            a //= p
+            b -= 1
+    except (TypeError, ZeroDivisionError):
+        _require_prime(p)  # raises DomainError: p is not an integer prime
+        raise
     return PAdicFrac(a, b, p)
 
 

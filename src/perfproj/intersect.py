@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
 from .errors import DomainError, FuelExhausted, QuotientCapExceeded
@@ -53,9 +54,10 @@ def _restrict_y0(f: IPoly) -> dict[int, Fraction]:
     return {a: c for (a, b), c in f.items() if b == 0}
 
 
-def _y_quotient(f: IPoly) -> IPoly:
-    # every term divisible by y
-    return {(a, b - 1): c for (a, b), c in f.items()}
+def _y_power_quotient(f: IPoly) -> tuple[int, IPoly]:
+    """(k, f / y**k) for the largest power y**k dividing f."""
+    k = min(b for _, b in f)
+    return k, {(a, b - k): c for (a, b), c in f.items()}
 
 
 def _ord_x(u: dict[int, Fraction]) -> int:
@@ -76,12 +78,13 @@ def _sub_shifted(g: IPoly, c: Fraction, shift: int, f: IPoly) -> IPoly:
 
 
 def _mu(A: IPoly, B: IPoly, fuel: list[int]):
+    acc = 0  # multiplicity of the y-powers divided out so far
     while True:
         fuel[0] -= 1
         if fuel[0] < 0:
             raise FuelExhausted("multiplicity recursion exceeded its step budget")
         if A.get((0, 0), 0) != 0 or B.get((0, 0), 0) != 0:
-            return 0
+            return acc
         if not A or not B:
             return INFINITE_RANK  # ideal collapsed to one nonunit generator
         a0 = _restrict_y0(A)
@@ -89,10 +92,14 @@ def _mu(A: IPoly, B: IPoly, fuel: list[int]):
         if not a0 and not b0:
             return INFINITE_RANK  # y divides both (guard; gcd pre-check catches it)
         if not a0:
-            # A = y * A1: mu = ord_x B(x,0) + mu(A1, B)
-            return _ord_x(b0) + _mu(_y_quotient(A), B, fuel)
+            # A = y**k * A1: mu = k * ord_x B(x,0) + mu(A1, B)
+            k, A = _y_power_quotient(A)
+            acc += k * _ord_x(b0)
+            continue
         if not b0:
-            return _ord_x(a0) + _mu(A, _y_quotient(B), fuel)
+            k, B = _y_power_quotient(B)
+            acc += k * _ord_x(a0)
+            continue
         r, s = max(a0), max(b0)
         if r > s:
             A, B, a0, b0, r, s = B, A, b0, a0, s, r
@@ -281,7 +288,7 @@ def _int_rank(rows: list[list[int]], ncols: int) -> int:
                 new = [pv * a - v * b for a, b in zip(rows[i], rows[rank])]
                 g = 0
                 for entry in new:
-                    g = _gcd_int(g, abs(entry))
+                    g = gcd(g, entry)
                     if g == 1:
                         break
                 rows[i] = [entry // g for entry in new] if g > 1 else new
@@ -311,15 +318,9 @@ def _truncated_quotient_dim(F: IPoly, G: IPoly, N: int) -> int:
         lcm = 1
         for v in row:
             if v:
-                lcm = lcm * v.denominator // _gcd_int(lcm, v.denominator)
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         int_rows.append([int(v * lcm) for v in row])
     return len(mons) - _int_rank(int_rows, len(mons))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:

@@ -152,3 +152,73 @@ def test_spot_flags_are_monotone():
             for bigger in range(1, 8):
                 if bigger & mask == mask:
                     assert bigger in present
+
+
+def test_weights_checked_is_the_whole_box():
+    # B = ceil(|d|) + 1 at grade i: entries in [-B p^i, B p^i] summing to d p^i
+    for n, d, i, p in [(1, -2, 1, 3), (2, 1, 0, 2), (2, -1, 1, 2), (3, 2, 0, 3)]:
+        m_int = (abs(d) + 2) * p**i
+        box = sum(1 for head in itertools.product(range(-m_int, m_int + 1), repeat=n)
+                  if -m_int <= d * p**i - sum(head) <= m_int)
+        assert verify_theorems(n, [d], i, p).per_degree[0].weights_checked == box
+
+
+def test_counterexamples_in_walk_order(monkeypatch):
+    import perfproj.cech as cech_mod
+
+    true_ranks = cech_mod._ranks_for_mask
+    wrong = {0b000: (0, 1, 0), 0b100: (0, 0, 1)}  # masks 0 and "last negative"
+    monkeypatch.setattr(cech_mod, "_ranks_for_mask",
+                        lambda n, mask: wrong.get(mask) or true_ranks(n, mask))
+    report = verify_theorems(2, [1, -1], 0, 2)
+    # weights (a, b, 1-a-b) in [-3, 3]^3, heads (a, b) in lexicographic order
+    walk = ["(0,0,1)", "(0,1,0)", "(0,2,-1)", "(0,3,-2)", "(1,0,0)", "(1,1,-1)",
+            "(1,2,-2)", "(1,3,-3)", "(2,0,-1)", "(2,1,-2)", "(2,2,-3)",
+            "(3,0,-2)", "(3,1,-3)"]
+    h0_weights = {"(0,0,1)", "(0,1,0)", "(1,0,0)"}
+    expected = [{"degree": "1", "weight": w,
+                 "classified": [1, 0, 0] if w in h0_weights else [0, 0, 0],
+                 "ranks": [0, 1, 0] if w in h0_weights else [0, 0, 1]}
+                for w in walk]
+    # degree -1: (a, b, -1-a-b) with a, b >= 0 and a + b <= 2 has mask 0b100,
+    # and no weight of it is all negative
+    expected += [{"degree": "-1", "weight": f"({a},{b},{-1 - a - b})",
+                  "classified": [0, 0, 0], "ranks": [0, 0, 1]}
+                 for a in range(3) for b in range(3 - a)]
+    assert report.counterexamples == expected
+    pos, neg = report.per_degree
+    # 36 weights of degree 1 in the box: counterexamples are checked but do
+    # not count toward the totals
+    assert (pos.weights_checked, pos.h0_total, pos.middle_total, pos.hn_total) == (36, 0, 0, 0)
+    assert (pos.h0_expected, pos.ok) == (3, False)
+    assert (neg.weights_checked, neg.h0_total, neg.middle_total, neg.hn_total) == (36, 0, 0, 0)
+    assert (neg.hn_expected, neg.ok) == (0, True)
+    assert not report.ok
+    assert json.loads(json.dumps(report.to_json_dict()))["counterexamples"] == expected
+
+
+def test_counterexample_weights_render_fractions(monkeypatch):
+    import perfproj.cech as cech_mod
+
+    monkeypatch.setattr(cech_mod, "_ranks_for_mask", lambda n, mask: (1, 1))
+    report = verify_theorems(1, [normalize(1, 1, 2)], 1, 2)
+    # (a/2, b/2) with a + b = 1 and a, b in [-4, 4]: every weight mismatches
+    weights = [c["weight"] for c in report.counterexamples]
+    assert weights == ["(-3/2,2)", "(-1,3/2)", "(-1/2,1)", "(0,1/2)", "(1/2,0)",
+                       "(1,-1/2)", "(3/2,-1)", "(2,-3/2)"]
+    assert report.per_degree[0].weights_checked == 8
+
+
+def test_weights_by_mask_matches_a_walk():
+    from collections import Counter
+
+    from perfproj.cech import _weights_by_mask
+
+    for n in (1, 2, 3):
+        for bound in range(4):
+            for target in range(-(n + 1) * bound - 1, (n + 1) * bound + 2):
+                walk = Counter()
+                for ints in itertools.product(range(-bound, bound + 1), repeat=n + 1):
+                    if sum(ints) == target:
+                        walk[sum(1 << j for j, v in enumerate(ints) if v < 0)] += 1
+                assert _weights_by_mask(n, target, bound) == walk

@@ -1,6 +1,11 @@
 import io
 import json
+from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
 
@@ -167,3 +172,67 @@ def test_reduced_flag():
     code, out, _ = invoke(["h0", "--n", "1", "--deg", "2", "--p", "3",
                            "--grades", "3", "--reduced", "--json"])
     assert json.loads(out)["grades"] == [3, 4, 12]
+
+
+def test_mult_pure_powers_deep_grades():
+    # x against y rooted five times is x^(5^5) against y^(5^5): 5^5 powers of
+    # y to divide out, once a recursion per power
+    code, out, err = invoke(["mult", "--f", "x", "--g", "y", "--p", "5",
+                             "--grades", "5", "--json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["diagonal"] == [1] * 6
+    assert payload["mixed"][5][-1] == 5**10  # root depths (0, 0) at grade 5
+
+
+def _table_cells(out):
+    lines = out.splitlines()
+    return lines[0], [line.split(" | ") for line in lines[1:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["h0", "hn"]), n=st.integers(0, 3),
+       p=st.sampled_from([2, 3, 5]), num=st.integers(-5, 5), k=st.integers(0, 2),
+       grades=st.integers(1, 3), reduced=st.booleans())
+def test_table_cell_is_first_eight_of_piece(which, n, p, num, k, grades, reduced):
+    deg = PAdicFrac.from_fraction(Fraction(num, p**k), p)
+    assume(abs(deg.num) * p ** (grades - 1) <= 40)
+    argv = [which, "--n", str(n), f"--deg={num}/{p**k}", "--p", str(p),
+            "--grades", str(grades)] + (["--reduced"] if reduced else [])
+    code, out, err = invoke(argv)
+    assert code == 0 and err == ""
+    header, rows = _table_cells(out)
+    listed = deg.num >= 0 if which == "h0" else deg.num < 0
+    if not listed:
+        assert header == "power of p | dim"
+        return
+    assert header == "power of p | monomials | dim"
+    enumerate_piece = enumerate_h0_monomials if which == "h0" else enumerate_hn_monomials
+    assert len(rows) == grades
+    for j, (label, cell, dim) in enumerate(rows):
+        assert int(label) == deg.pexp + j
+        piece = enumerate_piece(n, abs(deg.num), j, p, reduced=reduced)
+        shown = ["(" + ",".join(str(e.scaled(j)) for e in v) + ")"
+                 for v in piece.vectors[:8]]
+        if piece.count > 8:
+            shown.append("...")
+        assert cell == " ".join(shown)
+        assert int(dim) == piece.count
+
+
+def test_json_sections_enumerate_nothing(monkeypatch):
+    import perfproj.enumeration as enumeration
+
+    def refuse(*args):
+        raise AssertionError("enumerated under --json")
+
+    monkeypatch.setattr(enumeration, "_compositions_desc", refuse)
+    monkeypatch.setattr(enumeration, "_positive_compositions_asc", refuse)
+    code, out, _ = invoke(["h0", "--n", "3", "--deg", "5", "--p", "5",
+                           "--grades", "3", "--json"])
+    assert code == 0
+    assert json.loads(out)["grades"] == [56, 3276, 341376]
+    code, out, _ = invoke(["hn", "--n", "2", "--deg=-7/5", "--p", "5",
+                           "--grades", "3", "--reduced", "--json"])
+    assert code == 0
+    assert json.loads(out)["grades"] == [15, 546, 14490]

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from oracles import count_compositions, count_positive_compositions, enumerate_compositions
@@ -9,6 +11,8 @@ from perfproj import (
     count_hn_monomials,
     enumerate_h0_monomials,
     enumerate_hn_monomials,
+    iter_h0_monomials,
+    iter_hn_monomials,
 )
 from perfproj.exponents import normalize
 from math import comb
@@ -152,3 +156,24 @@ def test_graded_piece_sums_and_signs():
 def test_json_serialization():
     piece = enumerate_h0_monomials(1, normalize(2, 1, 3), 1, 3)
     assert piece.to_json() == ["(2/3,0)", "(1/3,1/3)", "(0,2/3)"]
+
+
+def test_iterators_check_arguments_at_call_time():
+    # no next(): a bad argument must raise when the iterator is made
+    with pytest.raises(DomainError):
+        iter_h0_monomials(1, -1, 0, 3)
+    with pytest.raises(DomainError, match="grade too small"):
+        iter_h0_monomials(1, normalize(2, 1, 3), 0, 3)
+    with pytest.raises(DomainError):
+        iter_hn_monomials(1, 0, 0, 3)
+    with pytest.raises(DomainError):
+        iter_hn_monomials(1, 2, 0, 4)
+
+
+def test_iterators_are_lazy_prefixes_of_the_pieces():
+    head = list(islice(iter_h0_monomials(2, 4, 2, 3), 3))
+    assert head == list(enumerate_h0_monomials(2, 4, 2, 3).vectors[:3])
+    assert [tuple(e.scaled(2) for e in v) for v in head] == [
+        (36, 0, 0), (35, 1, 0), (35, 0, 1)]
+    piece = enumerate_hn_monomials(2, normalize(4, 1, 3), 2, 3, reduced=True)
+    assert tuple(iter_hn_monomials(2, normalize(4, 1, 3), 2, 3, reduced=True)) == piece.vectors

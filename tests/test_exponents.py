@@ -29,6 +29,9 @@ def test_normalize_rejects_bad_input():
         normalize(1, 0, 4)
     with pytest.raises(DomainError):
         normalize(1, -1, 3)
+    for p in (0, 1, -3, "3"):
+        with pytest.raises(DomainError):
+            normalize(6, 2, p)
     with pytest.raises(DomainError):
         PAdicFrac(6, 1, 3)  # not in lowest terms
 
