@@ -7,6 +7,8 @@ Example:
 """
 
 import argparse
+import os
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -33,8 +35,9 @@ def dimension_table(n: int, deg: PAdicFrac, p: int, grades: int) -> None:
         cell = ""
         if label >= deg.pexp:
             family = iter_h0_monomials if deg.num >= 0 else iter_hn_monomials
-            head = list(islice(family(n, abs(deg.num), label - deg.pexp, p), 7))
-            shown = ["(" + ",".join(str(e.scaled(label)) for e in v) + ")"
+            grade = label - deg.pexp
+            head = list(islice(family(n, abs(deg.num), grade, p), 7))
+            shown = ["(" + ",".join(str(e.scaled(grade)) for e in v) + ")"
                      for v in head[:6]]
             if len(head) > 6:
                 shown.append("...")
@@ -60,8 +63,15 @@ def main() -> None:
     ap.add_argument("--grades", type=int, default=4)
     args = ap.parse_args()
     deg = PAdicFrac.from_fraction(args.deg, args.p)
-    dimension_table(args.n, deg, args.p, args.grades)
-    bezout_grid(args.p, args.grades)
+    try:
+        dimension_table(args.n, deg, args.p, args.grades)
+        bezout_grid(args.p, args.grades)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,13 @@ of finite per-grade dimensions, indexed by the power of p dividing exponent
 denominators.  Grade 0 always recovers the classical coherent dimension.
 Tuples carry an offset k so that fractional degrees m/p**k, whose rows start
 at grade k, align on absolute grade labels; positions before the offset read
-zero.  A closed-form generator, when present, extends a tuple on demand.
+zero.  A closed-form generator, when present, answers reads past the
+stored values without storing them; only extend_to stores more values.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,7 +56,7 @@ _OPS = {"add": _add, "sub": _sub, "mul": _mul}
 class BraidedDim:
     """Graded tuple of extended integers with optional closed-form generator."""
 
-    __slots__ = ("prime", "offset", "_values", "_generator", "generator_desc", "_lock")
+    __slots__ = ("prime", "offset", "_values", "_generator", "generator_desc")
 
     def __init__(self, prime: int, offset: int = 0, values: Sequence = (),
                  generator: Callable[[int], object] | None = None,
@@ -69,7 +69,6 @@ class BraidedDim:
         self._values = list(values)
         self._generator = generator
         self.generator_desc = generator_desc
-        self._lock = threading.Lock()
 
     @classmethod
     def zeros(cls, prime: int, grades: int = 0) -> "BraidedDim":
@@ -86,7 +85,10 @@ class BraidedDim:
     # -- access ---------------------------------------------------------------
 
     def at(self, label: int):
-        """Value at absolute grade label; labels below the offset read 0."""
+        """Value at absolute grade label; labels below the offset read 0.
+
+        Past the materialized values the generator answers; nothing is stored.
+        """
         if label < self.offset:
             return 0
         idx = label - self.offset
@@ -95,15 +97,12 @@ class BraidedDim:
         if self._generator is None:
             raise HorizonError(
                 f"grade {label} beyond materialized horizon and no generator")
-        with self._lock:
-            while len(self._values) <= idx:
-                self._values.append(self._generator(self.offset + len(self._values)))
-        return self._values[idx]
+        return self._generator(label)
 
     def extend_to(self, count: int) -> None:
         """Materialize at least `count` values starting at the offset."""
-        if count > 0:
-            self.at(self.offset + count - 1)
+        while len(self._values) < count:
+            self._values.append(self.at(self.offset + len(self._values)))
 
     def window(self, start_label: int, count: int) -> list:
         return [self.at(start_label + j) for j in range(count)]

@@ -6,7 +6,7 @@ occurs in the localization at a nonempty index set S iff every exponent
 outside S is non-negative; equivalently, the spots present are exactly the
 supersets of the set of strictly negative positions.  Cohomology is computed
 two independent ways: the sign case analysis (classify_weight) and exact
-Gaussian elimination over the rationals on the incidence matrices
+fraction-free integer elimination on the +-1 incidence matrices
 (cohomology_ranks).  verify_theorems runs both for every weight of the
 requested degrees, once per sign mask since both depend only on it, and
 cross-checks the totals against the closed forms.
@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .enumeration import _as_padic, count_h0_monomials, count_hn_monomials
 from .errors import DomainError
@@ -52,11 +52,7 @@ class WeightVector:
         return total
 
     def negative_mask(self) -> int:
-        mask = 0
-        for j, e in enumerate(self.entries):
-            if e.num < 0:
-                mask |= 1 << j
-        return mask
+        return _neg_mask(e.num for e in self.entries)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
@@ -73,7 +69,7 @@ class CechComplex:
     n: int
     weight: WeightVector | None
     spots: list[list[int]]
-    differentials: list[list[list[Fraction]]]
+    differentials: list[list[list[int]]]
 
     def dim(self, k: int) -> int:
         return len(self.spots[k])
@@ -109,14 +105,14 @@ def _build_from_mask(n: int, neg_mask: int, weight: WeightVector | None) -> Cech
     index = [{m: i for i, m in enumerate(level)} for level in spots]
     differentials = []
     for k in range(n):
-        rows = [[Fraction(0)] * len(spots[k]) for _ in spots[k + 1]]
+        rows = [[0] * len(spots[k]) for _ in spots[k + 1]]
         for r, target in enumerate(spots[k + 1]):
             elems = [j for j in range(n + 1) if target >> j & 1]
             for pos, t in enumerate(elems):
                 source = target & ~(1 << t)
                 col = index[k].get(source)
                 if col is not None:
-                    rows[r][col] = Fraction(-1) ** pos
+                    rows[r][col] = (-1) ** pos
         differentials.append(rows)
     complex_ = CechComplex(n, weight, spots, differentials)
     _check_square_zero(complex_)
@@ -129,9 +125,8 @@ def _check_square_zero(c: CechComplex) -> None:
         if not a or not b:
             continue
         for row in b:
-            for col in range(len(a[0]) if a else 0):
-                s = sum(row[i] * a[i][col] for i in range(len(a)))
-                if s != 0:
+            for col in range(len(a[0])):
+                if sum(row[i] * a[i][col] for i in range(len(a))):
                     raise AssertionError("d o d != 0 in constructed complex")
 
 
@@ -143,35 +138,39 @@ def build_complex(w: WeightVector, n: int) -> CechComplex:
     return _build_from_mask(n, w.negative_mask(), w)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
+def _int_rank(rows: list[list[int]], ncols: int) -> int:
+    """Fraction-free elimination rank of an integer matrix."""
     rank = 0
+    rows = [r for r in rows if any(r)]
     for col in range(ncols):
         pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
                 pivot = i
                 break
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            v = rows[i][col]
+            if v:
+                new = [pv * a - v * b for a, b in zip(rows[i], rows[rank])]
+                g = 0
+                for entry in new:
+                    g = gcd(g, entry)
+                    if g == 1:
+                        break
+                rows[i] = [entry // g for entry in new] if g > 1 else new
         rank += 1
-        if rank == len(m):
+        if rank == len(rows):
             break
     return rank
 
 
 def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
-    """Exact ranks H^k = dim ker d_k - rank d_{k-1} by elimination over Q."""
-    ranks_d = [_rank(d) for d in c.differentials]
+    """Exact ranks H^k = dim ker d_k - rank d_{k-1} by integer elimination."""
+    ranks_d = [_int_rank(d, c.dim(k)) for k, d in enumerate(c.differentials)]
     out = []
     for k in range(c.n + 1):
         dim_k = c.dim(k)

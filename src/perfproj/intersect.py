@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
+from .cech import _int_rank
 from .errors import DomainError, FuelExhausted, QuotientCapExceeded
 from .fracpoly import FracPoly
 from .exponents import _require_prime
@@ -268,59 +269,25 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
     return count
 
 
-def _int_rank(rows: list[list[int]], ncols: int) -> int:
-    """Fraction-free elimination rank of an integer matrix."""
-    rank = 0
-    rows = [r for r in rows if any(r)]
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            v = rows[i][col]
-            if v:
-                new = [pv * a - v * b for a, b in zip(rows[i], rows[rank])]
-                g = 0
-                for entry in new:
-                    g = gcd(g, entry)
-                    if g == 1:
-                        break
-                rows[i] = [entry // g for entry in new] if g > 1 else new
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _clear_denominators(f: IPoly) -> dict[tuple[int, int], int]:
+    """f times the lcm of its coefficient denominators; it generates the same ideal."""
+    scale = lcm(*(c.denominator for c in f.values()))
+    return {m: int(c * scale) for m, c in f.items()}
 
 
-def _truncated_quotient_dim(F: IPoly, G: IPoly, N: int) -> int:
-    """dim Q[x,y] / ((F, G) + m**N), exact."""
+def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
+    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G with integer coefficients."""
     mons = [(a, b) for a in range(N) for b in range(N - a)]
     index = {m: k for k, m in enumerate(mons)}
     rows = []
     for P in (F, G):
         for (ma, mb) in mons:
-            row = [Fraction(0)] * len(mons)
-            nonzero = False
+            row = [0] * len(mons)
             for (a, b), c in P.items():
                 if a + ma + b + mb < N:
-                    row[index[(a + ma, b + mb)]] += c
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    int_rows = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            if v:
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        int_rows.append([int(v * lcm) for v in row])
-    return len(mons) - _int_rank(int_rows, len(mons))
+                    row[index[(a + ma, b + mb)]] = c
+            rows.append(row)
+    return len(mons) - _int_rank(rows, len(mons))
 
 
 def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
@@ -334,6 +301,7 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     Fd, Gd = _to_ipoly(F), _to_ipoly(G)
     if len(Fd) == 1 and len(Gd) == 1:
         return _monomial_staircase(next(iter(Fd)), next(iter(Gd)))
+    Fd, Gd = _clear_denominators(Fd), _clear_denominators(Gd)
     prev = _truncated_quotient_dim(Fd, Gd, 1)
     for N in range(2, cap + 1):
         cur = _truncated_quotient_dim(Fd, Gd, N)

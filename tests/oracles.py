@@ -5,6 +5,8 @@ come from literal nested-loop enumeration so that closed forms are checked
 against something that cannot share their bugs.
 """
 
+from fractions import Fraction
+
 from perfproj import parse_poly
 
 
@@ -35,6 +37,22 @@ def enumerate_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in enumerate_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def rational_rank(rows) -> int:
+    """Matrix rank by Gaussian elimination over Q (Fraction arithmetic)."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 # small plane curves at the origin, integer exponents, for multiplicity tests

@@ -171,6 +171,18 @@ def test_total_rank():
     assert BraidedDim(3, 0, [1, 2]).total_rank() == 3
 
 
+def test_reads_never_change_a_tuple():
+    e = h0(line_bundle(1, 2, 3), 3)
+    before = e.to_json_dict()
+    assert e.total_rank() == INFINITE_RANK
+    assert e.equal_up_to(h0(line_bundle(1, 2, 3), 2), horizon=10)
+    assert e.at(5) == 2 * 3**5 + 1
+    assert e.to_json_dict() == before
+    assert (e - h0(line_bundle(1, 1, 3), 3)).grades_list() == [1, 3, 9]
+    with pytest.raises(HorizonError):
+        BraidedDim(3, 0, [1, 2]).at(2)
+
+
 def test_json_shape():
     payload = h0(line_bundle(1, 2, 3), 3).to_json_dict()
     assert payload == {"p": 3, "offset": 0, "grades": [3, 7, 19],

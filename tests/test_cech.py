@@ -2,6 +2,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import rational_rank
 
 from perfproj import (
     DomainError,
@@ -15,6 +19,7 @@ from perfproj import (
     enumerate_hn_monomials,
     verify_theorems,
 )
+from perfproj.cech import _build_from_mask, _check_square_zero, _int_rank
 from perfproj.exponents import PAdicFrac, normalize
 
 
@@ -139,6 +144,51 @@ def test_d_squared_zero_is_checked_on_construction():
     # construction raises if d o d != 0; a passing build is the assertion
     for ints in [(0, 0, 0), (-1, 2, -1), (1, -1, 1), (-2, -2, -2)]:
         build_complex(W(*ints), 2)
+
+
+def test_check_square_zero_rejects_a_flipped_sign():
+    for n in (2, 3):
+        c = _build_from_mask(n, 0, None)
+        assert {type(v) for d in c.differentials for row in d for v in row} == {int}
+        for d in c.differentials:
+            for row in d:
+                for col, v in enumerate(row):
+                    if v:
+                        row[col] = -v
+                        with pytest.raises(AssertionError, match="d o d"):
+                            _check_square_zero(c)
+                        row[col] = v
+        _check_square_zero(c)
+
+
+@st.composite
+def int_matrices(draw):
+    """(ncols, rows): small integer matrices, often with zero rows or rows that
+    are integer combinations of other rows."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        r, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([a * x + b * y for x, y in zip(r, t)])
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_int_rank_equals_rational_rank(matrix):
+    ncols, rows = matrix
+    before = [list(r) for r in rows]
+    assert _int_rank(rows, ncols) == rational_rank(rows)
+    assert rows == before  # the input is not modified
+
+
+def test_int_rank_edge_cases():
+    assert _int_rank([], 0) == _int_rank([], 3) == _int_rank([[]], 0) == 0
+    assert _int_rank([[0, 0], [0, 0]], 2) == 0
+    assert _int_rank([[2, 4], [3, 6], [0, 0]], 2) == 1
+    assert _int_rank([[0, 2, 1], [0, 4, 2], [5, 0, 0]], 3) == 2
 
 
 def test_spot_flags_are_monotone():
