@@ -4,7 +4,8 @@ The classical multiplicity dim O_0 / (F, G) is computed by a Fulton-style
 recursion on the defining properties of the intersection number: it is
 invariant under G -> G + H*F, additive over factors of G, and mu(y, G) is
 the order of vanishing of G(x, 0) at x = 0.  A common component through the
-origin (detected up front by a bivariate gcd) makes the answer infinite.
+origin makes the answer infinite; it is detected up front by a gcd computed
+with a primitive remainder sequence over Z.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
 from .cech import _int_rank
@@ -49,6 +50,12 @@ def _to_ipoly(f: FracPoly) -> IPoly:
             raise DomainError("curve exponents must be non-negative")
         out[(ex.num, ey.num)] = mon.coeff
     return out
+
+
+def _clear_denominators(f: IPoly) -> dict[tuple[int, int], int]:
+    """f times the lcm of its coefficient denominators; it generates the same ideal."""
+    scale = lcm(*(c.denominator for c in f.values()))
+    return {m: int(c * scale) for m, c in f.items()}
 
 
 def _restrict_y0(f: IPoly) -> dict[int, Fraction]:
@@ -107,136 +114,105 @@ def _mu(A: IPoly, B: IPoly, fuel: list[int]):
         B = _sub_shifted(B, b0[s] / a0[r], s - r, A)
 
 
-# -- common component detection: gcd over Q[x, y] -------------------------------
+# -- common component detection: primitive remainder sequence over Z -------------
 
-# univariate polynomials over Q as dict[int] -> Fraction
-
-def _u_trim(u: dict) -> dict:
-    return {e: c for e, c in u.items() if c != 0}
+# Z[x] polynomials are dicts exponent -> nonzero int; Z[x][y] polynomials are
+# dicts y-exponent -> nonzero Z[x] polynomial.
 
 
-def _u_deg(u: dict) -> int:
-    return max(u) if u else -1
-
-
-def _u_mul(a: dict, b: dict) -> dict:
+def _in_y(f: dict[tuple[int, int], int]) -> dict:
+    """f arranged as a polynomial in y over Z[x]."""
     out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-    return _u_trim(out)
-
-
-def _u_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) - c
-    return _u_trim(out)
-
-
-def _u_mod(a: dict, b: dict) -> dict:
-    db, lb = _u_deg(b), b[max(b)] if b else None
-    r = dict(a)
-    while r and _u_deg(r) >= db:
-        dr = _u_deg(r)
-        c = r[dr] / lb
-        r = _u_sub(r, _u_mul({dr - db: c}, b))
-    return r
-
-
-def _u_gcd(a: dict, b: dict) -> dict:
-    a, b = _u_trim(a), _u_trim(b)
-    while b:
-        a, b = b, _u_mod(a, b)
-    if a:
-        lead = a[_u_deg(a)]
-        a = {e: c / lead for e, c in a.items()}
-    return a
-
-
-def _u_div_exact(a: dict, b: dict) -> dict:
-    db, lb = _u_deg(b), b[max(b)]
-    q: dict = {}
-    r = dict(a)
-    while r and _u_deg(r) >= db:
-        dr = _u_deg(r)
-        c = r[dr] / lb
-        q[dr - db] = c
-        r = _u_sub(r, _u_mul({dr - db: c}, b))
-    if r:
-        raise ArithmeticError("division is not exact")
-    return q
-
-
-def _by_y(f: IPoly) -> dict[int, dict]:
-    """Arrange as a polynomial in y with coefficients in Q[x]."""
-    out: dict[int, dict] = {}
     for (a, b), c in f.items():
         out.setdefault(b, {})[a] = c
     return out
 
 
-def _content_y(fy: dict[int, dict]) -> dict:
-    cont: dict = {}
-    for coeff in fy.values():
-        cont = _u_gcd(cont, coeff)
-    return cont
+def _mul(a, b):
+    """a * b in Z or Z[x]."""
+    if isinstance(a, int):
+        return a * b
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _primitive_y(fy: dict[int, dict], cont: dict) -> dict[int, dict]:
-    return {b: _u_div_exact(coeff, cont) for b, coeff in fy.items()}
+def _sub(a: dict, b: dict) -> dict:
+    """a - b in Z[x] or Z[x][y]."""
+    out = dict(a)
+    for e, c in b.items():
+        if isinstance(c, dict):
+            out[e] = _sub(out.get(e, {}), c)
+        else:
+            out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
 
 
-def _prem_y(A: dict[int, dict], B: dict[int, dict]) -> dict[int, dict]:
-    """Pseudo-remainder of A by B as polynomials in y over Q[x]."""
-    da, db = max(A), max(B)
-    lb = B[db]
-    R = {b: dict(c) for b, c in A.items()}
-    while R and max(R) >= db:
-        dr = max(R)
-        lr = R[dr]
-        newR: dict[int, dict] = {}
-        for b, c in R.items():
-            newR[b] = _u_mul(c, lb)
-        for b, c in B.items():
-            t = _u_mul(c, lr)
-            tb = b + dr - db
-            newR[tb] = _u_sub(newR.get(tb, {}), t)
-        R = {b: c for b, c in newR.items() if c}
-    return R
+def _divide(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a / b in Z[x] for b dividing a."""
+    db = max(b)
+    q: dict[int, int] = {}
+    while a:
+        da = max(a)
+        c, r = divmod(a[da], b[db])
+        if r or da < db:
+            raise ArithmeticError("division is not exact")
+        q[da - db] = c
+        a = _sub(a, {e + da - db: c * v for e, v in b.items()})
+    return q
 
 
-def _common_component_through_origin(F: IPoly, G: IPoly) -> bool:
-    """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin."""
-    Fy, Gy = _by_y(F), _by_y(G)
-    dfy, dgy = max(Fy), max(Gy)
-    if dfy == 0 and dgy == 0:
-        d = _u_gcd(Fy[0], Gy[0])
-        return _u_deg(d) >= 1 and d.get(0, Fraction(0)) == 0
-    if dfy == 0 or dgy == 0:
-        uni = Fy[0] if dfy == 0 else Gy[0]
-        other = Gy if dfy == 0 else Fy
-        d = _u_gcd(uni, _content_y(other))
-        return _u_deg(d) >= 1 and d.get(0, Fraction(0)) == 0
-    contF, contG = _content_y(Fy), _content_y(Gy)
-    cont_gcd = _u_gcd(contF, contG)
-    if _u_deg(cont_gcd) >= 1 and cont_gcd.get(0, Fraction(0)) == 0:
-        return True
-    A, B = _primitive_y(Fy, contF), _primitive_y(Gy, contG)
-    if max(A) < max(B):
-        A, B = B, A
-    while True:
-        if max(B) == 0:
-            # a primitive degree-0 remainder is the constant 1: coprime in y
-            return False
-        R = _prem_y(A, B)
-        if not R:
-            gcd_y = B  # B pseudo-divides A: B is the primitive gcd
+def _prem(a: dict, b: dict) -> dict:
+    """Pseudo-remainder of a by b, polynomials in one variable over Z or Z[x]."""
+    db = max(b)
+    lb = b[db]
+    while a and max(a) >= db:
+        da = max(a)
+        la = a[da]
+        a = _sub({e: _mul(c, lb) for e, c in a.items()},
+                 {e + da - db: _mul(c, la) for e, c in b.items()})
+    return a
+
+
+def _primitive(f: dict) -> dict:
+    """f divided by its content, the gcd of its coefficients: math.gcd over Z;
+    over Z[x] a fold of _gcd that stops once the gcd is a constant."""
+    if not f:
+        return f
+    coeffs = list(f.values())
+    if isinstance(coeffs[0], int):
+        g = gcd(*coeffs)
+        return {e: c // g for e, c in f.items()}
+    cont = _primitive(coeffs[0])
+    for c in coeffs[1:]:
+        if max(cont) == 0:
             break
-        A, B = B, _primitive_y(R, _content_y(R))
-    # gcd_y has positive y-degree, so it is nonconstant; it cuts a component
-    # through the origin exactly when it vanishes there
-    return gcd_y.get(0, {}).get(0, Fraction(0)) == 0
+        cont = _gcd(cont, c)
+    return {e: _divide(c, cont) for e, c in f.items()}
+
+
+def _gcd(a: dict, b: dict) -> dict:
+    """gcd of the primitive parts of a and b, polynomials in one variable over Z
+    or Z[x], up to sign: the last nonzero primitive remainder."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _common_component_through_origin(F: dict, G: dict) -> bool:
+    """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
+
+    F and G have integer coefficients.  gcd(F, G) is the gcd c(x) of their
+    y-contents times the gcd g of their primitive parts in y; it vanishes at
+    the origin exactly when c(0) = 0 or g(0, 0) = 0, and a factor vanishing
+    there is nonconstant.  c(0) = 0 exactly when x divides both F and G.
+    """
+    if min(a for a, _ in F) > 0 and min(a for a, _ in G) > 0:
+        return True
+    return 0 not in _gcd(_in_y(F), _in_y(G)).get(0, {})
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -248,7 +224,7 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     Fd, Gd = _to_ipoly(F), _to_ipoly(G)
     if Fd.get((0, 0), 0) != 0 or Gd.get((0, 0), 0) != 0:
         return 0
-    if _common_component_through_origin(Fd, Gd):
+    if _common_component_through_origin(_clear_denominators(Fd), _clear_denominators(Gd)):
         return INFINITE_RANK
     return _mu(Fd, Gd, [_FUEL])
 
@@ -267,12 +243,6 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
             if not ((i >= a1 and j >= b1) or (i >= a2 and j >= b2)):
                 count += 1
     return count
-
-
-def _clear_denominators(f: IPoly) -> dict[tuple[int, int], int]:
-    """f times the lcm of its coefficient denominators; it generates the same ideal."""
-    scale = lcm(*(c.denominator for c in f.values()))
-    return {m: int(c * scale) for m, c in f.items()}
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:

@@ -1,7 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import curve_corpus
@@ -16,6 +17,10 @@ from perfproj import (
     local_multiplicity,
     parse_poly,
     quotient_dim_oracle,
+)
+from perfproj.intersect import (
+    _clear_denominators,
+    _common_component_through_origin,
 )
 
 
@@ -46,6 +51,48 @@ def test_local_multiplicity_shared_components():
     # shared component away from the origin stays finite
     f = P("x*y - x")          # x*(y-1)
     assert local_multiplicity(f, P("y*x - y")) == 1
+    # rational coefficients: 1/2*y - x divides (y - 2*x)*(x + 1)
+    assert local_multiplicity(P("1/2*y - x"), P("x*y + y - 2*x^2 - 2*x")) == INFINITE_RANK
+    # shared component y = 2/3 away from the origin, fractional coefficients
+    f = P("1/2*x*y - 1/3*x")  # x*(y/2 - 1/3)
+    g = P("1/2*y^2 - 1/3*y")  # y*(y/2 - 1/3)
+    assert local_multiplicity(f, g) == 1 == quotient_dim_oracle(f, g)
+
+
+_COEFF = st.fractions(-3, 3, max_denominator=4).filter(bool)
+_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _COEFF),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.none() | _TERMS, h_const=st.sampled_from([None, 0, Fraction(1, 2)]),
+       a=_TERMS, b=_TERMS, a_y_free=st.booleans(), b_y_free=st.booleans(),
+       q=st.sampled_from([1, 1, 2, 3]))
+def test_common_component_matches_sympy_gcd(h, h_const, a, b, a_y_free, b_y_free, q):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def poly(terms, y_free=False):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x**i * y**(0 if y_free else j)
+                    for i, j, c in terms), sympy.Integer(0))
+
+    # F = H*A, G = H*B; H is 1, or has its constant term kept, removed or set to 1/2
+    H = sympy.Integer(1) if h is None else poly(h)
+    if h is not None and h_const is not None:
+        H = sympy.expand(H - H.subs({x: 0, y: 0}) + sympy.Rational(h_const))
+    F = sympy.expand(H * poly(a, a_y_free))
+    G = sympy.expand(H * poly(b, b_y_free))
+    F = sympy.expand(F.subs(x, x**q))  # x -> x^q on one side
+    assume(F != 0 and G != 0)
+
+    def coeffs(e):
+        return {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(e, x, y).terms()}
+
+    g = sympy.gcd(F, G)
+    expected = sympy.Poly(g, x, y).total_degree() >= 1 and g.subs({x: 0, y: 0}) == 0
+    got = _common_component_through_origin(_clear_denominators(coeffs(F)),
+                                           _clear_denominators(coeffs(G)))
+    assert got == expected, (F, G, g)
 
 
 def test_local_multiplicity_rejects_bad_input():
@@ -101,6 +148,19 @@ def test_invariance_under_multiple_shift(pair, hterms):
     if shifted.is_zero:
         return
     assert local_multiplicity(F, shifted) == local_multiplicity(F, G)
+
+
+def test_heavy_rooted_entries_pinned():
+    # reaches (s, t) = (3, 0): F(U^27, V^27) against G, a large gcd pre-check
+    tup = braided_multiplicity(parse_poly("y^2 - x^3", 2, 3),
+                               parse_poly("y^3 - x^2 + x*y", 2, 3), 3)
+    assert tup.to_json_dict() == {
+        "p": 3,
+        "diagonal": [4, 4, 4, 4],
+        "mixed": [[4], [4, 12, 12, 36], [4, 12, 36, 12, 36, 108, 36, 108, 324],
+                  [4, 12, 36, 108, 12, 36, 108, 324, 36, 108, 324, 972,
+                   108, 324, 972, 2916]],
+    }
 
 
 def test_mixed_row_coordinate_axes():
