@@ -10,6 +10,7 @@ additionally print one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,10 +41,19 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """--help was given; carries the help text for run() to write to out."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; the contract here is exit 1
     def error(self, message):
         raise _UsageError(message)
+
+    # argparse prints help to sys.stdout and exits; run() writes it to its own
+    # out instead, so the shared parser holds no stream
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -57,7 +67,13 @@ def _degree(fr: Fraction, p: int) -> PAdicFrac:
     return PAdicFrac.from_fraction(fr, p)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser tree, built on the first run() and shared by later calls.
+
+    Parsing leaves no state on it: every parse makes a fresh Namespace, and
+    errors and help raise instead of printing or exiting.
+    """
     top = _Parser(prog="perfproj", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
 
@@ -290,9 +306,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     json_mode = "--json" in argv
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
         cfg = Config(p=args.p, grades=args.grades,
@@ -306,6 +321,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     except ComputationDiagnostic as exc:
         _emit_error("computation", str(exc), json_mode, out, err)
         return 2
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     if cfg.json_output:
         print(json.dumps(payload), file=out)
     else:

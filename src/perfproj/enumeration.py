@@ -105,8 +105,14 @@ def _vectors(compositions: Iterator[tuple[int, ...]], sign: int, i: int, p: int,
         yield tuple(map(lookup, comp))
 
 
-def _h0_total(d, i: int, p: int) -> int:
-    """p**i * d for a valid degree d >= 0 at grade i."""
+def _check_dimension(n: int) -> None:
+    if n < 0:
+        raise DomainError("projective dimension must be non-negative")
+
+
+def _h0_total(n: int, d, i: int, p: int) -> int:
+    """p**i * d for a valid dimension n and degree d >= 0 at grade i."""
+    _check_dimension(n)
     _require_prime(p)
     d = _as_padic(d, p)
     if d.num < 0:
@@ -114,8 +120,9 @@ def _h0_total(d, i: int, p: int) -> int:
     return _scaled_degree(d, i)
 
 
-def _hn_total(m, i: int, p: int) -> int:
-    """p**i * m for a valid m > 0 at grade i."""
+def _hn_total(n: int, m, i: int, p: int) -> int:
+    """p**i * m for a valid dimension n and m > 0 at grade i."""
+    _check_dimension(n)
     _require_prime(p)
     m = _as_padic(m, p)
     if m.num <= 0:
@@ -125,7 +132,7 @@ def _hn_total(m, i: int, p: int) -> int:
 
 def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
     """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
-    total = _h0_total(d, i, p)
+    total = _h0_total(n, d, i, p)
     count = comb(total + n, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p + n, n)
@@ -139,7 +146,7 @@ def iter_h0_monomials(n: int, d, i: int, p: int,
     Arguments are checked at call time; nothing is enumerated until the
     iterator is advanced.
     """
-    total = _h0_total(d, i, p)
+    total = _h0_total(n, d, i, p)
     return _vectors(_compositions_desc(total, n + 1), 1, i, p, reduced)
 
 
@@ -154,7 +161,7 @@ def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
     Compositions of p**i * m into n+1 strictly positive parts, negated;
     comb(a, n) is 0 for a < n, so classically vanishing cases come out 0.
     """
-    total = _hn_total(m, i, p)
+    total = _hn_total(n, m, i, p)
     count = comb(total - 1, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p - 1, n)
@@ -165,7 +172,7 @@ def iter_hn_monomials(n: int, m, i: int, p: int,
                       reduced: bool = False) -> Iterator[tuple[PAdicFrac, ...]]:
     """The grade-i all-negative degree -m vectors, lazily, in the order of
     ascending positive compositions; arguments are checked at call time."""
-    total = _hn_total(m, i, p)
+    total = _hn_total(n, m, i, p)
     return _vectors(_positive_compositions_asc(total, n + 1), -1, i, p, reduced)
 
 

@@ -2,9 +2,11 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import perfproj.cli as cli_mod
 from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
@@ -143,8 +145,6 @@ def test_json_error_payload():
 
 
 def test_computation_diagnostic_exit_2(monkeypatch):
-    import perfproj.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise FuelExhausted("step budget exceeded")
 
@@ -236,3 +236,136 @@ def test_json_sections_enumerate_nothing(monkeypatch):
                            "--grades", "3", "--reduced", "--json"])
     assert code == 0
     assert json.loads(out)["grades"] == [15, 546, 14490]
+
+
+def test_veronese_negative_dimension_is_usage_error():
+    # composing a degree into n + 1 = 0 parts recursed without end
+    code, out, err = invoke(["veronese", "--n", "-1", "--d", "2", "--p", "2", "--json"])
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "category": "usage", "message": "projective dimension must be non-negative"}}
+    assert err == "error: usage: projective dimension must be non-negative\n"
+
+
+def test_help_is_written_to_out(capsys):
+    for argv, usage in [(["--help"], "usage: perfproj "),
+                        (["h0", "--help"], "usage: perfproj h0 ")]:
+        code, out, err = invoke(argv)
+        assert code == 0 and err == ""
+        assert out.startswith(usage)
+    assert capsys.readouterr() == ("", "")
+
+
+_REUSE_SEQUENCE = [
+    ["h0", "--n", "1", "--deg", "2", "--p", "3", "--grades", "2"],
+    ["hn", "--n", "1", "--deg=-5/3", "--p", "3", "--grades", "2", "--json"],
+    ["euler", "--n", "2", "--deg=-4", "--p", "2", "--grades", "2", "--reduced"],
+    ["bezout-line", "--s", "2", "--t", "3", "--p", "3", "--grades", "2"],
+    ["bezout-chi", "--d", "6", "--degf", "2", "--degg", "3", "--p", "2", "--json"],
+    ["kunneth", "--n", "1", "--m", "1", "--a", "1", "--b", "1", "--p", "3", "--grades", "2"],
+    ["veronese", "--n", "1", "--d", "2", "--p", "3", "--grades", "2"],
+    ["mult", "--f", "y^2 - x^3", "--g", "x", "--p", "2", "--grades", "1"],
+    ["blowup", "--f", "y^(1/4) - x^(1/4) + x^(1/2)", "--p", "2"],
+    ["cech-check", "--n", "1", "--degrees=-1,1", "--i", "1", "--p", "3", "--json"],
+    ["h0", "--n", "1", "--deg", "x", "--p", "3", "--json"],
+    ["h0", "--n", "1", "--deg", "2", "--p", "3", "--grades", "x"],
+    ["hn", "--n", "1", "--deg", "1/0", "--p", "3"],
+    ["nonsense", "--p", "3", "--json"],
+    ["mult", "--f", "x", "--p", "2", "--json"],
+    ["kunneth", "--n", "1", "--p", "3"],
+    ["veronese", "--n", "1", "--d", "2", "--p", "3", "extra", "--json"],
+    ["h0", "--n", "1", "--deg", "2", "--p"],
+    [],
+    ["--help"],
+    ["h0", "--help"],
+]
+
+
+def test_shared_parser_matches_a_fresh_one(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "_build_parser", cli_mod._build_parser.__wrapped__)
+        fresh = [invoke(argv) for argv in _REUSE_SEQUENCE]
+    built = []
+    real_init = cli_mod._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod._Parser, "__init__", counting_init)
+    cli_mod._build_parser.cache_clear()
+    for _ in range(2):
+        assert [invoke(argv) for argv in _REUSE_SEQUENCE] == fresh
+    # the top-level parser and one per subcommand, built by the first call only
+    assert len(built) == 1 + len(cli_mod._SUBCOMMANDS)
+
+
+# -- fuzzing the exit contract -------------------------------------------------------
+
+def _value(valid, edge):
+    """A value from valid three times in four, else a boundary or bad one."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid if k else edge))
+
+
+_INT = st.sampled_from(["-1", "0", "1", "2", "3"])
+_FRACTION = _value(["2", "-5/3", "1/2", "3/4", "0", "-1"], ["1/0", "2/5", "1/6"])
+_CURVE = _value(["x", "y", "y-x", "y^2-x^3", "x*y", "y^(1/2)-x", "x^(1/2)*y-x",
+                 "1", "y-x^(-1)"],
+                ["0", "x^(1/3)+y", "y^(1/0)", "x +", "x^(1/2", "2*"])
+# cech-check boxes stay under about 10^4 weights: n <= 2, |degree| <= 2, i <= 1
+_FLAGS = {
+    "h0": {"--n": _INT, "--deg": _FRACTION},
+    "hn": {"--n": _INT, "--deg": _FRACTION},
+    "euler": {"--n": _INT, "--deg": _FRACTION},
+    "bezout-line": {"--s": _FRACTION, "--t": _FRACTION},
+    "bezout-chi": {"--d": _value(["6", "5", "9/2", "7/4"], ["1", "0", "1/0"]),
+                   "--degf": _INT, "--degg": _INT},
+    "kunneth": {"--n": _INT, "--m": _INT, "--a": _FRACTION, "--b": _FRACTION},
+    "veronese": {"--n": _INT, "--d": _value(["1", "2"], ["0", "-1"])},
+    "mult": {"--f": _CURVE, "--g": _CURVE},
+    "blowup": {"--f": _CURVE},
+    "cech-check": {"--n": _value(["1", "2"], ["0", "-1", "7"]),
+                   "--degrees": _value(["-1,1", "2", "-1/2,0", "1/2,-2,"],
+                                       ["1/0", "1/3", "", ",", "1,,x"]),
+                   "--i": _value(["0", "1"], ["-1"])},
+}
+_COMMON = {"--p": _value(["2", "3", "5"], ["4", "1", "0", "-3"]),
+           "--grades": _value(["1", "2", "3"], ["0", "-1"])}
+# at most one fault injected into an argv of well-formed flags
+_EDITS = ["drop", "twice", "bare", "garbage", "stray"]
+
+
+@st.composite
+def _argv(draw, command):
+    flags = {**_FLAGS.get(command, {}), **_COMMON}
+    tokens = {flag: [f"{flag}={draw(values)}"] for flag, values in flags.items()}
+    edit = draw(st.none() | st.sampled_from(_EDITS))
+    flag = draw(st.sampled_from(sorted(flags)))
+    if edit == "drop":
+        tokens[flag] = []
+    elif edit == "twice":
+        tokens[flag].append(f"{flag}={draw(flags[flag])}")
+    elif edit == "bare":
+        tokens[flag] = [flag]
+    elif edit == "garbage":
+        tokens[flag] = [f"{flag}=?"]
+    rest = ["stray"] if edit == "stray" else []
+    rest += [t for name in flags for t in tokens[name]]
+    rest += [extra for extra in ("--json", "--reduced") if draw(st.booleans())]
+    return [command] + draw(st.permutations(rest))
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS) + ["nonsense"])
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_the_exit_contract(command, data):
+    argv = data.draw(_argv(command))
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2)
+    if code:
+        kind = "usage" if code == 1 else "computation"
+        assert err.startswith(f"error: {kind}: ")
+    if "--json" in argv:
+        payload = json.loads(out)
+        if code:
+            assert payload["error"]["category"] == kind

@@ -177,3 +177,13 @@ def test_iterators_are_lazy_prefixes_of_the_pieces():
         (36, 0, 0), (35, 1, 0), (35, 0, 1)]
     piece = enumerate_hn_monomials(2, normalize(4, 1, 3), 2, 3, reduced=True)
     assert tuple(iter_hn_monomials(2, normalize(4, 1, 3), 2, 3, reduced=True)) == piece.vectors
+
+
+@pytest.mark.parametrize("fn", [count_h0_monomials, count_hn_monomials,
+                                enumerate_h0_monomials, enumerate_hn_monomials,
+                                iter_h0_monomials, iter_hn_monomials])
+def test_negative_dimension_rejected(fn):
+    # no next(): the iterators must raise when they are made, before any
+    # composition of the total into n + 1 = 0 parts is attempted
+    with pytest.raises(DomainError, match="projective dimension must be non-negative"):
+        fn(-1, 2, 1, 2)

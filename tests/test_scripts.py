@@ -1,12 +1,15 @@
 """Smoke tests: the experiment scripts and the CLI entry point run end to end
 as separate processes on tiny arguments."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from perfproj.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +79,14 @@ def test_closed_stdout_exits_1_without_traceback():
                  ["scripts/braided_tables.py", "--n", "1", "--grades", "2"]):
         proc = _run_with_closed_stdout(args)
         assert (proc.returncode, proc.stderr) == (1, ""), args
+
+
+def test_cli_help_matches_in_process_run(monkeypatch):
+    # argparse wraps help to the terminal width; the subprocess inherits it
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["h0", "--help"]):
+        proc = _run(["-m", "perfproj.cli", *argv])
+        out, err = io.StringIO(), io.StringIO()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert run(argv, out, err) == 0
+        assert (proc.stdout, err.getvalue()) == (out.getvalue(), "")
