@@ -5,8 +5,9 @@ of finite per-grade dimensions, indexed by the power of p dividing exponent
 denominators.  Grade 0 always recovers the classical coherent dimension.
 Tuples carry an offset k so that fractional degrees m/p**k, whose rows start
 at grade k, align on absolute grade labels; positions before the offset read
-zero.  A closed-form generator, when present, answers reads past the
-stored values without storing them; only extend_to stores more values.
+zero.  A tuple reports `length` grades from its offset and stores no values
+it computed: a closed-form generator answers every read on demand, past the
+reported grades too.  Only a tuple built from data holds explicit values.
 """
 
 from __future__ import annotations
@@ -54,40 +55,38 @@ _OPS = {"add": _add, "sub": _sub, "mul": _mul}
 
 
 class BraidedDim:
-    """Graded tuple of extended integers with optional closed-form generator."""
+    """Graded tuple reporting `length` grades from its offset, never changed.
 
-    __slots__ = ("prime", "offset", "_values", "_generator", "generator_desc")
+    Reads come from `values` (data), then from `generator`, a closed form of
+    the absolute label; without a generator the tuple is finite.
+    """
+
+    __slots__ = ("prime", "offset", "length", "_values", "_generator", "generator_desc")
 
     def __init__(self, prime: int, offset: int = 0, values: Sequence = (),
                  generator: Callable[[int], object] | None = None,
-                 generator_desc: str | None = None):
+                 generator_desc: str | None = None, length: int | None = None):
         _require_prime(prime)
         if offset < 0:
             raise DomainError("offset must be non-negative")
         self.prime = prime
         self.offset = offset
-        self._values = list(values)
+        self._values = tuple(values)
+        self.length = len(self._values) if length is None else length
         self._generator = generator
         self.generator_desc = generator_desc
 
     @classmethod
     def zeros(cls, prime: int, grades: int = 0) -> "BraidedDim":
-        return cls(prime, 0, [0] * grades, generator=lambda label: 0,
-                   generator_desc="zero")
-
-    @classmethod
-    def from_generator(cls, prime: int, offset: int, generator, desc: str,
-                       grades: int) -> "BraidedDim":
-        dim = cls(prime, offset, (), generator, desc)
-        dim.extend_to(grades)
-        return dim
+        return cls(prime, 0, generator=lambda label: 0, generator_desc="zero",
+                   length=grades)
 
     # -- access ---------------------------------------------------------------
 
     def at(self, label: int):
         """Value at absolute grade label; labels below the offset read 0.
 
-        Past the materialized values the generator answers; nothing is stored.
+        Past the explicit values the generator answers; nothing is stored.
         """
         if label < self.offset:
             return 0
@@ -96,19 +95,14 @@ class BraidedDim:
             return self._values[idx]
         if self._generator is None:
             raise HorizonError(
-                f"grade {label} beyond materialized horizon and no generator")
+                f"grade {label} beyond the explicit values and no generator")
         return self._generator(label)
-
-    def extend_to(self, count: int) -> None:
-        """Materialize at least `count` values starting at the offset."""
-        while len(self._values) < count:
-            self._values.append(self.at(self.offset + len(self._values)))
 
     def window(self, start_label: int, count: int) -> list:
         return [self.at(start_label + j) for j in range(count)]
 
     def grades_list(self) -> list:
-        return list(self._values)
+        return self.window(self.offset, self.length)
 
     def equal_up_to(self, other: "BraidedDim", horizon: int = 8) -> bool:
         """Equality of values on absolute labels 0..horizon-1."""
@@ -125,54 +119,61 @@ class BraidedDim:
         """
         if self._generator is None:
             total = 0
-            for v in self._values:
+            for v in self.grades_list():
                 total = _add(total, v)
             return total
-        span = max(probe, len(self._values))
+        span = max(probe, self.length)
         if any(v != 0 for v in self.window(self.offset, span)):
             return INFINITE_RANK
         return 0
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _combine(self, other: "BraidedDim", kind: str, symbol: str) -> "BraidedDim":
+    def _combine(self, other: "BraidedDim", kind: str,
+                 desc: str | None = None) -> "BraidedDim":
+        """Componentwise op on absolute labels: offset = min, end = max.
+
+        Generator tuples combine lazily; with a finite side the values are
+        computed here, so a missing grade or inf - inf raises at the call.
+        """
         if not isinstance(other, BraidedDim):
             raise DomainError("can only combine with another BraidedDim")
         if self.prime != other.prime:
             raise DomainError(f"mixed primes {self.prime} and {other.prime}")
         op = _OPS[kind]
         offset = min(self.offset, other.offset)
-        horizon = max(self.offset + len(self._values),
-                      other.offset + len(other._values)) - offset
-        values = [op(self.at(offset + j), other.at(offset + j))
-                  for j in range(horizon)]
-        generator = None
-        desc = None
-        if self._generator is not None and other._generator is not None:
-            generator = lambda label: op(self.at(label), other.at(label))
-            desc = f"{symbol}({self.generator_desc},{other.generator_desc})"
-        return BraidedDim(self.prime, offset, values, generator, desc)
+        length = max(self.offset + self.length,
+                     other.offset + other.length) - offset
+        if self._generator is None or other._generator is None:
+            values = [op(self.at(offset + j), other.at(offset + j))
+                      for j in range(length)]
+            return BraidedDim(self.prime, offset, values)
+        if desc is None:
+            desc = f"{kind}({self.generator_desc},{other.generator_desc})"
+        return BraidedDim(self.prime, offset,
+                          generator=lambda label: op(self.at(label), other.at(label)),
+                          generator_desc=desc, length=length)
 
     def __add__(self, other) -> "BraidedDim":
-        return self._combine(other, "add", "add")
+        return self._combine(other, "add")
 
     def __sub__(self, other) -> "BraidedDim":
-        return self._combine(other, "sub", "sub")
+        return self._combine(other, "sub")
 
     def __mul__(self, other) -> "BraidedDim":
-        return self._combine(other, "mul", "mul")
+        return self._combine(other, "mul")
 
     # -- presentation -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        grades = ["inf" if _is_inf(v) else v for v in self._values]
+        grades = ["inf" if _is_inf(v) else v for v in self.grades_list()]
         out = {"p": self.prime, "offset": self.offset, "grades": grades}
         if self.generator_desc is not None:
             out["generator"] = self.generator_desc
         return out
 
     def __repr__(self) -> str:
-        vals = ", ".join(str(v) for v in self._values)
+        vals = ", ".join(str(v) for v in self.grades_list())
         return f"BraidedDim(p={self.prime}, offset={self.offset}, values=[{vals}])"
 
 
@@ -180,7 +181,7 @@ def tuple_arith(lhs: BraidedDim, rhs: BraidedDim, kind: str) -> BraidedDim:
     """Componentwise add/sub on absolute grade labels."""
     if kind not in ("add", "sub"):
         raise DomainError(f"unknown tuple operation {kind!r}")
-    return lhs._combine(rhs, kind, kind)
+    return lhs._combine(rhs, kind)
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def h0(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
         return count_h0_monomials(_n, _m, label - _k, _p, reduced=reduced)
 
     desc = f"h0(n={n},d={deg}{',reduced' if reduced else ''})"
-    return BraidedDim.from_generator(p, k, gen, desc, grades)
+    return BraidedDim(p, k, generator=gen, generator_desc=desc, length=grades)
 
 
 def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
@@ -243,7 +244,7 @@ def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim
         return count_hn_monomials(_n, _m, label - _k, _p, reduced=reduced)
 
     desc = f"hn(n={n},m={m}{f'/{p}^{k}' if k else ''}{',reduced' if reduced else ''})"
-    return BraidedDim.from_generator(p, k, gen, desc, grades)
+    return BraidedDim(p, k, generator=gen, generator_desc=desc, length=grades)
 
 
 def middle_vanishing(n: int, i: int, p: int, grades: int = 8) -> BraidedDim:
@@ -257,9 +258,8 @@ def euler(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
     """Euler characteristic per grade: h0 + (-1)**n * hn, middles vanish."""
     a = h0(bundle, grades, reduced=reduced)
     b = hn_top(bundle, grades, reduced=reduced)
-    out = a + b if bundle.n % 2 == 0 else a - b
-    out.generator_desc = f"euler(n={bundle.n},d={bundle.degree})"
-    return out
+    return a._combine(b, "add" if bundle.n % 2 == 0 else "sub",
+                      f"euler(n={bundle.n},d={bundle.degree})")
 
 
 def bundle_cohomology(bundle: LineBundle, grades: int) -> list[BraidedDim]:
@@ -279,8 +279,8 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
 
     Index i of the output is the sum over j of hA[j] * hB[i-j], computed
     grade by grade (the dimension of a tensor product is the product of
-    dimensions).  Inputs must share the prime and support the requested
-    grade horizon.
+    dimensions), and reports labels 0..grades-1.  Inputs must share the prime
+    and support the requested grade horizon.
     """
     if not hA or not hB:
         raise DomainError("empty cohomology list")
@@ -294,11 +294,10 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
         for j in range(len(hA)):
             if 0 <= i - j < len(hB):
                 try:
-                    term = hA[j] * hB[i - j]
-                    term.extend_to(grades)
+                    acc = acc + hA[j] * hB[i - j]
                 except HorizonError as exc:
                     raise HorizonError(f"grade horizon mismatch: {exc}") from exc
-                acc = acc + term
-        acc.extend_to(grades)
-        out.append(acc)
+        # acc starts at offset 0; a fractional factor may end it past grades
+        out.append(BraidedDim(prime, 0, acc._values[:grades], acc._generator,
+                              acc.generator_desc, length=grades))
     return out

@@ -46,6 +46,10 @@ class _HelpRequested(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviations: run() detects JSON mode by the exact token --json
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on bad usage; the contract here is exit 1
     def error(self, message):
         raise _UsageError(message)
@@ -153,26 +157,28 @@ def _monomial_cell(vectors, grade: int) -> str:
     return " ".join(shown)
 
 
-def _dim_table(dim: braided.BraidedDim, lines: list[str], cell=None) -> None:
-    header = "power of p | monomials | dim" if cell else "power of p | dim"
-    lines.append(header)
+def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
+    lines = ["power of p | monomials | dim" if cell else "power of p | dim"]
     for j, value in enumerate(dim.grades_list()):
         label = dim.offset + j
         if cell:
             lines.append(f"{label} | {cell(label)} | {value}")
         else:
             lines.append(f"{label} | {value}")
+    return lines
 
 
 # -- subcommand implementations ------------------------------------------------------
+# Each builds only the printed form, the JSON payload or the table lines: values
+# are computed on demand, so building both would compute them twice.
 
-def _run_h0_family(args, cfg: Config, which: str) -> tuple[dict, list[str]]:
+def _run_h0_family(args, cfg: Config, which: str):
     deg = _degree(args.deg, cfg.p)
     bundle = LineBundle(args.n, deg)
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, cfg.grades, reduced=cfg.reduced)
     if cfg.json_output:
-        return dim.to_json_dict(), []  # counts only: nothing is enumerated
+        return dim.to_json_dict()  # counts only: nothing is enumerated
     family = None
     if which == "h0" and deg.num >= 0:
         family, size = iter_h0_monomials, deg.num
@@ -184,25 +190,19 @@ def _run_h0_family(args, cfg: Config, which: str) -> tuple[dict, list[str]]:
             grade = label - deg.pexp
             return _monomial_cell(
                 family(args.n, size, grade, cfg.p, reduced=cfg.reduced), grade)
-    lines: list[str] = []
-    _dim_table(dim, lines, cell)
-    return dim.to_json_dict(), lines
+    return _dim_table(dim, cell)
 
 
 def _run_bezout_line(args, cfg: Config):
     dim = geometry.bezout_line(_degree(args.s, cfg.p), _degree(args.t, cfg.p),
                                cfg.grades, cfg.p)
-    lines: list[str] = []
-    _dim_table(dim, lines)
-    return dim.to_json_dict(), lines
+    return dim.to_json_dict() if cfg.json_output else _dim_table(dim)
 
 
 def _run_bezout_chi(args, cfg: Config):
     dim = geometry.bezout_chi(_degree(args.d, cfg.p), args.degf, args.degg,
                               cfg.grades, cfg.p)
-    lines: list[str] = []
-    _dim_table(dim, lines)
-    return dim.to_json_dict(), lines
+    return dim.to_json_dict() if cfg.json_output else _dim_table(dim)
 
 
 def _run_kunneth(args, cfg: Config):
@@ -210,51 +210,50 @@ def _run_kunneth(args, cfg: Config):
     bundle_b = LineBundle(args.m, _degree(args.b, cfg.p))
     out = kunneth(bundle_cohomology(bundle_a, cfg.grades),
                   bundle_cohomology(bundle_b, cfg.grades), cfg.grades)
-    payload = {
-        "p": cfg.p,
-        "factors": {"n": args.n, "a": str(bundle_a.degree),
-                    "m": args.m, "b": str(bundle_b.degree)},
-        "cohomology": [dim.to_json_dict() for dim in out],
-    }
-    lines = []
-    for idx, dim in enumerate(out):
-        lines.append(f"h^{idx}: " + " ".join(str(v) for v in dim.window(0, cfg.grades)))
-    return payload, lines
+    if cfg.json_output:
+        return {
+            "p": cfg.p,
+            "factors": {"n": args.n, "a": str(bundle_a.degree),
+                        "m": args.m, "b": str(bundle_b.degree)},
+            "cohomology": [dim.to_json_dict() for dim in out],
+        }
+    return [f"h^{idx}: " + " ".join(str(v) for v in dim.grades_list())
+            for idx, dim in enumerate(out)]
 
 
 def _run_veronese(args, cfg: Config):
     maps = [geometry.veronese(args.n, args.d, i, cfg.p) for i in range(cfg.grades)]
-    payload = {
-        "n": args.n,
-        "d": args.d,
-        "p": cfg.p,
-        "tower": [{"grade": v.grade, "target_dim": v.target_dim,
-                   "monomials": v.coordinate_strings()} for v in maps],
-    }
-    lines = []
-    for v in maps:
-        lines.append(f"grade {v.grade}: P^{v.target_dim} {v.bracket()}")
-    return payload, lines
+    if cfg.json_output:
+        return {
+            "n": args.n,
+            "d": args.d,
+            "p": cfg.p,
+            "tower": [{"grade": v.grade, "target_dim": v.target_dim,
+                       "monomials": v.coordinate_strings()} for v in maps],
+        }
+    return [f"grade {v.grade}: P^{v.target_dim} {v.bracket()}" for v in maps]
 
 
 def _run_mult(args, cfg: Config):
     f = parse_poly(args.f, 2, cfg.p)
     g = parse_poly(args.g, 2, cfg.p)
     tup = intersect.braided_multiplicity(f, g, cfg.grades)
-    payload = tup.to_json_dict()
+    if cfg.json_output:
+        return tup.to_json_dict()
     lines = ["grade | diagonal | mixed row (F-power first)"]
     diag = tup.diagonal
     for i in range(cfg.grades + 1):
         row = " ".join(str(v) for v in tup.flattened_row(i))
         lines.append(f"{i} | {diag.at(i)} | {row}")
-    return payload, lines
+    return lines
 
 
 def _run_blowup(args, cfg: Config):
     f = parse_poly(args.f, 2, cfg.p)
     charts = geometry.blowup_origin(f)
-    payload = {"p": cfg.p, "curve": f.render(),
-               "charts": [c.to_json_dict() for c in charts]}
+    if cfg.json_output:
+        return {"p": cfg.p, "curve": f.render(),
+                "charts": [c.to_json_dict() for c in charts]}
     lines = []
     for c in charts:
         lines.append(f"chart {c.chart}=1 ({c.relation}):")
@@ -265,20 +264,21 @@ def _run_blowup(args, cfg: Config):
         else:
             suffix = f" point {c.exceptional.point}" if c.exceptional.point else ""
             lines.append(f"  exceptional: {c.exceptional.constraint}{suffix}")
-    return payload, lines
+    return lines
 
 
 def _run_cech_check(args, cfg: Config):
     degrees = [_degree(_fraction_arg(part), cfg.p)
                for part in args.degrees.split(",") if part]
     report = cech.verify_theorems(args.n, degrees, args.i, cfg.p)
-    payload = report.to_json_dict()
+    if cfg.json_output:
+        return report.to_json_dict()
     lines = ["degree | weights | h0 | middle | hn | ok"]
     for s in report.per_degree:
         lines.append(f"{s.degree} | {s.weights_checked} | {s.h0_total} | "
                      f"{s.middle_total} | {s.hn_total} | {'yes' if s.ok else 'NO'}")
     lines.append(f"counterexamples: {len(report.counterexamples)}")
-    return payload, lines
+    return lines
 
 
 _DISPATCH = {
@@ -314,7 +314,7 @@ def run(argv: list[str], out=None, err=None) -> int:
                      json_output=args.json, reduced=args.reduced)
         if cfg.grades < 1:
             raise _UsageError("--grades must be at least 1")
-        payload, lines = _DISPATCH[args.command](args, cfg)
+        result = _DISPATCH[args.command](args, cfg)
     except (_UsageError, ParseError, DomainError) as exc:
         _emit_error("usage", str(exc), json_mode, out, err)
         return 1
@@ -325,9 +325,9 @@ def run(argv: list[str], out=None, err=None) -> int:
         out.write(str(exc))
         return 0
     if cfg.json_output:
-        print(json.dumps(payload), file=out)
+        print(json.dumps(result), file=out)
     else:
-        for line in lines:
+        for line in result:
             print(line, file=out)
     return 0
 

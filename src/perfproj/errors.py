@@ -11,8 +11,8 @@ class DomainError(PerfprojError, ValueError):
 
 
 class HorizonError(DomainError):
-    """A value beyond the materialized grade horizon was requested from a
-    tuple that has no closed-form generator."""
+    """A value beyond the explicit values was requested from a tuple that has
+    no closed-form generator."""
 
 
 class ParseError(PerfprojError, ValueError):

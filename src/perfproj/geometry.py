@@ -46,8 +46,8 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
         return sum(s * count_h0_monomials(2, e, label, p)
                    for s, e in zip(signs, degrees))
 
-    return BraidedDim.from_generator(
-        p, offset, gen, f"bezout_chi(d={d},degF={degF},degG={degG})", grades)
+    return BraidedDim(p, offset, generator=gen, length=grades,
+                      generator_desc=f"bezout_chi(d={d},degF={degF},degG={degG})")
 
 
 def bezout_line(s, t, grades: int, p: int) -> BraidedDim:
@@ -62,9 +62,8 @@ def bezout_line(s, t, grades: int, p: int) -> BraidedDim:
     if s.num <= 0 or t.num <= 0:
         raise DomainError("s and t must be positive")
     total = hn_top(LineBundle(1, -(s + t)), grades)
-    out = total - hn_top(LineBundle(1, -s), grades) - hn_top(LineBundle(1, -t), grades)
-    out.generator_desc = f"bezout_line(s={s},t={t})"
-    return out
+    return (total - hn_top(LineBundle(1, -s), grades))._combine(
+        hn_top(LineBundle(1, -t), grades), "sub", f"bezout_line(s={s},t={t})")
 
 
 # -- Veronese ------------------------------------------------------------------------

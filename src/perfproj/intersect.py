@@ -339,7 +339,6 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         return cache[(s, t)]
 
     mixed: list[dict[tuple[int, int], object]] = []
-    diag_values = []
     for i in range(grades + 1):
         mat: dict[tuple[int, int], object] = {}
         for a in range(i + 1):
@@ -347,10 +346,10 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
                 s, t = i - kF - a, i - kG - b
                 mat[(a, b)] = entry(s, t) if s >= 0 and t >= 0 else 0
         mixed.append(mat)
-        if i >= k0:
-            diag_values.append(mat[(i - kF, i - kG)])
+    # the fully rooted entry of grade i >= k0 is mat[(i - kF, i - kG)], that is
+    # entry(0, 0): the classical multiplicity of F0 and G0 at every grade
     classical = entry(0, 0)
-    diagonal = BraidedDim(p, k0, diag_values,
-                          generator=lambda label: classical if label >= k0 else 0,
-                          generator_desc=f"mult({F.render()};{G.render()})")
+    diagonal = BraidedDim(p, k0, generator=lambda label: classical,
+                          generator_desc=f"mult({F.render()};{G.render()})",
+                          length=max(0, grades + 1 - k0))
     return MultiplicityTuple(p, diagonal, mixed)

@@ -1,3 +1,4 @@
+import io
 import json
 from math import comb
 
@@ -21,6 +22,7 @@ from perfproj import (
     middle_vanishing,
     tuple_arith,
 )
+from perfproj.cli import run
 from perfproj.exponents import normalize
 
 
@@ -259,3 +261,22 @@ def test_concurrent_lazy_extension():
         t.join()
     expected = [3**j * 2 + 1 for j in range(40)]
     assert all(r == expected for r in results)
+
+
+def test_generators_answer_past_length():
+    for n in (1, 2, 3):
+        for deg in (normalize(-7, 1, 3), normalize(5, 2, 3), normalize(-2, 0, 3)):
+            b = LineBundle(n, deg)
+            e, a, c = euler(b, 3), h0(b, 3), hn_top(b, 3)
+            sign = 1 if n % 2 == 0 else -1
+            for j in range(11):
+                assert e.at(j) == a.at(j) + sign * c.at(j)
+
+
+def test_mult_diagonal_empty_below_first_grade():
+    out = io.StringIO()
+    argv = ["mult", "--f", "y-x^(1/4)", "--g", "y", "--p", "2", "--grades", "1", "--json"]
+    assert run(argv, out, io.StringIO()) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["diagonal"] == []
+    assert payload["mixed"] == [[0], [0, 0, 0, 0]]

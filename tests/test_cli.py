@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import perfproj.cli as cli_mod
 from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
+from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
 
@@ -247,6 +248,80 @@ def test_veronese_negative_dimension_is_usage_error():
     assert err == "error: usage: projective dimension must be non-negative\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_veronese_formats_each_monomial_once(monkeypatch, mode):
+    import perfproj.geometry as geometry
+
+    calls = []
+    real = geometry.monomial_string
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "monomial_string", counting)
+    code, _, _ = invoke(["veronese", "--n", "2", "--d", "5", "--p", "3",
+                         "--grades", "2"] + mode)
+    assert code == 0
+    assert len(calls) == sum(count_h0_monomials(2, 5, i, 3) for i in range(2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["h0", "--n", "1", "--deg", "2/5", "--p", "3", "--js"],
+    ["h0", "--n", "1", "--deg", "2", "--p", "3", "--grades", "2", "--js"],
+])
+def test_abbreviated_flags_are_usage_errors(argv):
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage: ")
+
+
+@st.composite
+def _section_argv(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def degree(lowest: int) -> str:
+        return f"{draw(st.integers(lowest, 6))}/{p ** draw(st.integers(0, 2))}"
+
+    command = draw(st.sampled_from(["h0", "hn", "euler", "bezout-line", "bezout-chi",
+                                    "kunneth"]))
+    if command in ("h0", "hn", "euler"):
+        argv = [command, "--n", str(draw(st.integers(0, 3))), f"--deg={degree(-6)}"]
+        if draw(st.booleans()):
+            argv.append("--reduced")
+    elif command == "bezout-line":
+        argv = [command, f"--s={degree(1)}", f"--t={degree(1)}"]
+    elif command == "bezout-chi":
+        degf, degg = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        argv = [command, f"--d={degf + degg + Fraction(degree(0))}",
+                "--degf", str(degf), "--degg", str(degg)]
+    else:
+        argv = [command, "--n", str(draw(st.integers(1, 3))), "--m",
+                str(draw(st.integers(1, 3))), f"--a={degree(-6)}", f"--b={degree(-6)}"]
+    return argv + ["--p", str(p), "--grades", str(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_section_argv())
+def test_json_and_table_report_the_same_grades(argv):
+    code, text, _ = invoke(argv)
+    json_code, out, _ = invoke(argv + ["--json"])
+    assert code == json_code
+    assume(code == 0)
+    payload = json.loads(out)
+    rows = text.splitlines()
+    if argv[0] == "kunneth":
+        grades = int(argv[argv.index("--grades") + 1])
+        assert len(rows) == len(payload["cohomology"])
+        for idx, (row, dim) in enumerate(zip(rows, payload["cohomology"])):
+            assert dim["offset"] == 0 and len(dim["grades"]) == grades
+            assert row == f"h^{idx}: " + " ".join(str(v) for v in dim["grades"])
+        return
+    labels = [str(payload["offset"] + j) for j in range(len(payload["grades"]))]
+    cells = [row.split(" | ") for row in rows[1:]]
+    assert [(c[0], c[-1]) for c in cells] == list(zip(labels, map(str, payload["grades"])))
+
+
 def test_help_is_written_to_out(capsys):
     for argv, usage in [(["--help"], "usage: perfproj "),
                         (["h0", "--help"], "usage: perfproj h0 ")]:
@@ -332,7 +407,7 @@ _FLAGS = {
 _COMMON = {"--p": _value(["2", "3", "5"], ["4", "1", "0", "-3"]),
            "--grades": _value(["1", "2", "3"], ["0", "-1"])}
 # at most one fault injected into an argv of well-formed flags
-_EDITS = ["drop", "twice", "bare", "garbage", "stray"]
+_EDITS = ["drop", "twice", "bare", "garbage", "stray", "abbrev"]
 
 
 @st.composite
@@ -349,6 +424,8 @@ def _argv(draw, command):
         tokens[flag] = [flag]
     elif edit == "garbage":
         tokens[flag] = [f"{flag}=?"]
+    elif edit == "abbrev" and len(flag) > 3:
+        tokens[flag] = [tokens[flag][0].replace(flag, flag[:-1], 1)]
     rest = ["stray"] if edit == "stray" else []
     rest += [t for name in flags for t in tokens[name]]
     rest += [extra for extra in ("--json", "--reduced") if draw(st.booleans())]
