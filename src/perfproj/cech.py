@@ -9,7 +9,9 @@ two independent ways: the sign case analysis (classify_weight) and exact
 fraction-free integer elimination on the +-1 incidence matrices
 (cohomology_ranks).  verify_theorems runs both for every weight of the
 requested degrees, once per sign mask since both depend only on it, and
-cross-checks the totals against the closed forms.
+cross-checks the totals against the closed forms.  The weights of a mask
+are counted in closed form from its number of negative entries, so no
+weight is visited unless a mask's two profiles disagree.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .enumeration import _as_padic, count_h0_monomials, count_hn_monomials
 from .errors import DomainError
@@ -244,26 +246,25 @@ def _neg_mask(ints) -> int:
 
 def _weights_by_mask(n: int, target: int, bound: int) -> Counter:
     """Integer weights in [-bound, bound]**(n+1) summing to target, counted by
-    negative mask.
+    negative mask; masks without a weight are left out.
 
-    The first n-1 entries are walked; for each such prefix the last two
-    entries x and target - sum(prefix) - x range over an interval of x that
-    the signs of both split into at most four runs, counted in closed form.
+    The count is a closed form in the number k of negative entries, so no
+    weight is visited.  Shifting each negative entry x to x + bound makes the
+    weights of a mask the solutions of sum = target + k*bound in n+1-k parts
+    in [0, bound] and k parts in [0, bound - 1].  Inclusion-exclusion over the
+    i parts of the first kind and j of the second pushed past their caps
+    counts them as signed stars-and-bars terms C(top + n, n).
     """
-    counts: Counter = Counter()
-    x_bit, last_bit = 1 << (n - 1), 1 << n
-    for prefix in itertools.product(range(-bound, bound + 1), repeat=n - 1):
-        rest = target - sum(prefix)  # x + last
-        lo, hi = max(-bound, rest - bound), min(bound, rest + bound)
-        mask = _neg_mask(prefix)
-        # x < 0 iff x <= -1; last < 0 iff x >= rest + 1
-        for x_lo, x_hi, bits in ((lo, min(hi, -1, rest), x_bit),
-                                 (max(lo, 0), min(hi, rest), 0),
-                                 (max(lo, rest + 1), min(hi, -1), x_bit | last_bit),
-                                 (max(lo, 0, rest + 1), hi, last_bit)):
-            if x_hi >= x_lo:
-                counts[mask | bits] += x_hi - x_lo + 1
-    return counts
+    by_k = []
+    for k in range(n + 2):
+        total = 0
+        for i, j in itertools.product(range(n + 2 - k), range(k + 1)):
+            top = target + k * bound - i * (bound + 1) - j * bound
+            if top >= 0:
+                total += (-1) ** (i + j) * comb(n + 1 - k, i) * comb(k, j) * comb(top + n, n)
+        by_k.append(total)
+    return Counter({mask: by_k[mask.bit_count()] for mask in range(1 << (n + 1))
+                    if by_k[mask.bit_count()]})
 
 
 def _weights_in_masks(n: int, target: int, bound: int, masks):
@@ -280,13 +281,14 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     """Cross-check the case analysis against exact ranks, degree by degree.
 
     For each degree this checks every weight with denominator exponent
-    <= i and entries in [-B, B], B = ceil(|degree|) + 1.  The box covers all
+    <= i and entries in [-B, B], B = floor(|degree|) + 2.  The box covers all
     weights that can carry nonzero cohomology (all-non-negative or
     all-negative vectors of the degree), so the per-degree totals are exact
     and must equal the closed forms, with zero middle cohomology.  Both
-    profiles depend only on a weight's negative mask, so weights are counted
-    per mask and each mask is checked once; exact weight vectors are built
-    only to report counterexamples.
+    profiles depend only on a weight's negative mask, so each mask is checked
+    once and its weights are counted in closed form from its number of
+    negative entries.  No weight is visited unless a mask mismatches: only
+    then is the box walked, in order, to list the counterexamples.
     """
     _require_prime(p)
     if n < 1:
@@ -298,7 +300,7 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
         d = _as_padic(degree, p)
         target = d.scaled(i)  # raises if the grade is too small for d
         bound_abs = -d.num if d.num < 0 else d.num
-        bound = bound_abs // p**d.pexp + 2  # ceil(|d|) + 1, integer arithmetic
+        bound = bound_abs // p**d.pexp + 2  # floor(|d|) + 2, integer arithmetic
         m_int = bound * p**i
         h0_total = middle_total = hn_total = checked = 0
         mismatched = {}

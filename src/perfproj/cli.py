@@ -315,20 +315,31 @@ def run(argv: list[str], out=None, err=None) -> int:
         if cfg.grades < 1:
             raise _UsageError("--grades must be at least 1")
         result = _DISPATCH[args.command](args, cfg)
+        # the whole text first: a failure must write no partial answer
+        if cfg.json_output:
+            text = json.dumps(result) + "\n"
+        else:
+            text = "".join(f"{line}\n" for line in result)
     except (_UsageError, ParseError, DomainError) as exc:
         _emit_error("usage", str(exc), json_mode, out, err)
         return 1
     except ComputationDiagnostic as exc:
         _emit_error("computation", str(exc), json_mode, out, err)
         return 2
+    except ValueError as exc:
+        # only the interpreter's refusal to turn a too long int into text or
+        # back is a diagnostic; any other ValueError is a bug and propagates
+        if "integer string conversion" not in str(exc):
+            raise
+        _emit_error("computation",
+                    f"an integer has more than {sys.get_int_max_str_digits()} "
+                    "digits, the interpreter's limit for converting between int "
+                    "and text; PYTHONINTMAXSTRDIGITS raises it", json_mode, out, err)
+        return 2
     except _HelpRequested as exc:
         out.write(str(exc))
         return 0
-    if cfg.json_output:
-        print(json.dumps(result), file=out)
-    else:
-        for line in result:
-            print(line, file=out)
+    out.write(text)
     return 0
 
 

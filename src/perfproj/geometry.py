@@ -17,7 +17,7 @@ from .braided import BraidedDim, LineBundle, hn_top
 from .enumeration import GradedPiece, _as_padic, count_h0_monomials, enumerate_h0_monomials
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime
-from .fracpoly import FracMonomial, FracPoly, monomial_string
+from .fracpoly import FracMonomial, FracPoly, _exp_suffix, monomial_string
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class BlowupChart:
 
     @property
     def extracted(self) -> str:
-        return f"{self.blown_down}{_power_suffix(self.power_extracted)}"
+        return f"{self.blown_down}{_exp_suffix(self.power_extracted)}"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -138,14 +138,6 @@ class BlowupChart:
         if self.exceptional.point is not None:
             out["exceptional"]["point"] = self.exceptional.point
         return out
-
-
-def _power_suffix(e: PAdicFrac) -> str:
-    if e.is_integer and e.num == 1:
-        return ""
-    if e.is_integer:
-        return f"^{e.num}"
-    return f"^({e.num}/{e.prime**e.pexp})"
 
 
 def _equation(poly: FracPoly, names) -> str:

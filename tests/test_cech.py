@@ -205,7 +205,7 @@ def test_spot_flags_are_monotone():
 
 
 def test_weights_checked_is_the_whole_box():
-    # B = ceil(|d|) + 1 at grade i: entries in [-B p^i, B p^i] summing to d p^i
+    # B = floor(|d|) + 2 at grade i: entries in [-B p^i, B p^i] summing to d p^i
     for n, d, i, p in [(1, -2, 1, 3), (2, 1, 0, 2), (2, -1, 1, 2), (3, 2, 0, 3)]:
         m_int = (abs(d) + 2) * p**i
         box = sum(1 for head in itertools.product(range(-m_int, m_int + 1), repeat=n)
@@ -260,15 +260,27 @@ def test_counterexample_weights_render_fractions(monkeypatch):
 
 
 def test_weights_by_mask_matches_a_walk():
-    from collections import Counter
+    from collections import Counter, defaultdict
 
     from perfproj.cech import _weights_by_mask
 
-    for n in (1, 2, 3):
-        for bound in range(4):
+    for n, bounds in [(1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)]:
+        for bound in range(bounds):
+            # one walk of the box, bucketed by sum and negative mask
+            walk = defaultdict(Counter)
+            for ints in itertools.product(range(-bound, bound + 1), repeat=n + 1):
+                walk[sum(ints)][sum(1 << j for j, v in enumerate(ints) if v < 0)] += 1
+            # one unreachable target past each end: no mask at all
             for target in range(-(n + 1) * bound - 1, (n + 1) * bound + 2):
-                walk = Counter()
-                for ints in itertools.product(range(-bound, bound + 1), repeat=n + 1):
-                    if sum(ints) == target:
-                        walk[sum(1 << j for j, v in enumerate(ints) if v < 0)] += 1
-                assert _weights_by_mask(n, target, bound) == walk
+                by_mask = _weights_by_mask(n, target, bound)
+                assert dict(by_mask) == dict(walk[target]), (n, bound, target)
+
+
+def test_verify_theorems_large_box():
+    # eleven billion weights: a box far too large to walk
+    report = verify_theorems(4, [-3, 2, 5], 2, 5)
+    assert report.ok
+    assert [s.weights_checked for s in report.per_degree] == [
+        2_163_776_251, 916_089_126, 7_949_203_626]
+    assert [s.h0_total for s in report.per_degree] == [0, 316_251, 11_009_376]
+    assert [s.hn_total for s in report.per_degree] == [1_150_626, 0, 0]

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,10 @@ def test_hn_fractional_degree():
     payload = json.loads(out)
     assert payload["offset"] == 1
     assert payload["grades"] == [4, 14, 44]
+    code, out, _ = invoke(["hn", "--n", "2", "--deg=-7/3", "--p", "3", "--grades", "2"])
+    assert code == 0
+    # label 1: the weights of degree -7/3 with denominator 3, times 3
+    assert out.splitlines()[1].startswith("1 | (-1,-1,-5) (-1,-2,-4) ")
 
 
 def test_euler_json():
@@ -117,6 +122,11 @@ def test_cech_check_json():
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["degrees"][0]["hn"] == 2
+    code, out, _ = invoke(["cech-check", "--n", "6", "--degrees=3", "--i", "1",
+                           "--p", "2", "--json"])
+    assert code == 0
+    (degree,) = json.loads(out)["degrees"]
+    assert (degree["weights"], degree["h0"], degree["ok"]) == (41_140_568, 924, True)
 
 
 def test_usage_errors_exit_1():
@@ -154,6 +164,40 @@ def test_computation_diagnostic_exit_2(monkeypatch):
     assert code == 2
     assert json.loads(out)["error"]["category"] == "computation"
     assert err.startswith("error: computation:")
+
+
+_DIGIT_LIMIT_ARGVS = [
+    ["cech-check", "--n", "1", "--degrees=1", "--i", "7000", "--p", "5"],
+    ["cech-check", "--n", "1", "--degrees=1", "--i", "7000", "--p", "5", "--json"],
+    ["h0", "--n", "1", "--deg", "1", "--p", "5", "--grades", "6200", "--json"],
+    ["mult", "--f", "1" * 5000, "--g", "y", "--p", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _DIGIT_LIMIT_ARGVS, ids=range(len(_DIGIT_LIMIT_ARGVS)))
+def test_int_past_the_digit_limit_exits_2(argv):
+    # the interpreter turns no int of more than sys.get_int_max_str_digits()
+    # digits into text, or text into int
+    code, out, err = invoke(argv)
+    assert code == 2
+    (line,) = err.splitlines()
+    message = line.removeprefix("error: computation: ")
+    assert message != line
+    assert f"{sys.get_int_max_str_digits()} digits" in message
+    assert "PYTHONINTMAXSTRDIGITS" in message
+    if "--json" in argv:
+        assert json.loads(out) == {"error": {"category": "computation", "message": message}}
+    else:
+        assert out == ""  # no partial answer
+
+
+def test_other_value_errors_escape_run(monkeypatch):
+    def bug(*args, **kwargs):
+        raise ValueError("not a digit-limit error")
+
+    monkeypatch.setitem(cli_mod._DISPATCH, "mult", bug)
+    with pytest.raises(ValueError, match="not a digit-limit error"):
+        invoke(["mult", "--f", "x", "--g", "y", "--p", "2", "--json"])
 
 
 def test_byte_identical_reruns():
@@ -387,7 +431,6 @@ _FRACTION = _value(["2", "-5/3", "1/2", "3/4", "0", "-1"], ["1/0", "2/5", "1/6"]
 _CURVE = _value(["x", "y", "y-x", "y^2-x^3", "x*y", "y^(1/2)-x", "x^(1/2)*y-x",
                  "1", "y-x^(-1)"],
                 ["0", "x^(1/3)+y", "y^(1/0)", "x +", "x^(1/2", "2*"])
-# cech-check boxes stay under about 10^4 weights: n <= 2, |degree| <= 2, i <= 1
 _FLAGS = {
     "h0": {"--n": _INT, "--deg": _FRACTION},
     "hn": {"--n": _INT, "--deg": _FRACTION},
@@ -399,10 +442,11 @@ _FLAGS = {
     "veronese": {"--n": _INT, "--d": _value(["1", "2"], ["0", "-1"])},
     "mult": {"--f": _CURVE, "--g": _CURVE},
     "blowup": {"--f": _CURVE},
-    "cech-check": {"--n": _value(["1", "2"], ["0", "-1", "7"]),
-                   "--degrees": _value(["-1,1", "2", "-1/2,0", "1/2,-2,"],
+    "cech-check": {"--n": _value(["1", "2", "3", "4", "5", "6"], ["0", "-1", "7"]),
+                   "--degrees": _value(["-1,1", "2", "-1/2,0", "1/2,-2,", "-7,12",
+                                        "25/4,-3", "-81/8,5/3", "-100,1/25"],
                                        ["1/0", "1/3", "", ",", "1,,x"]),
-                   "--i": _value(["0", "1"], ["-1"])},
+                   "--i": _value(["0", "1", "2", "3"], ["-1", "7000"])},
 }
 _COMMON = {"--p": _value(["2", "3", "5"], ["4", "1", "0", "-3"]),
            "--grades": _value(["1", "2", "3"], ["0", "-1"])}
