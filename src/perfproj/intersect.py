@@ -2,10 +2,29 @@
 
 The classical multiplicity dim O_0 / (F, G) is computed by a Fulton-style
 recursion on the defining properties of the intersection number: it is
-invariant under G -> G + H*F, additive over factors of G, and mu(y, G) is
-the order of vanishing of G(x, 0) at x = 0.  A common component through the
-origin makes the answer infinite; it is detected up front by a gcd computed
-with a primitive remainder sequence over Z.
+invariant under G -> G + H*F and under scaling G by a nonzero constant,
+additive over factors of G, and mu(y, G) is the order of vanishing of
+G(x, 0) at x = 0 (mu(x, G) that of G(0, y)).  Powers of x dividing either
+curve are split off once, before the loop, and powers of y inside it.
+
+The loop works on integer polynomials arranged by y-degree,
+y-exponent -> {x-exponent -> nonzero int} (the layout of the gcd below), so
+G(x, 0) is the row of key 0 and dividing out y**k shifts the row keys.  A
+step kills the top term of the longer of F(x, 0), G(x, 0): with leading
+coefficients a of F(x, 0) (degree r) and b of G(x, 0) (degree s >= r) and
+g = gcd(a, b), G becomes (a/g)*G - (b/g)*x**(s-r)*F, and its integer
+content is divided out.
+
+A common component through the origin makes the answer infinite; it is
+detected up front.  x dividing both curves is one such component.  A
+factor of positive y-degree is ruled out by a certificate when it can be:
+at the first x0 of a few small points where neither y-leading coefficient
+vanishes modulo the prime l = 2**61 - 1, F(x0, y) and G(x0, y) are tested
+for coprimality in F_l[y].  A common factor H, primitive in Z[x][y],
+divides both images, and its y-leading coefficient divides theirs, so H(x0, y)
+keeps the y-degree of H; coprime images therefore exclude it, with no
+probability argument.  Otherwise the gcd is computed exactly, with a
+primitive remainder sequence over Z.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -15,7 +34,17 @@ substitution U = X**(1/p**i).  The grade-i entry for root depths (a, b) is
     mu( F(U**q, V**q), G(U**r, V**r) ),  q = p**(i-a), r = p**(i-b),
 
 so the fully rooted diagonal entry (a, b) = (i, i) is the classical
-multiplicity at every grade.
+multiplicity at every grade.  Writing the entries as entry(s, t) for the
+curves at their native grades rescaled s and t times, only the base entries
+(0, d) and (d, 0) are computed:
+
+    entry(s, t) = p**(2m) * entry(s - m, t - m),  m = min(s, t),
+
+and an infinite entry stays infinite.  Both curves of entry(s, t) are
+polynomials in U**p**m, V**p**m, and k[U, V] is free of rank p**(2m) over
+k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
+colength of the ideal multiplies by that rank.  A curve against itself needs
+only (0, d), since mu is symmetric.
 """
 
 from __future__ import annotations
@@ -58,60 +87,86 @@ def _clear_denominators(f: IPoly) -> dict[tuple[int, int], int]:
     return {m: int(c * scale) for m, c in f.items()}
 
 
-def _restrict_y0(f: IPoly) -> dict[int, Fraction]:
-    return {a: c for (a, b), c in f.items() if b == 0}
+def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
+    """B <- ca*B - cb*x**shift*A, then B divided by its content; in place.
+
+    A and B are arranged by y-degree (_in_y).  The content gcd stops at the
+    first row that brings it down to 1.
+    """
+    if ca != 1:
+        for row in B.values():
+            for a in row:
+                row[a] *= ca
+    for b, arow in A.items():
+        row = B.get(b)
+        if row is None:
+            B[b] = {a + shift: -cb * c for a, c in arow.items()}
+            continue
+        for a, c in arow.items():
+            a += shift
+            v = row.get(a, 0) - cb * c
+            if v:
+                row[a] = v
+            else:
+                del row[a]
+        if not row:
+            del B[b]
+    g = 0
+    for row in B.values():
+        g = gcd(g, *row.values())
+        if g == 1:
+            return
+    if g > 1:
+        for row in B.values():
+            for a in row:
+                row[a] //= g
 
 
-def _y_power_quotient(f: IPoly) -> tuple[int, IPoly]:
-    """(k, f / y**k) for the largest power y**k dividing f."""
-    k = min(b for _, b in f)
-    return k, {(a, b - k): c for (a, b), c in f.items()}
+def _mu(A: dict, B: dict, budget: int):
+    """mu(A, B) for nonzero integer polynomials arranged by y-degree (_in_y).
 
-
-def _ord_x(u: dict[int, Fraction]) -> int:
-    return min(u)
-
-
-def _sub_shifted(g: IPoly, c: Fraction, shift: int, f: IPoly) -> IPoly:
-    """g - c * x**shift * f."""
-    out = dict(g)
-    for (a, b), coeff in f.items():
-        key = (a + shift, b)
-        v = out.get(key, Fraction(0)) - c * coeff
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return out
-
-
-def _mu(A: IPoly, B: IPoly, fuel: list[int]):
-    acc = 0  # multiplicity of the y-powers divided out so far
+    A and B are consumed: the loop rewrites their rows in place.
+    """
+    acc = 0  # multiplicity of the x- and y-powers divided out so far
+    # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B); then the same for B
+    for _ in range(2):
+        k = min(min(row) for row in A.values())
+        if k:
+            column = [b for b, row in B.items() if 0 in row]
+            if not column:
+                return INFINITE_RANK  # x divides both
+            acc += k * min(column)
+            A = {b: {a - k: c for a, c in row.items()} for b, row in A.items()}
+        A, B = B, A
+    steps = 0
     while True:
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise FuelExhausted("multiplicity recursion exceeded its step budget")
-        if A.get((0, 0), 0) != 0 or B.get((0, 0), 0) != 0:
+        steps += 1
+        if steps > budget:
+            raise FuelExhausted(
+                f"multiplicity recursion exceeded its step budget of {budget} steps")
+        a0, b0 = A.get(0), B.get(0)  # A(x,0), B(x,0): None when y divides
+        if (a0 and 0 in a0) or (b0 and 0 in b0):
             return acc
         if not A or not B:
             return INFINITE_RANK  # ideal collapsed to one nonunit generator
-        a0 = _restrict_y0(A)
-        b0 = _restrict_y0(B)
-        if not a0 and not b0:
+        if a0 is None and b0 is None:
             return INFINITE_RANK  # y divides both (guard; gcd pre-check catches it)
-        if not a0:
+        if a0 is None:
             # A = y**k * A1: mu = k * ord_x B(x,0) + mu(A1, B)
-            k, A = _y_power_quotient(A)
-            acc += k * _ord_x(b0)
+            k = min(A)
+            A = {b - k: row for b, row in A.items()}
+            acc += k * min(b0)
             continue
-        if not b0:
-            k, B = _y_power_quotient(B)
-            acc += k * _ord_x(a0)
+        if b0 is None:
+            k = min(B)
+            B = {b - k: row for b, row in B.items()}
+            acc += k * min(a0)
             continue
         r, s = max(a0), max(b0)
         if r > s:
             A, B, a0, b0, r, s = B, A, b0, a0, s, r
-        B = _sub_shifted(B, b0[s] / a0[r], s - r, A)
+        g = gcd(a0[r], b0[s])
+        _reduce(B, a0[r] // g, b0[s] // g, s - r, A)
 
 
 # -- common component detection: primitive remainder sequence over Z -------------
@@ -202,6 +257,51 @@ def _gcd(a: dict, b: dict) -> dict:
     return a
 
 
+# -- coprimality certificate: one evaluation modulo a prime ----------------------
+
+_ELL = (1 << 61) - 1  # a Mersenne prime
+_CERT_POINTS = (3, 5, 7)
+
+
+def _at_mod_ell(f: dict, x0: int) -> list[int]:
+    """f(x0, y) modulo _ELL as a coefficient list, lowest y-degree first."""
+    out = [0] * (max(f) + 1)
+    for b, row in f.items():
+        out[b] = sum(c * pow(x0, a, _ELL) for a, c in row.items()) % _ELL
+    return out
+
+
+def _gcd_degree_mod_ell(f: list[int], g: list[int]) -> int:
+    """Degree of gcd(f, g) in F_ell[y]; nonempty lists with nonzero last entries."""
+    while g:
+        inv, dg = pow(g[-1], -1, _ELL), len(g) - 1
+        f = f[:]
+        while len(f) > dg:
+            c, shift = f[-1] * inv % _ELL, len(f) - 1 - dg
+            for i in range(dg):  # the top term cancels exactly
+                f[shift + i] = (f[shift + i] - c * g[i]) % _ELL
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_mod_ell(F: dict, G: dict) -> bool:
+    """True certifies that F and G (arranged by y-degree) share no factor of
+    positive y-degree; False decides nothing.
+
+    At the first x0 of _CERT_POINTS where neither y-leading coefficient
+    vanishes modulo _ELL, F(x0, y) and G(x0, y) are tested for coprimality
+    in F_ell[y].
+    """
+    for x0 in _CERT_POINTS:
+        f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
+        if f[-1] and g[-1]:
+            return _gcd_degree_mod_ell(f, g) == 0
+    return False
+
+
 def _common_component_through_origin(F: dict, G: dict) -> bool:
     """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
 
@@ -209,10 +309,15 @@ def _common_component_through_origin(F: dict, G: dict) -> bool:
     y-contents times the gcd g of their primitive parts in y; it vanishes at
     the origin exactly when c(0) = 0 or g(0, 0) = 0, and a factor vanishing
     there is nonconstant.  c(0) = 0 exactly when x divides both F and G.
+    g is 1 when the certificate holds; otherwise the remainder sequence
+    computes it.
     """
     if min(a for a, _ in F) > 0 and min(a for a, _ in G) > 0:
         return True
-    return 0 not in _gcd(_in_y(F), _in_y(G)).get(0, {})
+    Fy, Gy = _in_y(F), _in_y(G)
+    if _coprime_mod_ell(Fy, Gy):
+        return False
+    return 0 not in _gcd(Fy, Gy).get(0, {})
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -224,9 +329,10 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     Fd, Gd = _to_ipoly(F), _to_ipoly(G)
     if Fd.get((0, 0), 0) != 0 or Gd.get((0, 0), 0) != 0:
         return 0
-    if _common_component_through_origin(_clear_denominators(Fd), _clear_denominators(Gd)):
+    Fc, Gc = _clear_denominators(Fd), _clear_denominators(Gd)
+    if _common_component_through_origin(Fc, Gc):
         return INFINITE_RANK
-    return _mu(Fd, Gd, [_FUEL])
+    return _mu(_in_y(Fc), _in_y(Gc), _FUEL)
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -329,14 +435,22 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     F0, G0 = F.rescale_to_grade(kF), G.rescale_to_grade(kG)
     k0 = max(kF, kG)
 
-    cache: dict[tuple[int, int], object] = {}
+    # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
+    self_pair = F == G
+    base: dict[tuple[int, int], object] = {}  # only (0, d) and (d, 0)
 
     def entry(s: int, t: int):
-        # mu(F0(U**p**s, V**p**s), G0(U**p**t, V**p**t))
-        if (s, t) not in cache:
-            cache[(s, t)] = local_multiplicity(
-                F0.rescale_to_grade(s), G0.rescale_to_grade(t))
-        return cache[(s, t)]
+        # mu(F0(U**p**s, V**p**s), G0(U**p**t, V**p**t)) = p**(2m) * entry(s-m, t-m)
+        m = min(s, t)
+        key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
+        if key not in base:
+            try:
+                base[key] = local_multiplicity(
+                    F0.rescale_to_grade(key[0]), G0.rescale_to_grade(key[1]))
+            except FuelExhausted as exc:
+                raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
+        value = base[key]
+        return value if _is_inf(value) else p ** (2 * m) * value
 
     mixed: list[dict[tuple[int, int], object]] = []
     for i in range(grades + 1):

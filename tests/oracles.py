@@ -7,7 +7,7 @@ against something that cannot share their bugs.
 
 from fractions import Fraction
 
-from perfproj import parse_poly
+from perfproj import local_multiplicity, parse_poly
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -66,3 +66,30 @@ CURVE_CORPUS_TEXT = [
 
 def curve_corpus(p: int = 2):
     return [parse_poly(text, 2, p) for text in CURVE_CORPUS_TEXT]
+
+
+def mixed_by_depth_brute(F, G, grades: int):
+    """The mixed multiplicity matrices with every reachable entry computed
+    directly: entry (a, b) of grade i is the multiplicity of F0 rescaled to
+    grade s = i - kF - a against G0 rescaled to t = i - kG - b, where F0 and
+    G0 are the curves at their native grades kF and kG; zero when s < 0 or
+    t < 0.  No base-entry identity and no symmetry is used.
+    """
+    kF, kG = F.max_pexp(), G.max_pexp()
+    F0, G0 = F.rescale_to_grade(kF), G.rescale_to_grade(kG)
+    seen = {}
+    mixed = []
+    for i in range(grades + 1):
+        mat = {}
+        for a in range(i + 1):
+            for b in range(i + 1):
+                s, t = i - kF - a, i - kG - b
+                if s < 0 or t < 0:
+                    mat[(a, b)] = 0
+                    continue
+                if (s, t) not in seen:
+                    seen[(s, t)] = local_multiplicity(F0.rescale_to_grade(s),
+                                                      G0.rescale_to_grade(t))
+                mat[(a, b)] = seen[(s, t)]
+        mixed.append(mat)
+    return mixed

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import curve_corpus
+from oracles import CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute
 
+import perfproj.intersect as intersect_mod
 from perfproj import (
     DomainError,
     FracPoly,
@@ -18,9 +20,15 @@ from perfproj import (
     parse_poly,
     quotient_dim_oracle,
 )
+from perfproj.cli import run
 from perfproj.intersect import (
+    _CERT_POINTS,
+    _ELL,
     _clear_denominators,
     _common_component_through_origin,
+    _coprime_mod_ell,
+    _in_y,
+    _to_ipoly,
 )
 
 
@@ -239,3 +247,154 @@ def test_infinite_pair_serializes():
 def test_mixed_prime_rejected():
     with pytest.raises(DomainError):
         braided_multiplicity(parse_poly("x", 2, 2), parse_poly("y", 2, 3), 1)
+
+
+# -- base entries, the x-power rule, the certificate and the step budget -------------
+
+def _mult(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["mult", *argv], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_curve_against_x_uses_the_x_power_rule():
+    # base entry (0, 3) is the curve against x**125: unless x**k is split off
+    # (k * ord_y of the other side at x = 0) the loop runs out of steps
+    code, out, err = _mult(["--f", "y^3-x^2+x*y", "--g", "x", "--p", "5",
+                            "--grades", "3", "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "p": 5,
+        "diagonal": [3, 3, 3, 3],
+        "mixed": [[3], [3, 15, 15, 75], [3, 15, 75, 15, 75, 375, 75, 375, 1875],
+                  [3, 15, 75, 375, 15, 75, 375, 1875, 75, 375, 1875, 9375,
+                   375, 1875, 9375, 46875]],
+    }
+    # the entries 3 and 15 of grade 1 are the base entries every other value
+    # scales: mu(F, x), mu(F, x^5) and mu(F(U^5, V^5), x)
+    F, x = P("y^3-x^2+x*y", 5), P("x", 5)
+    assert quotient_dim_oracle(F, x) == 3 == local_multiplicity(F, x)
+    for f, g in [(F, x.rescale_to_grade(1)), (F.rescale_to_grade(1), x)]:
+        assert quotient_dim_oracle(f, g) == 15 == local_multiplicity(f, g)
+
+
+def test_x_power_rule_matches_oracle():
+    for f, g in [("x^3*y - x^3 + x^4", "y^2 - x"), ("x^2*y - x^3", "y^3 - x^2 + x*y"),
+                 ("x*y^2 + x^2", "y - x^2"), ("x^2", "y^2 - x^3 + x*y^3")]:
+        F, G = P(f), P(g)
+        assert local_multiplicity(F, G) == quotient_dim_oracle(F, G), (f, g)
+    assert local_multiplicity(P("x^2*y - x^3"), P("x*y + x")) == INFINITE_RANK
+
+
+def _counting_local_calls(monkeypatch):
+    calls = []
+    inner = intersect_mod.local_multiplicity
+
+    def counted(F, G):
+        calls.append((F, G))
+        return inner(F, G)
+
+    monkeypatch.setattr(intersect_mod, "local_multiplicity", counted)
+    return calls
+
+
+def test_self_pair_computes_half_the_base_entries(monkeypatch):
+    calls = _counting_local_calls(monkeypatch)
+    F = parse_poly("y^3-x^2+x*y", 2, 3)
+    tup = braided_multiplicity(F, F, 2)
+    assert tup.to_json_dict()["mixed"][2] == ["inf", 17, 47, 17, "inf", 153, 47, 153, "inf"]
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("text_f,text_g,p", [
+    ("y^2 - x^3", "y^3 - x^2 + x*y", 3), ("y - x^(3/2)", "x", 2),
+    ("y^(1/2) - x", "x^(1/4)*y - x^2", 2), ("x*y", "x", 2), ("y - x^2", "y - x^2", 2),
+    ("y - x^(3/2)", "y - x^(3/2)", 2), ("y^2 - x^3", "y^2 - x^3", 3),
+])
+def test_base_entry_count(monkeypatch, text_f, text_g, p):
+    calls = _counting_local_calls(monkeypatch)
+    for grades in (1, 2, 3):
+        calls.clear()
+        braided_multiplicity(parse_poly(text_f, 2, p), parse_poly(text_g, 2, p), grades)
+        assert len(calls) <= (grades + 1 if text_f == text_g else 2 * grades + 1)
+
+
+def _rooted_texts(p):
+    return [f"y - x^({p + 1}/{p})", f"y^(1/{p}) - x", f"x^(1/{p})*y - x^2"]
+
+
+@st.composite
+def _mult_pair(draw):
+    p = draw(st.sampled_from([2, 3]))
+    # the untruncated Fulton loop needs minutes on some entries past these
+    # bounds: p = 3 at grade 3 reaches (y^2 - x^3)(U^27, V^27) against the
+    # node y^2 - x^2 - x^3, and a shared factor y + x^2 times the node
+    # against itself at p = 2, grade 2 (with y - x^2 every pair here is fast)
+    grades = draw(st.integers(1, 3 if p == 2 else 2))
+    texts = CURVE_CORPUS_TEXT + _rooted_texts(p)
+    F = parse_poly(draw(st.sampled_from(texts)), 2, p)
+    G = F if draw(st.booleans()) else parse_poly(draw(st.sampled_from(texts)), 2, p)
+    shared = draw(st.sampled_from([None, "y - x", "y^2 - x^3", "x", "y - x^2"]))
+    if shared is not None:
+        H = parse_poly(shared, 2, p)
+        F, G = H * F, H * G
+    return F, G, grades
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mult_pair())
+def test_base_entries_match_every_entry_computed(pair):
+    F, G, grades = pair
+    tup = braided_multiplicity(F, G, grades)
+    assert tup.mixed == mixed_by_depth_brute(F, G, grades)
+
+
+def _flat(poly):
+    return _clear_denominators(_to_ipoly(poly))
+
+
+def _poly(terms):
+    return FracPoly(2, 2, [((PAdicFrac(a, 0, 2), PAdicFrac(b, 0, 2)), c) for a, b, c in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_TERMS, a=_TERMS, b=_TERMS)
+def test_certificate_never_holds_on_a_shared_factor(h, a, b):
+    H, A, B = _poly(h), _poly(a), _poly(b)
+    assume(not (H.is_zero or A.is_zero or B.is_zero))
+    assume(max(e[1].num for e in (m.exps for m in H.terms())) >= 1)  # deg_y H >= 1
+    assert not _coprime_mod_ell(_in_y(_flat(H * A)), _in_y(_flat(H * B)))
+
+
+def test_certificate_falls_back_when_every_point_is_bad():
+    H = P("x^3*y - 15*x^2*y + 71*x*y - 105*y + x")  # (x-3)(x-5)(x-7)*y + x
+    assert all(x0 in (3, 5, 7) for x0 in _CERT_POINTS)
+    lead = _in_y(_flat(H))[1]
+    assert all(sum(c * x0**e for e, c in lead.items()) % _ELL == 0 for x0 in _CERT_POINTS)
+    # a shared factor: the remainder sequence finds it
+    F, G = _flat(H * P("y + 1")), _flat(H * P("x + y"))
+    assert not _coprime_mod_ell(_in_y(F), _in_y(G))
+    assert _common_component_through_origin(F, G)
+    # coprime, but no point certifies it: the remainder sequence decides
+    F, G = _flat(H), _flat(P("y - x^2"))
+    assert not _coprime_mod_ell(_in_y(F), _in_y(G))
+    assert not _common_component_through_origin(F, G)
+    assert local_multiplicity(H, P("y - x^2")) == quotient_dim_oracle(H, P("y - x^2"))
+
+
+def test_certificate_holds_on_coprime_curves():
+    for f, g in [("y^2 - x^3", "y - x^2"), ("y^3 - x^2 + x*y", "x"), ("x*y + 1", "y")]:
+        assert _coprime_mod_ell(_in_y(_flat(P(f))), _in_y(_flat(P(g))))
+
+
+def test_step_budget_names_its_numbers(monkeypatch):
+    monkeypatch.setattr(intersect_mod, "_FUEL", 2)
+    argv = ["--f", "y^2-x^3", "--g", "y^3-x^2+x*y", "--p", "3", "--grades", "1"]
+    message = ("multiplicity recursion exceeded its step budget of 2 steps "
+               "at base entry (s, t) = (0, 0)")
+    code, out, err = _mult(argv + ["--json"])
+    assert code == 2
+    assert json.loads(out) == {"error": {"category": "computation", "message": message}}
+    assert err == f"error: computation: {message}\n"
+    code, out, err = _mult(argv)
+    assert (code, out, err) == (2, "", f"error: computation: {message}\n")
