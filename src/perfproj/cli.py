@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -27,14 +26,6 @@ from .fracpoly import parse as parse_poly
 
 _SUBCOMMANDS = ("h0", "hn", "euler", "bezout-line", "bezout-chi", "kunneth",
                 "veronese", "mult", "blowup", "cech-check")
-
-
-@dataclass
-class Config:
-    p: int
-    grades: int
-    json_output: bool
-    reduced: bool
 
 
 class _UsageError(Exception):
@@ -65,10 +56,6 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"not a rational number: {text!r}")
-
-
-def _degree(fr: Fraction, p: int) -> PAdicFrac:
-    return PAdicFrac.from_fraction(fr, p)
 
 
 @functools.cache
@@ -172,12 +159,12 @@ def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
 # Each builds only the printed form, the JSON payload or the table lines: values
 # are computed on demand, so building both would compute them twice.
 
-def _run_h0_family(args, cfg: Config, which: str):
-    deg = _degree(args.deg, cfg.p)
+def _run_h0_family(args, which: str):
+    deg = PAdicFrac.from_fraction(args.deg, args.p)
     bundle = LineBundle(args.n, deg)
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
-    dim = fn(bundle, cfg.grades, reduced=cfg.reduced)
-    if cfg.json_output:
+    dim = fn(bundle, args.grades, reduced=args.reduced)
+    if args.json:
         return dim.to_json_dict()  # counts only: nothing is enumerated
     family = None
     if which == "h0" and deg.num >= 0:
@@ -189,30 +176,30 @@ def _run_h0_family(args, cfg: Config, which: str):
         def cell(label: int) -> str:
             grade = label - deg.pexp
             return _monomial_cell(
-                family(args.n, size, grade, cfg.p, reduced=cfg.reduced), grade)
+                family(args.n, size, grade, args.p, reduced=args.reduced), grade)
     return _dim_table(dim, cell)
 
 
-def _run_bezout_line(args, cfg: Config):
-    dim = geometry.bezout_line(_degree(args.s, cfg.p), _degree(args.t, cfg.p),
-                               cfg.grades, cfg.p)
-    return dim.to_json_dict() if cfg.json_output else _dim_table(dim)
+def _run_bezout_line(args):
+    dim = geometry.bezout_line(PAdicFrac.from_fraction(args.s, args.p),
+                               PAdicFrac.from_fraction(args.t, args.p), args.grades, args.p)
+    return dim.to_json_dict() if args.json else _dim_table(dim)
 
 
-def _run_bezout_chi(args, cfg: Config):
-    dim = geometry.bezout_chi(_degree(args.d, cfg.p), args.degf, args.degg,
-                              cfg.grades, cfg.p)
-    return dim.to_json_dict() if cfg.json_output else _dim_table(dim)
+def _run_bezout_chi(args):
+    dim = geometry.bezout_chi(PAdicFrac.from_fraction(args.d, args.p), args.degf,
+                              args.degg, args.grades, args.p)
+    return dim.to_json_dict() if args.json else _dim_table(dim)
 
 
-def _run_kunneth(args, cfg: Config):
-    bundle_a = LineBundle(args.n, _degree(args.a, cfg.p))
-    bundle_b = LineBundle(args.m, _degree(args.b, cfg.p))
-    out = kunneth(bundle_cohomology(bundle_a, cfg.grades),
-                  bundle_cohomology(bundle_b, cfg.grades), cfg.grades)
-    if cfg.json_output:
+def _run_kunneth(args):
+    bundle_a = LineBundle(args.n, PAdicFrac.from_fraction(args.a, args.p))
+    bundle_b = LineBundle(args.m, PAdicFrac.from_fraction(args.b, args.p))
+    out = kunneth(bundle_cohomology(bundle_a, args.grades),
+                  bundle_cohomology(bundle_b, args.grades), args.grades)
+    if args.json:
         return {
-            "p": cfg.p,
+            "p": args.p,
             "factors": {"n": args.n, "a": str(bundle_a.degree),
                         "m": args.m, "b": str(bundle_b.degree)},
             "cohomology": [dim.to_json_dict() for dim in out],
@@ -221,38 +208,38 @@ def _run_kunneth(args, cfg: Config):
             for idx, dim in enumerate(out)]
 
 
-def _run_veronese(args, cfg: Config):
-    maps = [geometry.veronese(args.n, args.d, i, cfg.p) for i in range(cfg.grades)]
-    if cfg.json_output:
+def _run_veronese(args):
+    maps = [geometry.veronese(args.n, args.d, i, args.p) for i in range(args.grades)]
+    if args.json:
         return {
             "n": args.n,
             "d": args.d,
-            "p": cfg.p,
+            "p": args.p,
             "tower": [{"grade": v.grade, "target_dim": v.target_dim,
                        "monomials": v.coordinate_strings()} for v in maps],
         }
     return [f"grade {v.grade}: P^{v.target_dim} {v.bracket()}" for v in maps]
 
 
-def _run_mult(args, cfg: Config):
-    f = parse_poly(args.f, 2, cfg.p)
-    g = parse_poly(args.g, 2, cfg.p)
-    tup = intersect.braided_multiplicity(f, g, cfg.grades)
-    if cfg.json_output:
+def _run_mult(args):
+    f = parse_poly(args.f, 2, args.p)
+    g = parse_poly(args.g, 2, args.p)
+    tup = intersect.braided_multiplicity(f, g, args.grades)
+    if args.json:
         return tup.to_json_dict()
     lines = ["grade | diagonal | mixed row (F-power first)"]
     diag = tup.diagonal
-    for i in range(cfg.grades + 1):
+    for i in range(args.grades + 1):
         row = " ".join(str(v) for v in tup.flattened_row(i))
         lines.append(f"{i} | {diag.at(i)} | {row}")
     return lines
 
 
-def _run_blowup(args, cfg: Config):
-    f = parse_poly(args.f, 2, cfg.p)
+def _run_blowup(args):
+    f = parse_poly(args.f, 2, args.p)
     charts = geometry.blowup_origin(f)
-    if cfg.json_output:
-        return {"p": cfg.p, "curve": f.render(),
+    if args.json:
+        return {"p": args.p, "curve": f.render(),
                 "charts": [c.to_json_dict() for c in charts]}
     lines = []
     for c in charts:
@@ -267,11 +254,11 @@ def _run_blowup(args, cfg: Config):
     return lines
 
 
-def _run_cech_check(args, cfg: Config):
-    degrees = [_degree(_fraction_arg(part), cfg.p)
+def _run_cech_check(args):
+    degrees = [PAdicFrac.from_fraction(_fraction_arg(part), args.p)
                for part in args.degrees.split(",") if part]
-    report = cech.verify_theorems(args.n, degrees, args.i, cfg.p)
-    if cfg.json_output:
+    report = cech.verify_theorems(args.n, degrees, args.i, args.p)
+    if args.json:
         return report.to_json_dict()
     lines = ["degree | weights | h0 | middle | hn | ok"]
     for s in report.per_degree:
@@ -282,9 +269,9 @@ def _run_cech_check(args, cfg: Config):
 
 
 _DISPATCH = {
-    "h0": lambda a, c: _run_h0_family(a, c, "h0"),
-    "hn": lambda a, c: _run_h0_family(a, c, "hn"),
-    "euler": lambda a, c: _run_h0_family(a, c, "euler"),
+    "h0": lambda a: _run_h0_family(a, "h0"),
+    "hn": lambda a: _run_h0_family(a, "hn"),
+    "euler": lambda a: _run_h0_family(a, "euler"),
     "bezout-line": _run_bezout_line,
     "bezout-chi": _run_bezout_chi,
     "kunneth": _run_kunneth,
@@ -310,13 +297,11 @@ def run(argv: list[str], out=None, err=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        cfg = Config(p=args.p, grades=args.grades,
-                     json_output=args.json, reduced=args.reduced)
-        if cfg.grades < 1:
+        if args.grades < 1:
             raise _UsageError("--grades must be at least 1")
-        result = _DISPATCH[args.command](args, cfg)
+        result = _DISPATCH[args.command](args)
         # the whole text first: a failure must write no partial answer
-        if cfg.json_output:
+        if args.json:
             text = json.dumps(result) + "\n"
         else:
             text = "".join(f"{line}\n" for line in result)

@@ -142,12 +142,9 @@ class BlowupChart:
 
 def _equation(poly: FracPoly, names) -> str:
     """Render poly = 0 as "<non-constant part> = <constant>"."""
-    prime = poly.prime
-    zero_vec = tuple(PAdicFrac(0, 0, prime) for _ in range(poly.nvars))
-    const = poly.coefficient(zero_vec)
-    rest = poly
-    if const != 0:
-        rest = poly - FracPoly(poly.nvars, prime, [(zero_vec, const)])
+    const = poly.constant_term()
+    rest = FracPoly(poly.nvars, poly.prime,
+                    [(m.exps, m.coeff) for m in poly.terms() if any(e.num for e in m.exps)])
     if rest.is_zero:
         return f"{const} = 0"
     rhs = -const

@@ -7,13 +7,13 @@ additive over factors of G, and mu(y, G) is the order of vanishing of
 G(x, 0) at x = 0 (mu(x, G) that of G(0, y)).  Powers of x dividing either
 curve are split off once, before the loop, and powers of y inside it.
 
-The loop works on integer polynomials arranged by y-degree,
-y-exponent -> {x-exponent -> nonzero int} (the layout of the gcd below), so
-G(x, 0) is the row of key 0 and dividing out y**k shifts the row keys.  A
-step kills the top term of the longer of F(x, 0), G(x, 0): with leading
-coefficients a of F(x, 0) (degree r) and b of G(x, 0) (degree s >= r) and
-g = gcd(a, b), G becomes (a/g)*G - (b/g)*x**(s-r)*F, and its integer
-content is divided out.
+Each curve is converted once, by _int_rows, into integer rows by y-degree,
+y-exponent -> {x-exponent -> nonzero int}; the gcd below and the loop both
+read these rows, so G(x, 0) is the row of key 0 and dividing out y**k shifts
+the row keys.  A step kills the top term of the longer of F(x, 0), G(x, 0):
+with leading coefficients a of F(x, 0) (degree r) and b of G(x, 0)
+(degree s >= r) and g = gcd(a, b), G becomes (a/g)*G - (b/g)*x**(s-r)*F,
+and its integer content is divided out.
 
 A common component through the origin makes the answer infinite; it is
 detected up front.  x dividing both curves is one such component.  A
@@ -50,48 +50,47 @@ only (0, d), since mu is symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
 from .cech import _int_rank
 from .errors import DomainError, FuelExhausted, QuotientCapExceeded
 from .fracpoly import FracPoly
-from .exponents import _require_prime
 
 _FUEL = 100_000
 
-# internal representation: dict[(xexp, yexp)] -> Fraction, integer exponents
-IPoly = dict[tuple[int, int], Fraction]
 
+def _int_rows(f: FracPoly) -> dict[int, dict[int, int]]:
+    """f as integer rows by y-degree, y-exponent -> {x-exponent -> nonzero int}.
 
-def _to_ipoly(f: FracPoly) -> IPoly:
+    f must be a nonzero plane curve with non-negative integer exponents; the
+    terms are checked in rendering order.  The coefficients are scaled by
+    the lcm of their denominators, which leaves the ideal of f unchanged.
+    """
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")
     if f.is_zero:
         raise DomainError("zero polynomial rejected")
-    out: IPoly = {}
+    rows: dict[int, dict] = {}
     for mon in f.terms():
         ex, ey = mon.exps
         if not (ex.is_integer and ey.is_integer):
             raise DomainError("integer exponents required; rescale first")
         if ex.num < 0 or ey.num < 0:
             raise DomainError("curve exponents must be non-negative")
-        out[(ex.num, ey.num)] = mon.coeff
-    return out
-
-
-def _clear_denominators(f: IPoly) -> dict[tuple[int, int], int]:
-    """f times the lcm of its coefficient denominators; it generates the same ideal."""
-    scale = lcm(*(c.denominator for c in f.values()))
-    return {m: int(c * scale) for m, c in f.items()}
+        rows.setdefault(ey.num, {})[ex.num] = mon.coeff
+    scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    for row in rows.values():
+        for a, c in row.items():
+            row[a] = c.numerator * (scale // c.denominator)
+    return rows
 
 
 def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
     """B <- ca*B - cb*x**shift*A, then B divided by its content; in place.
 
-    A and B are arranged by y-degree (_in_y).  The content gcd stops at the
-    first row that brings it down to 1.
+    A and B are integer rows by y-degree (_int_rows).  The content gcd stops
+    at the first row that brings it down to 1.
     """
     if ca != 1:
         for row in B.values():
@@ -123,7 +122,7 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
 
 
 def _mu(A: dict, B: dict, budget: int):
-    """mu(A, B) for nonzero integer polynomials arranged by y-degree (_in_y).
+    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows.
 
     A and B are consumed: the loop rewrites their rows in place.
     """
@@ -172,15 +171,7 @@ def _mu(A: dict, B: dict, budget: int):
 # -- common component detection: primitive remainder sequence over Z -------------
 
 # Z[x] polynomials are dicts exponent -> nonzero int; Z[x][y] polynomials are
-# dicts y-exponent -> nonzero Z[x] polynomial.
-
-
-def _in_y(f: dict[tuple[int, int], int]) -> dict:
-    """f arranged as a polynomial in y over Z[x]."""
-    out: dict = {}
-    for (a, b), c in f.items():
-        out.setdefault(b, {})[a] = c
-    return out
+# dicts y-exponent -> nonzero Z[x] polynomial, the rows of _int_rows.
 
 
 def _mul(a, b):
@@ -305,19 +296,18 @@ def _coprime_mod_ell(F: dict, G: dict) -> bool:
 def _common_component_through_origin(F: dict, G: dict) -> bool:
     """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
 
-    F and G have integer coefficients.  gcd(F, G) is the gcd c(x) of their
+    F and G are integer rows (_int_rows).  gcd(F, G) is the gcd c(x) of their
     y-contents times the gcd g of their primitive parts in y; it vanishes at
     the origin exactly when c(0) = 0 or g(0, 0) = 0, and a factor vanishing
     there is nonconstant.  c(0) = 0 exactly when x divides both F and G.
     g is 1 when the certificate holds; otherwise the remainder sequence
     computes it.
     """
-    if min(a for a, _ in F) > 0 and min(a for a, _ in G) > 0:
+    if all(0 not in row for P in (F, G) for row in P.values()):  # x divides both
         return True
-    Fy, Gy = _in_y(F), _in_y(G)
-    if _coprime_mod_ell(Fy, Gy):
+    if _coprime_mod_ell(F, G):
         return False
-    return 0 not in _gcd(Fy, Gy).get(0, {})
+    return 0 not in _gcd(F, G).get(0, {})
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -326,13 +316,12 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     F and G must be nonzero polynomials in two variables with integer
     exponents and exact rational coefficients.
     """
-    Fd, Gd = _to_ipoly(F), _to_ipoly(G)
-    if Fd.get((0, 0), 0) != 0 or Gd.get((0, 0), 0) != 0:
+    Fr, Gr = _int_rows(F), _int_rows(G)
+    if 0 in Fr.get(0, ()) or 0 in Gr.get(0, ()):
         return 0
-    Fc, Gc = _clear_denominators(Fd), _clear_denominators(Gd)
-    if _common_component_through_origin(Fc, Gc):
+    if _common_component_through_origin(Fr, Gr):
         return INFINITE_RANK
-    return _mu(_in_y(Fc), _in_y(Gc), _FUEL)
+    return _mu(Fr, Gr, _FUEL)
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -352,18 +341,19 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
-    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G with integer coefficients."""
+    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G in integer rows (_int_rows)."""
     mons = [(a, b) for a in range(N) for b in range(N - a)]
     index = {m: k for k, m in enumerate(mons)}
-    rows = []
+    matrix = []
     for P in (F, G):
         for (ma, mb) in mons:
-            row = [0] * len(mons)
-            for (a, b), c in P.items():
-                if a + ma + b + mb < N:
-                    row[index[(a + ma, b + mb)]] = c
-            rows.append(row)
-    return len(mons) - _int_rank(rows, len(mons))
+            line = [0] * len(mons)
+            for b, row in P.items():
+                for a, c in row.items():
+                    if a + ma + b + mb < N:
+                        line[index[(a + ma, b + mb)]] = c
+            matrix.append(line)
+    return len(mons) - _int_rank(matrix, len(mons))
 
 
 def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
@@ -374,13 +364,13 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     locally, so the truncated dimension is the local dimension itself.
     Both single-term inputs short-circuit to the monomial staircase count.
     """
-    Fd, Gd = _to_ipoly(F), _to_ipoly(G)
-    if len(Fd) == 1 and len(Gd) == 1:
-        return _monomial_staircase(next(iter(Fd)), next(iter(Gd)))
-    Fd, Gd = _clear_denominators(Fd), _clear_denominators(Gd)
-    prev = _truncated_quotient_dim(Fd, Gd, 1)
+    Fr, Gr = _int_rows(F), _int_rows(G)
+    mons = [(a, b) for rows in (Fr, Gr) for b, row in rows.items() for a in row]
+    if len(mons) == 2:  # one term each: neither curve is zero
+        return _monomial_staircase(*mons)
+    prev = _truncated_quotient_dim(Fr, Gr, 1)
     for N in range(2, cap + 1):
-        cur = _truncated_quotient_dim(Fd, Gd, N)
+        cur = _truncated_quotient_dim(Fr, Gr, N)
         if cur == prev:
             return cur
         prev = cur
@@ -430,9 +420,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     if F.prime != G.prime:
         raise DomainError(f"mixed primes {F.prime} and {G.prime}")
     p = F.prime
-    _require_prime(p)
     kF, kG = F.max_pexp(), G.max_pexp()
-    F0, G0 = F.rescale_to_grade(kF), G.rescale_to_grade(kG)
     k0 = max(kF, kG)
 
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
@@ -440,13 +428,13 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     base: dict[tuple[int, int], object] = {}  # only (0, d) and (d, 0)
 
     def entry(s: int, t: int):
-        # mu(F0(U**p**s, V**p**s), G0(U**p**t, V**p**t)) = p**(2m) * entry(s-m, t-m)
+        # mu(F rescaled to grade kF+s, G rescaled to grade kG+t) = p**(2m) * entry(s-m, t-m)
         m = min(s, t)
         key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
         if key not in base:
             try:
                 base[key] = local_multiplicity(
-                    F0.rescale_to_grade(key[0]), G0.rescale_to_grade(key[1]))
+                    F.rescale_to_grade(kF + key[0]), G.rescale_to_grade(kG + key[1]))
             except FuelExhausted as exc:
                 raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
         value = base[key]
@@ -461,7 +449,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
                 mat[(a, b)] = entry(s, t) if s >= 0 and t >= 0 else 0
         mixed.append(mat)
     # the fully rooted entry of grade i >= k0 is mat[(i - kF, i - kG)], that is
-    # entry(0, 0): the classical multiplicity of F0 and G0 at every grade
+    # entry(0, 0): the classical multiplicity of F and G at their native grades
     classical = entry(0, 0)
     diagonal = BraidedDim(p, k0, generator=lambda label: classical,
                           generator_desc=f"mult({F.render()};{G.render()})",

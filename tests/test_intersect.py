@@ -24,11 +24,9 @@ from perfproj.cli import run
 from perfproj.intersect import (
     _CERT_POINTS,
     _ELL,
-    _clear_denominators,
     _common_component_through_origin,
     _coprime_mod_ell,
-    _in_y,
-    _to_ipoly,
+    _int_rows,
 )
 
 
@@ -93,13 +91,13 @@ def test_common_component_matches_sympy_gcd(h, h_const, a, b, a_y_free, b_y_free
     F = sympy.expand(F.subs(x, x**q))  # x -> x^q on one side
     assume(F != 0 and G != 0)
 
-    def coeffs(e):
-        return {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(e, x, y).terms()}
+    def rows(e):
+        return _int_rows(_poly((i, j, Fraction(int(c.p), int(c.q)))
+                               for (i, j), c in sympy.Poly(e, x, y).terms()))
 
     g = sympy.gcd(F, G)
     expected = sympy.Poly(g, x, y).total_degree() >= 1 and g.subs({x: 0, y: 0}) == 0
-    got = _common_component_through_origin(_clear_denominators(coeffs(F)),
-                                           _clear_denominators(coeffs(G)))
+    got = _common_component_through_origin(rows(F), rows(G))
     assert got == expected, (F, G, g)
 
 
@@ -108,6 +106,28 @@ def test_local_multiplicity_rejects_bad_input():
         local_multiplicity(P("x - x"), P("y"))
     with pytest.raises(DomainError, match="integer exponents"):
         local_multiplicity(P("y - x^(3/2)"), P("x"))
+
+
+@pytest.mark.parametrize("fn", [local_multiplicity, quotient_dim_oracle])
+@pytest.mark.parametrize("curve, message", [
+    # the terms are checked in rendering order: y^(1/2) comes before -x^-1
+    (P("-x^-1 + y^(1/2)"), "integer exponents required; rescale first"),
+    (P("x*y^-1 + y^(1/2)"), "curve exponents must be non-negative"),
+    (parse_poly("x + y + z", 3, 2), "plane curves require exactly 2 variables"),
+])
+def test_curve_input_checks_and_their_order(fn, curve, message):
+    for F, G in [(curve, P("x")), (P("y"), curve)]:
+        with pytest.raises(DomainError) as info:
+            fn(F, G)
+        assert str(info.value) == message
+
+
+def test_mult_negative_exponent_is_a_usage_error():
+    argv = ["--f", "y - x^-1", "--g", "y", "--p", "2", "--grades", "1", "--json"]
+    message = "curve exponents must be non-negative"
+    assert _mult(argv) == (
+        1, json.dumps({"error": {"category": "usage", "message": message}}) + "\n",
+        f"error: usage: {message}\n")
 
 
 def test_oracle_examples():
@@ -349,10 +369,6 @@ def test_base_entries_match_every_entry_computed(pair):
     assert tup.mixed == mixed_by_depth_brute(F, G, grades)
 
 
-def _flat(poly):
-    return _clear_denominators(_to_ipoly(poly))
-
-
 def _poly(terms):
     return FracPoly(2, 2, [((PAdicFrac(a, 0, 2), PAdicFrac(b, 0, 2)), c) for a, b, c in terms])
 
@@ -363,28 +379,28 @@ def test_certificate_never_holds_on_a_shared_factor(h, a, b):
     H, A, B = _poly(h), _poly(a), _poly(b)
     assume(not (H.is_zero or A.is_zero or B.is_zero))
     assume(max(e[1].num for e in (m.exps for m in H.terms())) >= 1)  # deg_y H >= 1
-    assert not _coprime_mod_ell(_in_y(_flat(H * A)), _in_y(_flat(H * B)))
+    assert not _coprime_mod_ell(_int_rows(H * A), _int_rows(H * B))
 
 
 def test_certificate_falls_back_when_every_point_is_bad():
     H = P("x^3*y - 15*x^2*y + 71*x*y - 105*y + x")  # (x-3)(x-5)(x-7)*y + x
     assert all(x0 in (3, 5, 7) for x0 in _CERT_POINTS)
-    lead = _in_y(_flat(H))[1]
+    lead = _int_rows(H)[1]
     assert all(sum(c * x0**e for e, c in lead.items()) % _ELL == 0 for x0 in _CERT_POINTS)
     # a shared factor: the remainder sequence finds it
-    F, G = _flat(H * P("y + 1")), _flat(H * P("x + y"))
-    assert not _coprime_mod_ell(_in_y(F), _in_y(G))
+    F, G = _int_rows(H * P("y + 1")), _int_rows(H * P("x + y"))
+    assert not _coprime_mod_ell(F, G)
     assert _common_component_through_origin(F, G)
     # coprime, but no point certifies it: the remainder sequence decides
-    F, G = _flat(H), _flat(P("y - x^2"))
-    assert not _coprime_mod_ell(_in_y(F), _in_y(G))
+    F, G = _int_rows(H), _int_rows(P("y - x^2"))
+    assert not _coprime_mod_ell(F, G)
     assert not _common_component_through_origin(F, G)
     assert local_multiplicity(H, P("y - x^2")) == quotient_dim_oracle(H, P("y - x^2"))
 
 
 def test_certificate_holds_on_coprime_curves():
     for f, g in [("y^2 - x^3", "y - x^2"), ("y^3 - x^2 + x*y", "x"), ("x*y + 1", "y")]:
-        assert _coprime_mod_ell(_in_y(_flat(P(f))), _in_y(_flat(P(g))))
+        assert _coprime_mod_ell(_int_rows(P(f)), _int_rows(P(g)))
 
 
 def test_step_budget_names_its_numbers(monkeypatch):
