@@ -2,23 +2,28 @@
 
 Only finite formal sums are modeled.  Coefficients live in the rationals;
 exponents are PAdicFrac values sharing one ambient prime.  The text grammar
-(ASCII, whitespace insignificant) is
+(ASCII; whitespace, any Unicode space, is insignificant) is
 
-    poly   := ["+" | "-"] term (("+" | "-") term)*
-    term   := factor ("*"? factor)*
-    factor := coeff | monom
-    monom  := var ("^" exp)?
-    exp    := ["-"] integer | "(" ["-"] integer "/" integer ")"
-    coeff  := integer ("/" integer)?
-    var    := "x" | "y" | "z" | "x0" .. "x9"
+    poly    := ["+" | "-"] term (("+" | "-") term)*
+    term    := factor ("*"? factor)*
+    factor  := coeff | monom
+    monom   := var ("^" exp)?
+    exp     := ["-"] integer | "(" ["-"] integer "/" integer ")"
+    coeff   := integer ("/" integer)?
+    var     := "x" | "y" | "z" | "x0" .. "x9"
+    integer := digit+
+    digit   := "0" .. "9"
 
-Exponent denominators must be powers of the configured prime.  Rendering is
-deterministic: terms in descending order of their exponent vectors, compared
-lexicographically across variables as rationals.
+Only ASCII digits are digits, so a non-ASCII digit is a ParseError like any
+other stray character.  Exponent denominators must be powers of the
+configured prime.  Rendering is deterministic: terms in descending order of
+their exponent vectors, compared lexicographically across variables as
+rationals.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -286,54 +291,38 @@ def _exp_suffix(e: PAdicFrac) -> str:
     return f"^({e.num}/{e.prime**e.pexp})"
 
 
+def _factors(exps: ExpVector, names: Sequence[str]) -> str:
+    """The factors of a monomial joined by "*"; "" for the unit monomial."""
+    return "*".join(names[j] + _exp_suffix(e) for j, e in enumerate(exps) if not e.is_zero)
+
+
 def _term_body(abs_coeff: Fraction, exps: ExpVector, names: Sequence[str]) -> str:
-    factors = [names[j] + _exp_suffix(e) for j, e in enumerate(exps) if not e.is_zero]
+    factors = _factors(exps, names)
     if not factors:
         return str(abs_coeff)
-    if abs_coeff != 1:
-        factors.insert(0, str(abs_coeff))
-    return "*".join(factors)
+    return factors if abs_coeff == 1 else f"{abs_coeff}*{factors}"
 
 
 def monomial_string(exps: ExpVector, names: Sequence[str] | None = None) -> str:
     """Coefficient-free monomial text, e.g. "x^(1/3)*y^(5/3)"; "1" for the unit."""
     names = tuple(names) if names is not None else default_var_names(len(exps))
-    return _term_body(Fraction(1), exps, names)
+    return _factors(exps, names) or "1"
 
 
 # -- parsing ------------------------------------------------------------------------
 
 _VAR_LETTERS = {"x": 0, "y": 1, "z": 2}
+# whitespace matches no alternative and is skipped; punctuation is its own kind
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<var>x[0-9]|[xyz])|[-+*^/()]|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in _VAR_LETTERS:
-            if ch == "x" and i + 1 < len(text) and text[i + 1].isdigit():
-                tokens.append(("var", text[i:i + 2], i))
-                i += 2
-                continue
-            tokens.append(("var", ch, i))
-            i += 1
-            continue
-        if ch in "+-*^/()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind or m.group(), m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -451,5 +440,4 @@ def parse(text: str, nvars: int, prime: int) -> FracPoly:
     _require_prime(prime)
     if not 1 <= nvars <= 10:
         raise DomainError("nvars must be between 1 and 10")
-    terms = _Parser(text, nvars, prime).parse_poly()
-    return FracPoly(nvars, prime, [(tuple(e), c) for e, c in terms])
+    return FracPoly(nvars, prime, _Parser(text, nvars, prime).parse_poly())

@@ -7,7 +7,7 @@ against something that cannot share their bugs.
 
 from fractions import Fraction
 
-from perfproj import local_multiplicity, parse_poly
+from perfproj import ParseError, local_multiplicity, parse_poly
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -53,6 +53,41 @@ def rational_rank(rows) -> int:
             m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def tokenize_by_characters(text: str) -> list[tuple[str, str, int]]:
+    """Curve-text tokens by a character loop, as the tokenizer read them before
+    it became one regular expression; it takes every str.isdigit character
+    for a digit, where the grammar takes only ASCII ones."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch in "xyz":
+            if ch == "x" and i + 1 < len(text) and text[i + 1].isdigit():
+                tokens.append(("var", text[i:i + 2], i))
+                i += 2
+                continue
+            tokens.append(("var", ch, i))
+            i += 1
+            continue
+        if ch in "+-*^/()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 # small plane curves at the origin, integer exponents, for multiplicity tests

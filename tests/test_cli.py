@@ -292,6 +292,20 @@ def test_veronese_negative_dimension_is_usage_error():
     assert err == "error: usage: projective dimension must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # int() rejected the superscript after the tokenizer took it for a digit
+    (["mult", "--f", "x²", "--g", "y", "--p", "2", "--grades", "1"],
+     "unexpected character '²' (at position 1)"),
+    # an Arabic-Indic three was read as the coefficient 3
+    (["blowup", "--f", "٣*x", "--p", "2"], "unexpected character '٣' (at position 0)"),
+], ids=["superscript-two", "arabic-indic-three"])
+def test_non_ascii_digit_in_a_curve_is_a_usage_error(argv, message):
+    code, out, err = invoke(argv + ["--json"])
+    assert code == 1
+    assert json.loads(out) == {"error": {"category": "usage", "message": message}}
+    assert err == f"error: usage: {message}\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_veronese_formats_each_monomial_once(monkeypatch, mode):
     import perfproj.geometry as geometry
@@ -430,7 +444,8 @@ _INT = st.sampled_from(["-1", "0", "1", "2", "3"])
 _FRACTION = _value(["2", "-5/3", "1/2", "3/4", "0", "-1"], ["1/0", "2/5", "1/6"])
 _CURVE = _value(["x", "y", "y-x", "y^2-x^3", "x*y", "y^(1/2)-x", "x^(1/2)*y-x",
                  "1", "y-x^(-1)"],
-                ["0", "x^(1/3)+y", "y^(1/0)", "x +", "x^(1/2", "2*"])
+                ["0", "x^(1/3)+y", "y^(1/0)", "x +", "x^(1/2", "2*",
+                 "x²", "٣*x", "y^¹"])
 _FLAGS = {
     "h0": {"--n": _INT, "--deg": _FRACTION},
     "hn": {"--n": _INT, "--deg": _FRACTION},

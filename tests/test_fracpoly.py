@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfproj import (
@@ -10,9 +10,12 @@ from perfproj import (
     FracPoly,
     PAdicFrac,
     ParseError,
+    monomial_string,
     parse_poly,
 )
 from perfproj.exponents import normalize
+from perfproj.fracpoly import _tokenize
+from oracles import tokenize_by_characters
 
 
 def P(text, nvars=2, p=2):
@@ -60,6 +63,55 @@ def test_parse_errors_have_positions():
         P("x^(1/6)")
     with pytest.raises(ParseError, match="unexpected"):
         P("x ? y")
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x ? y", "unexpected character '?'", 2),
+    ("x +", "expected a coefficient or monomial", 3),
+    ("*x", "expected a coefficient or monomial", 0),
+    ("(x)", "expected a coefficient or monomial", 0),
+    ("", "expected a coefficient or monomial", 0),
+    ("x*", "expected a coefficient or monomial", 2),
+    ("x)", "unexpected ')'", 1),
+    ("3/", "expected integer after '/'", 2),
+    ("3/0*x", "zero denominator", 2),
+    ("x^(1/0)", "zero denominator", 5),
+    ("x + z", "unknown variable name 'z'", 4),
+    ("x^", "expected integer exponent", 2),
+    ("x^-", "expected integer exponent", 3),
+    ("x^(1", "expected '/' in fractional exponent", 4),
+    ("x^(1/", "expected integer denominator", 5),
+    ("x^(1/2", "expected ')'", 6),
+    ("x^(1/6)", "denominator not a power of 2", 5),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, 2, 2)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
+# the grammar's characters, Unicode spaces, and stray characters; non-ASCII
+# digits are left out, since the character loop takes them for digits and the
+# grammar deliberately does not
+_GRAMMAR_CHARS = st.sampled_from("0123456789xyz+-*^/() ")
+_SPACES = st.sampled_from(["\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x85",
+                           "\xa0", "\u2003", "\u2028", "\u3000"])
+_STRAY = st.characters().filter(lambda ch: not ch.isdigit() or ch in "0123456789")
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(_GRAMMAR_CHARS, _GRAMMAR_CHARS, _SPACES, _STRAY),
+                max_size=16).map("".join))
+def test_tokenize_matches_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_by_characters, text)
 
 
 def test_rescale_to_grade_examples():
@@ -135,6 +187,19 @@ def test_render_examples():
     assert P("1/2*x*y^2").render() == "1/2*x*y^2"
 
 
+def test_monomial_string_of_the_unit_is_one():
+    zero = PAdicFrac(0, 0, 3)
+    assert monomial_string((zero, zero, zero)) == "1"
+
+
+def test_too_few_names_raise_instead_of_dropping_a_variable():
+    f = P("x*y^(1/2) + 1")
+    with pytest.raises(IndexError):
+        f.render(["x"])
+    with pytest.raises(IndexError):
+        monomial_string(f.terms()[0].exps, ["x"])
+
+
 # -- random round-trip property ------------------------------------------------------
 
 def poly_strategy():
@@ -173,3 +238,11 @@ def test_extract_power_reconstruction(f):
                                  [e] + [PAdicFrac(0, 0, f.prime)] * (f.nvars - 1))
     assert monomial * cof == f
     assert any(mon.exps[0].is_zero for mon in cof.terms())
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.lists(
+    st.builds(normalize, st.integers(-9, 9), st.integers(0, 2), st.just(p)),
+    min_size=1, max_size=4)))
+def test_monomial_string_is_the_render_of_the_unit_term(exps):
+    f = FracPoly(len(exps), exps[0].prime, [(exps, 1)])
+    assert monomial_string(tuple(exps)) == f.render()
