@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import braided, cech, geometry, intersect
 from .braided import LineBundle, bundle_cohomology, kunneth
-from .enumeration import iter_h0_monomials, iter_hn_monomials
+from .enumeration import _scaled_vectors
 from .errors import ComputationDiagnostic, DomainError, ParseError
 from .exponents import PAdicFrac
 from .fracpoly import parse as parse_poly
@@ -51,11 +51,25 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+def _int_arg(text: str) -> int:
+    """int(text) for ASCII text only: int() also reads other scripts' digits,
+    such as the Arabic-Indic three.  Errors read as argparse's for type=int."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"not a rational number: {text!r}")
+    """Fraction(text) for ASCII text only, as _int_arg."""
+    if text.isascii():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _UsageError(f"not a rational number: {text!r}")
 
 
 @functools.cache
@@ -69,8 +83,8 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
 
     def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="ambient prime")
-        sp.add_argument("--grades", type=int, default=4,
+        sp.add_argument("--p", type=_int_arg, required=True, help="ambient prime")
+        sp.add_argument("--grades", type=_int_arg, default=4,
                         help="grade horizon (default 4)")
         sp.add_argument("--json", action="store_true", help="JSON output")
         sp.add_argument("--reduced", action="store_true",
@@ -78,7 +92,7 @@ def _build_parser() -> _Parser:
 
     for name in ("h0", "hn", "euler"):
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--n", type=_int_arg, required=True)
         sp.add_argument("--deg", type=_fraction_arg, required=True,
                         help="degree, e.g. 2 or -5/3 (use --deg=-5/3)")
         common(sp)
@@ -90,20 +104,20 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("bezout-chi")
     sp.add_argument("--d", type=_fraction_arg, required=True)
-    sp.add_argument("--degf", type=int, required=True)
-    sp.add_argument("--degg", type=int, required=True)
+    sp.add_argument("--degf", type=_int_arg, required=True)
+    sp.add_argument("--degg", type=_int_arg, required=True)
     common(sp)
 
     sp = sub.add_parser("kunneth")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n", type=_int_arg, required=True)
+    sp.add_argument("--m", type=_int_arg, required=True)
     sp.add_argument("--a", type=_fraction_arg, required=True)
     sp.add_argument("--b", type=_fraction_arg, required=True)
     common(sp)
 
     sp = sub.add_parser("veronese")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--n", type=_int_arg, required=True)
+    sp.add_argument("--d", type=_int_arg, required=True)
     common(sp)
 
     sp = sub.add_parser("mult")
@@ -116,10 +130,10 @@ def _build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("cech-check")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_arg, required=True)
     sp.add_argument("--degrees", required=True,
                     help="comma-separated degrees, e.g. --degrees=-3,-1,2")
-    sp.add_argument("--i", type=int, required=True,
+    sp.add_argument("--i", type=_int_arg, required=True,
                     help="max denominator exponent of the weights")
     common(sp)
 
@@ -131,14 +145,13 @@ def _build_parser() -> _Parser:
 _MONOMIAL_CAP = 8
 
 
-def _scaled_tuple(vec, label: int) -> str:
-    return "(" + ",".join(str(e.scaled(label)) for e in vec) + ")"
-
-
-def _monomial_cell(vectors, grade: int) -> str:
-    """The first _MONOMIAL_CAP vectors, then "..." if there are more."""
+def _monomial_cell(n: int, size: PAdicFrac, label: int, p: int, reduced: bool,
+                   negative: bool) -> str:
+    """The first _MONOMIAL_CAP vectors at grade label, each entry times
+    p**label, then "..." if there are more."""
+    vectors = _scaled_vectors(n, size, label, p, reduced, negative)
     head = list(islice(vectors, _MONOMIAL_CAP + 1))
-    shown = [_scaled_tuple(v, grade) for v in head[:_MONOMIAL_CAP]]
+    shown = ["(" + ",".join(map(str, v)) + ")" for v in head[:_MONOMIAL_CAP]]
     if len(head) > _MONOMIAL_CAP:
         shown.append("...")
     return " ".join(shown)
@@ -166,17 +179,13 @@ def _run_h0_family(args, which: str):
     dim = fn(bundle, args.grades, reduced=args.reduced)
     if args.json:
         return dim.to_json_dict()  # counts only: nothing is enumerated
-    family = None
-    if which == "h0" and deg.num >= 0:
-        family, size = iter_h0_monomials, deg.num
-    elif which == "hn" and deg.num < 0:
-        family, size = iter_hn_monomials, -deg.num
+    negative = deg.num < 0
     cell = None
-    if family:
+    if which == ("hn" if negative else "h0"):
+        size = -deg if negative else deg
+
         def cell(label: int) -> str:
-            grade = label - deg.pexp
-            return _monomial_cell(
-                family(args.n, size, grade, args.p, reduced=args.reduced), grade)
+            return _monomial_cell(args.n, size, label, args.p, args.reduced, negative)
     return _dim_table(dim, cell)
 
 

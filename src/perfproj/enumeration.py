@@ -5,6 +5,11 @@ A grade-i monomial of degree d in n+1 variables is a vector of multiples of
 the cumulative convention: a vector whose denominators all divide p**(i-1)
 is counted again at grade i.  Pass reduced=True to count only vectors whose
 exact denominator is p**i.
+
+One private path enumerates: _scaled_vectors yields the compositions
+themselves, the vectors times p**i, with the reduced filter applied.  The
+CLI prints them as they are; iter_* and enumerate_* map each entry to its
+PAdicFrac through a cache of normalize, one call per distinct entry.
 """
 
 from __future__ import annotations
@@ -23,13 +28,6 @@ def _as_padic(value, p: int) -> PAdicFrac:
             raise DomainError(f"mixed primes {value.prime} and {p}")
         return value
     return PAdicFrac(int(value), 0, p)
-
-
-def _scaled_degree(d: PAdicFrac, i: int) -> int:
-    try:
-        return d.scaled(i)
-    except DomainError as exc:
-        raise DomainError(f"grade too small for degree: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -55,84 +53,78 @@ class GradedPiece:
         return ["(" + ",".join(str(e) for e in v) + ")" for v in self.vectors]
 
 
-def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-negative integer compositions in descending lexicographic order."""
+def _compositions(total: int, parts: int, sign: int) -> Iterator[tuple[int, ...]]:
+    """sign * c for the compositions c of total into parts >= 0 (sign 1) or
+    >= 1 (sign -1), in descending lexicographic order of the signed vectors."""
+    least = 1 if sign < 0 else 0
     if parts == 1:
-        yield (total,)
+        if total >= least:
+            yield (sign * total,)
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
+    firsts = range(least, total - least * (parts - 1) + 1)
+    for first in (firsts if sign < 0 else reversed(firsts)):
+        if parts == 2:
+            # the last part is what remains: no generator per vector
+            yield (sign * first, sign * (total - first))
+            continue
+        head = (sign * first,)
+        for rest in _compositions(total - first, parts - 1, sign):
+            yield head + rest
 
 
-def _positive_compositions_asc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Strictly positive compositions, ascending lexicographic order."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions_asc(total - first, parts - 1):
-            yield (first,) + rest
+def _total(n: int, d, i: int, p: int, negative: bool) -> int:
+    """p**i * d after checking n >= 0, p prime and d >= 0 (d > 0 if negative)."""
+    if n < 0:
+        raise DomainError("projective dimension must be non-negative")
+    _require_prime(p)
+    d = _as_padic(d, p)
+    if negative and d.num <= 0:
+        raise DomainError("m must be positive")
+    if d.num < 0:
+        raise DomainError("degree must be non-negative")
+    try:
+        return d.scaled(i)
+    except DomainError as exc:
+        raise DomainError(f"grade too small for degree: {exc}") from exc
+
+
+def _scaled_vectors(n: int, d, i: int, p: int, reduced: bool,
+                    negative: bool) -> Iterator[tuple[int, ...]]:
+    """p**i times each grade-i vector, as integers: the compositions of
+    p**i * d into n+1 parts, negated with every part >= 1 if negative.
+
+    Arguments are checked at call time; nothing is enumerated until the
+    iterator is advanced.
+    """
+    vectors = _compositions(_total(n, d, i, p, negative), n + 1, -1 if negative else 1)
+    if reduced and i > 0:
+        # an entry of exact denominator p**i is a part that p does not divide
+        return (v for v in vectors if any(c % p for c in v))
+    return vectors
 
 
 class _Values(dict):
-    """normalize(sign * c, i, p) keyed by c, each built on first use.
+    """normalize(c, i, p) keyed by c, each built on first use: one piece has
+    at most p**i * |d| + 1 distinct entries."""
 
-    A grade-i vector's entries are integers 0..total over p**i, so one piece
-    needs at most total+1 distinct normalized values.
-    """
-
-    def __init__(self, sign: int, i: int, p: int):
+    def __init__(self, i: int, p: int):
         super().__init__()
-        self.sign, self.i, self.p = sign, i, p
+        self.i, self.p = i, p
 
     def __missing__(self, c: int) -> PAdicFrac:
-        value = self[c] = normalize(self.sign * c, self.i, self.p)
+        value = self[c] = normalize(c, self.i, self.p)
         return value
 
 
-def _vectors(compositions: Iterator[tuple[int, ...]], sign: int, i: int, p: int,
-             reduced: bool) -> Iterator[tuple[PAdicFrac, ...]]:
-    # reduced keeps vectors with an entry of exact denominator p**i, i.e. a
-    # part not divisible by p
-    skip_coarse = reduced and i > 0
-    values = _Values(sign, i, p)
-    lookup = values.__getitem__
-    for comp in compositions:
-        if skip_coarse and all(c % p == 0 for c in comp):
-            continue
-        yield tuple(map(lookup, comp))
-
-
-def _check_dimension(n: int) -> None:
-    if n < 0:
-        raise DomainError("projective dimension must be non-negative")
-
-
-def _h0_total(n: int, d, i: int, p: int) -> int:
-    """p**i * d for a valid dimension n and degree d >= 0 at grade i."""
-    _check_dimension(n)
-    _require_prime(p)
-    d = _as_padic(d, p)
-    if d.num < 0:
-        raise DomainError("degree must be non-negative")
-    return _scaled_degree(d, i)
-
-
-def _hn_total(n: int, m, i: int, p: int) -> int:
-    """p**i * m for a valid dimension n and m > 0 at grade i."""
-    _check_dimension(n)
-    _require_prime(p)
-    m = _as_padic(m, p)
-    if m.num <= 0:
-        raise DomainError("m must be positive")
-    return _scaled_degree(m, i)
+def _normalized(n: int, d, i: int, p: int, reduced: bool,
+                negative: bool) -> Iterator[tuple[PAdicFrac, ...]]:
+    lookup = _Values(i, p).__getitem__
+    return (tuple(map(lookup, v)) for v in _scaled_vectors(n, d, i, p, reduced, negative))
 
 
 def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
     """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
-    total = _h0_total(n, d, i, p)
+    total = _total(n, d, i, p, negative=False)
     count = comb(total + n, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p + n, n)
@@ -146,8 +138,7 @@ def iter_h0_monomials(n: int, d, i: int, p: int,
     Arguments are checked at call time; nothing is enumerated until the
     iterator is advanced.
     """
-    total = _h0_total(n, d, i, p)
-    return _vectors(_compositions_desc(total, n + 1), 1, i, p, reduced)
+    return _normalized(n, d, i, p, reduced, negative=False)
 
 
 def enumerate_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> GradedPiece:
@@ -161,7 +152,7 @@ def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
     Compositions of p**i * m into n+1 strictly positive parts, negated;
     comb(a, n) is 0 for a < n, so classically vanishing cases come out 0.
     """
-    total = _hn_total(n, m, i, p)
+    total = _total(n, m, i, p, negative=True)
     count = comb(total - 1, n)
     if reduced and i > 0 and total % p == 0:
         count -= comb(total // p - 1, n)
@@ -172,8 +163,7 @@ def iter_hn_monomials(n: int, m, i: int, p: int,
                       reduced: bool = False) -> Iterator[tuple[PAdicFrac, ...]]:
     """The grade-i all-negative degree -m vectors, lazily, in the order of
     ascending positive compositions; arguments are checked at call time."""
-    total = _hn_total(n, m, i, p)
-    return _vectors(_positive_compositions_asc(total, n + 1), -1, i, p, reduced)
+    return _normalized(n, m, i, p, reduced, negative=True)
 
 
 def enumerate_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> GradedPiece:

@@ -53,6 +53,29 @@ class FracMonomial:
         return total
 
 
+def _substitute_vector(exps: ExpVector, images: Mapping[int, FracMonomial],
+                       prime: int) -> tuple[int, ExpVector]:
+    """The sign and the exponents of x**exps with each x_j replaced by images[j].
+
+    Variables without an image are kept.  An image with coefficient -1 flips
+    the sign once per odd power; a fractional power of it is not defined.
+    """
+    sign = 1
+    out = [PAdicFrac(0, 0, prime) if j in images else e for j, e in enumerate(exps)]
+    for j, image in images.items():
+        e = exps[j]
+        if e.is_zero:
+            continue
+        if image.coeff == -1:
+            if not e.is_integer:
+                raise DomainError("fractional power of a negative monomial")
+            if e.num % 2 == 1:
+                sign = -sign
+        for k, r in enumerate(image.exps):
+            out[k] = out[k] + r * e
+    return sign, tuple(out)
+
+
 class FracPoly:
     """Finite formal sum of monomials keyed by exponent vector."""
 
@@ -192,22 +215,11 @@ class FracPoly:
                 raise DomainError("mixed primes in replacement")
             if e.num < 0:
                 raise DomainError("replacement exponents must be non-negative")
+        images = {var: replacement}
         items = []
         for exps, coeff in self._terms.items():
-            e = exps[var]
-            if e.is_zero:
-                items.append((exps, coeff))
-                continue
-            if replacement.coeff == -1:
-                if not e.is_integer:
-                    raise DomainError("fractional power of a negative monomial")
-                if e.num % 2 == 1:
-                    coeff = -coeff
-            new = list(exps)
-            new[var] = PAdicFrac(0, 0, self.prime)
-            for j, r in enumerate(replacement.exps):
-                new[j] = new[j] + r * e
-            items.append((tuple(new), coeff))
+            sign, new = _substitute_vector(exps, images, self.prime)
+            items.append((new, sign * coeff))
         return FracPoly(self.nvars, self.prime, items)
 
     def rescale_to_grade(self, i: int) -> "FracPoly":

@@ -17,7 +17,7 @@ from .braided import BraidedDim, LineBundle, hn_top
 from .enumeration import GradedPiece, _as_padic, count_h0_monomials, enumerate_h0_monomials
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime
-from .fracpoly import FracMonomial, FracPoly, _exp_suffix, monomial_string
+from .fracpoly import FracMonomial, FracPoly, _exp_suffix, _substitute_vector, monomial_string
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -218,21 +218,8 @@ class MonomialMap:
     images: tuple[FracMonomial, ...]
 
     def apply_vector(self, exps) -> tuple[Fraction, tuple[PAdicFrac, ...]]:
-        nvars = len(self.images)
-        coeff = Fraction(1)
-        out = [PAdicFrac(0, 0, self.prime) for _ in range(nvars)]
-        for j, e in enumerate(exps):
-            if e.is_zero:
-                continue
-            image = self.images[j]
-            if image.coeff == -1:
-                if not e.is_integer:
-                    raise DomainError("fractional power of a negative monomial")
-                if e.num % 2 == 1:
-                    coeff = -coeff
-            for k, r in enumerate(image.exps):
-                out[k] = out[k] + r * e
-        return coeff, tuple(out)
+        sign, out = _substitute_vector(exps, dict(enumerate(self.images)), self.prime)
+        return Fraction(sign), out
 
     def apply(self, f: FracPoly) -> FracPoly:
         items = []

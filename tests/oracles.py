@@ -6,8 +6,10 @@ against something that cannot share their bugs.
 """
 
 from fractions import Fraction
+from itertools import islice
 
-from perfproj import ParseError, local_multiplicity, parse_poly
+from perfproj import (ParseError, iter_h0_monomials, iter_hn_monomials,
+                      local_multiplicity, parse_poly)
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -37,6 +39,23 @@ def enumerate_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in enumerate_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def fraction_table_cell(n: int, deg, label: int, p: int, reduced: bool) -> str:
+    """The h0 (deg >= 0) or hn (deg < 0) table cell at grade label, built
+    through PAdicFrac: the vectors of iter_* for the integer degree deg.num
+    at grade label - deg.pexp, each entry scaled back to an integer by
+    p**grade; the first 8, then "..." if there are more."""
+    grade = label - deg.pexp
+    if deg.num >= 0:
+        vectors = iter_h0_monomials(n, deg.num, grade, p, reduced=reduced)
+    else:
+        vectors = iter_hn_monomials(n, -deg.num, grade, p, reduced=reduced)
+    head = list(islice(vectors, 9))
+    shown = ["(" + ",".join(str(e.scaled(grade)) for e in v) + ")" for v in head[:8]]
+    if len(head) > 8:
+        shown.append("...")
+    return " ".join(shown)
 
 
 def rational_rank(rows) -> int:

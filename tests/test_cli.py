@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -12,6 +13,7 @@ from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
+from oracles import fraction_table_cell
 
 
 def invoke(argv):
@@ -265,14 +267,56 @@ def test_table_cell_is_first_eight_of_piece(which, n, p, num, k, grades, reduced
         assert int(dim) == piece.count
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 3), negative=st.booleans(), num=st.integers(0, 7),
+       k=st.integers(0, 2), p=st.sampled_from([2, 3, 5]), grades=st.integers(1, 4),
+       reduced=st.booleans())
+def test_integer_cells_match_the_fraction_oracle(n, negative, num, k, p, grades, reduced):
+    deg = PAdicFrac.from_fraction(Fraction(-num - 1 if negative else num, p**k), p)
+    argv = ["hn" if negative else "h0", "--n", str(n), f"--deg={deg}", "--p", str(p),
+            "--grades", str(grades)] + (["--reduced"] if reduced else [])
+    code, out, err = invoke(argv)
+    assert code == 0 and err == ""
+    _, rows = _table_cells(out)
+    assert [cell for _, cell, _ in rows] == [
+        fraction_table_cell(n, deg, deg.pexp + j, p, reduced) for j in range(grades)]
+
+
+# the h0 table of --grades 1500, as the PAdicFrac cell path printed it
+_TABLE_1500_SHA256 = "cc3a64dbdc3f4a6160dc06eb1dceb99be4d54677f427732572421cff5e21e3b9"
+
+
+def test_tables_make_no_normalize_calls(monkeypatch):
+    import perfproj.enumeration as enumeration
+
+    calls = []
+    real = enumeration.normalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "normalize", counting)
+    for argv in (["h0", "--n", "2", "--deg", "4", "--p", "3", "--grades", "3"],
+                 ["hn", "--n", "2", "--deg=-7/5", "--p", "5", "--grades", "3", "--reduced"]):
+        code, out, _ = invoke(argv)
+        assert code == 0 and "..." in out
+    code, out, _ = invoke(["h0", "--n", "1", "--deg", "1", "--p", "5", "--grades", "1500"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_1500_SHA256
+    assert calls == []
+    # the public iterators still pass through the counted name
+    next(enumeration.iter_hn_monomials(1, 2, 1, 3))
+    assert calls
+
+
 def test_json_sections_enumerate_nothing(monkeypatch):
     import perfproj.enumeration as enumeration
 
     def refuse(*args):
         raise AssertionError("enumerated under --json")
 
-    monkeypatch.setattr(enumeration, "_compositions_desc", refuse)
-    monkeypatch.setattr(enumeration, "_positive_compositions_asc", refuse)
+    monkeypatch.setattr(enumeration, "_compositions", refuse)
     code, out, _ = invoke(["h0", "--n", "3", "--deg", "5", "--p", "5",
                            "--grades", "3", "--json"])
     assert code == 0
@@ -440,8 +484,10 @@ def _value(valid, edge):
     return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid if k else edge))
 
 
-_INT = st.sampled_from(["-1", "0", "1", "2", "3"])
-_FRACTION = _value(["2", "-5/3", "1/2", "3/4", "0", "-1"], ["1/0", "2/5", "1/6"])
+# non-ASCII digits: an Arabic-Indic three and a fullwidth two
+_INT = _value(["-1", "0", "1", "2", "3"], ["٣", "２"])
+_FRACTION = _value(["2", "-5/3", "1/2", "3/4", "0", "-1"],
+                   ["1/0", "2/5", "1/6", "٣", "1/٣"])
 _CURVE = _value(["x", "y", "y-x", "y^2-x^3", "x*y", "y^(1/2)-x", "x^(1/2)*y-x",
                  "1", "y-x^(-1)"],
                 ["0", "x^(1/3)+y", "y^(1/0)", "x +", "x^(1/2", "2*",
@@ -460,11 +506,11 @@ _FLAGS = {
     "cech-check": {"--n": _value(["1", "2", "3", "4", "5", "6"], ["0", "-1", "7"]),
                    "--degrees": _value(["-1,1", "2", "-1/2,0", "1/2,-2,", "-7,12",
                                         "25/4,-3", "-81/8,5/3", "-100,1/25"],
-                                       ["1/0", "1/3", "", ",", "1,,x"]),
+                                       ["1/0", "1/3", "", ",", "1,,x", "٣,1"]),
                    "--i": _value(["0", "1", "2", "3"], ["-1", "7000"])},
 }
-_COMMON = {"--p": _value(["2", "3", "5"], ["4", "1", "0", "-3"]),
-           "--grades": _value(["1", "2", "3"], ["0", "-1"])}
+_COMMON = {"--p": _value(["2", "3", "5"], ["4", "1", "0", "-3", "٣"]),
+           "--grades": _value(["1", "2", "3"], ["0", "-1", "２"])}
 # at most one fault injected into an argv of well-formed flags
 _EDITS = ["drop", "twice", "bare", "garbage", "stray", "abbrev"]
 

@@ -1,12 +1,17 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import count_compositions
 
 from perfproj import (
     DomainError,
+    FracMonomial,
     FracPoly,
+    MonomialMap,
     PAdicFrac,
     bezout_chi,
     bezout_line,
@@ -174,3 +179,53 @@ def test_plane_charts_pullbacks_and_gluing():
     assert atlas.glue_backward.apply(fwd) == x1
     fwd_y = atlas.glue_forward.apply(y1)
     assert atlas.glue_backward.apply(fwd_y) == y1
+
+
+@st.composite
+def _substitution(draw):
+    """A polynomial, a variable and a +-1 monomial image for it."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 3))
+    exponent = st.builds(normalize, st.integers(0, 5), st.integers(0, 1), st.just(p))
+    exps = st.tuples(*[exponent] * nvars)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-3, 3).filter(bool)),
+                          min_size=1, max_size=4))
+    image = FracMonomial(Fraction(draw(st.sampled_from([1, -1]))), draw(exps))
+    return FracPoly(nvars, p, terms), draw(st.integers(0, nvars - 1)), image
+
+
+def _x(e0, e1, coeff=1):
+    return FracPoly(2, 2, [((normalize(*e0, 2), normalize(*e1, 2)), coeff)])
+
+
+_MINUS_Y = FracMonomial(Fraction(-1), (normalize(0, 0, 2), normalize(1, 0, 2)))
+
+
+@given(_substitution())
+@example((_x((3, 0), (1, 0)), 0, _MINUS_Y))  # x^3*y with x = -y: -y^4
+@example((_x((1, 1), (0, 0)), 0, _MINUS_Y))  # x^(1/2) with x = -y: undefined
+def test_substitute_is_the_monomial_map_with_identity_elsewhere(case):
+    f, var, image = case
+    p, nvars = f.prime, f.nvars
+
+    def unit(k):
+        return FracMonomial(Fraction(1), tuple(normalize(int(j == k), 0, p)
+                                               for j in range(nvars)))
+
+    images = tuple(image if k == var else unit(k) for k in range(nvars))
+    try:
+        expected = MonomialMap(p, images).apply(f)
+    except DomainError as exc:
+        assert str(exc) == "fractional power of a negative monomial"
+        assert image.coeff == -1
+        with pytest.raises(DomainError, match="^fractional power of a negative monomial$"):
+            f.substitute(var, image)
+        return
+    assert f.substitute(var, image) == expected
+
+
+def test_a_negative_image_flips_the_sign_of_odd_powers():
+    y = FracMonomial(Fraction(1), (normalize(0, 0, 2), normalize(1, 0, 2)))
+    assert _x((3, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (4, 0), -1)
+    assert _x((2, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (3, 0))
+    assert MonomialMap(2, (_MINUS_Y, y)).apply(_x((3, 0), (1, 0))) == _x((0, 0), (4, 0), -1)
