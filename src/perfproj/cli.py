@@ -250,6 +250,11 @@ def _run_blowup(args):
     if args.json:
         return {"p": args.p, "curve": f.render(),
                 "charts": [c.to_json_dict() for c in charts]}
+    return _blowup_lines(charts)
+
+
+def _blowup_lines(charts) -> list[str]:
+    """The table text of blow-up charts, four lines a chart."""
     lines = []
     for c in charts:
         lines.append(f"chart {c.chart}=1 ({c.relation}):")

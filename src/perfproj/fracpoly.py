@@ -275,15 +275,8 @@ class FracPoly:
         if self.is_zero:
             return "0"
         names = tuple(names) if names is not None else default_var_names(self.nvars)
-        out = []
-        for k, mon in enumerate(self.terms()):
-            c = mon.coeff
-            if k == 0:
-                prefix = "-" if c < 0 else ""
-            else:
-                prefix = " - " if c < 0 else " + "
-            out.append(prefix + _term_body(abs(c), mon.exps, names))
-        return "".join(out)
+        return _render_terms([(k, self._terms[k]) for k in sorted(self._terms, reverse=True)],
+                             names)
 
     def __str__(self) -> str:
         return self.render()
@@ -313,6 +306,18 @@ def _term_body(abs_coeff: Fraction, exps: ExpVector, names: Sequence[str]) -> st
     if not factors:
         return str(abs_coeff)
     return factors if abs_coeff == 1 else f"{abs_coeff}*{factors}"
+
+
+def _render_terms(items: Sequence[tuple[ExpVector, Fraction]], names: Sequence[str]) -> str:
+    """The text of a nonzero sum of (exps, coeff) terms given in rendering order."""
+    out = []
+    for k, (exps, c) in enumerate(items):
+        if k == 0:
+            prefix = "-" if c < 0 else ""
+        else:
+            prefix = " - " if c < 0 else " + "
+        out.append(prefix + _term_body(abs(c), exps, names))
+    return "".join(out)
 
 
 def monomial_string(exps: ExpVector, names: Sequence[str] | None = None) -> str:

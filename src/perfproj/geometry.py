@@ -6,18 +6,28 @@ blown-down variable, and read the fiber over the origin from the chart
 coordinate constraint left after sending the blown-down variable to zero.
 Exceptional sets are reported symbolically, as a constraint equation; root
 counting would depend on the ambient field, which is not modeled.
+
+The charts run on integer exponents at the curve's grade k (its largest
+denominator exponent): x**(a/p**k) * y**(b/p**k) is the pair (a, b), and the
+chart substitution sends it to (a+b, b) on the u-chart and to (a, a+b) on the
+v-chart.  Both maps are injective, so no terms merge.  The extracted power is
+the least a+b, the order of the curve, on either chart.  Exponents become
+PAdicFrac values only in the returned transformed curve, the extracted power
+and the rendered equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .braided import BraidedDim, LineBundle, hn_top
 from .enumeration import GradedPiece, _as_padic, count_h0_monomials, enumerate_h0_monomials
 from .errors import DomainError
-from .exponents import PAdicFrac, _require_prime
-from .fracpoly import FracMonomial, FracPoly, _exp_suffix, _substitute_vector, monomial_string
+from .exponents import PAdicFrac, _require_prime, normalize
+from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _render_terms, _substitute_vector,
+                       monomial_string)
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -140,52 +150,48 @@ class BlowupChart:
         return out
 
 
-def _equation(poly: FracPoly, names) -> str:
-    """Render poly = 0 as "<non-constant part> = <constant>"."""
-    const = poly.constant_term()
-    rest = FracPoly(poly.nvars, poly.prime,
-                    [(m.exps, m.coeff) for m in poly.terms() if any(e.num for e in m.exps)])
-    if rest.is_zero:
+def _equation(terms: dict, exp_at, names) -> str:
+    """Render sum(terms) = 0 as "<non-constant part> = <constant>".
+
+    terms maps integer exponent vectors at one grade to coefficients, and
+    exp_at turns such an integer into its exponent.
+    """
+    const = terms.get((0,) * len(names), Fraction(0))
+    rest = sorted((v for v in terms if any(v)), reverse=True)
+    if not rest:
         return f"{const} = 0"
-    rhs = -const
-    if rest.terms()[0].coeff < 0:
-        rest, rhs = -rest, -rhs
-    return f"{rest.render(names)} = {rhs}"
+    sign = -1 if terms[rest[0]] < 0 else 1
+    lhs = _render_terms([(tuple(map(exp_at, v)), sign * terms[v]) for v in rest], names)
+    return f"{lhs} = {-sign * const}"
 
 
-def _chart(F: FracPoly, chart: str) -> BlowupChart:
-    p = F.prime
-    one = PAdicFrac(1, 0, p)
+def _chart(F: dict, exp_at, p: int, chart: str) -> BlowupChart:
+    """One chart of the blow-up of F, {(a, b): coeff} at the grade of exp_at."""
+    order = min(a + b for a, b in F)  # the power of the blown-down variable extracted
     if chart == "u":
         # u = 1: y = x*v; slot 0 stays x, slot 1 becomes v
-        names = ("x", "v")
-        relation = "y = x*v"
-        sub_var, extract_var, coord_var = 1, 0, 1
+        names, relation, blown = ("x", "v"), "y = x*v", 0
+        cofactor = {(a + b - order, b): c for (a, b), c in F.items()}
     else:
         # v = 1: x = y*u; slot 0 becomes u, slot 1 stays y
-        names = ("u", "y")
-        relation = "x = y*u"
-        sub_var, extract_var, coord_var = 0, 1, 0
-    replacement = FracMonomial(Fraction(1), (one, one))
-    substituted = F.substitute(sub_var, replacement)
-    e, cofactor = substituted.extract_power(extract_var)
-    at_zero = cofactor.set_var_zero(extract_var)
-    constraint_1var = at_zero.restrict_to_var(coord_var)
-    coord_name = names[coord_var]
-    if constraint_1var.num_terms == 1 and constraint_1var.constant_term() != 0:
+        names, relation, blown = ("u", "y"), "x = y*u", 1
+        cofactor = {(a, a + b - order): c for (a, b), c in F.items()}
+    coord = 1 - blown
+    # the cofactor with the blown-down variable sent to zero, in the chart coordinate
+    fiber = {(v[coord],): c for v, c in cofactor.items() if not v[blown]}
+    if len(fiber) == 1 and (0,) in fiber:
         # every chart-coordinate term still carries a positive power of the
         # blown-down variable, so nothing survives the limit: empty fiber
-        witness = _equation(cofactor, names)
-        locus = ExceptionalLocus(True, witness)
+        locus = ExceptionalLocus(True, _equation(cofactor, exp_at, names))
     else:
-        equation = _equation(constraint_1var, (coord_name,))
         point = None
-        if constraint_1var.num_terms == 1 and constraint_1var.constant_term() == 0:
+        if len(fiber) == 1:
             # pure power of the chart coordinate: the fiber is the single
             # point with coordinate 0
             point = "(1:0)" if chart == "u" else "(0:1)"
-        locus = ExceptionalLocus(False, equation, point)
-    return BlowupChart(chart, relation, names, names[extract_var], e, cofactor, locus)
+        locus = ExceptionalLocus(False, _equation(fiber, exp_at, (names[coord],)), point)
+    transformed = FracPoly(2, p, [(tuple(map(exp_at, v)), c) for v, c in cofactor.items()])
+    return BlowupChart(chart, relation, names, names[blown], exp_at(order), transformed, locus)
 
 
 def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
@@ -199,23 +205,32 @@ def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
         raise DomainError("blow-up expects a plane curve in 2 variables")
     if F.is_zero:
         raise DomainError("zero polynomial rejected")
+    p, k = F.prime, F.max_pexp()
+    terms = {}
     for mon in F.terms():
-        for e in mon.exps:
-            if e.num < 0:
-                raise DomainError("curve exponents must be non-negative")
-    if F.constant_term() != 0:
+        ex, ey = mon.exps
+        if ex.num < 0 or ey.num < 0:
+            raise DomainError("curve exponents must be non-negative")
+        terms[ex.scaled(k), ey.scaled(k)] = mon.coeff
+    if (0, 0) in terms:
         raise DomainError("origin not on curve")
-    return _chart(F, "u"), _chart(F, "v")
+    exp_at = cache(lambda e: normalize(e, k, p))  # the exponent e / p**k
+    return _chart(terms, exp_at, p, "u"), _chart(terms, exp_at, p, "v")
 
 
 # -- blow-up of the affine plane: chart atlas ----------------------------------------
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """A monomial ring morphism: each source variable maps to one monomial."""
+    """A monomial ring morphism: each source variable maps to one monomial,
+    with coefficient +-1 as in FracPoly.substitute."""
 
     prime: int
     images: tuple[FracMonomial, ...]
+
+    def __post_init__(self):
+        if any(image.coeff not in (1, -1) for image in self.images):
+            raise DomainError("non-monomial replacement rejected: coefficient must be +-1")
 
     def apply_vector(self, exps) -> tuple[Fraction, tuple[PAdicFrac, ...]]:
         sign, out = _substitute_vector(exps, dict(enumerate(self.images)), self.prime)

@@ -45,6 +45,10 @@ polynomials in U**p**m, V**p**m, and k[U, V] is free of rank p**(2m) over
 k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
 colength of the ideal multiplies by that rank.  A curve against itself needs
 only (0, d), since mu is symmetric.
+
+Each curve is read once, into integer rows at its native grade.  The rows of
+a base entry are those rows with every exponent multiplied by p**s (p**t for
+G), built fresh for each entry because _mu consumes its rows.
 """
 
 from __future__ import annotations
@@ -60,12 +64,14 @@ from .fracpoly import FracPoly
 _FUEL = 100_000
 
 
-def _int_rows(f: FracPoly) -> dict[int, dict[int, int]]:
-    """f as integer rows by y-degree, y-exponent -> {x-exponent -> nonzero int}.
+def _int_rows(f: FracPoly, k: int = 0) -> dict[int, dict[int, int]]:
+    """f at grade k as integer rows by y-degree, y-exponent -> {x-exponent ->
+    nonzero int}: every exponent is multiplied by p**k.
 
-    f must be a nonzero plane curve with non-negative integer exponents; the
-    terms are checked in rendering order.  The coefficients are scaled by
-    the lcm of their denominators, which leaves the ideal of f unchanged.
+    f must be a nonzero plane curve with non-negative exponents whose
+    denominators divide p**k; the terms are checked in rendering order.  The
+    coefficients are scaled by the lcm of their denominators, which leaves
+    the ideal of f unchanged.
     """
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")
@@ -74,16 +80,22 @@ def _int_rows(f: FracPoly) -> dict[int, dict[int, int]]:
     rows: dict[int, dict] = {}
     for mon in f.terms():
         ex, ey = mon.exps
-        if not (ex.is_integer and ey.is_integer):
+        if ex.pexp > k or ey.pexp > k:
             raise DomainError("integer exponents required; rescale first")
         if ex.num < 0 or ey.num < 0:
             raise DomainError("curve exponents must be non-negative")
-        rows.setdefault(ey.num, {})[ex.num] = mon.coeff
+        rows.setdefault(ey.scaled(k), {})[ex.scaled(k)] = mon.coeff
     scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
     for row in rows.values():
         for a, c in row.items():
             row[a] = c.numerator * (scale // c.denominator)
     return rows
+
+
+def _scaled(rows: dict, q: int) -> dict:
+    """Fresh integer rows with every exponent multiplied by q: the curve
+    rescaled by X -> X**q, Y -> Y**q."""
+    return {b * q: {a * q: c for a, c in row.items()} for b, row in rows.items()}
 
 
 def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
@@ -310,18 +322,22 @@ def _common_component_through_origin(F: dict, G: dict) -> bool:
     return 0 not in _gcd(F, G).get(0, {})
 
 
+def _local(Fr: dict, Gr: dict):
+    """The multiplicity of two curves in integer rows (_int_rows); consumes them."""
+    if 0 in Fr.get(0, ()) or 0 in Gr.get(0, ()):
+        return 0
+    if _common_component_through_origin(Fr, Gr):
+        return INFINITE_RANK
+    return _mu(Fr, Gr, _FUEL)
+
+
 def local_multiplicity(F: FracPoly, G: FracPoly):
     """dim of the local ring at the origin modulo (F, G); +inf on a shared component.
 
     F and G must be nonzero polynomials in two variables with integer
     exponents and exact rational coefficients.
     """
-    Fr, Gr = _int_rows(F), _int_rows(G)
-    if 0 in Fr.get(0, ()) or 0 in Gr.get(0, ()):
-        return 0
-    if _common_component_through_origin(Fr, Gr):
-        return INFINITE_RANK
-    return _mu(Fr, Gr, _FUEL)
+    return _local(_int_rows(F), _int_rows(G))
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -422,6 +438,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     p = F.prime
     kF, kG = F.max_pexp(), G.max_pexp()
     k0 = max(kF, kG)
+    Fr, Gr = _int_rows(F, kF), _int_rows(G, kG)  # the curves at their native grades
 
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
     self_pair = F == G
@@ -433,8 +450,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
         if key not in base:
             try:
-                base[key] = local_multiplicity(
-                    F.rescale_to_grade(kF + key[0]), G.rescale_to_grade(kG + key[1]))
+                base[key] = _local(_scaled(Fr, p ** key[0]), _scaled(Gr, p ** key[1]))
             except FuelExhausted as exc:
                 raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
         value = base[key]

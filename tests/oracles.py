@@ -8,8 +8,9 @@ against something that cannot share their bugs.
 from fractions import Fraction
 from itertools import islice
 
-from perfproj import (ParseError, iter_h0_monomials, iter_hn_monomials,
-                      local_multiplicity, parse_poly)
+from perfproj import (FracMonomial, FracPoly, PAdicFrac, ParseError, iter_h0_monomials,
+                      iter_hn_monomials, local_multiplicity, parse_poly)
+from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -122,6 +123,11 @@ def curve_corpus(p: int = 2):
     return [parse_poly(text, 2, p) for text in CURVE_CORPUS_TEXT]
 
 
+def rooted_texts(p: int):
+    """Curves through the origin whose exponents need the denominator p."""
+    return [f"y - x^({p + 1}/{p})", f"y^(1/{p}) - x", f"x^(1/{p})*y - x^2"]
+
+
 def mixed_by_depth_brute(F, G, grades: int):
     """The mixed multiplicity matrices with every reachable entry computed
     directly: entry (a, b) of grade i is the multiplicity of F0 rescaled to
@@ -147,3 +153,44 @@ def mixed_by_depth_brute(F, G, grades: int):
                 mat[(a, b)] = seen[(s, t)]
         mixed.append(mat)
     return mixed
+
+
+def _fracpoly_equation(poly, names) -> str:
+    """poly = 0 as "<non-constant part> = <constant>", through FracPoly."""
+    const = poly.constant_term()
+    rest = FracPoly(poly.nvars, poly.prime,
+                    [(m.exps, m.coeff) for m in poly.terms() if any(e.num for e in m.exps)])
+    if rest.is_zero:
+        return f"{const} = 0"
+    rhs = -const
+    if rest.terms()[0].coeff < 0:
+        rest, rhs = -rest, -rhs
+    return f"{rest.render(names)} = {rhs}"
+
+
+def _fracpoly_chart(F, chart: str):
+    one = PAdicFrac(1, 0, F.prime)
+    if chart == "u":
+        names, relation, sub_var, extract_var, coord_var = ("x", "v"), "y = x*v", 1, 0, 1
+    else:
+        names, relation, sub_var, extract_var, coord_var = ("u", "y"), "x = y*u", 0, 1, 0
+    substituted = F.substitute(sub_var, FracMonomial(Fraction(1), (one, one)))
+    e, cofactor = substituted.extract_power(extract_var)
+    constraint = cofactor.set_var_zero(extract_var).restrict_to_var(coord_var)
+    if constraint.num_terms == 1 and constraint.constant_term() != 0:
+        locus = ExceptionalLocus(True, _fracpoly_equation(cofactor, names))
+    else:
+        point = None
+        if constraint.num_terms == 1:
+            point = "(1:0)" if chart == "u" else "(0:1)"
+        locus = ExceptionalLocus(False, _fracpoly_equation(constraint, (names[coord_var],)),
+                                 point)
+    return BlowupChart(chart, relation, names, names[extract_var], e, cofactor, locus)
+
+
+def fracpoly_blowup_charts(F):
+    """The two blow-up charts of a plane curve F through the origin, every step
+    a FracPoly operation: substitute the chart relation, extract the power of
+    the blown-down variable, set it to zero and restrict to the chart
+    coordinate.  The curve is not checked."""
+    return _fracpoly_chart(F, "u"), _fracpoly_chart(F, "v")

@@ -13,7 +13,7 @@ from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
-from oracles import fraction_table_cell
+from oracles import CURVE_CORPUS_TEXT, fraction_table_cell, rooted_texts
 
 
 def invoke(argv):
@@ -551,3 +551,26 @@ def test_every_argv_ends_in_the_exit_contract(command, data):
         payload = json.loads(out)
         if code:
             assert payload["error"]["category"] == kind
+
+
+# mult and blowup over the curve corpus, as the FracPoly-per-entry code printed them
+_CURVES_SHA256 = "6fe086ce3bf6f163131cb456852f543ce4e2e8841603f2164bc7b71c4cbb261f"
+
+
+def _curve_requests():
+    for f in CURVE_CORPUS_TEXT:
+        for g in CURVE_CORPUS_TEXT:
+            argv = ["mult", "--f", f, "--g", g, "--p", "2", "--grades", "2"]
+            yield argv
+            yield argv + ["--json"]
+    for f in CURVE_CORPUS_TEXT + rooted_texts(2):
+        argv = ["blowup", "--f", f, "--p", "2"]
+        yield argv
+        yield argv + ["--json"]
+
+
+def test_curve_commands_print_the_pinned_output():
+    digest = hashlib.sha256()
+    for argv in _curve_requests():
+        digest.update(json.dumps(invoke(argv)).encode() + b"\n")
+    assert digest.hexdigest() == _CURVES_SHA256

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_compositions
+from oracles import count_compositions, fracpoly_blowup_charts
+
+from perfproj.cli import _blowup_lines
 
 from perfproj import (
     DomainError,
@@ -229,3 +231,58 @@ def test_a_negative_image_flips_the_sign_of_odd_powers():
     assert _x((3, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (4, 0), -1)
     assert _x((2, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (3, 0))
     assert MonomialMap(2, (_MINUS_Y, y)).apply(_x((3, 0), (1, 0))) == _x((0, 0), (4, 0), -1)
+
+
+def test_monomial_map_rejects_a_coefficient_other_than_a_sign():
+    # x -> 2*x would send x^2*y to 4*x^2*y, which apply() cannot express
+    zero, one = normalize(0, 0, 2), normalize(1, 0, 2)
+    double_x = FracMonomial(Fraction(2), (one, zero))
+    y = FracMonomial(Fraction(1), (zero, one))
+    message = "^non-monomial replacement rejected: coefficient must be \\+-1$"
+    with pytest.raises(DomainError, match=message):
+        MonomialMap(2, (double_x, y))
+    with pytest.raises(DomainError, match=message):
+        parse_poly("x^2*y", 2, 2).substitute(0, double_x)
+
+
+@st.composite
+def _curve_through_origin(draw):
+    """1-4 terms with non-negative exponents of denominator up to p**2, no constant."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    exponent = st.builds(normalize, st.integers(0, 7), st.integers(0, 2), st.just(p))
+    exps = st.tuples(exponent, exponent).filter(lambda v: not (v[0].is_zero and v[1].is_zero))
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    F = FracPoly(2, p, draw(st.lists(st.tuples(exps, coeff), min_size=1, max_size=4)))
+    assume(not F.is_zero)
+    return F
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curve_through_origin())
+@example(parse_poly("y - x^(3/2)", 2, 2))  # a point fiber and an empty one
+@example(parse_poly("x^2", 2, 3))  # empty fiber with witness 1 = 0
+@example(parse_poly("y^(2/9) - 1/2*x^(4/3) + x*y", 2, 3))
+@example(parse_poly("-y^(1/25) - x^(2/5) + 3*x^(1/5)", 2, 5))
+@example(parse_poly("x*y - 2/3*x^(1/5)*y^(4/5)", 2, 5))
+@example(parse_poly("y - 2*x + x^(1/2)*y", 2, 2))  # fibers with a constant and more
+@example(parse_poly("y^(2/3) - x^(2/3) + 1/2*x^(1/3)*y^(1/3)", 2, 3))
+def test_blowup_charts_match_the_fracpoly_chain(F):
+    charts = blowup_origin(F)
+    expected = fracpoly_blowup_charts(F)
+    assert [c.to_json_dict() for c in charts] == [c.to_json_dict() for c in expected]
+    assert _blowup_lines(charts) == _blowup_lines(expected)
+    for chart, want in zip(charts, expected):
+        assert (chart.power_extracted, chart.transformed) == (want.power_extracted,
+                                                                want.transformed)
+
+
+def test_blowup_builds_no_fracpoly_per_chart_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a FracPoly chart step ran")
+
+    for name in ("substitute", "extract_power", "set_var_zero", "restrict_to_var"):
+        monkeypatch.setattr(FracPoly, name, refuse)
+    for text, p in [("y - x^(3/2)", 2), ("x^2", 3), ("y^(1/4) - x^(1/4) + x^(1/2)", 2),
+                    ("y^2 - x^2 - x^3", 5)]:
+        u, v = blowup_origin(parse_poly(text, 2, p))
+        assert u.chart == "u" and v.chart == "v"

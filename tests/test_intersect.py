@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute
+from oracles import CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute, rooted_texts
 
 import perfproj.intersect as intersect_mod
 from perfproj import (
@@ -27,6 +27,7 @@ from perfproj.intersect import (
     _common_component_through_origin,
     _coprime_mod_ell,
     _int_rows,
+    _scaled,
 )
 
 
@@ -308,13 +309,13 @@ def test_x_power_rule_matches_oracle():
 
 def _counting_local_calls(monkeypatch):
     calls = []
-    inner = intersect_mod.local_multiplicity
+    inner = intersect_mod._local
 
-    def counted(F, G):
-        calls.append((F, G))
-        return inner(F, G)
+    def counted(Fr, Gr):
+        calls.append((Fr, Gr))
+        return inner(Fr, Gr)
 
-    monkeypatch.setattr(intersect_mod, "local_multiplicity", counted)
+    monkeypatch.setattr(intersect_mod, "_local", counted)
     return calls
 
 
@@ -339,10 +340,6 @@ def test_base_entry_count(monkeypatch, text_f, text_g, p):
         assert len(calls) <= (grades + 1 if text_f == text_g else 2 * grades + 1)
 
 
-def _rooted_texts(p):
-    return [f"y - x^({p + 1}/{p})", f"y^(1/{p}) - x", f"x^(1/{p})*y - x^2"]
-
-
 @st.composite
 def _mult_pair(draw):
     p = draw(st.sampled_from([2, 3]))
@@ -351,7 +348,7 @@ def _mult_pair(draw):
     # node y^2 - x^2 - x^3, and a shared factor y + x^2 times the node
     # against itself at p = 2, grade 2 (with y - x^2 every pair here is fast)
     grades = draw(st.integers(1, 3 if p == 2 else 2))
-    texts = CURVE_CORPUS_TEXT + _rooted_texts(p)
+    texts = CURVE_CORPUS_TEXT + rooted_texts(p)
     F = parse_poly(draw(st.sampled_from(texts)), 2, p)
     G = F if draw(st.booleans()) else parse_poly(draw(st.sampled_from(texts)), 2, p)
     shared = draw(st.sampled_from([None, "y - x", "y^2 - x^3", "x", "y - x^2"]))
@@ -359,6 +356,29 @@ def _mult_pair(draw):
         H = parse_poly(shared, 2, p)
         F, G = H * F, H * G
     return F, G, grades
+
+
+@pytest.mark.parametrize("text_f,text_g,p", [
+    ("y^2 - x^3", "y^3 - x^2 + x*y", 3), ("y - x^(3/2)", "x", 2),
+    ("y^(1/2) - x", "x^(1/4)*y - 1/3*x^2", 2), ("y - x^2", "y - x^2", 2),
+])
+def test_base_entries_rescale_each_curve_at_most_once(monkeypatch, text_f, text_g, p):
+    calls = []
+    rescale = FracPoly.rescale_to_grade
+
+    def counted(self, i):
+        calls.append(self)
+        return rescale(self, i)
+
+    monkeypatch.setattr(FracPoly, "rescale_to_grade", counted)
+    F, G = parse_poly(text_f, 2, p), parse_poly(text_g, 2, p)
+    braided_multiplicity(F, G, 3)
+    assert len(calls) == len({id(curve) for curve in calls}) <= 2
+    # a base entry's rows are the native rows with every exponent scaled
+    for curve in (F, G):
+        k = curve.max_pexp()
+        for s in range(3):
+            assert _scaled(_int_rows(curve, k), p**s) == _int_rows(rescale(curve, k + s))
 
 
 @settings(max_examples=60, deadline=None)
