@@ -9,9 +9,10 @@ two independent ways: the sign case analysis (classify_weight) and exact
 fraction-free integer elimination on the +-1 incidence matrices
 (cohomology_ranks).  verify_theorems runs both for every weight of the
 requested degrees, once per sign mask since both depend only on it, and
-cross-checks the totals against the closed forms.  The weights of a mask
-are counted in closed form from its number of negative entries, so no
-weight is visited unless a mask's two profiles disagree.
+cross-checks the totals against the closed forms.  The exact ranks depend
+only on the number of negative entries, so they are computed once per
+count; the weights of a mask are counted in closed form from that number,
+so no weight is visited unless a mask's two profiles disagree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .enumeration import _as_padic, count_h0_monomials, count_hn_monomials
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime, normalize
 
-_MAX_N = 6  # spot count is 2**(n+1); keep matrices desk-scale
+_MAX_N = 6  # spot count 2**(n+1), at most n + 2 ranked complexes per n; desk-scale
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,17 @@ def _build_from_mask(n: int, neg_mask: int, weight: WeightVector | None) -> Cech
 
 
 def _check_square_zero(c: CechComplex) -> None:
-    for k in range(len(c.differentials) - 1):
-        a, b = c.differentials[k], c.differentials[k + 1]
-        if not a or not b:
-            continue
+    """Raise unless every d_{k+1} d_k is zero, summing over nonzero entries only:
+    a row of an incidence matrix has at most n + 1 of them."""
+    sparse = [[[(j, v) for j, v in enumerate(row) if v] for row in d] for d in c.differentials]
+    for a, b in zip(sparse, sparse[1:]):
         for row in b:
-            for col in range(len(a[0])):
-                if sum(row[i] * a[i][col] for i in range(len(a))):
-                    raise AssertionError("d o d != 0 in constructed complex")
+            product: dict[int, int] = {}
+            for i, u in row:
+                for j, v in a[i]:
+                    product[j] = product.get(j, 0) + u * v
+            if any(product.values()):
+                raise AssertionError("d o d != 0 in constructed complex")
 
 
 def build_complex(w: WeightVector, n: int) -> CechComplex:
@@ -184,7 +188,19 @@ def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _ranks_for_mask(n: int, neg_mask: int) -> tuple[int, ...]:
-    # the complex depends only on the set of negative positions
+    """Exact ranks of the complex of a negative mask S, computed once per
+    count k = |S|.
+
+    A permutation of the coordinates sending S to {0, ..., k-1} maps the
+    spots (the index sets containing S) onto those of the mask (1 << k) - 1
+    and keeps the face relation.  The incidence sign of (T, T - t) changes
+    by e(T) e(T - t), e(T) the sign of sorting the image of T: a diagonal
+    +-1 change of basis.  The complexes are isomorphic, so every other mask
+    reads the ranks of its canonical mask from this cache.
+    """
+    canonical = (1 << neg_mask.bit_count()) - 1
+    if neg_mask != canonical:
+        return _ranks_for_mask(n, canonical)
     return cohomology_ranks(_build_from_mask(n, neg_mask, None))
 
 
@@ -286,9 +302,10 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     all-negative vectors of the degree), so the per-degree totals are exact
     and must equal the closed forms, with zero middle cohomology.  Both
     profiles depend only on a weight's negative mask, so each mask is checked
-    once and its weights are counted in closed form from its number of
-    negative entries.  No weight is visited unless a mask mismatches: only
-    then is the box walked, in order, to list the counterexamples.
+    once; its exact ranks are computed once per number of negative entries,
+    and its weights are counted in closed form from that number.  No weight
+    is visited unless a mask mismatches: only then is the box walked, in
+    order, to list the counterexamples.
     """
     _require_prime(p)
     if n < 1:

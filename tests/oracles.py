@@ -75,6 +75,19 @@ def rational_rank(rows) -> int:
     return rank
 
 
+def dense_square_zero(c) -> bool:
+    """Whether every product d_{k+1} d_k of a Cech complex is zero, each entry
+    of the product summed over the full inner dimension."""
+    for a, b in zip(c.differentials, c.differentials[1:]):
+        if not a or not b:
+            continue
+        for row in b:
+            for col in range(len(a[0])):
+                if sum(row[i] * a[i][col] for i in range(len(a))):
+                    return False
+    return True
+
+
 def tokenize_by_characters(text: str) -> list[tuple[str, str, int]]:
     """Curve-text tokens by a character loop, as the tokenizer read them before
     it became one regular expression; it takes every str.isdigit character

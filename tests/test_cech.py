@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_rank
+from oracles import dense_square_zero, rational_rank
 
 from perfproj import (
     DomainError,
@@ -19,7 +20,9 @@ from perfproj import (
     enumerate_hn_monomials,
     verify_theorems,
 )
-from perfproj.cech import _build_from_mask, _check_square_zero, _int_rank
+import perfproj.cech as cech_mod
+from perfproj.cech import _build_from_mask, _check_square_zero, _int_rank, _ranks_for_mask
+from perfproj.cli import run
 from perfproj.exponents import PAdicFrac, normalize
 
 
@@ -159,6 +162,70 @@ def test_check_square_zero_rejects_a_flipped_sign():
                             _check_square_zero(c)
                         row[col] = v
         _check_square_zero(c)
+
+
+def test_ranks_depend_only_on_the_count_of_negative_entries():
+    # the per-mask elimination the cache skips, kept here as the oracle
+    for n in range(1, 7):
+        for mask in range(1 << (n + 1)):
+            c = _build_from_mask(n, mask, None)
+            _check_square_zero(c)
+            assert _ranks_for_mask(n, mask) == cohomology_ranks(c), (n, mask)
+
+
+def _count_builds(monkeypatch, call):
+    """(complexes built, distinct negative-entry counts of the masks checked)
+    while call() runs on an empty rank cache."""
+    built, counts = [], set()
+    build, classify = cech_mod._build_from_mask, cech_mod._classify_mask
+
+    def counting_build(n, mask, weight):
+        built.append(mask)
+        return build(n, mask, weight)
+
+    def recording_classify(n, mask):
+        counts.add(mask.bit_count())
+        return classify(n, mask)
+
+    monkeypatch.setattr(cech_mod, "_build_from_mask", counting_build)
+    monkeypatch.setattr(cech_mod, "_classify_mask", recording_classify)
+    _ranks_for_mask.cache_clear()
+    call()
+    return len(built), len(counts)
+
+
+def test_one_complex_per_count_of_negative_entries(monkeypatch):
+    # no weight of degree -3 has all seven entries negative: counts 0..6
+    assert _count_builds(monkeypatch, lambda: verify_theorems(6, [-3, 0, 2], 1, 2)) == (7, 7)
+    # degree -8 adds the all-negative mask: all n + 2 counts, of 2**(n+1) masks
+    argv = ["cech-check", "--n", "6", "--degrees=-8,0,2", "--i", "1", "--p", "2", "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    assert _count_builds(monkeypatch, lambda: run(argv, out, err)) == (8, 8)
+    assert json.loads(out.getvalue())["ok"] is True
+
+
+@st.composite
+def edited_complexes(draw):
+    """A Cech complex for n <= 4 and any mask, with at most one differential
+    entry changed: a sign flipped, zeroed, set to +-2, or +-1 put in a zero."""
+    n = draw(st.integers(1, 4))
+    c = _build_from_mask(n, draw(st.integers(0, (1 << (n + 1)) - 1)), None)
+    entries = [(row, col) for d in c.differentials for row in d for col in range(len(row))]
+    if entries:
+        row, col = draw(st.sampled_from(entries))
+        v = row[col]
+        row[col] = draw(st.sampled_from([-v, 0, 2, -2] if v else [1, -1]))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_complexes())
+def test_sparse_square_zero_check_equals_the_dense_product(c):
+    if dense_square_zero(c):
+        _check_square_zero(c)
+    else:
+        with pytest.raises(AssertionError, match="d o d"):
+            _check_square_zero(c)
 
 
 @st.composite

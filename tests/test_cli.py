@@ -574,3 +574,31 @@ def test_curve_commands_print_the_pinned_output():
     for argv in _curve_requests():
         digest.update(json.dumps(invoke(argv)).encode() + b"\n")
     assert digest.hexdigest() == _CURVES_SHA256
+
+
+# cech-check over n = 1..6, p in {2, 3, 5}, i = 0..2 and an integer and a
+# fractional degree list, in both modes, as the once-per-sign-mask ranks printed it
+_CECH_SHA256 = "f64b28a868cf3a115522c9043b2df5cd5e4ef8c223f9e4b79011d28b9256a611"
+
+
+def _cech_requests():
+    for n in range(1, 7):
+        for p in (2, 3, 5):
+            for i in range(3):
+                for degrees in ("-3,-1,0,2,5", f"-1/{p},2/{p}"):
+                    argv = ["cech-check", "--n", str(n), f"--degrees={degrees}",
+                            "--i", str(i), "--p", str(p)]
+                    yield argv
+                    yield argv + ["--json"]
+
+
+def test_cech_check_prints_the_pinned_output():
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _cech_requests():
+        result = invoke(argv)
+        codes.append(result[0])
+        digest.update(json.dumps(result).encode() + b"\n")
+    # the fractional list needs grade >= 1: its 36 runs at i = 0 exit 1
+    assert (len(codes), codes.count(1)) == (216, 36)
+    assert digest.hexdigest() == _CECH_SHA256
