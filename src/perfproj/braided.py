@@ -288,6 +288,16 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
     for t in list(hA) + list(hB):
         if t.prime != prime:
             raise DomainError("mixed primes in kunneth inputs")
+
+    def read_once(t: BraidedDim) -> BraidedDim:
+        # the same tuple with labels offset..grades-1 read now, once: every
+        # product below reads them again
+        if t._generator is None:
+            return t
+        return BraidedDim(t.prime, t.offset, t.window(t.offset, grades - t.offset),
+                          t._generator, t.generator_desc, t.length)
+
+    hA, hB = [read_once(t) for t in hA], [read_once(t) for t in hB]
     out = []
     for i in range(len(hA) + len(hB) - 1):
         acc = BraidedDim.zeros(prime, grades)

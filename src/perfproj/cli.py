@@ -5,6 +5,11 @@ timestamps, fixed ordering.  Exit codes: 0 success, 1 usage error (bad
 flags, grammar, preconditions), 2 computation diagnostic.  With --json the
 payload, success or failure, is a single JSON document on stdout; errors
 additionally print one machine-parsable line on stderr.
+
+A well-formed argument list is read straight from the flag table, _FLAGS;
+the argparse tree built from the same table parses only the rest, so help
+and usage errors still read as argparse writes them.  --help shows this
+docstring up to this last paragraph.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from . import braided, cech, geometry, intersect
 from .braided import LineBundle, bundle_cohomology, kunneth
@@ -23,9 +29,6 @@ from .enumeration import _scaled_vectors
 from .errors import ComputationDiagnostic, DomainError, ParseError
 from .exponents import PAdicFrac
 from .fracpoly import parse as parse_poly
-
-_SUBCOMMANDS = ("h0", "hn", "euler", "bezout-line", "bezout-chi", "kunneth",
-                "veronese", "mult", "blowup", "cech-check")
 
 
 class _UsageError(Exception):
@@ -50,6 +53,15 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
 
+    # argparse drops the "--" of --flag=-- and stores an empty list, which no
+    # flag takes: it is a flag without its value
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument --{name}: expected one argument")
+        return parsed
+
 
 def _int_arg(text: str) -> int:
     """int(text) for ASCII text only: int() also reads other scripts' digits,
@@ -72,72 +84,112 @@ def _fraction_arg(text: str) -> Fraction:
     raise _UsageError(f"not a rational number: {text!r}")
 
 
+class _Flag(NamedTuple):
+    """One subcommand flag, spelled --name.  convert reads its value (str for
+    text); a flag without a converter is a bare switch.  A flag without a
+    default must be given."""
+
+    name: str
+    convert: Callable[[str], object] | None
+    default: object = None
+    help: str | None = None
+
+
+_N = _Flag("n", _int_arg)
+_COMMON = (
+    _Flag("p", _int_arg, help="ambient prime"),
+    _Flag("grades", _int_arg, 4, "grade horizon (default 4)"),
+    _Flag("json", None, False, "JSON output"),
+    _Flag("reduced", None, False, "count only exact-denominator monomials"),
+)
+_H0_FLAGS = (_N, _Flag("deg", _fraction_arg,
+                       help="degree, e.g. 2 or -5/3 (use --deg=-5/3)"))
+
+# every flag of every subcommand, in the order --help lists them
+_FLAGS = {command: flags + _COMMON for command, flags in {
+    "h0": _H0_FLAGS,
+    "hn": _H0_FLAGS,
+    "euler": _H0_FLAGS,
+    "bezout-line": (_Flag("s", _fraction_arg), _Flag("t", _fraction_arg)),
+    "bezout-chi": (_Flag("d", _fraction_arg), _Flag("degf", _int_arg),
+                   _Flag("degg", _int_arg)),
+    "kunneth": (_N, _Flag("m", _int_arg), _Flag("a", _fraction_arg),
+                _Flag("b", _fraction_arg)),
+    "veronese": (_N, _Flag("d", _int_arg)),
+    "mult": (_Flag("f", str, help="curve F in x, y"),
+             _Flag("g", str, help="curve G in x, y")),
+    "blowup": (_Flag("f", str, help="curve through the origin in x, y"),),
+    "cech-check": (_N, _Flag("degrees", str,
+                             help="comma-separated degrees, e.g. --degrees=-3,-1,2"),
+                   _Flag("i", _int_arg, help="max denominator exponent of the weights")),
+}.items()}
+_SUBCOMMANDS = tuple(_FLAGS)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser tree, built on the first run() and shared by later calls.
+    """The parser tree of _FLAGS, built on the first run() that needs it and
+    shared by later calls.
 
     Parsing leaves no state on it: every parse makes a fresh Namespace, and
     errors and help raise instead of printing or exiting.
     """
-    top = _Parser(prog="perfproj", description=__doc__)
+    top = _Parser(prog="perfproj", description=__doc__.rpartition("\n\n")[0])
     sub = top.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
-
-    def common(sp):
-        sp.add_argument("--p", type=_int_arg, required=True, help="ambient prime")
-        sp.add_argument("--grades", type=_int_arg, default=4,
-                        help="grade horizon (default 4)")
-        sp.add_argument("--json", action="store_true", help="JSON output")
-        sp.add_argument("--reduced", action="store_true",
-                        help="count only exact-denominator monomials")
-
-    for name in ("h0", "hn", "euler"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--n", type=_int_arg, required=True)
-        sp.add_argument("--deg", type=_fraction_arg, required=True,
-                        help="degree, e.g. 2 or -5/3 (use --deg=-5/3)")
-        common(sp)
-
-    sp = sub.add_parser("bezout-line")
-    sp.add_argument("--s", type=_fraction_arg, required=True)
-    sp.add_argument("--t", type=_fraction_arg, required=True)
-    common(sp)
-
-    sp = sub.add_parser("bezout-chi")
-    sp.add_argument("--d", type=_fraction_arg, required=True)
-    sp.add_argument("--degf", type=_int_arg, required=True)
-    sp.add_argument("--degg", type=_int_arg, required=True)
-    common(sp)
-
-    sp = sub.add_parser("kunneth")
-    sp.add_argument("--n", type=_int_arg, required=True)
-    sp.add_argument("--m", type=_int_arg, required=True)
-    sp.add_argument("--a", type=_fraction_arg, required=True)
-    sp.add_argument("--b", type=_fraction_arg, required=True)
-    common(sp)
-
-    sp = sub.add_parser("veronese")
-    sp.add_argument("--n", type=_int_arg, required=True)
-    sp.add_argument("--d", type=_int_arg, required=True)
-    common(sp)
-
-    sp = sub.add_parser("mult")
-    sp.add_argument("--f", required=True, help="curve F in x, y")
-    sp.add_argument("--g", required=True, help="curve G in x, y")
-    common(sp)
-
-    sp = sub.add_parser("blowup")
-    sp.add_argument("--f", required=True, help="curve through the origin in x, y")
-    common(sp)
-
-    sp = sub.add_parser("cech-check")
-    sp.add_argument("--n", type=_int_arg, required=True)
-    sp.add_argument("--degrees", required=True,
-                    help="comma-separated degrees, e.g. --degrees=-3,-1,2")
-    sp.add_argument("--i", type=_int_arg, required=True,
-                    help="max denominator exponent of the weights")
-    common(sp)
-
+    for command, flags in _FLAGS.items():
+        sp = sub.add_parser(command)
+        for flag in flags:
+            if flag.convert is None:
+                sp.add_argument(f"--{flag.name}", action="store_true", help=flag.help)
+            else:
+                sp.add_argument(f"--{flag.name}", type=flag.convert,
+                                required=flag.default is None, default=flag.default,
+                                help=flag.help)
     return top
+
+
+def _fast_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv, read from _FLAGS
+    without building the parser; None for any other argv.
+
+    Well-formed: the subcommand first, then each of its flags at most once,
+    as --flag=value or as --flag value where value does not start with "-",
+    switches bare, every flag without a default present and every value
+    converted.  Anything else, such as --, -h, a repeated, unknown or
+    abbreviated flag, a stray token or a value that does not convert, is left
+    to argparse, which alone writes help and usage errors.
+    """
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = {f"--{flag.name}": flag for flag in _FLAGS[argv[0]]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        flag = flags.get(option)
+        if flag is None or flag.name in given:
+            return None
+        if flag.convert is None:
+            if eq:
+                return None
+            given[flag.name] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # no value left declines too
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse reads --flag=-- as a missing value
+            return None
+        try:
+            given[flag.name] = flag.convert(value)
+        except (argparse.ArgumentTypeError, _UsageError):
+            return None
+    for flag in flags.values():
+        if flag.name not in given:
+            if flag.default is None:
+                return None
+            given[flag.name] = flag.default
+    return argparse.Namespace(command=argv[0], **given)
 
 
 # -- table helpers -----------------------------------------------------------------
@@ -308,7 +360,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     json_mode = "--json" in argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _fast_args(argv) or _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
         if args.grades < 1:

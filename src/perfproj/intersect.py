@@ -468,6 +468,5 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     # entry(0, 0): the classical multiplicity of F and G at their native grades
     classical = entry(0, 0)
     diagonal = BraidedDim(p, k0, generator=lambda label: classical,
-                          generator_desc=f"mult({F.render()};{G.render()})",
                           length=max(0, grades + 1 - k0))
     return MultiplicityTuple(p, diagonal, mixed)

@@ -8,8 +8,9 @@ against something that cannot share their bugs.
 from fractions import Fraction
 from itertools import islice
 
-from perfproj import (FracMonomial, FracPoly, PAdicFrac, ParseError, iter_h0_monomials,
-                      iter_hn_monomials, local_multiplicity, parse_poly)
+from perfproj import (BraidedDim, DomainError, FracMonomial, FracPoly, HorizonError,
+                      PAdicFrac, ParseError, iter_h0_monomials, iter_hn_monomials,
+                      local_multiplicity, parse_poly)
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
@@ -207,3 +208,27 @@ def fracpoly_blowup_charts(F):
     the blown-down variable, set it to zero and restrict to the chart
     coordinate.  The curve is not checked."""
     return _fracpoly_chart(F, "u"), _fracpoly_chart(F, "v")
+
+
+def kunneth_lazy(hA, hB, grades: int):
+    """braided.kunneth as it was before it read each factor once: index i is
+    the lazy sum over j of hA[j] * hB[i-j], every output read reading each
+    factor again."""
+    if not hA or not hB:
+        raise DomainError("empty cohomology list")
+    prime = hA[0].prime
+    for t in list(hA) + list(hB):
+        if t.prime != prime:
+            raise DomainError("mixed primes in kunneth inputs")
+    out = []
+    for i in range(len(hA) + len(hB) - 1):
+        acc = BraidedDim.zeros(prime, grades)
+        for j in range(len(hA)):
+            if 0 <= i - j < len(hB):
+                try:
+                    acc = acc + hA[j] * hB[i - j]
+                except HorizonError as exc:
+                    raise HorizonError(f"grade horizon mismatch: {exc}") from exc
+        out.append(BraidedDim(prime, 0, acc._values[:grades], acc._generator,
+                              acc.generator_desc, length=grades))
+    return out

@@ -1,16 +1,20 @@
 """Text input is read with ASCII digits only: no module of src/perfproj names
 str.isdigit, str.isdecimal or str.isnumeric, and no command-line flag is read
-by int(), float() or Fraction() directly.  Each accepts hundreds of non-ASCII
-digits, which int() then either rejects with a traceback or reads silently as
-numbers."""
+by int(), float() or Fraction() directly, neither in an add_argument call nor
+in the flag table cli._FLAGS that the parser is built from.  Each accepts
+hundreds of non-ASCII digits, which int() then either rejects with a
+traceback or reads silently as numbers."""
 
+import argparse
 import ast
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import perfproj.cli as cli
 from perfproj.cli import run
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "perfproj"
@@ -75,6 +79,37 @@ def test_a_builtin_number_flag_is_reported(tmp_path):
                       "sp.add_option('--e', type=int)\n")
     assert _builtin_number_flags(module) == [
         "m.py:2: type=int", "m.py:4: type=Fraction", "m.py:6: type=float"]
+
+
+def _builtin_number_table_flags(table) -> list[str]:
+    """Each flag of a {command: flags} table like cli._FLAGS that int, float or
+    Fraction converts, as "command --name: convert=name"."""
+    return [f"{command} --{flag.name}: convert={flag.convert.__name__}"
+            for command, flags in table.items() for flag in flags
+            if flag.convert in (int, float, Fraction)]
+
+
+def test_no_table_flag_is_read_by_a_builtin_number_type():
+    assert _builtin_number_table_flags(cli._FLAGS) == []
+    # a number flag reads ASCII digits only; the rest are text or switches
+    converters = {flag.convert for flags in cli._FLAGS.values() for flag in flags}
+    assert converters == {cli._int_arg, cli._fraction_arg, str, None}
+    # and argparse converts each flag as the table says
+    (subcommands,) = [action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == list(cli._FLAGS)
+    for command, parser in subcommands.choices.items():
+        assert [(action.dest, action.type) for action in parser._actions[1:]] == [
+            (flag.name, flag.convert) for flag in cli._FLAGS[command]]
+
+
+def test_a_builtin_number_table_flag_is_reported():
+    table = {"h0": (cli._Flag("n", int), cli._Flag("deg", Fraction),
+                    cli._Flag("p", cli._int_arg)),
+             "mult": (cli._Flag("f", str), cli._Flag("x", float),
+                      cli._Flag("json", None, False))}
+    assert _builtin_number_table_flags(table) == [
+        "h0 --n: convert=int", "h0 --deg: convert=Fraction", "mult --x: convert=float"]
 
 
 def _invoke(argv):

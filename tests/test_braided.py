@@ -3,8 +3,10 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import count_compositions
+from oracles import count_compositions, kunneth_lazy
 
 from perfproj import (
     INFINITE_RANK,
@@ -228,6 +230,41 @@ def test_kunneth_symmetry():
             left = kunneth(hA, hB, 3)
             right = kunneth(hB, hA, 3)
             assert [d.window(0, 3) for d in left] == [d.window(0, 3) for d in right]
+
+
+def _cohomology(n, num, k, p, grades):
+    return bundle_cohomology(LineBundle(n, normalize(num, k, p)), grades)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3), m=st.integers(1, 3),
+       a=st.integers(-4, 4), b=st.integers(-4, 4), ka=st.integers(0, 3),
+       kb=st.integers(0, 3), grades=st.integers(1, 4))
+def test_kunneth_matches_the_lazy_sum(p, n, m, a, b, ka, kb, grades):
+    args = (_cohomology(n, a, ka, p, grades), _cohomology(m, b, kb, p, grades), grades)
+    got, want = kunneth(*args), kunneth_lazy(*args)
+    assert [d.to_json_dict() for d in got] == [d.to_json_dict() for d in want]
+    # past the reported grades too
+    assert [d.window(0, grades + 2) for d in got] == [d.window(0, grades + 2) for d in want]
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (-2, 2), (-4, -1)])
+def test_kunneth_reads_each_factor_grade_once(monkeypatch, a, b):
+    import perfproj.braided as braided
+
+    calls = []
+    for name in ("count_h0_monomials", "count_hn_monomials"):
+        real = getattr(braided, name)
+        monkeypatch.setattr(braided, name,
+                            lambda *args, _real=real, **kwargs: calls.append(args)
+                            or _real(*args, **kwargs))
+    hA, hB = _cohomology(2, a, 1, 3, 4), _cohomology(1, b, 0, 3, 4)
+    for dim in kunneth(hA, hB, 4):
+        dim.grades_list()
+    # one nonzero generator per factor (h0 or hn), read once at each label
+    # from its offset (1 for a/3, 0 for b) to 3
+    assert sorted(calls) == sorted({args for args in calls})
+    assert len(calls) == (4 - 1) + 4
 
 
 def test_kunneth_horizon_mismatch():

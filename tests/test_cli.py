@@ -3,9 +3,10 @@ import io
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import perfproj.cli as cli_mod
@@ -378,6 +379,22 @@ def test_abbreviated_flags_are_usage_errors(argv):
     assert err.startswith("error: usage: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["mult", "--f=--", "--g", "y", "--p", "2"],
+    ["h0", "--n=--", "--deg", "1", "--p", "3"],
+    ["cech-check", "--n", "1", "--degrees=--", "--i", "1", "--p", "2"],
+    ["h0", "--n", "1", "--deg", "1", "--p", "3", "--grades=--"],
+])
+def test_a_flag_given_as_dashdash_is_a_usage_error(argv):
+    # argparse drops the "--" of --flag=-- and stored an empty list, which
+    # then ended in a traceback
+    flag = next(token for token in argv if token.endswith("=--")).removesuffix("=--")
+    message = f"argument {flag}: expected one argument"
+    assert invoke(argv + ["--json"]) == (
+        1, json.dumps({"error": {"category": "usage", "message": message}}) + "\n",
+        f"error: usage: {message}\n")
+
+
 @st.composite
 def _section_argv(draw):
     p = draw(st.sampled_from([2, 3, 5]))
@@ -422,6 +439,19 @@ def test_json_and_table_report_the_same_grades(argv):
     labels = [str(payload["offset"] + j) for j in range(len(payload["grades"]))]
     cells = [row.split(" | ") for row in rows[1:]]
     assert [(c[0], c[-1]) for c in cells] == list(zip(labels, map(str, payload["grades"])))
+
+
+# --help and each <cmd> --help at COLUMNS=80, as the parser of literal
+# add_argument calls wrote them
+_HELP_SHA256 = "589a1e84070a35846af54a491bdb7464e500fe36062ae69cd1b957a59e43f7b1"
+
+
+def test_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in [["--help"]] + [[command, "--help"] for command in cli_mod._SUBCOMMANDS]:
+        digest.update(json.dumps(invoke(argv)).encode() + b"\n")
+    assert digest.hexdigest() == _HELP_SHA256
 
 
 def test_help_is_written_to_out(capsys):
@@ -602,3 +632,63 @@ def test_cech_check_prints_the_pinned_output():
     # the fractional list needs grade >= 1: its 36 runs at i = 0 exit 1
     assert (len(codes), codes.count(1)) == (216, 36)
     assert digest.hexdigest() == _CECH_SHA256
+
+
+# -- the flag-table reader -----------------------------------------------------------
+
+def _invoke_through_argparse(argv):
+    with mock.patch.object(cli_mod, "_fast_args", return_value=None):
+        return invoke(argv)
+
+
+def _refuse_to_build():
+    raise AssertionError("the argparse tree was built for a well-formed argv")
+
+
+def test_well_formed_argvs_never_build_the_parser(monkeypatch):
+    well_formed = _REUSE_SEQUENCE[:10]  # the rest are usage errors and help
+    expected = [_invoke_through_argparse(argv) for argv in well_formed]
+    monkeypatch.setattr(cli_mod, "_build_parser", _refuse_to_build)
+    assert [invoke(argv) for argv in well_formed] == expected
+    for requests, pinned in ((_curve_requests, _CURVES_SHA256),
+                             (_cech_requests, _CECH_SHA256)):
+        digest = hashlib.sha256()
+        for argv in requests():
+            digest.update(json.dumps(invoke(argv)).encode() + b"\n")
+        assert digest.hexdigest() == pinned
+
+
+# spellings around the well-formed ones: each must be declined by the reader
+# or read exactly as argparse reads it
+_ODD_VALUES = ["-1", "-5/3", "--", "", " 2", " -1", "  3/4", "-x", "2 "]
+_ODD_TOKENS = ["--", "-h", "--help", "--json=1", "--json=", "--grades=", "--f=--",
+               "--deg=--", "--p=", "--js", "--json", "--reduced", "stray", "-1", "--n"]
+
+
+@st.composite
+def _token_argv(draw):
+    """Every flag once, each spelled --flag=value or --flag value, with at
+    most one odd value or one odd token put in."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_FLAGS[command], **_COMMON}
+    values = {flag: draw(strategy) for flag, strategy in flags.items()}
+    edit = draw(st.sampled_from([None, "value", "token"]))
+    if edit == "value":
+        values[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(_ODD_VALUES))
+    groups = [[f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+              for flag, value in values.items()]
+    groups += [[extra] for extra in ("--json", "--reduced") if draw(st.booleans())]
+    if edit == "token":
+        groups.append([draw(st.sampled_from(_ODD_TOKENS))])
+    return [command] + [token for group in draw(st.permutations(groups))
+                        for token in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from(sorted(_FLAGS) + ["nonsense"]).flatmap(_argv)
+       | _token_argv())
+@example(argv=["mult", "--f=--", "--g", "y", "--p", "2"])
+@example(argv=["h0", "--n", "-1", "--deg", "-5/3", "--p", "3"])
+@example(argv=["blowup", "--f", " -x", "--p", "2", "--json=1"])
+def test_fast_reader_answers_as_argparse(argv):
+    assert invoke(argv) == _invoke_through_argparse(argv)

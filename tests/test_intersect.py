@@ -225,6 +225,20 @@ def test_diagonal_consistency_invariants():
             assert tup.mixed[i][(i, i)] == tup.diagonal.at(i) == classical
 
 
+def test_multiplicities_render_no_curve(monkeypatch):
+    # no output prints a description of the diagonal, so nothing renders one
+    def refuse(self, *args):
+        raise AssertionError("rendered a curve")
+
+    F, G = P("y^2 - x^3"), P("x")
+    monkeypatch.setattr(FracPoly, "render", refuse)
+    assert braided_multiplicity(F, G, 1).diagonal.to_json_dict() == {
+        "p": F.prime, "offset": 0, "grades": [2, 2]}
+    for mode in ([], ["--json"]):
+        argv = ["mult", "--f", "y^2 - x^3", "--g", "x", "--p", "2", "--grades", "1"]
+        assert run(argv + mode, io.StringIO(), io.StringIO()) == 0
+
+
 def test_cuspidal_grade_one_matrix():
     # values frozen from the quotient-dimension oracle
     tup = braided_multiplicity(P("y^2 - x^3"), P("x"), 1)
