@@ -8,8 +8,9 @@ exact denominator is p**i.
 
 One private path enumerates: _scaled_vectors yields the compositions
 themselves, the vectors times p**i, with the reduced filter applied.  The
-CLI prints them as they are; iter_* and enumerate_* map each entry to its
-PAdicFrac through a cache of normalize, one call per distinct entry.
+CLI's table cells print them as they are and its Veronese coordinates are
+written from them; iter_* and enumerate_* map each entry to its PAdicFrac
+through a cache of normalize, one call per distinct entry.
 """
 
 from __future__ import annotations

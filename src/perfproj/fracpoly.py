@@ -290,10 +290,19 @@ def default_var_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(nvars))
 
 
+def _power_suffix(num: int, pexp: int, p: int) -> str:
+    """The text after a variable raised to num / p**pexp: "" for the power 1,
+    "^a" for an integer a, "^(a/p^b)" in lowest terms otherwise."""
+    while pexp and num % p == 0:
+        num //= p
+        pexp -= 1
+    if not pexp:
+        return "" if num == 1 else f"^{num}"
+    return f"^({num}/{p**pexp})"
+
+
 def _exp_suffix(e: PAdicFrac) -> str:
-    if e.is_integer:
-        return "" if e.num == 1 else f"^{e.num}"
-    return f"^({e.num}/{e.prime**e.pexp})"
+    return _power_suffix(e.num, e.pexp, e.prime)
 
 
 def _factors(exps: ExpVector, names: Sequence[str]) -> str:

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .braided import BraidedDim, LineBundle, hn_top
-from .enumeration import GradedPiece, _as_padic, count_h0_monomials, enumerate_h0_monomials
+from .enumeration import (GradedPiece, _as_padic, _scaled_vectors, count_h0_monomials,
+                          enumerate_h0_monomials)
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime, normalize
-from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _render_terms, _substitute_vector,
-                       monomial_string)
+from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _power_suffix, _render_terms,
+                       _substitute_vector, default_var_names)
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -80,33 +81,73 @@ def bezout_line(s, t, grades: int, p: int) -> BraidedDim:
 
 @dataclass(frozen=True)
 class VeroneseMap:
-    """One grade of the degree-d Veronese tower: coordinates and target dimension."""
+    """One grade of the degree-d Veronese tower: coordinates and target dimension.
+
+    The coordinates are the grade-i monomials of degree d in n+1 variables,
+    written straight from the integer compositions of p**i * d, whose entry c
+    stands for the exponent c / p**i: each call forms every (variable, entry)
+    factor once, in a table indexed by c.  monomials, the same basis as
+    PAdicFrac vectors, is built only when read.
+    """
 
     n: int
     d: int
     grade: int
     prime: int
-    monomials: GradedPiece
     target_dim: int
 
+    @cached_property
+    def monomials(self) -> GradedPiece:
+        return enumerate_h0_monomials(self.n, self.d, self.grade, self.prime)
+
     def coordinate_strings(self, names=None) -> list[str]:
-        return [monomial_string(v, names) for v in self.monomials.vectors]
+        n, i, p = self.n, self.grade, self.prime
+        names = default_var_names(n + 1) if names is None else tuple(names)
+        vectors = _scaled_vectors(n, self.d, i, p, False, False)
+        if n == 0:
+            # the one vector (p**i * d,) needs no table
+            return [names[0] + _power_suffix(c, i, p) for (c,) in vectors]
+        tables = _factor_tables(names, n, i, p, p**i * self.d)
+        return ["*".join(filter(None, map(list.__getitem__, tables, v))) or "1"
+                for v in vectors]
 
     def bracket(self, names=None) -> str:
         return "[" + ":".join(self.coordinate_strings(names)) + "]"
 
 
+def _factor_tables(names, n: int, i: int, p: int, total: int) -> list[list[str]]:
+    """For each of the n+1 variables, its factor text at every entry c in
+    0..total of grade i: names[j] raised to c / p**i, and "" at c = 0.
+
+    A table has total + 1 slots; for n >= 1 that is never more than the
+    comb(total + n, n) vectors it serves.
+    """
+    suffixes = [_power_suffix(c, i, p) for c in range(1, total + 1)]
+    return [["", *(names[j] + s for s in suffixes)] for j in range(n + 1)]
+
+
 def veronese(n: int, d: int, i: int, p: int) -> VeroneseMap:
-    """The grade-i piece of the perfectoid Veronese embedding of degree d."""
+    """The grade-i piece of the perfectoid Veronese embedding of degree d.
+
+    Its target dimension is the closed-form count less one: nothing is
+    enumerated until the coordinates are read.
+    """
     if d < 1:
         raise DomainError("Veronese degree must be positive")
-    piece = enumerate_h0_monomials(n, d, i, p)
-    return VeroneseMap(n, d, i, p, piece, piece.count - 1)
+    return VeroneseMap(n, d, i, p, count_h0_monomials(n, d, i, p) - 1)
 
 
 def veronese_tower_inclusion(lower: VeroneseMap, upper: VeroneseMap) -> bool:
-    """Monomial set of the lower grade is contained in the higher grade."""
-    return set(lower.monomials.vectors) <= set(upper.monomials.vectors)
+    """Monomial set of the lower grade is contained in the higher grade.
+
+    Both sets are non-empty and hold vectors of n+1 entries summing to d over
+    one prime, so the maps must agree on n, d and the prime.  A multiple of
+    1/p**i is one of 1/p**j for i <= j; for n >= 1 the monomial with entries
+    d - 1/p**i and 1/p**i is in no grade below i; for n = 0 every grade holds
+    the one monomial x**d.
+    """
+    return ((lower.n, lower.d, lower.prime) == (upper.n, upper.d, upper.prime)
+            and (lower.grade <= upper.grade or lower.n == 0))
 
 
 # -- blow-up of a plane curve at the origin ----------------------------------------

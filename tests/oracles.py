@@ -9,8 +9,8 @@ from fractions import Fraction
 from itertools import islice
 
 from perfproj import (BraidedDim, DomainError, FracMonomial, FracPoly, HorizonError,
-                      PAdicFrac, ParseError, iter_h0_monomials, iter_hn_monomials,
-                      local_multiplicity, parse_poly)
+                      PAdicFrac, ParseError, enumerate_h0_monomials, iter_h0_monomials,
+                      iter_hn_monomials, local_multiplicity, monomial_string, parse_poly)
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
@@ -232,3 +232,14 @@ def kunneth_lazy(hA, hB, grades: int):
         out.append(BraidedDim(prime, 0, acc._values[:grades], acc._generator,
                               acc.generator_desc, length=grades))
     return out
+
+
+def padic_veronese_coordinates(n: int, d: int, i: int, p: int, names=None) -> list[str]:
+    """The grade-i Veronese coordinates as the PAdicFrac path wrote them: the
+    normalized vectors of enumerate_h0_monomials, each through monomial_string."""
+    return [monomial_string(v, names) for v in enumerate_h0_monomials(n, d, i, p).vectors]
+
+
+def veronese_inclusion_by_sets(lower, upper) -> bool:
+    """Whether every monomial vector of lower is one of upper's, as sets."""
+    return set(lower.monomials.vectors) <= set(upper.monomials.vectors)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import perfproj.cli as cli_mod
-from perfproj import PAdicFrac, enumerate_h0_monomials, enumerate_hn_monomials
+from perfproj import PAdicFrac, exponents, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import run
 from perfproj.errors import FuelExhausted
@@ -355,18 +355,122 @@ def test_non_ascii_digit_in_a_curve_is_a_usage_error(argv, message):
 def test_veronese_formats_each_monomial_once(monkeypatch, mode):
     import perfproj.geometry as geometry
 
-    calls = []
-    real = geometry.monomial_string
+    drawn, tables, suffixes = [], [], []
+    real_vectors = geometry._scaled_vectors
+    real_tables = geometry._factor_tables
+    real_suffix = geometry._power_suffix
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_vectors(*args):
+        for v in real_vectors(*args):
+            drawn.append(v)
+            yield v
 
-    monkeypatch.setattr(geometry, "monomial_string", counting)
-    code, _, _ = invoke(["veronese", "--n", "2", "--d", "5", "--p", "3",
-                         "--grades", "2"] + mode)
+    def counting_tables(names, n, i, p, total):
+        tables.append(i)
+        return real_tables(names, n, i, p, total)
+
+    def counting_suffix(num, pexp, p):
+        suffixes.append((num, pexp))
+        return real_suffix(num, pexp, p)
+
+    monkeypatch.setattr(geometry, "_scaled_vectors", counting_vectors)
+    monkeypatch.setattr(geometry, "_factor_tables", counting_tables)
+    monkeypatch.setattr(geometry, "_power_suffix", counting_suffix)
+    code, out, _ = invoke(["veronese", "--n", "2", "--d", "5", "--p", "3",
+                           "--grades", "2"] + mode)
     assert code == 0
-    assert len(calls) == sum(count_h0_monomials(2, 5, i, 3) for i in range(2))
+    count = sum(count_h0_monomials(2, 5, i, 3) for i in range(2))
+    if mode:
+        shown = sum(len(g["monomials"]) for g in json.loads(out)["tower"])
+    else:
+        shown = sum(line.partition("[")[2].count(":") + 1 for line in out.splitlines())
+    # each vector is drawn and written once
+    assert len(drawn) == shown == count
+    # one table per grade, whose slots form each (variable, entry) factor
+    # from the suffix of the entry, written once per grade
+    assert tables == [0, 1]
+    assert len(suffixes) == len(set(suffixes)) == 5 + 5 * 3
+
+
+def _work_counts(monkeypatch, argv):
+    """exponents.normalize calls and PAdicFrac constructions during one run."""
+    counts = {"normalize": 0, "PAdicFrac": 0}
+    real_normalize = exponents.normalize
+    real_post_init = PAdicFrac.__post_init__
+
+    def normalize(*args):
+        counts["normalize"] += 1
+        return real_normalize(*args)
+
+    def post_init(self):
+        counts["PAdicFrac"] += 1
+        real_post_init(self)
+
+    with monkeypatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("perfproj") and getattr(module, "normalize", None) is real_normalize:
+                m.setattr(module, "normalize", normalize)
+        m.setattr(PAdicFrac, "__post_init__", post_init)
+        code, _, _ = invoke(argv)
+    assert code == 0
+    return counts
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_veronese_work_does_not_grow_with_the_monomials(monkeypatch, mode):
+    # --d 7 lists C(191, 2) = 18,145 grade-2 monomials, --d 2 lists 1,540
+    def work(d):
+        return _work_counts(monkeypatch, ["veronese", "--n", "2", "--d", str(d), "--p", "3",
+                                          "--grades", "3"] + mode)
+
+    assert work(2) == work(7)
+
+
+def test_too_many_veronese_variables_fail_before_enumerating(monkeypatch):
+    import perfproj.enumeration as enumeration
+
+    # the names were checked after C(37, 10) grade-2 vectors were enumerated
+    def refuse(*args):
+        raise AssertionError("enumerated before the names were checked")
+
+    monkeypatch.setattr(enumeration, "_compositions", refuse)
+    message = "the grammar names at most 10 variables"
+    assert invoke(["veronese", "--n", "10", "--d", "2", "--p", "3", "--grades", "3",
+                   "--json"]) == (
+        1, json.dumps({"error": {"category": "usage", "message": message}}) + "\n",
+        f"error: usage: {message}\n")
+
+
+# veronese over n = -1..10, d in {-1, 0, 1, 2, 3, 7}, p in {2, 3, 5, 4} and
+# --grades 0..3, in both modes, as the PAdicFrac-per-entry code printed it; a
+# request that passes every check is kept if its tower has at most 2,000
+# monomials
+_VERONESE_SHA256 = "fa2f0d48b43b49a8367f3122c0b027ba8056bf77ed51352972d9390a49ccf309"
+
+
+def _veronese_requests():
+    for n in range(-1, 11):
+        for d in (-1, 0, 1, 2, 3, 7):
+            for p in (2, 3, 5, 4):
+                for grades in range(4):
+                    if (n >= 0 and d >= 1 and p != 4
+                            and sum(count_h0_monomials(n, d, i, p) for i in range(grades)) > 2000):
+                        continue
+                    argv = ["veronese", "--n", str(n), "--d", str(d), "--p", str(p),
+                            "--grades", str(grades)]
+                    yield argv
+                    yield argv + ["--json"]
+
+
+def test_veronese_prints_the_pinned_output():
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _veronese_requests():
+        result = invoke(argv)
+        codes.append(result[0])
+        digest.update(json.dumps(result).encode() + b"\n")
+    assert (len(codes), codes.count(0), codes.count(1)) == (2012, 474, 1538)
+    assert digest.hexdigest() == _VERONESE_SHA256
 
 
 @pytest.mark.parametrize("argv", [

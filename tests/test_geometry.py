@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_compositions, fracpoly_blowup_charts
+from oracles import (count_compositions, fracpoly_blowup_charts, padic_veronese_coordinates,
+                     veronese_inclusion_by_sets)
 
 from perfproj.cli import _blowup_lines
 
@@ -103,6 +104,50 @@ def test_veronese_counts_match_enumeration():
         assert v.target_dim + 1 == count_h0_monomials(2, 2, i, 2)
         assert v.monomials.count == v.target_dim + 1
 
+
+
+@st.composite
+def _veronese_args(draw):
+    n, d = draw(st.integers(0, 9)), draw(st.integers(1, 8))
+    p, i = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 3))
+    # at most 2,000 monomials: lower the grade first, then the degree
+    while count_h0_monomials(n, d, i, p) > 2000:
+        if i:
+            i -= 1
+        else:
+            d -= 1
+    return n, d, i, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_veronese_args(), extra=st.integers(0, 2),
+       names=st.lists(st.text("abuvw_", min_size=1, max_size=3), min_size=12, max_size=12))
+@example(args=(0, 8, 3, 7), extra=0, names=["u"] * 12)
+@example(args=(9, 1, 0, 2), extra=0, names=["u"] * 12)
+def test_veronese_coordinates_match_the_padic_path(args, extra, names):
+    v = veronese(*args)
+    expected = padic_veronese_coordinates(*args)
+    assert v.coordinate_strings() == expected
+    assert len(expected) == v.target_dim + 1
+    names = names[:args[0] + 1 + extra]  # n + 1 names or a few more
+    expected = padic_veronese_coordinates(*args, names)
+    assert v.coordinate_strings(names) == expected
+    assert v.bracket(names) == "[" + ":".join(expected) + "]"
+
+
+_SMALL_VERONESE = {"n": st.integers(0, 2), "d": st.integers(1, 3),
+                   "i": st.integers(0, 2), "p": st.sampled_from([2, 3])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tower_inclusion_matches_the_set_comparison(data):
+    lower = {key: data.draw(values) for key, values in _SMALL_VERONESE.items()}
+    # the upper map keeps each of n, d and p of the lower one half the time
+    upper = {key: lower[key] if key != "i" and data.draw(st.booleans()) else data.draw(values)
+             for key, values in _SMALL_VERONESE.items()}
+    lower, upper = veronese(**lower), veronese(**upper)
+    assert veronese_tower_inclusion(lower, upper) == veronese_inclusion_by_sets(lower, upper)
 
 def test_blowup_quartic_example():
     u, v = blowup_origin(parse_poly("y^(1/4) - x^(1/4) + x^(1/2)", 2, 2))
