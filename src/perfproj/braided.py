@@ -213,38 +213,36 @@ def line_bundle(n: int, degree, p: int) -> LineBundle:
     return LineBundle(n, _as_padic(degree, p))
 
 
+def _monomial_counts(bundle: LineBundle, grades: int, reduced: bool, count, m: int,
+                     desc: str) -> BraidedDim:
+    """count(n, m, label - k, p) at each grade label, offset k, for a degree
+    of denominator p**k; desc is the generator text before its flags."""
+    p, n, k = bundle.prime, bundle.n, bundle.degree.pexp
+    return BraidedDim(p, k, generator=lambda label: count(n, m, label - k, p, reduced=reduced),
+                      generator_desc=desc + (",reduced)" if reduced else ")"), length=grades)
+
+
 def h0(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
     """Global-section dimensions per grade.
 
     A fractional degree m/p**k has offset k and the same value sequence as
     the integer degree m; a negative degree yields the all-zero tuple.
     """
-    p = bundle.prime
     deg = bundle.degree
     if deg.num < 0:
-        return BraidedDim.zeros(p, grades)
-    k, m, n = deg.pexp, deg.num, bundle.n
-
-    def gen(label: int, _n=n, _m=m, _k=k, _p=p) -> int:
-        return count_h0_monomials(_n, _m, label - _k, _p, reduced=reduced)
-
-    desc = f"h0(n={n},d={deg}{',reduced' if reduced else ''})"
-    return BraidedDim(p, k, generator=gen, generator_desc=desc, length=grades)
+        return BraidedDim.zeros(bundle.prime, grades)
+    return _monomial_counts(bundle, grades, reduced, count_h0_monomials, deg.num,
+                            f"h0(n={bundle.n},d={deg}")
 
 
 def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
     """Top cohomology dimensions per grade, for degree -m/p**k < 0."""
-    p = bundle.prime
-    deg = bundle.degree
+    deg, p = bundle.degree, bundle.prime
     if deg.num >= 0:
         return BraidedDim.zeros(p, grades)
-    k, m, n = deg.pexp, -deg.num, bundle.n
-
-    def gen(label: int, _n=n, _m=m, _k=k, _p=p) -> int:
-        return count_hn_monomials(_n, _m, label - _k, _p, reduced=reduced)
-
-    desc = f"hn(n={n},m={m}{f'/{p}^{k}' if k else ''}{',reduced' if reduced else ''})"
-    return BraidedDim(p, k, generator=gen, generator_desc=desc, length=grades)
+    m, k = -deg.num, deg.pexp
+    return _monomial_counts(bundle, grades, reduced, count_hn_monomials, m,
+                            f"hn(n={bundle.n},m={m}{f'/{p}^{k}' if k else ''}")
 
 
 def middle_vanishing(n: int, i: int, p: int, grades: int = 8) -> BraidedDim:

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -74,14 +75,37 @@ def _int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+# a decimal exponent and the text before it, as Fraction reads them
+_EXPONENT_FORM = re.compile(r"(.*)[eE]([-+]?[0-9]+(?:_[0-9]+)*)\s*", re.DOTALL)
+
+
+def _digit_limit_message() -> str:
+    return (f"an integer has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's limit for converting between int and text; "
+            "PYTHONINTMAXSTRDIGITS raises it")
+
+
 def _fraction_arg(text: str) -> Fraction:
-    """Fraction(text) for ASCII text only, as _int_arg."""
-    if text.isascii():
-        try:
+    """Fraction(text) for ASCII text only, as _int_arg.  A value past the digit
+    limit ends in its diagnostic before 10**e is built: 10**|e| / b has more than
+    |e| - b.bit_length() digits, b the mantissa's denominator (numerator if e < 0)."""
+    try:
+        if not text.isascii():
+            raise ValueError(text)
+        form, limit = _EXPONENT_FORM.fullmatch(text), sys.get_int_max_str_digits()
+        if form is None or not limit:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise _UsageError(f"not a rational number: {text!r}")
+        mantissa, e = Fraction(form[1] + "e0"), int(form[2])
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"not a rational number: {text!r}") from None
+    if not mantissa:
+        return mantissa
+    small = mantissa.denominator if e >= 0 else abs(mantissa.numerator)
+    if abs(e) - small.bit_length() < limit:
+        value = mantissa * Fraction(10) ** e
+        if max(abs(value.numerator), value.denominator) < 10**limit:
+            return value
+    raise ComputationDiagnostic(_digit_limit_message())
 
 
 class _Flag(NamedTuple):
@@ -382,10 +406,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         # back is a diagnostic; any other ValueError is a bug and propagates
         if "integer string conversion" not in str(exc):
             raise
-        _emit_error("computation",
-                    f"an integer has more than {sys.get_int_max_str_digits()} "
-                    "digits, the interpreter's limit for converting between int "
-                    "and text; PYTHONINTMAXSTRDIGITS raises it", json_mode, out, err)
+        _emit_error("computation", _digit_limit_message(), json_mode, out, err)
         return 2
     except _HelpRequested as exc:
         out.write(str(exc))

@@ -16,6 +16,7 @@ through a cache of normalize, one call per distinct entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterator
 
@@ -104,22 +105,10 @@ def _scaled_vectors(n: int, d, i: int, p: int, reduced: bool,
     return vectors
 
 
-class _Values(dict):
-    """normalize(c, i, p) keyed by c, each built on first use: one piece has
-    at most p**i * |d| + 1 distinct entries."""
-
-    def __init__(self, i: int, p: int):
-        super().__init__()
-        self.i, self.p = i, p
-
-    def __missing__(self, c: int) -> PAdicFrac:
-        value = self[c] = normalize(c, self.i, self.p)
-        return value
-
-
 def _normalized(n: int, d, i: int, p: int, reduced: bool,
                 negative: bool) -> Iterator[tuple[PAdicFrac, ...]]:
-    lookup = _Values(i, p).__getitem__
+    # one piece has at most p**i * |d| + 1 distinct entries
+    lookup = cache(lambda c: normalize(c, i, p))
     return (tuple(map(lookup, v)) for v in _scaled_vectors(n, d, i, p, reduced, negative))
 
 

@@ -82,10 +82,6 @@ class PAdicFrac:
     def is_integer(self) -> bool:
         return self.pexp == 0
 
-    @property
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.prime**self.pexp)
 

@@ -47,10 +47,7 @@ class FracMonomial:
 
     @property
     def degree(self) -> PAdicFrac:
-        total = self.exps[0]
-        for e in self.exps[1:]:
-            total = total + e
-        return total
+        return sum(self.exps[1:], self.exps[0])
 
 
 def _substitute_vector(exps: ExpVector, images: Mapping[int, FracMonomial],
@@ -282,6 +279,23 @@ class FracPoly:
         return self.render()
 
 
+def _plane_terms(f: FracPoly, k: int) -> dict[tuple[int, int], Fraction]:
+    """The plane curve f at grade k: x**(a/p**k) * y**(b/p**k) -> coeff keyed
+    by (a, b).  f must be nonzero, with non-negative exponents whose
+    denominators divide p**k, checked term by term in rendering order; the
+    caller checks that f has 2 variables."""
+    if f.is_zero:
+        raise DomainError("zero polynomial rejected")
+    terms = {}
+    for (ex, ey), coeff in sorted(f._terms.items(), reverse=True):
+        if ex.pexp > k or ey.pexp > k:
+            raise DomainError("integer exponents required; rescale first")
+        if ex.num < 0 or ey.num < 0:
+            raise DomainError("curve exponents must be non-negative")
+        terms[ex.scaled(k), ey.scaled(k)] = coeff
+    return terms
+
+
 def default_var_names(nvars: int) -> tuple[str, ...]:
     if nvars <= 3:
         return ("x", "y", "z")[:nvars]
@@ -379,17 +393,11 @@ class _Parser:
 
     def parse_poly(self) -> list[tuple[list[PAdicFrac], Fraction]]:
         terms = []
-        sign = 1
-        if self.accept("-"):
-            sign = -1
-        else:
-            self.accept("+")
-        terms.append(self.parse_term(sign))
-        while True:
-            if self.accept("+"):
-                terms.append(self.parse_term(1))
-            elif self.accept("-"):
+        while True:  # the sign of the first term is optional
+            if self.accept("-"):
                 terms.append(self.parse_term(-1))
+            elif self.accept("+") or not terms:
+                terms.append(self.parse_term(1))
             else:
                 break
         tok = self.peek()

@@ -8,12 +8,12 @@ Exceptional sets are reported symbolically, as a constraint equation; root
 counting would depend on the ambient field, which is not modeled.
 
 The charts run on integer exponents at the curve's grade k (its largest
-denominator exponent): x**(a/p**k) * y**(b/p**k) is the pair (a, b), and the
-chart substitution sends it to (a+b, b) on the u-chart and to (a, a+b) on the
-v-chart.  Both maps are injective, so no terms merge.  The extracted power is
-the least a+b, the order of the curve, on either chart.  Exponents become
-PAdicFrac values only in the returned transformed curve, the extracted power
-and the rendered equations.
+denominator exponent): fracpoly._plane_terms reads x**(a/p**k) * y**(b/p**k)
+as the pair (a, b), and the chart substitution sends it to (a+b, b) on the
+u-chart and to (a, a+b) on the v-chart.  Both maps are injective, so no terms
+merge.  The extracted power is the least a+b, the order of the curve, on
+either chart.  Exponents become PAdicFrac values only in the returned
+transformed curve, the extracted power and the rendered equations.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .enumeration import (GradedPiece, _as_padic, _scaled_vectors, count_h0_mono
                           enumerate_h0_monomials)
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime, normalize
-from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _power_suffix, _render_terms,
-                       _substitute_vector, default_var_names)
+from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _plane_terms, _power_suffix,
+                       _render_terms, _substitute_vector, default_var_names)
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -244,15 +244,8 @@ def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
     """
     if F.nvars != 2:
         raise DomainError("blow-up expects a plane curve in 2 variables")
-    if F.is_zero:
-        raise DomainError("zero polynomial rejected")
     p, k = F.prime, F.max_pexp()
-    terms = {}
-    for mon in F.terms():
-        ex, ey = mon.exps
-        if ex.num < 0 or ey.num < 0:
-            raise DomainError("curve exponents must be non-negative")
-        terms[ex.scaled(k), ey.scaled(k)] = mon.coeff
+    terms = _plane_terms(F, k)
     if (0, 0) in terms:
         raise DomainError("origin not on curve")
     exp_at = cache(lambda e: normalize(e, k, p))  # the exponent e / p**k

@@ -46,9 +46,9 @@ k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
 colength of the ideal multiplies by that rank.  A curve against itself needs
 only (0, d), since mu is symmetric.
 
-Each curve is read once, into integer rows at its native grade.  The rows of
-a base entry are those rows with every exponent multiplied by p**s (p**t for
-G), built fresh for each entry because _mu consumes its rows.
+Each curve is read once, by fracpoly._plane_terms, into integer rows at its
+native grade.  The rows of a base entry are those rows with every exponent
+multiplied by p**s (p**t for G), built fresh because _mu consumes its rows.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from . import braided
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
 from .cech import _int_rank
 from .errors import DomainError, FuelExhausted, QuotientCapExceeded
-from .fracpoly import FracPoly
+from .fracpoly import FracPoly, _plane_terms
 
 _FUEL = 100_000
 
@@ -68,27 +69,17 @@ def _int_rows(f: FracPoly, k: int = 0) -> dict[int, dict[int, int]]:
     """f at grade k as integer rows by y-degree, y-exponent -> {x-exponent ->
     nonzero int}: every exponent is multiplied by p**k.
 
-    f must be a nonzero plane curve with non-negative exponents whose
-    denominators divide p**k; the terms are checked in rendering order.  The
+    f is read by fracpoly._plane_terms after the 2-variable check.  The
     coefficients are scaled by the lcm of their denominators, which leaves
     the ideal of f unchanged.
     """
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")
-    if f.is_zero:
-        raise DomainError("zero polynomial rejected")
+    terms = _plane_terms(f, k)
+    scale = lcm(*(c.denominator for c in terms.values()))
     rows: dict[int, dict] = {}
-    for mon in f.terms():
-        ex, ey = mon.exps
-        if ex.pexp > k or ey.pexp > k:
-            raise DomainError("integer exponents required; rescale first")
-        if ex.num < 0 or ey.num < 0:
-            raise DomainError("curve exponents must be non-negative")
-        rows.setdefault(ey.scaled(k), {})[ex.scaled(k)] = mon.coeff
-    scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    for row in rows.values():
-        for a, c in row.items():
-            row[a] = c.numerator * (scale // c.denominator)
+    for (a, b), c in terms.items():
+        rows.setdefault(b, {})[a] = c.numerator * (scale // c.denominator)
     return rows
 
 
@@ -133,10 +124,11 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
                 row[a] //= g
 
 
-def _mu(A: dict, B: dict, budget: int):
+def _mu(A: dict, B: dict):
     """mu(A, B) for nonzero integer polynomials in the rows of _int_rows.
 
-    A and B are consumed: the loop rewrites their rows in place.
+    A and B are consumed: the loop rewrites their rows in place.  Past _FUEL
+    steps it raises FuelExhausted.
     """
     acc = 0  # multiplicity of the x- and y-powers divided out so far
     # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B); then the same for B
@@ -152,9 +144,9 @@ def _mu(A: dict, B: dict, budget: int):
     steps = 0
     while True:
         steps += 1
-        if steps > budget:
+        if steps > _FUEL:
             raise FuelExhausted(
-                f"multiplicity recursion exceeded its step budget of {budget} steps")
+                f"multiplicity recursion exceeded its step budget of {_FUEL} steps")
         a0, b0 = A.get(0), B.get(0)  # A(x,0), B(x,0): None when y divides
         if (a0 and 0 in a0) or (b0 and 0 in b0):
             return acc
@@ -328,7 +320,7 @@ def _local(Fr: dict, Gr: dict):
         return 0
     if _common_component_through_origin(Fr, Gr):
         return INFINITE_RANK
-    return _mu(Fr, Gr, _FUEL)
+    return _mu(Fr, Gr)
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -453,8 +445,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
                 base[key] = _local(_scaled(Fr, p ** key[0]), _scaled(Gr, p ** key[1]))
             except FuelExhausted as exc:
                 raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
-        value = base[key]
-        return value if _is_inf(value) else p ** (2 * m) * value
+        return braided._mul(p ** (2 * m), base[key])
 
     mixed: list[dict[tuple[int, int], object]] = []
     for i in range(grades + 1):

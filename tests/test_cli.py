@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ import perfproj.cli as cli_mod
 from perfproj import PAdicFrac, exponents, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import run
-from perfproj.errors import FuelExhausted
+from perfproj.errors import ComputationDiagnostic, FuelExhausted
 from oracles import CURVE_CORPUS_TEXT, fraction_table_cell, rooted_texts
 
 
@@ -192,6 +193,60 @@ def test_int_past_the_digit_limit_exits_2(argv):
         assert json.loads(out) == {"error": {"category": "computation", "message": message}}
     else:
         assert out == ""  # no partial answer
+
+
+# the answers at integer degrees this large are the digit-limit diagnostic, so a
+# decimal exponent that large gets it before its power of 10 is built
+_DECIMAL_EXPONENT_ARGVS = [
+    ["h0", "--n", "1", "--deg", "1e16000000", "--p", "3", "--grades", "1", "--json"],
+    ["h0", "--n", "1", "--deg=1e-16000000", "--p", "3", "--grades", "1", "--json"],
+    ["hn", "--n", "1", "--deg", "1e5000", "--p", "3", "--grades", "1"],
+    ["h0", "--n", "1", "--deg=-1e5000", "--p", "3", "--grades", "1", "--json"],
+    ["h0", "--n", "1", "--deg=1e-5000", "--p", "3", "--grades", "1"],
+    ["cech-check", "--n", "1", "--degrees=1,-2e16000000", "--i", "0", "--p", "3", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _DECIMAL_EXPONENT_ARGVS,
+                         ids=range(len(_DECIMAL_EXPONENT_ARGVS)))
+def test_a_decimal_exponent_past_the_digit_limit_exits_2_at_once(argv):
+    start = time.process_time()
+    result = invoke(argv)
+    assert time.process_time() - start < 1  # 10**16000000 alone takes half a minute
+    message = (f"an integer has more than {sys.get_int_max_str_digits()} digits, the "
+               "interpreter's limit for converting between int and text; "
+               "PYTHONINTMAXSTRDIGITS raises it")
+    payload = {"error": {"category": "computation", "message": message}}
+    assert result == (2, json.dumps(payload) + "\n" if "--json" in argv else "",
+                      f"error: computation: {message}\n")
+
+
+def test_decimal_exponents_read_exactly_up_to_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    read = cli_mod._fraction_arg
+    assert read(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert read(f"-1.5e-{limit - 1}") == Fraction(-3, 2 * 10 ** (limit - 1))
+    # 25 / 10**(limit + 1) is 1 / (4 * 10**(limit - 1)) in lowest terms
+    assert read(f"25E-{limit + 1}") == Fraction(1, 4 * 10 ** (limit - 1))
+    assert read(f"1_0e{limit - 2}") == 10 ** (limit - 1)
+    for zero in ("0e16000000", "-0.0e-16000000"):
+        assert read(zero) == 0
+    for text in (f"1e{limit}", f"1e-{limit}", f"-3e{10**9}", "7.1e-16000000"):
+        with pytest.raises(ComputationDiagnostic) as info:
+            read(text)
+        assert f"{limit} digits" in str(info.value)
+    for text in ("1/2e3", "1e", "e3", "1e3.5", "1e_3", "1e3e3", "1 e3"):
+        with pytest.raises(cli_mod._UsageError):
+            read(text)
+
+
+def test_decimal_exponents_are_not_bounded_without_a_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli_mod._fraction_arg(f"3e{limit}") == 3 * 10**limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_other_value_errors_escape_run(monkeypatch):
@@ -736,6 +791,43 @@ def test_cech_check_prints_the_pinned_output():
     # the fractional list needs grade >= 1: its 36 runs at i = 0 exit 1
     assert (len(codes), codes.count(1)) == (216, 36)
     assert digest.hexdigest() == _CECH_SHA256
+
+
+# h0, hn and euler at integer and fractional degrees of either sign, with and
+# without --reduced, and bezout-line, bezout-chi and kunneth over a small grid,
+# each in both modes, as the two h0/hn tuple builders printed them
+_SECTIONS_SHA256 = "738d3daef301f7ea53543abbe76f9ab06ee061e4b84a8642297aee938d408dd4"
+
+
+def _section_requests():
+    for p in (2, 3):
+        common = ["--p", str(p), "--grades", "3"]
+        fractions = (f"1/{p}", f"-5/{p}", f"7/{p * p}", f"-4/{p * p}")
+        for command in ("h0", "hn", "euler"):
+            for n in (0, 1, 2):
+                for deg in ("-3", "-1", "0", "2") + fractions:
+                    argv = [command, "--n", str(n), f"--deg={deg}"] + common
+                    yield from (argv, argv + ["--reduced"])
+        for s in ("1", "2") + fractions[::2]:
+            for t in ("1", f"3/{p}"):
+                yield ["bezout-line", f"--s={s}", f"--t={t}"] + common
+        for d in ("1", "3", "4", f"11/{p}"):
+            for degf, degg in ((1, 1), (1, 2), (2, 2)):
+                yield ["bezout-chi", f"--d={d}", "--degf", str(degf),
+                       "--degg", str(degg)] + common
+        for n, m in ((1, 1), (1, 2), (2, 1)):
+            for a in ("-3", "0", "2", fractions[0]):
+                for b in ("-2", "1", fractions[3]):
+                    yield ["kunneth", "--n", str(n), "--m", str(m), f"--a={a}",
+                           f"--b={b}"] + common
+
+
+def test_section_commands_print_the_pinned_output():
+    digest = hashlib.sha256()
+    for argv in _section_requests():
+        for run_argv in (argv, argv + ["--json"]):
+            digest.update(json.dumps(invoke(run_argv)).encode() + b"\n")
+    assert digest.hexdigest() == _SECTIONS_SHA256
 
 
 # -- the flag-table reader -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (count_compositions, fracpoly_blowup_charts, padic_veronese_coordinates,
                      veronese_inclusion_by_sets)
 
-from perfproj.cli import _blowup_lines
+from perfproj.cli import _blowup_lines, run
 
 from perfproj import (
     DomainError,
@@ -200,6 +201,33 @@ def test_blowup_rejects_bad_curves():
         blowup_origin(parse_poly("x + 1", 2, 2))
     with pytest.raises(DomainError, match="zero polynomial"):
         blowup_origin(FracPoly.zero(2, 2))
+
+
+# each curve fails the first check in this order and would pass the earlier ones:
+# 1 + x^-1 has the origin on no chart, but its negative exponent is found first
+_BLOWUP_CHECKS = [
+    ("x + y + z", 3, "blow-up expects a plane curve in 2 variables"),
+    ("x - x", 2, "zero polynomial rejected"),
+    ("1 + x^-1", 2, "curve exponents must be non-negative"),
+    ("x + 1", 2, "origin not on curve"),
+]
+
+
+@pytest.mark.parametrize("text, nvars, message", _BLOWUP_CHECKS)
+def test_blowup_input_checks_and_their_order(text, nvars, message):
+    with pytest.raises(DomainError) as info:
+        blowup_origin(parse_poly(text, nvars, 2))
+    assert str(info.value) == message
+
+
+# the command line names x and y only, so it cannot send the 3-variable curve
+@pytest.mark.parametrize("text, nvars, message", _BLOWUP_CHECKS[1:])
+def test_blowup_command_input_checks_and_their_order(text, nvars, message):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["blowup", "--f", text, "--p", "2", "--json"], out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, json.dumps({"error": {"category": "usage", "message": message}}) + "\n",
+        f"error: usage: {message}\n")
 
 
 def test_blowup_json_shape():
