@@ -5,13 +5,14 @@ of finite per-grade dimensions, indexed by the power of p dividing exponent
 denominators.  Grade 0 always recovers the classical coherent dimension.
 Tuples carry an offset k so that fractional degrees m/p**k, whose rows start
 at grade k, align on absolute grade labels; positions before the offset read
-zero.  A tuple reports `length` grades from its offset and stores no values
-it computed: a closed-form generator answers every read on demand, past the
-reported grades too.  Only a tuple built from data holds explicit values.
+zero.  A tuple reports `length` grades from its offset.  A closed-form
+generator answers every read on demand, past them too; explicit values come
+from data, or are a Kunneth output's first `grades` values, summed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -21,6 +22,8 @@ from .errors import DomainError, HorizonError, IndeterminateForm
 from .exponents import PAdicFrac, _require_prime
 
 INFINITE_RANK = math.inf
+
+_PROBE = 16  # total_rank reads this many grades of a generator tuple, or its length
 
 
 def _is_inf(v) -> bool:
@@ -86,7 +89,8 @@ class BraidedDim:
     def at(self, label: int):
         """Value at absolute grade label; labels below the offset read 0.
 
-        Past the explicit values the generator answers; nothing is stored.
+        Past the explicit values (data, or a Kunneth output's first grades)
+        the generator answers, storing nothing.
         """
         if label < self.offset:
             return 0
@@ -110,11 +114,11 @@ class BraidedDim:
             return False
         return self.window(0, horizon) == other.window(0, horizon)
 
-    def total_rank(self, probe: int = 16):
+    def total_rank(self):
         """Total rank of the graded module: +inf for a non-degenerate generator.
 
         Without a generator the tuple is finite and the ranks just add; with
-        one, any nonzero grade among the first `probe` values witnesses
+        one, any nonzero grade among the first _PROBE values witnesses
         infinitely many nonzero grades.
         """
         if self._generator is None:
@@ -122,7 +126,7 @@ class BraidedDim:
             for v in self.grades_list():
                 total = _add(total, v)
             return total
-        span = max(probe, self.length)
+        span = max(_PROBE, self.length)
         if any(v != 0 for v in self.window(self.offset, span)):
             return INFINITE_RANK
         return 0
@@ -271,14 +275,24 @@ def bundle_cohomology(bundle: LineBundle, grades: int) -> list[BraidedDim]:
     return out
 
 
+def _sum_of_products(pairs, label: int):
+    """The sum over pairs (a, b) of a.at(label) * b.at(label), folded left from 0."""
+    acc = 0
+    for a, b in pairs:
+        acc = _add(acc, _mul(a.at(label), b.at(label)))
+    return acc
+
+
 def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
             grades: int) -> list[BraidedDim]:
     """Cohomology of a product space from the factors' per-index tuples.
 
-    Index i of the output is the sum over j of hA[j] * hB[i-j], computed
-    grade by grade (the dimension of a tensor product is the product of
-    dimensions), and reports labels 0..grades-1.  Inputs must share the prime
-    and support the requested grade horizon.
+    Index i of the output is the sum over j of hA[j] * hB[i-j], grade by grade
+    (the dimension of a tensor product is the product of dimensions), folded
+    left from 0 at labels 0..grades-1, where each factor is read once.  An
+    output whose factors all have generators keeps their composed text and
+    answers later labels from the factors.  Inputs must share the prime and
+    hold every label below grades.
     """
     if not hA or not hB:
         raise DomainError("empty cohomology list")
@@ -286,26 +300,22 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
     for t in list(hA) + list(hB):
         if t.prime != prime:
             raise DomainError("mixed primes in kunneth inputs")
-
-    def read_once(t: BraidedDim) -> BraidedDim:
-        # the same tuple with labels offset..grades-1 read now, once: every
-        # product below reads them again
-        if t._generator is None:
-            return t
-        return BraidedDim(t.prime, t.offset, t.window(t.offset, grades - t.offset),
-                          t._generator, t.generator_desc, t.length)
-
-    hA, hB = [read_once(t) for t in hA], [read_once(t) for t in hB]
+    try:
+        rowsA, rowsB = ([t.window(0, grades) for t in h] for h in (hA, hB))
+    except HorizonError as exc:
+        raise HorizonError(f"grade horizon mismatch: {exc}") from exc
     out = []
     for i in range(len(hA) + len(hB) - 1):
-        acc = BraidedDim.zeros(prime, grades)
-        for j in range(len(hA)):
-            if 0 <= i - j < len(hB):
-                try:
-                    acc = acc + hA[j] * hB[i - j]
-                except HorizonError as exc:
-                    raise HorizonError(f"grade horizon mismatch: {exc}") from exc
-        # acc starts at offset 0; a fractional factor may end it past grades
-        out.append(BraidedDim(prime, 0, acc._values[:grades], acc._generator,
-                              acc.generator_desc, length=grades))
+        js = [j for j in range(len(hA)) if 0 <= i - j < len(hB)]
+        values = [0] * grades
+        for j in js:
+            values = list(map(_add, values, map(_mul, rowsA[j], rowsB[i - j])))
+        pairs = [(hA[j], hB[i - j]) for j in js]
+        generator = desc = None
+        if all(a._generator and b._generator for a, b in pairs):
+            desc = "zero"
+            for a, b in pairs:
+                desc = f"add({desc},mul({a.generator_desc},{b.generator_desc}))"
+            generator = functools.partial(_sum_of_products, pairs)
+        out.append(BraidedDim(prime, 0, values, generator, desc))
     return out

@@ -38,26 +38,17 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
 
     The grade-j value is the alternating sum of the four graded-piece
     dimensions V(d) - V(d-degF) - V(d-degG) + V(d-degF-degG) on projective
-    2-space, computed by enumeration counts.  It equals p**(2j) * degF * degG
-    for every d >= degF + degG; grade 0 is the classical Bezout number.
+    2-space.  For every d >= degF + degG it is the closed form
+    p**(2j) * degF * degG, computed directly and counting nothing; grade 0 is
+    the classical Bezout number.
     """
     _require_prime(p)
     if degF < 1 or degG < 1:
         raise DomainError("curve degrees must be positive")
     d = _as_padic(d, p)
-    shift = _as_padic(degF + degG, p)
-    if d.as_fraction() < shift.as_fraction():
-        raise DomainError(
-            f"d={d} too small: needs d >= degF + degG = {degF + degG}")
-    offset = d.pexp
-    degrees = (d, d - degF, d - degG, d - degF - degG)
-    signs = (1, -1, -1, 1)
-
-    def gen(label: int) -> int:
-        return sum(s * count_h0_monomials(2, e, label, p)
-                   for s, e in zip(signs, degrees))
-
-    return BraidedDim(p, offset, generator=gen, length=grades,
+    if d.as_fraction() < degF + degG:
+        raise DomainError(f"d={d} too small: needs d >= degF + degG = {degF + degG}")
+    return BraidedDim(p, d.pexp, generator=lambda j: p**(2 * j) * degF * degG, length=grades,
                       generator_desc=f"bezout_chi(d={d},degF={degF},degG={degG})")
 
 

@@ -340,12 +340,8 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
         return 0
     if min(a1, a2) > 0 or min(b1, b2) > 0:
         return INFINITE_RANK  # no pure power of one of the variables
-    count = 0
-    for i in range(max(a1, a2)):
-        for j in range(max(b1, b2)):
-            if not ((i >= a1 and j >= b1) or (i >= a2 and j >= b2)):
-                count += 1
-    return count
+    # what is left is y**b against x**a: the staircase is the a x b box
+    return max(a1, a2) * max(b1, b2)
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
@@ -370,7 +366,9 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     dim O_0 / ((F, G) + m**N) is computed for growing N; by Nakayama, two
     equal consecutive values certify that m**N already lies inside (F, G)
     locally, so the truncated dimension is the local dimension itself.
-    Both single-term inputs short-circuit to the monomial staircase count.
+    Both single-term inputs short-circuit to the monomial staircase count in
+    closed form: 0 if either is a unit, infinite unless one is a pure power
+    x**a and the other y**b, and a * b for that pair.
     """
     Fr, Gr = _int_rows(F), _int_rows(G)
     mons = [(a, b) for rows in (Fr, Gr) for b, row in rows.items() for a in row]

@@ -1,16 +1,20 @@
 """Independent brute-force oracles shared by the test modules.
 
-Nothing here uses binomial formulas or the package's counting code: counts
-come from literal nested-loop enumeration so that closed forms are checked
-against something that cannot share their bugs.
+Nothing here uses binomial formulas: counts come from literal nested-loop
+enumeration so that closed forms are checked against something that cannot
+share their bugs.  The oracles described as a function "as it was" keep an
+implementation that a closed form replaced; the package's counting code
+appears only in those.
 """
 
 from fractions import Fraction
 from itertools import islice
 
-from perfproj import (BraidedDim, DomainError, FracMonomial, FracPoly, HorizonError,
-                      PAdicFrac, ParseError, enumerate_h0_monomials, iter_h0_monomials,
-                      iter_hn_monomials, local_multiplicity, monomial_string, parse_poly)
+from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, FracPoly,
+                      HorizonError, PAdicFrac, ParseError, enumerate_h0_monomials,
+                      iter_h0_monomials, iter_hn_monomials, local_multiplicity,
+                      monomial_string, parse_poly)
+from perfproj.enumeration import count_h0_monomials
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
@@ -243,3 +247,34 @@ def padic_veronese_coordinates(n: int, d: int, i: int, p: int, names=None) -> li
 def veronese_inclusion_by_sets(lower, upper) -> bool:
     """Whether every monomial vector of lower is one of upper's, as sets."""
     return set(lower.monomials.vectors) <= set(upper.monomials.vectors)
+
+
+def bezout_chi_by_counts(d: PAdicFrac, degF: int, degG: int, label: int) -> int:
+    """geometry.bezout_chi at grade label (at least d.pexp) as it was before its
+    closed form: the four-count sum V(d) - V(d-degF) - V(d-degG) + V(d-degF-degG)
+    of graded-piece dimensions on projective 2-space, each V counted by
+    count_h0_monomials."""
+    degrees = (d, d - degF, d - degG, d - degF - degG)
+    return sum(s * count_h0_monomials(2, e, label, d.prime)
+               for s, e in zip((1, -1, -1, 1), degrees))
+
+
+def monomial_staircase_by_loop(g1, g2):
+    """dim k[x, y] / (x**a1 * y**b1, x**a2 * y**b2) for gi = (ai, bi), every
+    exponent at most 6, by counting the monomials x**i * y**j outside the
+    ideal in the squares of side 7 and 14.  A finite quotient has every such
+    monomial in the smaller square, so equal counts are its dimension;
+    unequal ones mean a ray of monomials escapes every square, and the
+    dimension is infinite."""
+    (a1, b1), (a2, b2) = g1, g2
+
+    def outside(side: int) -> int:
+        count = 0
+        for i in range(side):
+            for j in range(side):
+                if not ((i >= a1 and j >= b1) or (i >= a2 and j >= b2)):
+                    count += 1
+        return count
+
+    small = outside(7)
+    return small if small == outside(14) else INFINITE_RANK

@@ -274,6 +274,52 @@ def test_kunneth_horizon_mismatch():
         kunneth(hA, stub, 3)
 
 
+def test_kunneth_on_data_factors():
+    hA = bundle_cohomology(line_bundle(1, 1, 3), 3)
+    stub = [BraidedDim(3, 0, [1, 2, 3]), BraidedDim(3, 0, [0, 5, 0])]
+    got = [d.to_json_dict() for d in kunneth(hA, stub, 3)]
+    assert got == [d.to_json_dict() for d in kunneth_lazy(hA, stub, 3)]
+    assert got == [{"p": 3, "offset": 0, "grades": [2, 8, 30]},
+                   {"p": 3, "offset": 0, "grades": [0, 20, 0]},
+                   {"p": 3, "offset": 0, "grades": [0, 0, 0]}]
+    # an output with a data factor is finite: it reads nothing past grades
+    with pytest.raises(HorizonError):
+        kunneth(hA, stub, 3)[0].at(3)
+    # a factor missing a label below grades still raises, whichever side it is on
+    for short in ([BraidedDim(3, 0, [1, 1])], hA[:1] + [BraidedDim(3, 0, [1])]):
+        with pytest.raises(HorizonError, match=r"^grade horizon mismatch: grade \d+ beyond"):
+            kunneth(short, hA, 3)
+        with pytest.raises(HorizonError, match=r"^grade horizon mismatch: grade \d+ beyond"):
+            kunneth(hA, short, 3)
+
+
+def test_kunneth_reads_no_data_past_grades():
+    five, four = [BraidedDim(3, 0, [1] * 5)], [BraidedDim(3, 0, [1] * 4)]
+    # the lazy sum read every label its factors report, and grade 4 was missing
+    with pytest.raises(HorizonError, match="grade 4"):
+        kunneth_lazy(five, four, 3)
+    assert [d.grades_list() for d in kunneth(five, four, 3)] == [[1, 1, 1]]
+
+
+def test_a_kunneth_request_builds_one_tuple_per_factor_and_output(monkeypatch):
+    built = []
+    real_init = BraidedDim.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BraidedDim, "__init__", counting_init)
+    n, m = 2, 2
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["kunneth", "--n", str(n), "--m", str(m), "--a", "1", "--b", "1", "--p", "3",
+                "--grades", "6", "--json"], out, err) == 0
+    assert err.getvalue() == ""
+    assert len(json.loads(out.getvalue())["cohomology"]) == n + m + 1
+    # n + 1 and m + 1 factor tuples, n + m + 1 outputs, and no tuple in between
+    assert len(built) == (n + 1) + (m + 1) + (n + m + 1)
+
+
 def test_bundle_cohomology_shape():
     out = bundle_cohomology(line_bundle(2, -4, 2), 2)
     assert len(out) == 3

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (count_compositions, fracpoly_blowup_charts, padic_veronese_coordinates,
-                     veronese_inclusion_by_sets)
+from oracles import (bezout_chi_by_counts, count_compositions, fracpoly_blowup_charts,
+                     padic_veronese_coordinates, veronese_inclusion_by_sets)
 
 from perfproj.cli import _blowup_lines, run
 
@@ -63,6 +63,35 @@ def test_bezout_chi_fractional_degree():
     assert dim.at(0) == 0
     assert dim.at(1) == 3**2 * 6
     assert dim.at(2) == 3**4 * 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), degF=st.integers(1, 4), degG=st.integers(1, 4),
+       k=st.integers(0, 2), excess=st.integers(0, 40), grades=st.integers(1, 4))
+@example(p=2, degF=1, degG=1, k=0, excess=0, grades=1)  # d = degF + degG
+@example(p=3, degF=2, degG=3, k=1, excess=0, grades=2)  # d = 5, offset 0
+@example(p=3, degF=2, degG=3, k=1, excess=1, grades=2)  # d = 16/3
+def test_bezout_chi_matches_the_four_count_sum(p, degF, degG, k, excess, grades):
+    # d = (degF + degG) * p**k + excess, over p**k: fractional unless p divides it
+    d = normalize((degF + degG) * p**k + excess, k, p)
+    dim = bezout_chi(d, degF, degG, grades, p)
+    assert dim.offset == d.pexp
+    assert dim.window(0, d.pexp) == [0] * d.pexp
+    for label in range(d.pexp, d.pexp + grades + 3):
+        assert dim.at(label) == bezout_chi_by_counts(d, degF, degG, label)
+
+
+def test_bezout_chi_counts_nothing(monkeypatch):
+    import perfproj.geometry as geometry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bezout_chi counted monomials")
+
+    monkeypatch.setattr(geometry, "count_h0_monomials", refuse)
+    assert bezout_chi(5, 2, 3, 3, 3).grades_list() == [6, 54, 486]
+    dim = bezout_chi(normalize(16, 1, 3), 2, 3, 2, 3)
+    assert dim.to_json_dict() == {"p": 3, "offset": 1, "grades": [54, 486],
+                                  "generator": "bezout_chi(d=16/3,degF=2,degG=3)"}
 
 
 def test_bezout_chi_rejects_small_d():

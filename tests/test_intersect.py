@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute, rooted_texts
+from oracles import (CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute,
+                     monomial_staircase_by_loop, rooted_texts)
 
 import perfproj.intersect as intersect_mod
 from perfproj import (
@@ -135,6 +136,14 @@ def test_oracle_examples():
     assert quotient_dim_oracle(P("x"), P("y")) == 1
     assert quotient_dim_oracle(P("x^2"), P("y^3")) == 6
     assert quotient_dim_oracle(P("y - x^2"), P("x")) == 1
+
+
+def test_monomial_staircase_matches_the_loop():
+    exps = [(a, b) for a in range(7) for b in range(7)]
+    for g1 in exps:
+        for g2 in exps:
+            assert intersect_mod._monomial_staircase(g1, g2) == \
+                monomial_staircase_by_loop(g1, g2), (g1, g2)
 
 
 def test_oracle_cap_exceeded_on_shared_component():

@@ -33,6 +33,11 @@ def test_closed_stdout_exits_1_without_traceback():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def test_replay_with_closed_stdout_exits_1_without_traceback():
+    proc = _run_with_closed_stdout(["tools/replay.py", "--seconds", "1"])
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_cli_help_matches_in_process_run(monkeypatch):
     # argparse wraps help to the terminal width; the subprocess inherits it
     monkeypatch.setenv("COLUMNS", "80")
