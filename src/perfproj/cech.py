@@ -8,17 +8,16 @@ supersets of the set of strictly negative positions.  Cohomology is computed
 two independent ways: the sign case analysis (classify_weight) and exact
 fraction-free integer elimination on the +-1 incidence matrices
 (cohomology_ranks).  verify_theorems runs both for every weight of the
-requested degrees, once per sign mask since both depend only on it, and
-cross-checks the totals against the closed forms.  The exact ranks depend
-only on the number of negative entries, so they are computed once per
-count; the weights of a mask are counted in closed form from that number,
-so no weight is visited unless a mask's two profiles disagree.
+requested degrees and cross-checks the totals against the closed forms.
+Both depend only on the number k of negative entries, so each is computed
+once per count of negative entries; the weights with k negative entries
+are counted in closed form, so no weight is visited unless a count's two
+profiles disagree.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd
@@ -187,21 +186,18 @@ def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _ranks_for_mask(n: int, neg_mask: int) -> tuple[int, ...]:
-    """Exact ranks of the complex of a negative mask S, computed once per
-    count k = |S|.
+def _ranks_for_count(n: int, k: int) -> tuple[int, ...]:
+    """Exact ranks of the complex of every negative mask S with k = |S|
+    entries, computed on the mask (1 << k) - 1.
 
     A permutation of the coordinates sending S to {0, ..., k-1} maps the
     spots (the index sets containing S) onto those of the mask (1 << k) - 1
     and keeps the face relation.  The incidence sign of (T, T - t) changes
     by e(T) e(T - t), e(T) the sign of sorting the image of T: a diagonal
-    +-1 change of basis.  The complexes are isomorphic, so every other mask
-    reads the ranks of its canonical mask from this cache.
+    +-1 change of basis.  The complexes are isomorphic, so they have the
+    same ranks.
     """
-    canonical = (1 << neg_mask.bit_count()) - 1
-    if neg_mask != canonical:
-        return _ranks_for_mask(n, canonical)
-    return cohomology_ranks(_build_from_mask(n, neg_mask, None))
+    return cohomology_ranks(_build_from_mask(n, (1 << k) - 1, None))
 
 
 @dataclass
@@ -260,16 +256,16 @@ def _neg_mask(ints) -> int:
     return sum(1 << j for j, v in enumerate(ints) if v < 0)
 
 
-def _weights_by_mask(n: int, target: int, bound: int) -> Counter:
-    """Integer weights in [-bound, bound]**(n+1) summing to target, counted by
-    negative mask; masks without a weight are left out.
+def _weights_by_count(n: int, target: int, bound: int) -> list[int]:
+    """Integer weights in [-bound, bound]**(n+1) summing to target whose
+    negative entries are a given set of k positions, at index k = 0..n+1.
 
-    The count is a closed form in the number k of negative entries, so no
-    weight is visited.  Shifting each negative entry x to x + bound makes the
-    weights of a mask the solutions of sum = target + k*bound in n+1-k parts
-    in [0, bound] and k parts in [0, bound - 1].  Inclusion-exclusion over the
-    i parts of the first kind and j of the second pushed past their caps
-    counts them as signed stars-and-bars terms C(top + n, n).
+    The count is a closed form in k, so no weight is visited.  Shifting each
+    negative entry x to x + bound makes those weights the solutions of
+    sum = target + k*bound in n+1-k parts in [0, bound] and k parts in
+    [0, bound - 1].  Inclusion-exclusion over the i parts of the first kind
+    and j of the second pushed past their caps counts them as signed
+    stars-and-bars terms C(top + n, n).
     """
     by_k = []
     for k in range(n + 2):
@@ -279,17 +275,17 @@ def _weights_by_mask(n: int, target: int, bound: int) -> Counter:
             if top >= 0:
                 total += (-1) ** (i + j) * comb(n + 1 - k, i) * comb(k, j) * comb(top + n, n)
         by_k.append(total)
-    return Counter({mask: by_k[mask.bit_count()] for mask in range(1 << (n + 1))
-                    if by_k[mask.bit_count()]})
+    return by_k
 
 
-def _weights_in_masks(n: int, target: int, bound: int, masks):
-    """The weights of _weights_by_mask whose mask is in masks, in walk order."""
+def _weights_with_counts(n: int, target: int, bound: int, counts):
+    """The weights of the box summing to target whose number of negative
+    entries is in counts, in walk order."""
     for head in itertools.product(range(-bound, bound + 1), repeat=n):
         last = target - sum(head)
         if -bound <= last <= bound:
             ints = head + (last,)
-            if _neg_mask(ints) in masks:
+            if _neg_mask(ints).bit_count() in counts:
                 yield ints
 
 
@@ -301,11 +297,12 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     weights that can carry nonzero cohomology (all-non-negative or
     all-negative vectors of the degree), so the per-degree totals are exact
     and must equal the closed forms, with zero middle cohomology.  Both
-    profiles depend only on a weight's negative mask, so each mask is checked
-    once; its exact ranks are computed once per number of negative entries,
-    and its weights are counted in closed form from that number.  No weight
-    is visited unless a mask mismatches: only then is the box walked, in
-    order, to list the counterexamples.
+    profiles depend only on the number k of negative entries, so the check
+    runs once per count of negative entries: k is classified and ranked on
+    the mask (1 << k) - 1 and stands for its comb(n + 1, k) masks, whose
+    weights are counted in closed form.  No weight is visited unless a count
+    mismatches: only then is the box walked, in order, to list the
+    counterexamples.
     """
     _require_prime(p)
     if n < 1:
@@ -321,19 +318,22 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
         m_int = bound * p**i
         h0_total = middle_total = hn_total = checked = 0
         mismatched = {}
-        for mask, count in _weights_by_mask(n, target, m_int).items():
-            profile = _classify_mask(n, mask)
-            ranks = _ranks_for_mask(n, mask)
+        for k, per_mask in enumerate(_weights_by_count(n, target, m_int)):
+            if not per_mask:
+                continue
+            count = comb(n + 1, k) * per_mask
+            profile = _classify_mask(n, (1 << k) - 1)
+            ranks = _ranks_for_count(n, k)
             checked += count
             if profile != ranks:
-                mismatched[mask] = (profile, ranks)
+                mismatched[k] = (profile, ranks)
                 continue
             h0_total += count * ranks[0]
             hn_total += count * ranks[n]
             middle_total += count * sum(ranks[1:n])
         if mismatched:  # walk the box again, in order, to report them
-            for ints in _weights_in_masks(n, target, m_int, mismatched):
-                classified, ranks = mismatched[_neg_mask(ints)]
+            for ints in _weights_with_counts(n, target, m_int, mismatched):
+                classified, ranks = mismatched[_neg_mask(ints).bit_count()]
                 report.counterexamples.append({
                     "degree": str(d),
                     "weight": str(WeightVector(tuple(normalize(v, i, p) for v in ints))),

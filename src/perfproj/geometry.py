@@ -55,8 +55,10 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
 def bezout_line(s, t, grades: int, p: int) -> BraidedDim:
     """The top-cohomology difference hn(-s-t) - hn(-s) - hn(-t) on the line.
 
-    Constant 1 from the first meaningful grade on, for any positive s, t
-    (integral or fractional).
+    For any positive s, t (integral or fractional) it reads 1 from label
+    max(pexp s, pexp t) on.  Below that label a term whose offset is not yet
+    reached reads 0, so the difference may differ from 1 there: s = 2/3,
+    t = 5 over p = 3 reads -4, 1, 1, 1 from label 0.
     """
     _require_prime(p)
     s = _as_padic(s, p)

@@ -1,12 +1,13 @@
 import io
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_square_zero, rational_rank
+from oracles import dense_square_zero, mask_ranks, rational_rank, verify_by_mask
 
 from perfproj import (
     DomainError,
@@ -21,7 +22,8 @@ from perfproj import (
     verify_theorems,
 )
 import perfproj.cech as cech_mod
-from perfproj.cech import _build_from_mask, _check_square_zero, _int_rank, _ranks_for_mask
+from perfproj.cech import (_build_from_mask, _check_square_zero, _int_rank, _ranks_for_count,
+                           _weights_by_count)
 from perfproj.cli import run
 from perfproj.exponents import PAdicFrac, normalize
 
@@ -170,7 +172,7 @@ def test_ranks_depend_only_on_the_count_of_negative_entries():
         for mask in range(1 << (n + 1)):
             c = _build_from_mask(n, mask, None)
             _check_square_zero(c)
-            assert _ranks_for_mask(n, mask) == cohomology_ranks(c), (n, mask)
+            assert _ranks_for_count(n, mask.bit_count()) == cohomology_ranks(c), (n, mask)
 
 
 def _count_builds(monkeypatch, call):
@@ -189,7 +191,7 @@ def _count_builds(monkeypatch, call):
 
     monkeypatch.setattr(cech_mod, "_build_from_mask", counting_build)
     monkeypatch.setattr(cech_mod, "_classify_mask", recording_classify)
-    _ranks_for_mask.cache_clear()
+    _ranks_for_count.cache_clear()
     call()
     return len(built), len(counts)
 
@@ -281,30 +283,29 @@ def test_weights_checked_is_the_whole_box():
 
 
 def test_counterexamples_in_walk_order(monkeypatch):
-    import perfproj.cech as cech_mod
-
-    true_ranks = cech_mod._ranks_for_mask
-    wrong = {0b000: (0, 1, 0), 0b100: (0, 0, 1)}  # masks 0 and "last negative"
-    monkeypatch.setattr(cech_mod, "_ranks_for_mask",
-                        lambda n, mask: wrong.get(mask) or true_ranks(n, mask))
+    true_ranks = cech_mod._ranks_for_count
+    wrong = {0: (0, 1, 0), 2: (0, 0, 1)}  # no and two negative entries
+    monkeypatch.setattr(cech_mod, "_ranks_for_count",
+                        lambda n, k: wrong.get(k) or true_ranks(n, k))
     report = verify_theorems(2, [1, -1], 0, 2)
-    # weights (a, b, 1-a-b) in [-3, 3]^3, heads (a, b) in lexicographic order
-    walk = ["(0,0,1)", "(0,1,0)", "(0,2,-1)", "(0,3,-2)", "(1,0,0)", "(1,1,-1)",
-            "(1,2,-2)", "(1,3,-3)", "(2,0,-1)", "(2,1,-2)", "(2,2,-3)",
-            "(3,0,-2)", "(3,1,-3)"]
+    # weights (a, b, 1-a-b) in [-3, 3]^3, heads (a, b) in lexicographic order:
+    # every mask with 0 or 2 negative entries, interleaved as the walk meets them
+    walk = ["(-1,-1,3)", "(-1,3,-1)", "(0,0,1)", "(0,1,0)", "(1,0,0)", "(3,-1,-1)"]
     h0_weights = {"(0,0,1)", "(0,1,0)", "(1,0,0)"}
     expected = [{"degree": "1", "weight": w,
                  "classified": [1, 0, 0] if w in h0_weights else [0, 0, 0],
                  "ranks": [0, 1, 0] if w in h0_weights else [0, 0, 1]}
                 for w in walk]
-    # degree -1: (a, b, -1-a-b) with a, b >= 0 and a + b <= 2 has mask 0b100,
-    # and no weight of it is all negative
-    expected += [{"degree": "-1", "weight": f"({a},{b},{-1 - a - b})",
-                  "classified": [0, 0, 0], "ranks": [0, 0, 1]}
-                 for a in range(3) for b in range(3 - a)]
+    # degree -1: no weight has no negative entry, and those with two are
+    # (a, b, -1-a-b) in the same order
+    walk = ["(-3,-1,3)", "(-3,3,-1)", "(-2,-2,3)", "(-2,-1,2)", "(-2,2,-1)", "(-2,3,-2)",
+            "(-1,-3,3)", "(-1,-2,2)", "(-1,-1,1)", "(-1,1,-1)", "(-1,2,-2)", "(-1,3,-3)",
+            "(1,-1,-1)", "(2,-2,-1)", "(2,-1,-2)", "(3,-3,-1)", "(3,-2,-2)", "(3,-1,-3)"]
+    expected += [{"degree": "-1", "weight": w, "classified": [0, 0, 0], "ranks": [0, 0, 1]}
+                 for w in walk]
     assert report.counterexamples == expected
     pos, neg = report.per_degree
-    # 36 weights of degree 1 in the box: counterexamples are checked but do
+    # 36 weights of each degree in the box: counterexamples are checked but do
     # not count toward the totals
     assert (pos.weights_checked, pos.h0_total, pos.middle_total, pos.hn_total) == (36, 0, 0, 0)
     assert (pos.h0_expected, pos.ok) == (3, False)
@@ -315,21 +316,21 @@ def test_counterexamples_in_walk_order(monkeypatch):
 
 
 def test_counterexample_weights_render_fractions(monkeypatch):
-    import perfproj.cech as cech_mod
-
-    monkeypatch.setattr(cech_mod, "_ranks_for_mask", lambda n, mask: (1, 1))
+    true_ranks = cech_mod._ranks_for_count
+    monkeypatch.setattr(cech_mod, "_ranks_for_count",
+                        lambda n, k: (1, 1) if k == 1 else true_ranks(n, k))
     report = verify_theorems(1, [normalize(1, 1, 2)], 1, 2)
-    # (a/2, b/2) with a + b = 1 and a, b in [-4, 4]: every weight mismatches
+    # (a/2, b/2) with a + b = 1 and a, b in [-4, 4]: the weights with one
+    # negative entry mismatch, (0,1/2) and (1/2,0) are sections
     weights = [c["weight"] for c in report.counterexamples]
-    assert weights == ["(-3/2,2)", "(-1,3/2)", "(-1/2,1)", "(0,1/2)", "(1/2,0)",
-                       "(1,-1/2)", "(3/2,-1)", "(2,-3/2)"]
-    assert report.per_degree[0].weights_checked == 8
+    assert weights == ["(-3/2,2)", "(-1,3/2)", "(-1/2,1)", "(1,-1/2)", "(3/2,-1)", "(2,-3/2)"]
+    s = report.per_degree[0]
+    assert (s.weights_checked, s.h0_total, s.middle_total, s.hn_total) == (8, 2, 0, 0)
+    assert (s.h0_expected, s.ok) == (2, True)
 
 
 def test_weights_by_mask_matches_a_walk():
     from collections import Counter, defaultdict
-
-    from perfproj.cech import _weights_by_mask
 
     for n, bounds in [(1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)]:
         for bound in range(bounds):
@@ -337,10 +338,12 @@ def test_weights_by_mask_matches_a_walk():
             walk = defaultdict(Counter)
             for ints in itertools.product(range(-bound, bound + 1), repeat=n + 1):
                 walk[sum(ints)][sum(1 << j for j, v in enumerate(ints) if v < 0)] += 1
-            # one unreachable target past each end: no mask at all
+            # one unreachable target past each end: every mask reads 0
             for target in range(-(n + 1) * bound - 1, (n + 1) * bound + 2):
-                by_mask = _weights_by_mask(n, target, bound)
-                assert dict(by_mask) == dict(walk[target]), (n, bound, target)
+                by_k = _weights_by_count(n, target, bound)
+                assert len(by_k) == n + 2
+                for mask in range(1 << (n + 1)):
+                    assert walk[target][mask] == by_k[mask.bit_count()], (n, bound, target, mask)
 
 
 def test_verify_theorems_large_box():
@@ -351,3 +354,45 @@ def test_verify_theorems_large_box():
         2_163_776_251, 916_089_126, 7_949_203_626]
     assert [s.h0_total for s in report.per_degree] == [0, 316_251, 11_009_376]
     assert [s.hn_total for s in report.per_degree] == [1_150_626, 0, 0]
+
+
+def test_verify_theorems_classifies_once_per_count(monkeypatch):
+    # once per count of negative entries, n + 2 of them, not per sign mask, 2**(n+1)
+    calls = []
+    classify = cech_mod._classify_mask
+    monkeypatch.setattr(cech_mod, "_classify_mask",
+                        lambda n, mask: calls.append(mask) or classify(n, mask))
+    report = verify_theorems(6, [-8, 0, 2], 1, 2)
+    assert report.ok
+    assert len(calls) <= 3 * (6 + 2)
+    assert all(mask & (mask + 1) == 0 for mask in calls)  # masks (1 << k) - 1
+
+
+@st.composite
+def cech_checks(draw, size=4):
+    """(n, degrees, i, p) for n <= 3, i <= 1, p in {2, 3}: one to three
+    integer or fractional degrees of either sign, at most size in size."""
+    n, i, p = draw(st.integers(1, 3)), draw(st.integers(0, 1)), draw(st.sampled_from([2, 3]))
+    degree = st.integers(0, i).flatmap(lambda e: st.integers(-size * p**e, size * p**e).map(
+        lambda num: normalize(num, e, p)))
+    return n, draw(st.lists(degree, min_size=1, max_size=3)), i, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(cech_checks())
+def test_verify_theorems_matches_the_per_mask_check(check):
+    assert verify_theorems(*check).to_json_dict() == verify_by_mask(*check)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cech_checks(size=2), st.data())  # each mismatch walks the box, in both checks
+def test_a_rank_fault_is_reported_as_the_per_mask_check_reports_it(check, data):
+    n = check[0]
+    profile = st.tuples(*[st.integers(0, 1)] * (n + 1))
+    fault = data.draw(st.dictionaries(st.integers(0, n + 1), profile, min_size=1, max_size=2))
+    true_ranks = cech_mod._ranks_for_count
+    with mock.patch.object(cech_mod, "_ranks_for_count",
+                           lambda n, k: fault.get(k) or true_ranks(n, k)):
+        got = verify_theorems(*check).to_json_dict()
+    assert got == verify_by_mask(
+        *check, ranks=lambda n, mask: fault.get(mask.bit_count()) or mask_ranks(n, mask))

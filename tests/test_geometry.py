@@ -117,6 +117,14 @@ def test_bezout_line_fractional_degrees():
     assert dim.window(0, 4) == [0, 1, 1, 1]
 
 
+def test_bezout_line_reads_1_from_the_larger_offset_on():
+    # label 0: hn(-17/3) and hn(-2/3) are not yet reached and read 0, hn(-5) is 4
+    assert bezout_line(normalize(2, 1, 3), 5, 3, 3).grades_list() == [-4, 1, 1, 1]
+    # label 1: hn(-4/9) and hn(-1/9) are not yet reached, and hn(-1/3) is 0
+    dim = bezout_line(normalize(1, 1, 3), normalize(1, 2, 3), 2, 3)
+    assert (dim.offset, dim.grades_list()) == (1, [0, 1, 1])
+
+
 def test_veronese_tower():
     v0 = veronese(1, 2, 0, 3)
     v1 = veronese(1, 2, 1, 3)
