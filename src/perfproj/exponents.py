@@ -15,19 +15,39 @@ from functools import total_ordering
 from .errors import DomainError
 
 
+# Miller-Rabin with the primes up to 41 as witnesses is exact for every
+# integer below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale primes)."""
-    if p < 2:
+    """Deterministic Miller-Rabin primality test, exact below _PRIME_BOUND.
+
+    A p at or above the bound raises DomainError: the test would not be
+    exact there, and trial division would not finish.
+    """
+    if p <= 41:  # the witnesses are the primes up to 41
+        return p in _WITNESSES
+    if p >= _PRIME_BOUND:
+        raise DomainError(
+            f"{p} is too large: primes are checked exactly below {_PRIME_BOUND}")
+    if any(p % w == 0 for w in _WITNESSES):
         return False
-    if p < 4:
+    if p < 43 * 43:  # no prime factor up to 41, the primes below 43
         return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    d = (p - 1) >> s
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -86,7 +106,9 @@ class PAdicFrac:
         return Fraction(self.num, self.prime**self.pexp)
 
     def order_key(self) -> tuple[int, int]:
-        """The (a, b) tuple that canonically orders x**(a/p^b) terms."""
+        """The pair (num, pexp) that identifies the value: equal values, and
+        only they, have equal keys.  It is not an order: 1 = (1, 0) sorts
+        before 1/2 = (1, 1) as a tuple; values compare with <."""
         return (self.num, self.pexp)
 
     def scaled(self, i: int) -> int:

@@ -16,15 +16,18 @@ with leading coefficients a of F(x, 0) (degree r) and b of G(x, 0)
 and its integer content is divided out.
 
 A common component through the origin makes the answer infinite; it is
-detected up front.  x dividing both curves is one such component.  A
+decided up front and in one place, so the loop never meets one.  After the
+unit check (a curve not through the origin gives 0) come the axes: x
+dividing both curves, or y dividing both, is such a component.  Then a
 factor of positive y-degree is ruled out by a certificate when it can be:
 at the first x0 of a few small points where neither y-leading coefficient
 vanishes modulo the prime l = 2**61 - 1, F(x0, y) and G(x0, y) are tested
-for coprimality in F_l[y].  A common factor H, primitive in Z[x][y],
-divides both images, and its y-leading coefficient divides theirs, so H(x0, y)
-keeps the y-degree of H; coprime images therefore exclude it, with no
-probability argument.  Otherwise the gcd is computed exactly, with a
-primitive remainder sequence over Z.
+for coprimality in F_l[y], as sparse maps y-exponent -> value, so the cost
+follows the number of terms, not the degree.  A common factor H, primitive
+in Z[x][y], divides both images, and its y-leading coefficient divides
+theirs, so H(x0, y) keeps the y-degree of H; coprime images therefore
+exclude it, with no probability argument.  Otherwise the gcd is computed
+exactly, with a primitive remainder sequence over Z.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -127,7 +130,10 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
 def _mu(A: dict, B: dict):
     """mu(A, B) for nonzero integer polynomials in the rows of _int_rows.
 
-    A and B are consumed: the loop rewrites their rows in place.  Past _FUEL
+    A and B must share no component through the origin, as _local has
+    checked: x and y then never both divide the current pair, and the only
+    infinite answer left is the collapse of the ideal to one generator.  A
+    and B are consumed: the loop rewrites their rows in place.  Past _FUEL
     steps it raises FuelExhausted.
     """
     acc = 0  # multiplicity of the x- and y-powers divided out so far
@@ -135,10 +141,7 @@ def _mu(A: dict, B: dict):
     for _ in range(2):
         k = min(min(row) for row in A.values())
         if k:
-            column = [b for b, row in B.items() if 0 in row]
-            if not column:
-                return INFINITE_RANK  # x divides both
-            acc += k * min(column)
+            acc += k * min(b for b, row in B.items() if 0 in row)
             A = {b: {a - k: c for a, c in row.items()} for b, row in A.items()}
         A, B = B, A
     steps = 0
@@ -152,8 +155,6 @@ def _mu(A: dict, B: dict):
             return acc
         if not A or not B:
             return INFINITE_RANK  # ideal collapsed to one nonunit generator
-        if a0 is None and b0 is None:
-            return INFINITE_RANK  # y divides both (guard; gcd pre-check catches it)
         if a0 is None:
             # A = y**k * A1: mu = k * ord_x B(x,0) + mu(A1, B)
             k = min(A)
@@ -258,28 +259,29 @@ _ELL = (1 << 61) - 1  # a Mersenne prime
 _CERT_POINTS = (3, 5, 7)
 
 
-def _at_mod_ell(f: dict, x0: int) -> list[int]:
-    """f(x0, y) modulo _ELL as a coefficient list, lowest y-degree first."""
-    out = [0] * (max(f) + 1)
-    for b, row in f.items():
-        out[b] = sum(c * pow(x0, a, _ELL) for a, c in row.items()) % _ELL
-    return out
+def _at_mod_ell(f: dict, x0: int) -> dict[int, int]:
+    """f(x0, y) modulo _ELL as y-exponent -> nonzero value."""
+    return {b: v for b, row in f.items()
+            if (v := sum(c * pow(x0, a, _ELL) for a, c in row.items()) % _ELL)}
 
 
-def _gcd_degree_mod_ell(f: list[int], g: list[int]) -> int:
-    """Degree of gcd(f, g) in F_ell[y]; nonempty lists with nonzero last entries."""
+def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
+    """Degree of gcd(f, g) in F_ell[y]; f and g nonempty, in the form of
+    _at_mod_ell, so the work follows their terms, not their degrees.  f and
+    g are consumed."""
     while g:
-        inv, dg = pow(g[-1], -1, _ELL), len(g) - 1
-        f = f[:]
-        while len(f) > dg:
-            c, shift = f[-1] * inv % _ELL, len(f) - 1 - dg
-            for i in range(dg):  # the top term cancels exactly
-                f[shift + i] = (f[shift + i] - c * g[i]) % _ELL
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
+        dg = max(g)
+        inv = pow(g[dg], -1, _ELL)
+        while f and (df := max(f)) >= dg:
+            c = f[df] * inv % _ELL
+            for e, v in g.items():  # the top term cancels exactly
+                e += df - dg
+                if w := (f.get(e, 0) - c * v) % _ELL:
+                    f[e] = w
+                else:
+                    del f[e]
         f, g = g, f
-    return len(f) - 1
+    return max(f)
 
 
 def _coprime_mod_ell(F: dict, G: dict) -> bool:
@@ -292,7 +294,7 @@ def _coprime_mod_ell(F: dict, G: dict) -> bool:
     """
     for x0 in _CERT_POINTS:
         f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
-        if f[-1] and g[-1]:
+        if max(F) in f and max(G) in g:
             return _gcd_degree_mod_ell(f, g) == 0
     return False
 
@@ -300,14 +302,16 @@ def _coprime_mod_ell(F: dict, G: dict) -> bool:
 def _common_component_through_origin(F: dict, G: dict) -> bool:
     """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
 
-    F and G are integer rows (_int_rows).  gcd(F, G) is the gcd c(x) of their
-    y-contents times the gcd g of their primitive parts in y; it vanishes at
-    the origin exactly when c(0) = 0 or g(0, 0) = 0, and a factor vanishing
-    there is nonconstant.  c(0) = 0 exactly when x divides both F and G.
-    g is 1 when the certificate holds; otherwise the remainder sequence
-    computes it.
+    F and G are integer rows (_int_rows); this is the one place that decides
+    a shared component, cheapest test first.  x divides both when no row has
+    a term of x-degree 0, and y divides both when neither has a row 0.
+    Otherwise gcd(F, G) is the gcd c(x) of their y-contents times the gcd g
+    of their primitive parts in y; c(0) = 0 only when x divides both, so the
+    gcd vanishes at the origin exactly when g(0, 0) = 0.  g is 1 when the
+    certificate holds; otherwise the remainder sequence computes it.
     """
-    if all(0 not in row for P in (F, G) for row in P.values()):  # x divides both
+    if (0 not in F and 0 not in G) or all(
+            0 not in row for P in (F, G) for row in P.values()):  # y or x divides both
         return True
     if _coprime_mod_ell(F, G):
         return False

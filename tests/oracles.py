@@ -331,3 +331,58 @@ def verify_by_mask(n: int, degrees, i: int, p: int, ranks=mask_ranks) -> dict:
             count_h0_monomials(n, d, i, p) if d.num >= 0 else 0,
             count_hn_monomials(n, -d, i, p) if d.num < 0 else 0))
     return report.to_json_dict()
+
+
+def is_prime_by_trial_division(p: int) -> bool:
+    """exponents.is_prime as it was before Miller-Rabin: every odd divisor up
+    to the square root is tried."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def dense_at_mod_ell(f: dict, x0: int, ell: int) -> list[int]:
+    """intersect._at_mod_ell as it was before sparse maps: f(x0, y) modulo
+    ell as a coefficient list, lowest y-degree first."""
+    out = [0] * (max(f) + 1)
+    for b, row in f.items():
+        out[b] = sum(c * pow(x0, a, ell) for a, c in row.items()) % ell
+    return out
+
+
+def dense_gcd_degree_mod_ell(f: list[int], g: list[int], ell: int) -> int:
+    """intersect._gcd_degree_mod_ell as it was on coefficient lists: the
+    degree of gcd(f, g) in F_ell[y], for nonempty lists with nonzero last
+    entries."""
+    while g:
+        inv, dg = pow(g[-1], -1, ell), len(g) - 1
+        f = f[:]
+        while len(f) > dg:
+            c, shift = f[-1] * inv % ell, len(f) - 1 - dg
+            for i in range(dg):  # the top term cancels exactly
+                f[shift + i] = (f[shift + i] - c * g[i]) % ell
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def dense_coprime_mod_ell(F: dict, G: dict, points, ell: int) -> bool:
+    """intersect._coprime_mod_ell as it was on coefficient lists: at the
+    first x0 of points where neither y-leading coefficient vanishes modulo
+    ell, whether F(x0, y) and G(x0, y) are coprime in F_ell[y]."""
+    for x0 in points:
+        f, g = dense_at_mod_ell(F, x0, ell), dense_at_mod_ell(G, x0, ell)
+        if f[-1] and g[-1]:
+            return dense_gcd_degree_mod_ell(f, g, ell) == 0
+    return False

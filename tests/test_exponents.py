@@ -1,10 +1,16 @@
+import io
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import is_prime_by_trial_division
+
 from perfproj import DomainError, PAdicFrac, arith, cmp, is_prime, normalize
+from perfproj.cli import run
+from perfproj.exponents import _PRIME_BOUND
 
 primes = st.sampled_from([2, 3, 5])
 padics = st.builds(normalize, st.integers(-300, 300), st.integers(0, 4), primes)
@@ -112,3 +118,41 @@ def test_scaled_rejects_small_grade():
 def test_is_prime():
     assert [q for q in range(2, 20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(q) == is_prime_by_trial_division(q) for q in range(-3, 10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 2047 and 3215031751 are strong pseudoprimes
+    # to base 2 and to the bases 2, 3, 5, 7
+    for q in (561, 2047, 3215031751):
+        assert not is_prime(q)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(1000000000000037)
+
+
+def test_is_prime_refuses_at_its_bound():
+    for q in (_PRIME_BOUND, 2**127 - 1):
+        with pytest.raises(DomainError, match=str(_PRIME_BOUND)):
+            is_prime(q)
+        with pytest.raises(DomainError, match=str(_PRIME_BOUND)):
+            normalize(1, 1, q)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["h0", "--n", "1", "--deg", "1", "--p", str(_PRIME_BOUND), "--grades", "1", "--json"]
+    assert run(argv, out, err) == 1
+    assert str(_PRIME_BOUND) in out.getvalue() and str(_PRIME_BOUND) in err.getvalue()
+
+
+@pytest.mark.parametrize("p", ["1000000000000037", "2305843009213693951"])
+def test_large_prime_is_checked_in_bounded_time(p):
+    # trial division took 12 s of CPU on the first and did not finish the second
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    code = run(["h0", "--n", "1", "--deg", "1", "--p", p, "--grades", "1", "--json"], out, err)
+    assert time.process_time() - start < 2.0
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().startswith(f'{{"p": {p}, ')

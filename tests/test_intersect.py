@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (CURVE_CORPUS_TEXT, curve_corpus, mixed_by_depth_brute,
+from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
+                     dense_coprime_mod_ell, dense_gcd_degree_mod_ell, mixed_by_depth_brute,
                      monomial_staircase_by_loop, rooted_texts)
 
 import perfproj.intersect as intersect_mod
@@ -25,8 +30,10 @@ from perfproj.cli import run
 from perfproj.intersect import (
     _CERT_POINTS,
     _ELL,
+    _at_mod_ell,
     _common_component_through_origin,
     _coprime_mod_ell,
+    _gcd_degree_mod_ell,
     _int_rows,
     _scaled,
 )
@@ -457,3 +464,63 @@ def test_step_budget_names_its_numbers(monkeypatch):
     assert err == f"error: computation: {message}\n"
     code, out, err = _mult(argv)
     assert (code, out, err) == (2, "", f"error: computation: {message}\n")
+
+
+@pytest.mark.parametrize("f,g,q", [
+    ("y^2 + x*y", "x^3*y + y^2", 1),
+    ("y^2 + x*y", "x^3*y + y^2", 4),
+    # the benchmark's shared pairs with C = y: y times a constant plus one term
+    ("2*y - x^2*y^3", "-y + 3*x*y^2", 1),
+    ("3*y + y^2", "y - 2*x*y^3", 9),
+])
+def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch, f, g, q):
+    def no_gcd(a, b):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(intersect_mod, "_gcd", no_gcd)
+    F, G = _scaled(_int_rows(P(f)), q), _scaled(_int_rows(P(g)), q)
+    assert _common_component_through_origin(F, G)
+    assert _common_component_through_origin(G, F)
+
+
+def test_a_deep_grade_stays_within_a_memory_limit():
+    # the dense certificate built a list of p**grades + 1 entries for y
+    # rooted 40 times; the child caps its own address space at 1 GiB
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from perfproj.cli import main\n"
+        "sys.argv = ['perfproj', 'mult', '--f', 'x', '--g', 'y', '--p', '2',"
+        " '--grades', '40', '--json']\n"
+        "main()\n"
+    )
+    src = Path(intersect_mod.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    assert payload["diagonal"] == [1] * 41
+    assert payload["mixed"][40][0] == 1 and payload["mixed"][40][-1] == 4**40
+
+
+_CERT_COEFF = st.sampled_from([1, -1, 2, -3, _ELL, -_ELL, _ELL + 1, 2 * _ELL - 3])
+_CERT_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _CERT_COEFF),
+                       min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_CERT_TERMS, b=_CERT_TERMS, h=st.none() | _CERT_TERMS,
+       q=st.sampled_from([1, 2, 3, 4, 8]), r=st.sampled_from([1, 2, 3]))
+def test_sparse_certificate_matches_the_dense_one(a, b, h, q, r):
+    A, B = _poly(a), _poly(b)
+    if h is not None:
+        A, B = _poly(h) * A, _poly(h) * B
+    assume(not (A.is_zero or B.is_zero))
+    F, G = _scaled(_int_rows(A), q), _scaled(_int_rows(B), r)
+    assert _coprime_mod_ell(F, G) == dense_coprime_mod_ell(F, G, _CERT_POINTS, _ELL)
+    for x0 in _CERT_POINTS:
+        f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
+        dense_f, dense_g = dense_at_mod_ell(F, x0, _ELL), dense_at_mod_ell(G, x0, _ELL)
+        assert f == {b: v for b, v in enumerate(dense_f) if v}
+        if dense_f[-1] and dense_g[-1]:
+            assert _gcd_degree_mod_ell(f, g) == dense_gcd_degree_mod_ell(dense_f, dense_g, _ELL)
