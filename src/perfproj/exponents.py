@@ -56,6 +56,18 @@ def _require_prime(p: int) -> None:
         raise DomainError(f"{p!r} is not a prime")
 
 
+def _denominator_pexp(den: int, p: int) -> int:
+    """The j with den == p**j, for a positive den and a prime p (checked by
+    the caller: p = 1 would never stop); DomainError if den is no power of p."""
+    j = 0
+    while den % p == 0:
+        den //= p
+        j += 1
+    if den != 1:
+        raise DomainError(f"denominator not a power of {p}")
+    return j
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True)
 class PAdicFrac:
@@ -85,14 +97,7 @@ class PAdicFrac:
         """Exact conversion; rejects denominators that are not powers of p."""
         _require_prime(p)
         fr = Fraction(fr)
-        den = fr.denominator
-        pexp = 0
-        while den % p == 0:
-            den //= p
-            pexp += 1
-        if den != 1:
-            raise DomainError(f"denominator not a power of {p}")
-        return normalize(fr.numerator, pexp, p)
+        return normalize(fr.numerator, _denominator_pexp(fr.denominator, p), p)
 
     @property
     def is_zero(self) -> bool:

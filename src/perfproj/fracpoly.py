@@ -1,8 +1,13 @@
 """Polynomials with exponents in Z[1/p] and exact rational coefficients.
 
 Only finite formal sums are modeled.  Coefficients live in the rationals;
-exponents are PAdicFrac values sharing one ambient prime.  The text grammar
-(ASCII; whitespace, any Unicode space, is insignificant) is
+exponents lie in Z[1/p] for one ambient prime p.  A polynomial is stored at
+its grade k, the least k that clears every exponent denominator: a term is an
+integer vector v standing for the exponents v / p**k, an ordinary polynomial
+in the x_j**(1/p**k).  So equal polynomials hold equal data, and sums,
+products and rendering run on integers; exponents become PAdicFrac values
+only where a method returns them.  The text grammar (ASCII; whitespace, any
+Unicode space, is insignificant) is
 
     poly    := ["+" | "-"] term (("+" | "-") term)*
     term    := factor ("*"? factor)*
@@ -26,10 +31,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
-from .exponents import PAdicFrac, _require_prime
+from .exponents import PAdicFrac, _denominator_pexp, _require_prime, normalize
 
 ExpVector = tuple[PAdicFrac, ...]
 
@@ -74,32 +80,48 @@ def _substitute_vector(exps: ExpVector, images: Mapping[int, FracMonomial],
 
 
 class FracPoly:
-    """Finite formal sum of monomials keyed by exponent vector."""
+    """Finite formal sum of monomials keyed by exponent vector.
 
-    __slots__ = ("nvars", "prime", "_terms")
+    The constructor takes PAdicFrac exponent vectors.  Each term is kept as
+    an integer vector v at the grade k of the polynomial (max_pexp), for the
+    exponents v / p**k; terms(), coefficient() and the other methods that
+    return exponents convert them back to PAdicFrac values.
+    """
+
+    __slots__ = ("nvars", "prime", "_terms", "_k")
 
     def __init__(self, nvars: int, prime: int,
                  terms: Mapping[ExpVector, Fraction] | Iterable[tuple[ExpVector, Fraction]] = ()):
         _require_prime(prime)
         if nvars < 1:
             raise DomainError("nvars must be positive")
-        self.nvars = nvars
-        self.prime = prime
-        merged: dict[ExpVector, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
+        checked = []
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise DomainError("exponent vector length does not match nvars")
-            for e in exps:
-                if e.prime != prime:
-                    raise DomainError("mixed primes in exponent vector")
-            c = merged.get(exps, Fraction(0)) + Fraction(coeff)
-            if c == 0:
-                merged.pop(exps, None)
+            if any(e.prime != prime for e in exps):
+                raise DomainError("mixed primes in exponent vector")
+            checked.append((exps, Fraction(coeff)))
+        k = max((e.pexp for exps, _ in checked for e in exps), default=0)
+        self._merge(nvars, prime, k, [(tuple(e.scaled(k) for e in exps), c)
+                                      for exps, c in checked])
+
+    def _merge(self, nvars: int, prime: int, k: int, items) -> "FracPoly":
+        """Make self the sum of c * x**(v / p**k) over the pairs (v, c) of
+        items, integer vectors v and Fraction coefficients c, at its least
+        grade; checks nothing.  Every FracPoly is built here."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for v, c in items:
+            c += terms.get(v, 0)
+            if c:
+                terms[v] = c
             else:
-                merged[exps] = c
-        self._terms = merged
+                terms.pop(v, None)
+        while k and all(e % prime == 0 for v in terms for e in v):
+            terms, k = {tuple(e // prime for e in v): c for v, c in terms.items()}, k - 1
+        self.nvars, self.prime, self._terms, self._k = nvars, prime, terms, k
+        return self
 
     # -- construction helpers -------------------------------------------------
 
@@ -121,33 +143,39 @@ class FracPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
+    def _at(self, k: int) -> list[tuple[tuple[int, ...], Fraction]]:
+        """The terms as integer vectors at grade k, at least the grade of self."""
+        q = self.prime ** (k - self._k)
+        return [(tuple(e * q for e in v), c) for v, c in self._terms.items()]
+
     def terms(self) -> list[FracMonomial]:
         """Terms in descending exponent-vector order (rendering order)."""
-        keys = sorted(self._terms, reverse=True)
-        return [FracMonomial(self._terms[k], k) for k in keys]
+        return [FracMonomial(self._terms[v], tuple(normalize(e, self._k, self.prime) for e in v))
+                for v in sorted(self._terms, reverse=True)]
 
     def coefficient(self, exps: ExpVector) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        exps = tuple(exps)
+        if not all(isinstance(e, PAdicFrac) and e.prime == self.prime and e.pexp <= self._k
+                   for e in exps):
+            return Fraction(0)  # no term of self has these exponents
+        return self._terms.get(tuple(e.scaled(self._k) for e in exps), Fraction(0))
 
     def constant_term(self) -> Fraction:
-        zero_vec = tuple(PAdicFrac(0, 0, self.prime) for _ in range(self.nvars))
-        return self._terms.get(zero_vec, Fraction(0))
+        return self._terms.get((0,) * self.nvars, Fraction(0))
 
     def homogeneous_degree(self) -> PAdicFrac | None:
         """Common degree of all terms, or None if inhomogeneous or zero."""
-        degrees = {FracMonomial(c, e).degree for e, c in self._terms.items()}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degrees = {sum(v) for v in self._terms}
+        return normalize(degrees.pop(), self._k, self.prime) if len(degrees) == 1 else None
 
     def max_pexp(self) -> int:
         """Largest denominator exponent over all exponents (0 for integer polys)."""
-        return max((e.pexp for exps in self._terms for e in exps), default=0)
+        return self._k
 
     def min_exp(self, var: int) -> PAdicFrac:
         if self.is_zero:
             raise DomainError("zero polynomial rejected")
-        return min(exps[var] for exps in self._terms)
+        return normalize(min(v[var] for v in self._terms), self._k, self.prime)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -156,38 +184,40 @@ class FracPoly:
             raise DomainError("polynomials from different ambient rings")
 
     def __add__(self, other: "FracPoly") -> "FracPoly":
+        if not isinstance(other, FracPoly):
+            return NotImplemented
         self._check_compatible(other)
-        items = list(self._terms.items()) + list(other._terms.items())
-        return FracPoly(self.nvars, self.prime, items)
+        k = max(self._k, other._k)
+        return _merged(self.nvars, self.prime, k, self._at(k) + other._at(k))
 
     def __neg__(self) -> "FracPoly":
-        return FracPoly(self.nvars, self.prime,
-                        [(e, -c) for e, c in self._terms.items()])
+        return self * -1
 
     def __sub__(self, other: "FracPoly") -> "FracPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, FracPoly) else NotImplemented
 
     def __mul__(self, other) -> "FracPoly":
         if isinstance(other, (int, Fraction)):
-            return FracPoly(self.nvars, self.prime,
-                            [(e, c * other) for e, c in self._terms.items()])
+            return _merged(self.nvars, self.prime, self._k,
+                           [(v, c * other) for v, c in self._terms.items()])
+        if not isinstance(other, FracPoly):
+            return NotImplemented
         self._check_compatible(other)
-        items = []
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                items.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return FracPoly(self.nvars, self.prime, items)
+        k = max(self._k, other._k)
+        return _merged(self.nvars, self.prime, k,
+                       [(tuple(map(add, v1, v2)), c1 * c2)
+                        for v1, c1 in self._at(k) for v2, c2 in other._at(k)])
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FracPoly):
             return NotImplemented
-        return (self.nvars == other.nvars and self.prime == other.prime
-                and self._terms == other._terms)
+        return ((self.nvars, self.prime, self._k, self._terms)
+                == (other.nvars, other.prime, other._k, other._terms))
 
     def __hash__(self):
-        return hash((self.nvars, self.prime, frozenset(self._terms.items())))
+        return hash((self.nvars, self.prime, self._k, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"FracPoly({self.render()!r}, nvars={self.nvars}, p={self.prime})"
@@ -212,11 +242,14 @@ class FracPoly:
                 raise DomainError("mixed primes in replacement")
             if e.num < 0:
                 raise DomainError("replacement exponents must be non-negative")
-        images = {var: replacement}
+        return self._substitute({var: replacement})
+
+    def _substitute(self, images: Mapping[int, FracMonomial]) -> "FracPoly":
+        """Replace each x_j by images[j] (_substitute_vector), unchecked."""
         items = []
-        for exps, coeff in self._terms.items():
-            sign, new = _substitute_vector(exps, images, self.prime)
-            items.append((new, sign * coeff))
+        for mon in self.terms():
+            sign, new = _substitute_vector(mon.exps, images, self.prime)
+            items.append((new, sign * mon.coeff))
         return FracPoly(self.nvars, self.prime, items)
 
     def rescale_to_grade(self, i: int) -> "FracPoly":
@@ -225,46 +258,36 @@ class FracPoly:
         Every exponent must have denominator exponent <= i; the result has
         integer exponents throughout.
         """
-        items = []
-        for exps, coeff in self._terms.items():
-            try:
-                scaled = tuple(PAdicFrac(e.scaled(i), 0, self.prime) if e.num else e
-                               for e in exps)
-            except DomainError as exc:
-                raise DomainError(f"grade too small: {exc}") from exc
-            items.append((scaled, coeff))
-        return FracPoly(self.nvars, self.prime, items)
+        k, p = self._k, self.prime
+        if i < k:
+            # the denominator exponent of the first exponent, in term order, over i
+            over = [q for v in self._terms for e in v if e and (q := normalize(e, k, p).pexp) > i]
+            if over:
+                raise DomainError(
+                    f"grade too small: grade {i} too small for denominator exponent {over[0]}")
+        q = p ** max(i - k, 0)
+        return _merged(self.nvars, p, 0, [(tuple(e * q for e in v), c)
+                                          for v, c in self._terms.items()])
 
     def extract_power(self, var: int) -> tuple[PAdicFrac, "FracPoly"]:
         """Factor out the maximal power of x_var: f = x_var**e * cofactor."""
         e = self.min_exp(var)
-        items = []
-        for exps, coeff in self._terms.items():
-            new = list(exps)
-            new[var] = new[var] - e
-            items.append((tuple(new), coeff))
-        return e, FracPoly(self.nvars, self.prime, items)
+        m = e.scaled(self._k)
+        items = [(v[:var] + (v[var] - m,) + v[var + 1:], c) for v, c in self._terms.items()]
+        return e, _merged(self.nvars, self.prime, self._k, items)
 
     def set_var_zero(self, var: int) -> "FracPoly":
         """Evaluate x_var = 0: terms with positive exponent vanish."""
-        items = []
-        for exps, coeff in self._terms.items():
-            e = exps[var]
-            if e.num < 0:
-                raise DomainError("cannot evaluate a negative power at zero")
-            if e.is_zero:
-                items.append((exps, coeff))
-        return FracPoly(self.nvars, self.prime, items)
+        if any(v[var] < 0 for v in self._terms):
+            raise DomainError("cannot evaluate a negative power at zero")
+        return _merged(self.nvars, self.prime, self._k,
+                       [(v, c) for v, c in self._terms.items() if not v[var]])
 
     def restrict_to_var(self, var: int) -> "FracPoly":
         """Project onto a single-variable polynomial; other exponents must be zero."""
-        items = []
-        for exps, coeff in self._terms.items():
-            for j, e in enumerate(exps):
-                if j != var and not e.is_zero:
-                    raise DomainError("polynomial involves other variables")
-            items.append(((exps[var],), coeff))
-        return FracPoly(1, self.prime, items)
+        if any(e for v in self._terms for j, e in enumerate(v) if j != var):
+            raise DomainError("polynomial involves other variables")
+        return _merged(1, self.prime, self._k, [((v[var],), c) for v, c in self._terms.items()])
 
     # -- text ---------------------------------------------------------------------
 
@@ -272,27 +295,33 @@ class FracPoly:
         if self.is_zero:
             return "0"
         names = tuple(names) if names is not None else default_var_names(self.nvars)
-        return _render_terms([(k, self._terms[k]) for k in sorted(self._terms, reverse=True)],
-                             names)
+        return _render_terms([(v, self._terms[v]) for v in sorted(self._terms, reverse=True)],
+                             names, self._k, self.prime)
 
     def __str__(self) -> str:
         return self.render()
 
 
+def _merged(nvars: int, prime: int, k: int, items) -> FracPoly:
+    """The FracPoly of the integer terms items at grade k, through FracPoly._merge."""
+    return object.__new__(FracPoly)._merge(nvars, prime, k, items)
+
+
 def _plane_terms(f: FracPoly, k: int) -> dict[tuple[int, int], Fraction]:
     """The plane curve f at grade k: x**(a/p**k) * y**(b/p**k) -> coeff keyed
-    by (a, b).  f must be nonzero, with non-negative exponents whose
-    denominators divide p**k, checked term by term in rendering order; the
-    caller checks that f has 2 variables."""
+    by (a, b), read off the stored integer vectors of f.  f must be nonzero,
+    with non-negative exponents whose denominators divide p**k, checked term
+    by term in rendering order; the caller checks that f has 2 variables."""
     if f.is_zero:
         raise DomainError("zero polynomial rejected")
+    up, down = f.prime ** max(k - f._k, 0), f.prime ** max(f._k - k, 0)
     terms = {}
-    for (ex, ey), coeff in sorted(f._terms.items(), reverse=True):
-        if ex.pexp > k or ey.pexp > k:
+    for a, b in sorted(f._terms, reverse=True):
+        if a % down or b % down:
             raise DomainError("integer exponents required; rescale first")
-        if ex.num < 0 or ey.num < 0:
+        if a < 0 or b < 0:
             raise DomainError("curve exponents must be non-negative")
-        terms[ex.scaled(k), ey.scaled(k)] = coeff
+        terms[a * up // down, b * up // down] = f._terms[a, b]
     return terms
 
 
@@ -315,38 +344,30 @@ def _power_suffix(num: int, pexp: int, p: int) -> str:
     return f"^({num}/{p**pexp})"
 
 
-def _exp_suffix(e: PAdicFrac) -> str:
-    return _power_suffix(e.num, e.pexp, e.prime)
-
-
-def _factors(exps: ExpVector, names: Sequence[str]) -> str:
-    """The factors of a monomial joined by "*"; "" for the unit monomial."""
-    return "*".join(names[j] + _exp_suffix(e) for j, e in enumerate(exps) if not e.is_zero)
-
-
-def _term_body(abs_coeff: Fraction, exps: ExpVector, names: Sequence[str]) -> str:
-    factors = _factors(exps, names)
+def _term_body(abs_coeff: Fraction, v: tuple[int, ...], names: Sequence[str],
+               k: int, p: int) -> str:
+    """One term's text without its sign, for the integer vector v at grade k."""
+    factors = "*".join(names[j] + _power_suffix(e, k, p) for j, e in enumerate(v) if e)
     if not factors:
         return str(abs_coeff)
     return factors if abs_coeff == 1 else f"{abs_coeff}*{factors}"
 
 
-def _render_terms(items: Sequence[tuple[ExpVector, Fraction]], names: Sequence[str]) -> str:
-    """The text of a nonzero sum of (exps, coeff) terms given in rendering order."""
-    out = []
-    for k, (exps, c) in enumerate(items):
-        if k == 0:
-            prefix = "-" if c < 0 else ""
-        else:
-            prefix = " - " if c < 0 else " + "
-        out.append(prefix + _term_body(abs(c), exps, names))
-    return "".join(out)
+def _render_terms(items: Sequence[tuple[tuple[int, ...], Fraction]], names: Sequence[str],
+                  k: int, p: int) -> str:
+    """The text of a nonzero sum of (v, coeff) terms, integer vectors v at
+    grade k, given in rendering order: the first term's " + " is dropped and
+    its " - " becomes "-"."""
+    text = "".join((" - " if c < 0 else " + ") + _term_body(abs(c), v, names, k, p)
+                   for v, c in items)
+    return text[3:] if items[0][1] > 0 else "-" + text[3:]
 
 
 def monomial_string(exps: ExpVector, names: Sequence[str] | None = None) -> str:
     """Coefficient-free monomial text, e.g. "x^(1/3)*y^(5/3)"; "1" for the unit."""
     names = tuple(names) if names is not None else default_var_names(len(exps))
-    return _factors(exps, names) or "1"
+    return "*".join(names[j] + _power_suffix(e.num, e.pexp, e.prime)
+                    for j, e in enumerate(exps) if e.num) or "1"
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -368,11 +389,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Reads curve text into terms whose exponents are ints, or Fractions
+    where a "(a/b)" factor took part; grade is the least k such that p**k
+    clears every such denominator read so far."""
+
     def __init__(self, text: str, nvars: int, prime: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
         self.prime = prime
+        self.grade = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -387,11 +413,12 @@ class _Parser:
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.accept(kind)
         if tok is None:
-            cur = self.peek()
-            raise ParseError(f"expected {what}", cur[2])
+            raise ParseError(f"expected {what}", self.peek()[2])
         return tok
 
-    def parse_poly(self) -> list[tuple[list[PAdicFrac], Fraction]]:
+    def parse_poly(self) -> FracPoly:
+        """The text as a FracPoly: its terms go to the merge as integer
+        vectors at the grade of the text."""
         terms = []
         while True:  # the sign of the first term is optional
             if self.accept("-"):
@@ -403,11 +430,13 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return terms
+        q = self.prime ** self.grade
+        return _merged(self.nvars, self.prime, self.grade,
+                       [(tuple(int(e * q) for e in exps), c) for exps, c in terms])
 
-    def parse_term(self, sign: int) -> tuple[list[PAdicFrac], Fraction]:
+    def parse_term(self, sign: int) -> tuple[list[int | Fraction], Fraction]:
         coeff = Fraction(sign)
-        exps = [PAdicFrac(0, 0, self.prime) for _ in range(self.nvars)]
+        exps: list[int | Fraction] = [0] * self.nvars
         saw_factor = False
         expect_factor = False
         while True:
@@ -426,8 +455,7 @@ class _Parser:
             elif tok[0] == "var":
                 self.pos += 1
                 idx = self.var_index(tok)
-                e = self.parse_exponent() if self.accept("^") else PAdicFrac(1, 0, self.prime)
-                exps[idx] = exps[idx] + e
+                exps[idx] += self.parse_exponent() if self.accept("^") else 1
                 saw_factor = True
                 expect_factor = False
             elif tok[0] == "*" and saw_factor:
@@ -447,23 +475,23 @@ class _Parser:
             raise ParseError(f"unknown variable name {name!r}", tok[2])
         return idx
 
-    def parse_exponent(self) -> PAdicFrac:
+    def parse_exponent(self) -> int | Fraction:
         if self.accept("("):
             sign = -1 if self.accept("-") else 1
             num = self.expect("int", "integer exponent")
             self.expect("/", "'/' in fractional exponent")
             den = self.expect("int", "integer denominator")
-            close = self.expect(")", "')'")
+            self.expect(")", "')'")
             try:
-                return PAdicFrac.from_fraction(
-                    Fraction(sign * int(num[1]), int(den[1])), self.prime)
+                e = Fraction(sign * int(num[1]), int(den[1]))
+                self.grade = max(self.grade, _denominator_pexp(e.denominator, self.prime))
             except DomainError:
                 raise ParseError(f"denominator not a power of {self.prime}", den[2])
             except ZeroDivisionError:
                 raise ParseError("zero denominator", den[2]) from None
+            return e
         sign = -1 if self.accept("-") else 1
-        num = self.expect("int", "integer exponent")
-        return PAdicFrac(sign * int(num[1]), 0, self.prime)
+        return sign * int(self.expect("int", "integer exponent")[1])
 
 
 def parse(text: str, nvars: int, prime: int) -> FracPoly:
@@ -474,4 +502,4 @@ def parse(text: str, nvars: int, prime: int) -> FracPoly:
     _require_prime(prime)
     if not 1 <= nvars <= 10:
         raise DomainError("nvars must be between 1 and 10")
-    return FracPoly(nvars, prime, _Parser(text, nvars, prime).parse_poly())
+    return _Parser(text, nvars, prime).parse_poly()

@@ -7,27 +7,28 @@ coordinate constraint left after sending the blown-down variable to zero.
 Exceptional sets are reported symbolically, as a constraint equation; root
 counting would depend on the ambient field, which is not modeled.
 
-The charts run on integer exponents at the curve's grade k (its largest
-denominator exponent): fracpoly._plane_terms reads x**(a/p**k) * y**(b/p**k)
-as the pair (a, b), and the chart substitution sends it to (a+b, b) on the
-u-chart and to (a, a+b) on the v-chart.  Both maps are injective, so no terms
-merge.  The extracted power is the least a+b, the order of the curve, on
-either chart.  Exponents become PAdicFrac values only in the returned
-transformed curve, the extracted power and the rendered equations.
+The charts run on the integer form a FracPoly stores, at the curve's grade k
+(its largest denominator exponent): fracpoly._plane_terms reads
+x**(a/p**k) * y**(b/p**k) as the pair (a, b), and the chart substitution
+sends it to (a+b, b) on the u-chart and to (a, a+b) on the v-chart.  Both
+maps are injective, so no terms merge.  The extracted power is the least
+a+b, the order of the curve, on either chart.  The transformed curve is
+built from the integer cofactor and the equations are rendered from it; the
+extracted power is the only exponent that becomes a PAdicFrac value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .braided import BraidedDim, LineBundle, hn_top
 from .enumeration import (GradedPiece, _as_padic, _scaled_vectors, count_h0_monomials,
                           enumerate_h0_monomials)
 from .errors import DomainError
 from .exponents import PAdicFrac, _require_prime, normalize
-from .fracpoly import (FracMonomial, FracPoly, _exp_suffix, _plane_terms, _power_suffix,
+from .fracpoly import (FracMonomial, FracPoly, _merged, _plane_terms, _power_suffix,
                        _render_terms, _substitute_vector, default_var_names)
 
 
@@ -166,7 +167,8 @@ class BlowupChart:
 
     @property
     def extracted(self) -> str:
-        return f"{self.blown_down}{_exp_suffix(self.power_extracted)}"
+        e = self.power_extracted
+        return f"{self.blown_down}{_power_suffix(e.num, e.pexp, e.prime)}"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -184,23 +186,22 @@ class BlowupChart:
         return out
 
 
-def _equation(terms: dict, exp_at, names) -> str:
+def _equation(terms: dict, k: int, p: int, names) -> str:
     """Render sum(terms) = 0 as "<non-constant part> = <constant>".
 
-    terms maps integer exponent vectors at one grade to coefficients, and
-    exp_at turns such an integer into its exponent.
+    terms maps integer exponent vectors at grade k to coefficients.
     """
     const = terms.get((0,) * len(names), Fraction(0))
     rest = sorted((v for v in terms if any(v)), reverse=True)
     if not rest:
         return f"{const} = 0"
     sign = -1 if terms[rest[0]] < 0 else 1
-    lhs = _render_terms([(tuple(map(exp_at, v)), sign * terms[v]) for v in rest], names)
+    lhs = _render_terms([(v, sign * terms[v]) for v in rest], names, k, p)
     return f"{lhs} = {-sign * const}"
 
 
-def _chart(F: dict, exp_at, p: int, chart: str) -> BlowupChart:
-    """One chart of the blow-up of F, {(a, b): coeff} at the grade of exp_at."""
+def _chart(F: dict, k: int, p: int, chart: str) -> BlowupChart:
+    """One chart of the blow-up of F, {(a, b): coeff} at grade k."""
     order = min(a + b for a, b in F)  # the power of the blown-down variable extracted
     if chart == "u":
         # u = 1: y = x*v; slot 0 stays x, slot 1 becomes v
@@ -216,16 +217,16 @@ def _chart(F: dict, exp_at, p: int, chart: str) -> BlowupChart:
     if len(fiber) == 1 and (0,) in fiber:
         # every chart-coordinate term still carries a positive power of the
         # blown-down variable, so nothing survives the limit: empty fiber
-        locus = ExceptionalLocus(True, _equation(cofactor, exp_at, names))
+        locus = ExceptionalLocus(True, _equation(cofactor, k, p, names))
     else:
         point = None
         if len(fiber) == 1:
             # pure power of the chart coordinate: the fiber is the single
             # point with coordinate 0
             point = "(1:0)" if chart == "u" else "(0:1)"
-        locus = ExceptionalLocus(False, _equation(fiber, exp_at, (names[coord],)), point)
-    transformed = FracPoly(2, p, [(tuple(map(exp_at, v)), c) for v, c in cofactor.items()])
-    return BlowupChart(chart, relation, names, names[blown], exp_at(order), transformed, locus)
+        locus = ExceptionalLocus(False, _equation(fiber, k, p, (names[coord],)), point)
+    return BlowupChart(chart, relation, names, names[blown], normalize(order, k, p),
+                       _merged(2, p, k, cofactor.items()), locus)
 
 
 def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
@@ -241,8 +242,7 @@ def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
     terms = _plane_terms(F, k)
     if (0, 0) in terms:
         raise DomainError("origin not on curve")
-    exp_at = cache(lambda e: normalize(e, k, p))  # the exponent e / p**k
-    return _chart(terms, exp_at, p, "u"), _chart(terms, exp_at, p, "v")
+    return _chart(terms, k, p, "u"), _chart(terms, k, p, "v")
 
 
 # -- blow-up of the affine plane: chart atlas ----------------------------------------
@@ -264,11 +264,7 @@ class MonomialMap:
         return Fraction(sign), out
 
     def apply(self, f: FracPoly) -> FracPoly:
-        items = []
-        for mon in f.terms():
-            c, exps = self.apply_vector(mon.exps)
-            items.append((exps, mon.coeff * c))
-        return FracPoly(f.nvars, f.prime, items)
+        return f._substitute(dict(enumerate(self.images)))
 
 
 @dataclass(frozen=True)

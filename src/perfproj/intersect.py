@@ -49,8 +49,8 @@ k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
 colength of the ideal multiplies by that rank.  A curve against itself needs
 only (0, d), since mu is symmetric.
 
-Each curve is read once, by fracpoly._plane_terms, into integer rows at its
-native grade.  The rows of a base entry are those rows with every exponent
+Each curve is read once, by fracpoly._plane_terms from the integer vectors
+its FracPoly stores, into integer rows at its native grade.  The rows of a base entry are those rows with every exponent
 multiplied by p**s (p**t for G), built fresh because _mu consumes its rows.
 """
 
@@ -72,9 +72,9 @@ def _int_rows(f: FracPoly, k: int = 0) -> dict[int, dict[int, int]]:
     """f at grade k as integer rows by y-degree, y-exponent -> {x-exponent ->
     nonzero int}: every exponent is multiplied by p**k.
 
-    f is read by fracpoly._plane_terms after the 2-variable check.  The
-    coefficients are scaled by the lcm of their denominators, which leaves
-    the ideal of f unchanged.
+    f is read off its stored integer vectors by fracpoly._plane_terms, after
+    the 2-variable check.  The coefficients are scaled by the lcm of their
+    denominators, which leaves the ideal of f unchanged.
     """
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")

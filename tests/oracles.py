@@ -17,6 +17,7 @@ from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, Frac
                       local_multiplicity, monomial_string, normalize, parse_poly)
 from perfproj import cech
 from perfproj.enumeration import _as_padic, count_h0_monomials, count_hn_monomials
+from perfproj.fracpoly import _tokenize
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
@@ -386,3 +387,117 @@ def dense_coprime_mod_ell(F: dict, G: dict, points, ell: int) -> bool:
         if f[-1] and g[-1]:
             return dense_gcd_degree_mod_ell(f, g, ell) == 0
     return False
+
+
+class PadicParser:
+    """The curve-text parser as it was before FracPoly stored integer vectors:
+    every exponent a PAdicFrac, summed factor by factor into its term."""
+
+    def __init__(self, text: str, nvars: int, prime: int):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.nvars = nvars
+        self.prime = prime
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def accept(self, kind: str):
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        return None
+
+    def expect(self, kind: str, what: str):
+        tok = self.accept(kind)
+        if tok is None:
+            cur = self.peek()
+            raise ParseError(f"expected {what}", cur[2])
+        return tok
+
+    def parse_poly(self) -> list[tuple[list[PAdicFrac], Fraction]]:
+        terms = []
+        while True:  # the sign of the first term is optional
+            if self.accept("-"):
+                terms.append(self.parse_term(-1))
+            elif self.accept("+") or not terms:
+                terms.append(self.parse_term(1))
+            else:
+                break
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return terms
+
+    def parse_term(self, sign: int) -> tuple[list[PAdicFrac], Fraction]:
+        coeff = Fraction(sign)
+        exps = [PAdicFrac(0, 0, self.prime) for _ in range(self.nvars)]
+        saw_factor = False
+        expect_factor = False
+        while True:
+            tok = self.peek()
+            if tok[0] == "int":
+                self.pos += 1
+                value = Fraction(int(tok[1]))
+                if self.accept("/"):
+                    den = self.expect("int", "integer after '/'")
+                    if int(den[1]) == 0:
+                        raise ParseError("zero denominator", den[2])
+                    value /= int(den[1])
+                coeff *= value
+                saw_factor = True
+                expect_factor = False
+            elif tok[0] == "var":
+                self.pos += 1
+                idx = self.var_index(tok)
+                e = self.parse_exponent() if self.accept("^") else PAdicFrac(1, 0, self.prime)
+                exps[idx] = exps[idx] + e
+                saw_factor = True
+                expect_factor = False
+            elif tok[0] == "*" and saw_factor:
+                self.pos += 1
+                expect_factor = True
+            else:
+                break
+        if expect_factor or not saw_factor:
+            tok = self.peek()
+            raise ParseError("expected a coefficient or monomial", tok[2])
+        return exps, coeff
+
+    def var_index(self, tok) -> int:
+        name = tok[1]
+        idx = int(name[1]) if len(name) == 2 else {"x": 0, "y": 1, "z": 2}[name]
+        if idx >= self.nvars:
+            raise ParseError(f"unknown variable name {name!r}", tok[2])
+        return idx
+
+    def parse_exponent(self) -> PAdicFrac:
+        if self.accept("("):
+            sign = -1 if self.accept("-") else 1
+            num = self.expect("int", "integer exponent")
+            self.expect("/", "'/' in fractional exponent")
+            den = self.expect("int", "integer denominator")
+            self.expect(")", "')'")
+            try:
+                return PAdicFrac.from_fraction(
+                    Fraction(sign * int(num[1]), int(den[1])), self.prime)
+            except DomainError:
+                raise ParseError(f"denominator not a power of {self.prime}", den[2])
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", den[2]) from None
+        sign = -1 if self.accept("-") else 1
+        num = self.expect("int", "integer exponent")
+        return PAdicFrac(sign * int(num[1]), 0, self.prime)
+
+
+def padic_parse_terms(text: str, nvars: int, prime: int) -> dict:
+    """{exponent vector: coeff} of the curve text through PadicParser, merged
+    as the FracPoly constructor merged PAdicFrac vectors: the coefficients of
+    equal vectors summed and zero sums dropped."""
+    merged = {}
+    for exps, coeff in PadicParser(text, nvars, prime).parse_poly():
+        c = merged.pop(tuple(exps), 0) + coeff
+        if c:
+            merged[tuple(exps)] = c
+    return merged

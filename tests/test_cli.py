@@ -888,3 +888,47 @@ def _token_argv(draw):
 @example(argv=["blowup", "--f", " -x", "--p", "2", "--json=1"])
 def test_fast_reader_answers_as_argparse(argv):
     assert invoke(argv) == _invoke_through_argparse(argv)
+
+
+def _fractional_curve(terms: int, p: int) -> str:
+    """A curve through the origin with the given number of terms, each with
+    the fractional factor x^(1/p)."""
+    return " + ".join(f"{i}*x^(1/{p})*y^{i}" for i in range(1, terms + 1))
+
+
+def _work(monkeypatch, argv) -> tuple[int, int]:
+    """The PAdicFrac values one successful request builds, and the
+    primality tests it runs."""
+    counts = [0, 0]
+    real_post_init, real_is_prime = PAdicFrac.__post_init__, exponents.is_prime
+
+    def counting_post_init(self):
+        counts[0] += 1
+        real_post_init(self)
+
+    def counting_is_prime(p):
+        counts[1] += 1
+        return real_is_prime(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(PAdicFrac, "__post_init__", counting_post_init)
+        m.setattr(exponents, "is_prime", counting_is_prime)
+        assert invoke(argv)[::2] == (0, "")
+    return tuple(counts)
+
+
+def test_mult_builds_no_padic_frac(monkeypatch):
+    for terms in (1, 4, 12):
+        argv = ["mult", "--f", _fractional_curve(terms, 3), "--g=y^2-x^3", "--p", "3",
+                "--grades", "2", "--json"]
+        assert _work(monkeypatch, argv)[0] == 0
+
+
+def test_blowup_work_does_not_grow_with_the_curve(monkeypatch):
+    built = [_work(monkeypatch, ["blowup", "--f", _fractional_curve(terms, 3), "--p", "3",
+                                 "--json"])[0]
+             for terms in (1, 4, 12)]
+    assert built == [2, 2, 2]  # the extracted power of each chart
+    q = 2**61 - 1
+    argv = ["blowup", "--f", _fractional_curve(12, q), "--p", str(q), "--json"]
+    assert _work(monkeypatch, argv)[1] <= 3

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from perfproj import (
 )
 from perfproj.exponents import normalize
 from perfproj.fracpoly import _tokenize
-from oracles import tokenize_by_characters
+from oracles import padic_parse_terms, tokenize_by_characters
 
 
 def P(text, nvars=2, p=2):
@@ -28,6 +29,17 @@ def test_parse_quartic_example():
     assert f.coefficient((normalize(0, 0, 2), normalize(1, 2, 2))) == 1
     assert f.coefficient((normalize(1, 2, 2), normalize(0, 0, 2))) == -1
     assert f.coefficient((normalize(1, 1, 2), normalize(0, 0, 2))) == 1
+
+
+def test_coefficient_outside_the_terms_is_zero():
+    f = P("x^(1/2)*y + 3")
+    assert f.coefficient((normalize(1, 1, 2), normalize(1, 0, 2))) == 1
+    assert f.coefficient((normalize(0, 0, 2), normalize(0, 0, 2))) == 3
+    for exps in [(normalize(1, 2, 2), normalize(1, 0, 2)),   # over the grade of f
+                 (normalize(1, 1, 3), normalize(1, 0, 3)),   # another prime
+                 (normalize(1, 1, 2),),                      # another length
+                 (0, 0)]:                                    # not exponents at all
+        assert f.coefficient(exps) == 0
 
 
 def test_parse_cancellation_to_zero():
@@ -112,6 +124,41 @@ def _tokens_or_error(tokenize, text):
                 max_size=16).map("".join))
 def test_tokenize_matches_the_character_loop(text):
     assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_by_characters, text)
+
+
+# factors of curve text, several of them with denominators, so that random
+# texts are often valid and fractional
+_FACTORS = ["x", "y", "z", "x^2", "y^-1", "x^(1/2)", "y^(3/4)", "z^(-5/8)", "x^(2/4)",
+            "x^(6/3)", "x^(1/3)", "x^(1/9)", "y^(4/6)", "3", "1/2"]
+_PIECES = st.sampled_from(_FACTORS + ["2/0", " + ", " - ", "*", "^", "(", ")", " "])
+_TERMS = st.lists(st.tuples(st.sampled_from("+-"),
+                            st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3)),
+                  min_size=1, max_size=4)
+
+
+def _parsed_terms_or_error(text, p):
+    try:
+        return {m.exps: m.coeff for m in parse_poly(text, 3, p).terms()}
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _padic_terms_or_error(text, p):
+    try:
+        return padic_parse_terms(text, 3, p)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(st.one_of(_GRAMMAR_CHARS, _GRAMMAR_CHARS, _SPACES, _STRAY), max_size=16)
+    .map("".join),
+    st.lists(_PIECES, max_size=10).map("".join),
+    _TERMS.map(lambda terms: "".join(f" {s} " + "*".join(fs) for s, fs in terms))),
+    st.sampled_from([2, 3]))
+def test_parse_matches_the_padic_parser(text, p):
+    assert _parsed_terms_or_error(text, p) == _padic_terms_or_error(text, p)
 
 
 def test_rescale_to_grade_examples():
@@ -246,3 +293,67 @@ def test_extract_power_reconstruction(f):
 def test_monomial_string_is_the_render_of_the_unit_term(exps):
     f = FracPoly(len(exps), exps[0].prime, [(exps, 1)])
     assert monomial_string(tuple(exps)) == f.render()
+
+
+def _largest_pexp(f):
+    return max((e.pexp for m in f.terms() for e in m.exps), default=0)
+
+
+def poly_pair_strategy():
+    """Two polynomials of one ring, by poly_strategy's recipe."""
+    def build(p, nvars):
+        exp = st.builds(normalize, st.integers(0, 9), st.integers(0, 2), st.just(p))
+        coeff = st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0)
+        term = st.tuples(st.tuples(*[exp] * nvars), coeff)
+        poly = st.lists(term, max_size=6).map(lambda items: FracPoly(nvars, p, items))
+        return st.tuples(poly, poly)
+    return st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 4)).flatmap(
+        lambda args: build(*args))
+
+
+def test_cancellation_lowers_the_grade():
+    f = P("x^(1/4) + y") - P("x^(1/4)")
+    assert f == P("y") and f.max_pexp() == 0
+    g = P("x^(1/2)") * P("x^(1/2)*y^(3/4)")
+    assert g == P("x*y^(3/4)") and g.max_pexp() == 2
+    e, cof = P("x^(1/2)*y + x^(1/2)").extract_power(0)
+    assert (e, cof, cof.max_pexp()) == (normalize(1, 1, 2), P("y + 1"), 0)
+
+
+@given(poly_pair_strategy())
+def test_max_pexp_is_the_largest_denominator_of_the_terms(pair):
+    f, g = pair
+    results = [f, f + g, f - g, f - f, (f + g) - g, f * g, -f, f * Fraction(1, 2)]
+    if not f.is_zero:
+        results.append(f.extract_power(0)[1])
+    rest = f
+    for var in range(1, f.nvars):
+        rest = rest.set_var_zero(var)
+    results += [rest, rest.restrict_to_var(0)]
+    for h in results:
+        assert h.max_pexp() == _largest_pexp(h)
+
+
+@given(poly_pair_strategy())
+def test_equal_polynomials_hash_alike(pair):
+    f, g = pair
+    unit = FracPoly.monomial(f.nvars, f.prime, 1, [PAdicFrac(0, 0, f.prime)] * f.nvars)
+    alike = [parse_poly(f.render(), f.nvars, f.prime),
+             FracPoly(f.nvars, f.prime, [(m.exps, m.coeff) for m in f.terms()]),
+             (f + g) - g, f * unit, -(-f), f * 2 - f]
+    for h in alike:
+        assert h == f and hash(h) == hash(f)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 2.5, None, "x"])
+def test_arithmetic_with_a_foreign_operand_raises_type_error(op, other):
+    f = P("x + y")
+    if op is operator.mul and isinstance(other, (int, Fraction)):
+        # rational scalars multiply, on either side
+        assert op(f, other) == op(other, f) == P("x + y") * P(str(other))
+        return
+    with pytest.raises(TypeError):
+        op(f, other)
+    with pytest.raises(TypeError):
+        op(other, f)

@@ -47,3 +47,28 @@ def test_cli_help_matches_in_process_run(monkeypatch):
         assert (proc.returncode, proc.stderr) == (0, "")
         assert run(argv, out, err) == 0
         assert (proc.stdout, err.getvalue()) == (out.getvalue(), "")
+
+
+def test_code_lines_counts_every_module():
+    proc = _run(["tools/code_lines.py"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for _, name in modules] == sorted(
+        path.stem for path in (ROOT / "src" / "perfproj").glob("*.py"))
+    assert total == [str(sum(int(count) for count, _ in modules)), "total"]
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """A docstring\n'
+        '    over two lines."""\n'
+        '    x = """a\n'
+        '\n'
+        'b"""  # a string over three lines, one of them blank\n'
+        "    return x\n")
+    proc = _run(["tools/code_lines.py", str(tmp_path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4 sample\n4 total\n", "")
