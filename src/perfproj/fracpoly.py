@@ -56,6 +56,18 @@ class FracMonomial:
         return sum(self.exps[1:], self.exps[0])
 
 
+def _check_vector(exps: Sequence, prime: int | None = None) -> None:
+    """The check of an exponent vector at the public boundary: every entry is
+    a PAdicFrac of one prime, that of the first entry unless prime is given."""
+    for e in exps:
+        if not isinstance(e, PAdicFrac):
+            raise TypeError(f"exponent {e!r} is not a PAdicFrac")
+        if prime is None:
+            prime = e.prime
+        elif e.prime != prime:
+            raise DomainError("mixed primes in exponent vector")
+
+
 def _substitute_vector(exps: ExpVector, images: Mapping[int, FracMonomial],
                        prime: int) -> tuple[int, ExpVector]:
     """The sign and the exponents of x**exps with each x_j replaced by images[j].
@@ -100,8 +112,7 @@ class FracPoly:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise DomainError("exponent vector length does not match nvars")
-            if any(e.prime != prime for e in exps):
-                raise DomainError("mixed primes in exponent vector")
+            _check_vector(exps, prime)
             checked.append((exps, Fraction(coeff)))
         k = max((e.pexp for exps, _ in checked for e in exps), default=0)
         self._merge(nvars, prime, k, [(tuple(e.scaled(k) for e in exps), c)
@@ -365,6 +376,7 @@ def _render_terms(items: Sequence[tuple[tuple[int, ...], Fraction]], names: Sequ
 
 def monomial_string(exps: ExpVector, names: Sequence[str] | None = None) -> str:
     """Coefficient-free monomial text, e.g. "x^(1/3)*y^(5/3)"; "1" for the unit."""
+    _check_vector(exps)
     names = tuple(names) if names is not None else default_var_names(len(exps))
     return "*".join(names[j] + _power_suffix(e.num, e.pexp, e.prime)
                     for j, e in enumerate(exps) if e.num) or "1"

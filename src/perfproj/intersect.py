@@ -22,12 +22,14 @@ dividing both curves, or y dividing both, is such a component.  Then a
 factor of positive y-degree is ruled out by a certificate when it can be:
 at the first x0 of a few small points where neither y-leading coefficient
 vanishes modulo the prime l = 2**61 - 1, F(x0, y) and G(x0, y) are tested
-for coprimality in F_l[y], as sparse maps y-exponent -> value, so the cost
-follows the number of terms, not the degree.  A common factor H, primitive
-in Z[x][y], divides both images, and its y-leading coefficient divides
-theirs, so H(x0, y) keeps the y-degree of H; coprime images therefore
-exclude it, with no probability argument.  Otherwise the gcd is computed
-exactly, with a primitive remainder sequence over Z.
+for coprimality in F_l[y], as sparse maps y-exponent -> value.  Each Euclid
+step reduces one side modulo the other: a term y**e of at least twice the
+other's degree by square-and-multiply, the rest by long division, so a
+curve rooted q times costs O(log q) products, not q steps.  A common factor H, primitive in Z[x][y], divides both images,
+and its y-leading coefficient divides theirs, so H(x0, y) keeps the y-degree
+of H; coprime images therefore exclude it, with no probability argument.
+Otherwise the gcd is computed exactly, with a primitive remainder sequence
+over Z.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -50,8 +52,35 @@ colength of the ideal multiplies by that rank.  A curve against itself needs
 only (0, d), since mu is symmetric.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
-its FracPoly stores, into integer rows at its native grade.  The rows of a base entry are those rows with every exponent
-multiplied by p**s (p**t for G), built fresh because _mu consumes its rows.
+its FracPoly stores, into integer rows at its native grade.  The rows of a
+base entry are those rows with every exponent multiplied by p**s (p**t for
+G), built fresh because _mu consumes its rows.
+
+A base entry is first offered to the Newton stage, which reads the Newton
+polygon of the native curve, built once per curve: (0, d) reads F's polygon
+against G rooted q = p**d times, (d, 0) G's against F.  Write A = x**a *
+y**b * A1, where A1 has no monomial factor; each compact edge e of the
+polygon of A1 has a primitive inner normal w = (n, m), a lattice length l_e
+and an edge polynomial P_e(y) = A1_w(1, y) / y**min.  Then
+
+    mu(A, B) = a * ord_y B(0, y) + b * ord_x B(x, 0) + sum_e l_e * h_B(w),
+
+h_B(w) the least n*i + m*j over the terms x**i * y**j of B, whenever no
+P_e shares a root with the initial form B_w(1, y) (Kouchnirenko, Invent.
+Math. 32, 1976; Fulton, Algebraic Curves, ch. 3): every branch of A1 at the
+origin is tangent to an edge, its leading coefficient is a root of P_e, and
+B meets it with order h_B(w) times its ramification unless B_w vanishes
+there.  For B rooted q times, h_B(w) is q * h_G(w) and B_w(1, y) is
+G_w(1, y**q), so the answer is q times a grade-0 number and only the
+certificate depends on q: a gcd of degree 0 in F_l[y] of P_e and
+G_w(1, y**q), with the leading coefficient of P_e nonzero modulo l, by the
+Euclid above.  A shared component through the origin would put a root of
+some P_e on B_w, or an axis in both curves, so a certified entry is finite.
+When an edge does not certify, or an axis term that the formula reads is
+missing (x dividing B with a > 0, y dividing B with b > 0), the entry goes
+to the shared-component check and the loop, unchanged.  local_multiplicity
+keeps that path alone, so the test oracles that call it stay independent of
+the Newton stage.
 """
 
 from __future__ import annotations
@@ -265,22 +294,52 @@ def _at_mod_ell(f: dict, x0: int) -> dict[int, int]:
             if (v := sum(c * pow(x0, a, _ELL) for a, c in row.items()) % _ELL)}
 
 
+def _rem_mod_ell(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    """f modulo g in F_ell[y] by long division, for f of degree below
+    2 * deg g; f is consumed.  Both are maps y-exponent -> nonzero value, g
+    nonempty."""
+    dg = max(g)
+    inv = pow(g[dg], -1, _ELL)
+    while f and (df := max(f)) >= dg:
+        c = f[df] * inv % _ELL
+        for e, v in g.items():  # the top term cancels exactly
+            e += df - dg
+            if w := (f.get(e, 0) - c * v) % _ELL:
+                f[e] = w
+            else:
+                del f[e]
+    return f
+
+
+def _y_power_mod(e: int, g: dict[int, int]) -> dict[int, int]:
+    """y**e modulo g in F_ell[y].  The leading bits of e, a power below
+    y**(2 * deg g), take one long division; each later bit squares the
+    remainder, times y on a set bit: O(log e) products of remainders, so the
+    cost follows the degree of g, not e."""
+    shift = max(e.bit_length() - max(g).bit_length(), 0)
+    r = _rem_mod_ell({e >> shift: 1}, g)
+    for k in range(shift - 1, -1, -1):
+        square: dict[int, int] = {}
+        for e1, c1 in r.items():
+            for e2, c2 in r.items():
+                t = e1 + e2 + (e >> k & 1)
+                square[t] = square.get(t, 0) + c1 * c2
+        r = _rem_mod_ell({t: v for t, c in square.items() if (v := c % _ELL)}, g)
+    return r
+
+
 def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
-    """Degree of gcd(f, g) in F_ell[y]; f and g nonempty, in the form of
-    _at_mod_ell, so the work follows their terms, not their degrees.  f and
-    g are consumed."""
+    """Degree of gcd(f, g) in F_ell[y]; f and g nonempty maps y-exponent ->
+    nonzero value, as _at_mod_ell gives them.  Each Euclid step reduces f
+    modulo g: a term y**e of degree e >= 2 * deg g by _y_power_mod, the rest
+    by one long division, so a sparse image of degree p**d costs O(d log p)
+    products, not p**d steps."""
     while g:
-        dg = max(g)
-        inv = pow(g[dg], -1, _ELL)
-        while f and (df := max(f)) >= dg:
-            c = f[df] * inv % _ELL
-            for e, v in g.items():  # the top term cancels exactly
-                e += df - dg
-                if w := (f.get(e, 0) - c * v) % _ELL:
-                    f[e] = w
-                else:
-                    del f[e]
-        f, g = g, f
+        dg, low = max(g), {}
+        for e, c in f.items():
+            for t, v in (_y_power_mod(e, g) if e >= 2 * dg else {e: 1}).items():
+                low[t] = (low.get(t, 0) + c * v) % _ELL
+        f, g = g, _rem_mod_ell({t: v for t, v in low.items() if v}, g)
     return max(f)
 
 
@@ -334,6 +393,73 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     exponents and exact rational coefficients.
     """
     return _local(_int_rows(F), _int_rows(G))
+
+
+# -- Newton stage: a base entry from the Newton polygon of the native curve -----
+
+def _newton_polygon(rows: dict) -> tuple[int, int, list]:
+    """A curve in integer rows (_int_rows) as x**a * y**b * A1, read once at
+    its native grade: (a, b, edges).
+
+    Each compact edge of the Newton polygon of A1 is (n, m, length, P): its
+    primitive inner normal w = (n, m), its lattice length and its edge
+    polynomial P(y) = A1_w(1, y) / y**min modulo _ELL, as y-exponent ->
+    nonzero value; P is None when its leading coefficient vanishes modulo
+    _ELL, and then that edge certifies nothing.
+    """
+    a = min(min(row) for row in rows.values())
+    b = min(rows)
+    terms = {(i - a, j - b): c for j, row in rows.items() for i, c in row.items()}
+    low: dict[int, int] = {}  # x-exponent -> least y-exponent of A1
+    for i, j in terms:
+        low[i] = min(j, low.get(i, j))
+    i0 = min(i for i, j in low.items() if j == 0)  # A1(x, 0) has order i0
+    hull: list[tuple[int, int]] = []  # lower hull from (0, ord_y A1(0, y)) to (i0, 0)
+    for i, j in sorted(low.items()):
+        if i > i0:
+            break
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (j - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])):
+            hull.pop()
+        hull.append((i, j))
+    edges = []
+    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
+        length = gcd(i2 - i1, j1 - j2)
+        n, m = (j1 - j2) // length, (i2 - i1) // length
+        P = {j - j2: v for (i, j), c in terms.items()
+             if n * i + m * j == n * i1 + m * j1 and (v := c % _ELL)}
+        edges.append((n, m, length, P if j1 - j2 in P else None))
+    return a, b, edges
+
+
+def _newton(polygon: tuple[int, int, list], B: dict, q: int):
+    """mu(A, B(x**q, y**q)) for the curve A of polygon (_newton_polygon) and
+    a curve B in integer rows, or None when the polygon does not certify it.
+
+    The answer is q * (a * ord_y B(0, y) + b * ord_x B(x, 0) + sum over the
+    edges of length * h_B(w)), h_B(w) the least n*i + m*j over the terms of
+    B.  It holds when every edge polynomial P is coprime to B_w(1, y**q), the
+    initial form of the rooted B, which a gcd of degree 0 in F_ell[y]
+    certifies since the leading coefficient of P does not vanish modulo
+    _ELL; and when x (y) does not divide B if a (b) is positive.
+    """
+    a, b, edges = polygon
+    oy = min((j for j, row in B.items() if 0 in row), default=None)  # ord_y B(0, y)
+    ox = min(B[0]) if 0 in B else None  # ord_x B(x, 0)
+    if (a and oy is None) or (b and ox is None):
+        return None
+    mu = a * (oy or 0) + b * (ox or 0)
+    for n, m, length, P in edges:
+        h = min(n * i + m * j for j, row in B.items() for i in row)
+        init = {}  # B_w(1, y**q) modulo _ELL: row j has at most one term of weight h
+        for j, row in B.items():
+            i, r = divmod(h - m * j, n)
+            if not r and (v := row.get(i, 0) % _ELL):
+                init[q * j] = v
+        if P is None or not init or _gcd_degree_mod_ell(P, init):
+            return None
+        mu += length * h
+    return q * mu
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -433,6 +559,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     kF, kG = F.max_pexp(), G.max_pexp()
     k0 = max(kF, kG)
     Fr, Gr = _int_rows(F, kF), _int_rows(G, kG)  # the curves at their native grades
+    polygons = _newton_polygon(Fr), _newton_polygon(Gr)
 
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
     self_pair = F == G
@@ -443,10 +570,15 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         m = min(s, t)
         key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
         if key not in base:
-            try:
-                base[key] = _local(_scaled(Fr, p ** key[0]), _scaled(Gr, p ** key[1]))
-            except FuelExhausted as exc:
-                raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
+            # (0, d) reads F's polygon against G rooted by p**d, (d, 0) G's against F
+            qF, qG = p ** key[0], p ** key[1]
+            mu = _newton(polygons[0], Gr, qG) if qF == 1 else _newton(polygons[1], Fr, qF)
+            if mu is None:
+                try:
+                    mu = _local(_scaled(Fr, qF), _scaled(Gr, qG))
+                except FuelExhausted as exc:
+                    raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
+            base[key] = mu
         return braided._mul(p ** (2 * m), base[key])
 
     mixed: list[dict[tuple[int, int], object]] = []

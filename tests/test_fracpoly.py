@@ -239,6 +239,20 @@ def test_monomial_string_of_the_unit_is_one():
     assert monomial_string((zero, zero, zero)) == "1"
 
 
+def test_an_exponent_that_is_not_a_padic_fraction_is_named():
+    with pytest.raises(TypeError, match="exponent 1 is not a PAdicFrac"):
+        FracPoly(2, 2, [((1, 0), 1)])
+    with pytest.raises(TypeError, match=r"exponent Fraction\(1, 2\) is not a PAdicFrac"):
+        monomial_string((PAdicFrac(1, 0, 2), Fraction(1, 2)))
+
+
+def test_monomial_string_rejects_mixed_primes_as_the_constructor_does():
+    exps = (PAdicFrac(1, 1, 2), PAdicFrac(1, 1, 3))
+    for build in (lambda: monomial_string(exps), lambda: FracPoly(2, 2, [(exps, 1)])):
+        with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+            build()
+
+
 def test_too_few_names_raise_instead_of_dropping_a_variable():
     f = P("x*y^(1/2) + 1")
     with pytest.raises(IndexError):

@@ -35,6 +35,9 @@ from perfproj.intersect import (
     _coprime_mod_ell,
     _gcd_degree_mod_ell,
     _int_rows,
+    _mu,
+    _newton,
+    _newton_polygon,
     _scaled,
 )
 
@@ -196,7 +199,7 @@ def test_invariance_under_multiple_shift(pair, hterms):
 
 
 def test_heavy_rooted_entries_pinned():
-    # reaches (s, t) = (3, 0): F(U^27, V^27) against G, a large gcd pre-check
+    # reaches (s, t) = (3, 0): F(U^27, V^27) against G, certified by G's Newton polygon
     tup = braided_multiplicity(parse_poly("y^2 - x^3", 2, 3),
                                parse_poly("y^3 - x^2 + x*y", 2, 3), 3)
     assert tup.to_json_dict() == {
@@ -337,20 +340,21 @@ def test_x_power_rule_matches_oracle():
     assert local_multiplicity(P("x^2*y - x^3"), P("x*y + x")) == INFINITE_RANK
 
 
-def _counting_local_calls(monkeypatch):
+def _counting_base_entries(monkeypatch):
+    # every base entry is first offered to the Newton stage, once
     calls = []
-    inner = intersect_mod._local
+    inner = intersect_mod._newton
 
-    def counted(Fr, Gr):
-        calls.append((Fr, Gr))
-        return inner(Fr, Gr)
+    def counted(polygon, B, q):
+        calls.append((polygon, B, q))
+        return inner(polygon, B, q)
 
-    monkeypatch.setattr(intersect_mod, "_local", counted)
+    monkeypatch.setattr(intersect_mod, "_newton", counted)
     return calls
 
 
 def test_self_pair_computes_half_the_base_entries(monkeypatch):
-    calls = _counting_local_calls(monkeypatch)
+    calls = _counting_base_entries(monkeypatch)
     F = parse_poly("y^3-x^2+x*y", 2, 3)
     tup = braided_multiplicity(F, F, 2)
     assert tup.to_json_dict()["mixed"][2] == ["inf", 17, 47, 17, "inf", 153, 47, 153, "inf"]
@@ -363,7 +367,7 @@ def test_self_pair_computes_half_the_base_entries(monkeypatch):
     ("y - x^(3/2)", "y - x^(3/2)", 2), ("y^2 - x^3", "y^2 - x^3", 3),
 ])
 def test_base_entry_count(monkeypatch, text_f, text_g, p):
-    calls = _counting_local_calls(monkeypatch)
+    calls = _counting_base_entries(monkeypatch)
     for grades in (1, 2, 3):
         calls.clear()
         braided_multiplicity(parse_poly(text_f, 2, p), parse_poly(text_g, 2, p), grades)
@@ -373,10 +377,11 @@ def test_base_entry_count(monkeypatch, text_f, text_g, p):
 @st.composite
 def _mult_pair(draw):
     p = draw(st.sampled_from([2, 3]))
-    # the untruncated Fulton loop needs minutes on some entries past these
-    # bounds: p = 3 at grade 3 reaches (y^2 - x^3)(U^27, V^27) against the
-    # node y^2 - x^2 - x^3, and a shared factor y + x^2 times the node
-    # against itself at p = 2, grade 2 (with y - x^2 every pair here is fast)
+    # mixed_by_depth_brute runs the untruncated Fulton loop on every entry,
+    # which needs minutes on some entries past these bounds: p = 3 at grade 3
+    # reaches (y^2 - x^3)(U^27, V^27) against the node y^2 - x^2 - x^3, and a
+    # shared factor y + x^2 times the node against itself at p = 2, grade 2
+    # (with y - x^2 every pair here is fast)
     grades = draw(st.integers(1, 3 if p == 2 else 2))
     texts = CURVE_CORPUS_TEXT + rooted_texts(p)
     F = parse_poly(draw(st.sampled_from(texts)), 2, p)
@@ -454,8 +459,10 @@ def test_certificate_holds_on_coprime_curves():
 
 
 def test_step_budget_names_its_numbers(monkeypatch):
+    # a tangent pair: both edge polynomials are y - 1, so the Newton stage
+    # leaves base entry (0, 0) to the loop
     monkeypatch.setattr(intersect_mod, "_FUEL", 2)
-    argv = ["--f", "y^2-x^3", "--g", "y^3-x^2+x*y", "--p", "3", "--grades", "1"]
+    argv = ["--f", "y-x-x^2", "--g", "y-x", "--p", "3", "--grades", "1"]
     message = ("multiplicity recursion exceeded its step budget of 2 steps "
                "at base entry (s, t) = (0, 0)")
     code, out, err = _mult(argv + ["--json"])
@@ -483,24 +490,46 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
     assert _common_component_through_origin(G, F)
 
 
-def test_a_deep_grade_stays_within_a_memory_limit():
-    # the dense certificate built a list of p**grades + 1 entries for y
-    # rooted 40 times; the child caps its own address space at 1 GiB
+def _mult_in_child(limit: str, value: int, argv: list[str]) -> dict:
+    """The JSON payload of `perfproj mult argv --json`, run in a child that
+    first sets its own resource limit, resource.<limit>, to value."""
     child = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"resource.setrlimit(resource.{limit}, ({value}, {value}))\n"
         "from perfproj.cli import main\n"
-        "sys.argv = ['perfproj', 'mult', '--f', 'x', '--g', 'y', '--p', '2',"
-        " '--grades', '40', '--json']\n"
+        f"sys.argv = ['perfproj', 'mult', *{argv!r}, '--json']\n"
         "main()\n"
     )
     src = Path(intersect_mod.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    payload = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_a_deep_grade_stays_within_a_memory_limit():
+    # the dense certificate built a list of p**grades + 1 entries for y
+    # rooted 40 times; the child caps its own address space at 1 GiB
+    payload = _mult_in_child("RLIMIT_AS", 1 << 30,
+                             ["--f", "x", "--g", "y", "--p", "2", "--grades", "40"])
     assert payload["diagonal"] == [1] * 41
     assert payload["mixed"][40][0] == 1 and payload["mixed"][40][-1] == 4**40
+
+
+def test_the_cusp_against_the_node_stays_within_a_cpu_limit():
+    # base entry (3, 0), the cusp rooted 27 times against the node, took
+    # about a minute in the Fulton loop; the Newton polygon of the node
+    # answers it, 2 * 2 * 27 = 108; the child caps its own CPU time at 10 s
+    payload = _mult_in_child("RLIMIT_CPU", 10,
+                             ["--f", "y^2-x^3", "--g", "y^2-x^2-x^3", "--p", "3", "--grades", "3"])
+    assert payload == {
+        "p": 3,
+        "diagonal": [4, 4, 4, 4],
+        "mixed": [[4], [4, 12, 12, 36], [4, 12, 36, 12, 36, 108, 36, 108, 324],
+                  [4, 12, 36, 108, 12, 36, 108, 324, 36, 108, 324, 972,
+                   108, 324, 972, 2916]],
+    }
+    assert payload["mixed"][3][12] == 108  # grade 3, root depths (0, 3): entry (3, 0)
 
 
 _CERT_COEFF = st.sampled_from([1, -1, 2, -3, _ELL, -_ELL, _ELL + 1, 2 * _ELL - 3])
@@ -524,3 +553,119 @@ def test_sparse_certificate_matches_the_dense_one(a, b, h, q, r):
         assert f == {b: v for b, v in enumerate(dense_f) if v}
         if dense_f[-1] and dense_g[-1]:
             assert _gcd_degree_mod_ell(f, g) == dense_gcd_degree_mod_ell(dense_f, dense_g, _ELL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.integers(0, 600), g=st.dictionaries(st.integers(0, 12), _CERT_COEFF, min_size=1))
+def test_y_power_modulo_matches_repeated_multiplication_by_y(e, g):
+    g = {d: v % _ELL for d, v in g.items() if v % _ELL}
+    assume(g)
+    dg, inv = max(g), pow(g[max(g)], -1, _ELL)
+    r = [1] + [0] * dg  # y**0, dense, reduced one degree at a time
+    for _ in range(e):
+        r = [0] + r[:dg]
+        c = r[dg] * inv % _ELL
+        r = [(v - c * g.get(d, 0)) % _ELL for d, v in enumerate(r)]
+    assert intersect_mod._y_power_mod(e, g) == {d: v for d, v in enumerate(r[:dg]) if v}
+
+
+def test_certificate_reduces_a_deep_power_in_log_q_products(monkeypatch):
+    # y - x against y + x rooted q = 2**61 - 1 times: y**q modulo y - 3 is
+    # one square-and-multiply, one remainder per bit of q, not q steps
+    calls = []
+    rem = intersect_mod._rem_mod_ell
+
+    def counted(f, g):
+        calls.append(len(f))
+        return rem(f, g)
+
+    monkeypatch.setattr(intersect_mod, "_rem_mod_ell", counted)
+    q = 2**61 - 1
+    assert _coprime_mod_ell(_int_rows(P("y - x")), _scaled(_int_rows(P("y + x")), q))
+    assert len(calls) <= 2 * q.bit_length()
+
+
+# -- the Newton stage ----------------------------------------------------------------
+
+def _rows_poly(rows):
+    """The FracPoly (p = 2, grade 0) of integer rows."""
+    return _poly((a, b, c) for b, row in rows.items() for a, c in row.items())
+
+
+_NEWTON_Q = st.sampled_from([1, 2, 3, 4, 8, 9])
+# _ELL + 1 is 1 modulo _ELL; a multiple of _ELL would leave the shared-component
+# check below to the exact remainder sequence, which is slow at these degrees
+_NEWTON_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                   st.sampled_from([1, -1, 2, -3, _ELL + 1])),
+                         min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_NEWTON_TERMS, c=_NEWTON_TERMS, h=st.none() | _NEWTON_TERMS, qa=_NEWTON_Q, q=_NEWTON_Q)
+def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
+    # A is a curve rooted qa times and B a curve rooted q times; with h they
+    # share the factor H rooted q times (qa = q then)
+    A0, C0 = _poly(a), _poly(c)
+    if h is not None:
+        H = _poly(h)
+        A0, C0, qa = H * A0, H * C0, q
+    assume(not (A0.is_zero or C0.is_zero))
+    A, C = _scaled(_int_rows(A0), qa), _int_rows(C0)
+    mu = _newton(_newton_polygon(A), C, q)
+    if h is not None and not H.is_zero and H.constant_term() == 0:
+        assert mu is None  # a shared factor through the origin is never certified
+    if mu is None:
+        return
+    B = _scaled(C, q)
+    assert not _common_component_through_origin(_scaled(A, 1), _scaled(B, 1))
+    assert _mu(_scaled(A, 1), _scaled(B, 1)) == mu
+    if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
+        assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
+
+
+def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
+    A = _int_rows(_poly([(0, 1, _ELL), (1, 0, -1)]))  # _ELL*y - x
+    polygon = _newton_polygon(A)
+    assert polygon == (0, 0, [(1, 1, 1, None)])
+    assert _newton(polygon, _int_rows(P("y + x")), 1) is None
+    assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
+
+
+# (A, B, q, mu): the Newton stage certifies mu(A, B rooted q times) = mu
+_NEWTON_CASES = [
+    # base entries (3, 0) and (0, 3) of the cusp and the node at p = 3: the
+    # Fulton loop gives 108 too, in about a minute for (3, 0)
+    ("y^2 - x^2 - x^3", "y^2 - x^3", 27, 108),
+    ("y^2 - x^3", "y^2 - x^2 - x^3", 27, 108),
+    ("y - x", "x*y + y^2 + x^3", 1, 2),  # B_w(1, y) = y*(y + 1): y divides it
+    ("y^3 - x^2*y + x^5", "x*y + y^3 + x^4", 1, 8),  # an edge polynomial y**3 - y
+    ("x*y - x^3", "y^2 - x^3", 1, 5),  # A = x * (y - x^2)
+    ("x^2*y^3 - x^3*y^2 + x^6*y", "y^2 - x^3 + x*y^3", 2, 24),  # A = x^2*y * A1
+]
+
+
+def _newton_failures(polygon_of) -> list:
+    """The cases of _NEWTON_CASES that the Newton stage, reading polygons
+    from polygon_of, leaves uncertified or answers differently."""
+    failures = []
+    for f, g, q, mu in _NEWTON_CASES:
+        if _newton(polygon_of(_int_rows(P(f))), _int_rows(P(g)), q) != mu:
+            failures.append((f, g, q))
+    return failures
+
+
+def test_newton_stage_certifies_the_pinned_cases():
+    assert _newton_failures(_newton_polygon) == []
+    for f, g, q, mu in _NEWTON_CASES[2:]:
+        B = _rows_poly(_scaled(_int_rows(P(g)), q))
+        assert local_multiplicity(P(f), B) == mu == quotient_dim_oracle(P(f), B)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda a, b, edges: (a, b, [(n, m, length + 1, P) for n, m, length, P in edges]),
+    lambda a, b, edges: (a, b, [(n, m, length, P and {e + 1: v for e, v in P.items()})
+                                for n, m, length, P in edges]),  # y * P: y not divided out
+    lambda a, b, edges: (0, 0, edges),  # the monomial factor x**a * y**b dropped
+], ids=["wrong-lattice-length", "unstripped-y-power", "dropped-monomial-factor"])
+def test_each_mutation_of_the_polygon_is_caught(mutate):
+    assert _newton_failures(lambda rows: mutate(*_newton_polygon(rows)))

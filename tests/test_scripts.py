@@ -38,6 +38,18 @@ def test_replay_with_closed_stdout_exits_1_without_traceback():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def test_replay_answers_every_benchmark_request_as_before():
+    # byte for byte: a change that alters any answer of the sections, cech or
+    # curves request lists changes a digest
+    proc = _run(["tools/replay.py", "--seconds", "1"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "sections 900 77520bbb8e78b618358330451607a3fc6a876091319e8608a8b10e4b8ca81c06",
+        "cech 900 81ceb19302766ea3f7a735b36792386338d7303bdb5654b3b2d9a5976a1daf6c",
+        "curves 900 8ba62c1579f5eb60030c6ff3ed65a118413c50759ffe47e00800ab65c2572f78",
+    ]
+
+
 def test_cli_help_matches_in_process_run(monkeypatch):
     # argparse wraps help to the terminal width; the subprocess inherits it
     monkeypatch.setenv("COLUMNS", "80")
