@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .enumeration import _as_padic, count_h0_monomials, count_hn_monomials
+from .enumeration import count_h0_monomials, count_hn_monomials
 from .errors import DomainError, HorizonError, IndeterminateForm
-from .exponents import PAdicFrac, _require_prime
+from .exponents import PAdicFrac, _as_padic, _require_prime
 
 INFINITE_RANK = math.inf
 

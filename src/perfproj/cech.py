@@ -13,6 +13,10 @@ Both depend only on the number k of negative entries, so each is computed
 once per count of negative entries; the weights with k negative entries
 are counted in closed form, so no weight is visited unless a count's two
 profiles disagree.
+
+The incidence sign of (T, T - t) is (-1)**(position of t in T), so d o d = 0
+by construction; n <= _MAX_N bounds the complexes the library can build, and
+the tests check d o d = 0 on every one of them, so no build re-checks it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd
 
-from .enumeration import _as_padic, count_h0_monomials, count_hn_monomials
+from .enumeration import count_h0_monomials, count_hn_monomials
 from .errors import DomainError
-from .exponents import PAdicFrac, _require_prime, normalize
+from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
 
 _MAX_N = 6  # spot count 2**(n+1), at most n + 2 ranked complexes per n; desk-scale
 
@@ -116,23 +120,7 @@ def _build_from_mask(n: int, neg_mask: int, weight: WeightVector | None) -> Cech
                 if col is not None:
                     rows[r][col] = (-1) ** pos
         differentials.append(rows)
-    complex_ = CechComplex(n, weight, spots, differentials)
-    _check_square_zero(complex_)
-    return complex_
-
-
-def _check_square_zero(c: CechComplex) -> None:
-    """Raise unless every d_{k+1} d_k is zero, summing over nonzero entries only:
-    a row of an incidence matrix has at most n + 1 of them."""
-    sparse = [[[(j, v) for j, v in enumerate(row) if v] for row in d] for d in c.differentials]
-    for a, b in zip(sparse, sparse[1:]):
-        for row in b:
-            product: dict[int, int] = {}
-            for i, u in row:
-                for j, v in a[i]:
-                    product[j] = product.get(j, 0) + u * v
-            if any(product.values()):
-                raise AssertionError("d o d != 0 in constructed complex")
+    return CechComplex(n, weight, spots, differentials)
 
 
 def build_complex(w: WeightVector, n: int) -> CechComplex:

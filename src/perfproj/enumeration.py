@@ -21,15 +21,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import DomainError
-from .exponents import PAdicFrac, _require_prime, normalize
-
-
-def _as_padic(value, p: int) -> PAdicFrac:
-    if isinstance(value, PAdicFrac):
-        if value.prime != p:
-            raise DomainError(f"mixed primes {value.prime} and {p}")
-        return value
-    return PAdicFrac(int(value), 0, p)
+from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import DomainError
 
@@ -52,8 +52,15 @@ def is_prime(p: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    """Raise DomainError unless p is an int prime.  Each prime is proven once
+    per process: bools, floats and other non-ints fail before the cache."""
+    if not isinstance(p, int) or isinstance(p, bool) or not _proven_prime(p):
         raise DomainError(f"{p!r} is not a prime")
+
+
+@lru_cache(maxsize=32)
+def _proven_prime(p: int) -> bool:
+    return is_prime(p)  # the module-level name, looked up at each miss
 
 
 def _denominator_pexp(den: int, p: int) -> int:
@@ -186,20 +193,33 @@ class PAdicFrac:
 def normalize(a: int, b: int, p: int) -> PAdicFrac:
     """Canonical form of a / p**b: common powers of p cancelled, zero is (0, 0).
 
-    The prime is checked once, by the PAdicFrac this returns.
+    b is checked first, then the prime, before any division by it.
     """
     if b < 0:
         raise DomainError("pexp must be non-negative")
+    _require_prime(p)
     if a == 0:
         return PAdicFrac(0, 0, p)
-    try:
-        while b > 0 and a % p == 0:
-            a //= p
-            b -= 1
-    except (TypeError, ZeroDivisionError):
-        _require_prime(p)  # raises DomainError: p is not an integer prime
-        raise
+    while b > 0 and a % p == 0:
+        a //= p
+        b -= 1
     return PAdicFrac(a, b, p)
+
+
+def _as_padic(value, p: int) -> PAdicFrac:
+    """A number given to a public function as a PAdicFrac of prime p: a
+    PAdicFrac of that prime as it is, an int as an integer, a Fraction
+    exactly (its denominator must be a power of p); anything else is a
+    TypeError."""
+    if isinstance(value, PAdicFrac):
+        if value.prime != p:
+            raise DomainError(f"mixed primes {value.prime} and {p}")
+        return value
+    if isinstance(value, int):
+        return PAdicFrac(int(value), 0, p)
+    if isinstance(value, Fraction):
+        return PAdicFrac.from_fraction(value, p)
+    raise TypeError(f"{value!r} is not an int, a Fraction or a PAdicFrac")
 
 
 def cmp(lhs: PAdicFrac, rhs: PAdicFrac) -> int:

@@ -5,9 +5,9 @@ exponents lie in Z[1/p] for one ambient prime p.  A polynomial is stored at
 its grade k, the least k that clears every exponent denominator: a term is an
 integer vector v standing for the exponents v / p**k, an ordinary polynomial
 in the x_j**(1/p**k).  So equal polynomials hold equal data, and sums,
-products and rendering run on integers; exponents become PAdicFrac values
-only where a method returns them.  The text grammar (ASCII; whitespace, any
-Unicode space, is insignificant) is
+products, monomial substitutions and rendering run on integers; exponents
+become PAdicFrac values only where a method takes or returns them.  The
+text grammar (ASCII; whitespace, any Unicode space, is insignificant) is
 
     poly    := ["+" | "-"] term (("+" | "-") term)*
     term    := factor ("*"? factor)*
@@ -66,29 +66,6 @@ def _check_vector(exps: Sequence, prime: int | None = None) -> None:
             prime = e.prime
         elif e.prime != prime:
             raise DomainError("mixed primes in exponent vector")
-
-
-def _substitute_vector(exps: ExpVector, images: Mapping[int, FracMonomial],
-                       prime: int) -> tuple[int, ExpVector]:
-    """The sign and the exponents of x**exps with each x_j replaced by images[j].
-
-    Variables without an image are kept.  An image with coefficient -1 flips
-    the sign once per odd power; a fractional power of it is not defined.
-    """
-    sign = 1
-    out = [PAdicFrac(0, 0, prime) if j in images else e for j, e in enumerate(exps)]
-    for j, image in images.items():
-        e = exps[j]
-        if e.is_zero:
-            continue
-        if image.coeff == -1:
-            if not e.is_integer:
-                raise DomainError("fractional power of a negative monomial")
-            if e.num % 2 == 1:
-                sign = -sign
-        for k, r in enumerate(image.exps):
-            out[k] = out[k] + r * e
-    return sign, tuple(out)
 
 
 class FracPoly:
@@ -256,12 +233,31 @@ class FracPoly:
         return self._substitute({var: replacement})
 
     def _substitute(self, images: Mapping[int, FracMonomial]) -> "FracPoly":
-        """Replace each x_j by images[j] (_substitute_vector), unchecked."""
+        """Replace each x_j by images[j], +-1 times a monomial of self's
+        prime and length, unchecked; variables without an image are kept.
+
+        The images are put on one grade k2 as integer vectors w_j: a term v
+        at grade k goes to sum_j v_j * w_j, plus v_i * p**k2 in slot i for
+        each variable i without an image, at grade k + k2.  An image -1 * w_j
+        flips the sign when v_j / p**k is odd; a fractional power of it is
+        not defined.
+        """
+        p, k = self.prime, self._k
+        k2 = max((e.pexp for image in images.values() for e in image.exps), default=0)
+        q, unit = p**k2, p**k
+        w = [(j, [e.scaled(k2) for e in image.exps], image.coeff == -1)
+             for j, image in images.items()]
         items = []
-        for mon in self.terms():
-            sign, new = _substitute_vector(mon.exps, images, self.prime)
-            items.append((new, sign * mon.coeff))
-        return FracPoly(self.nvars, self.prime, items)
+        for v, c in self._terms.items():
+            out = [0 if j in images else e * q for j, e in enumerate(v)]
+            for j, wj, negative in w:
+                if negative:
+                    if v[j] % unit:
+                        raise DomainError("fractional power of a negative monomial")
+                    c = -c if v[j] // unit % 2 else c
+                out = [a + v[j] * b for a, b in zip(out, wj)]
+            items.append((tuple(out), c))
+        return _merged(self.nvars, p, k + k2, items)
 
     def rescale_to_grade(self, i: int) -> "FracPoly":
         """Substitute each variable x_j = u_j**(p**i): exponents scale by p**i.

@@ -20,16 +20,18 @@ decided up front and in one place, so the loop never meets one.  After the
 unit check (a curve not through the origin gives 0) come the axes: x
 dividing both curves, or y dividing both, is such a component.  Then a
 factor of positive y-degree is ruled out by a certificate when it can be:
-at the first x0 of a few small points where neither y-leading coefficient
-vanishes modulo the prime l = 2**61 - 1, F(x0, y) and G(x0, y) are tested
-for coprimality in F_l[y], as sparse maps y-exponent -> value.  Each Euclid
-step reduces one side modulo the other: a term y**e of at least twice the
-other's degree by square-and-multiply, the rest by long division, so a
-curve rooted q times costs O(log q) products, not q steps.  A common factor H, primitive in Z[x][y], divides both images,
-and its y-leading coefficient divides theirs, so H(x0, y) keeps the y-degree
-of H; coprime images therefore exclude it, with no probability argument.
-Otherwise the gcd is computed exactly, with a primitive remainder sequence
-over Z.
+at the first x0 of a few small points where one y-leading coefficient, of
+either curve, does not vanish modulo the prime l = 2**61 - 1, F(x0, y) and
+G(x0, y) are tested for coprimality in F_l[y], as sparse maps y-exponent ->
+value.  Each Euclid step reduces one side modulo the other: a term y**e of
+at least twice the other's degree by square-and-multiply, the rest by long
+division, so a curve rooted q times costs O(log q) products, not q steps.
+A common factor H, primitive in Z[x][y], divides both images.  Say
+lc_y(F)(x0) is nonzero modulo l: H divides F in Z[x][y], so lc_y(H)(x0)
+divides it and is nonzero too, and H(x0, y) keeps the y-degree of H while
+it divides both images, even an image that is zero.  Coprime images
+therefore exclude H, with no probability argument.  Otherwise the gcd is
+computed exactly, with a primitive remainder sequence over Z.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -329,11 +331,11 @@ def _y_power_mod(e: int, g: dict[int, int]) -> dict[int, int]:
 
 
 def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
-    """Degree of gcd(f, g) in F_ell[y]; f and g nonempty maps y-exponent ->
-    nonzero value, as _at_mod_ell gives them.  Each Euclid step reduces f
-    modulo g: a term y**e of degree e >= 2 * deg g by _y_power_mod, the rest
-    by one long division, so a sparse image of degree p**d costs O(d log p)
-    products, not p**d steps."""
+    """Degree of gcd(f, g) in F_ell[y]; f and g maps y-exponent -> nonzero
+    value, as _at_mod_ell gives them, at most one of them empty (zero).
+    Each Euclid step reduces f modulo g: a term y**e of degree e >= 2 * deg g
+    by _y_power_mod, the rest by one long division, so a sparse image of
+    degree p**d costs O(d log p) products, not p**d steps."""
     while g:
         dg, low = max(g), {}
         for e, c in f.items():
@@ -347,13 +349,13 @@ def _coprime_mod_ell(F: dict, G: dict) -> bool:
     """True certifies that F and G (arranged by y-degree) share no factor of
     positive y-degree; False decides nothing.
 
-    At the first x0 of _CERT_POINTS where neither y-leading coefficient
-    vanishes modulo _ELL, F(x0, y) and G(x0, y) are tested for coprimality
-    in F_ell[y].
+    At the first x0 of _CERT_POINTS where the y-leading coefficient of F or
+    of G does not vanish modulo _ELL, F(x0, y) and G(x0, y) are tested for
+    coprimality in F_ell[y]; one side suffices (module docstring).
     """
     for x0 in _CERT_POINTS:
         f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
-        if max(F) in f and max(G) in g:
+        if max(F) in f or max(G) in g:
             return _gcd_degree_mod_ell(f, g) == 0
     return False
 

@@ -16,7 +16,8 @@ from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, Frac
                       enumerate_h0_monomials, iter_h0_monomials, iter_hn_monomials,
                       local_multiplicity, monomial_string, normalize, parse_poly)
 from perfproj import cech
-from perfproj.enumeration import _as_padic, count_h0_monomials, count_hn_monomials
+from perfproj.enumeration import count_h0_monomials, count_hn_monomials
+from perfproj.exponents import _as_padic
 from perfproj.fracpoly import _tokenize
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
@@ -217,6 +218,38 @@ def fracpoly_blowup_charts(F):
     return _fracpoly_chart(F, "u"), _fracpoly_chart(F, "v")
 
 
+def padic_substitute_vector(exps, images, prime: int):
+    """fracpoly._substitute_vector as it was, in PAdicFrac arithmetic: the
+    sign and the exponents of x**exps with each x_j replaced by images[j],
+    a FracMonomial with coefficient +-1.  Variables without an image are
+    kept.  An image with coefficient -1 flips the sign once per odd power;
+    a fractional power of it is not defined."""
+    sign = 1
+    out = [PAdicFrac(0, 0, prime) if j in images else e for j, e in enumerate(exps)]
+    for j, image in images.items():
+        e = exps[j]
+        if e.is_zero:
+            continue
+        if image.coeff == -1:
+            if not e.is_integer:
+                raise DomainError("fractional power of a negative monomial")
+            if e.num % 2 == 1:
+                sign = -sign
+        for k, r in enumerate(image.exps):
+            out[k] = out[k] + r * e
+    return sign, tuple(out)
+
+
+def padic_substitute(f, images):
+    """FracPoly._substitute as it was: every term of f through
+    padic_substitute_vector, the sum built by the FracPoly constructor."""
+    items = []
+    for mon in f.terms():
+        sign, exps = padic_substitute_vector(mon.exps, images, f.prime)
+        items.append((exps, sign * mon.coeff))
+    return FracPoly(f.nvars, f.prime, items)
+
+
 def kunneth_lazy(hA, hB, grades: int):
     """braided.kunneth as it was before it read each factor once: index i is
     the lazy sum over j of hA[j] * hB[i-j], every output read reading each
@@ -362,8 +395,8 @@ def dense_at_mod_ell(f: dict, x0: int, ell: int) -> list[int]:
 
 def dense_gcd_degree_mod_ell(f: list[int], g: list[int], ell: int) -> int:
     """intersect._gcd_degree_mod_ell as it was on coefficient lists: the
-    degree of gcd(f, g) in F_ell[y], for nonempty lists with nonzero last
-    entries."""
+    degree of gcd(f, g) in F_ell[y], for lists with nonzero last entries, at
+    most one of them empty (zero)."""
     while g:
         inv, dg = pow(g[-1], -1, ell), len(g) - 1
         f = f[:]
@@ -379,12 +412,16 @@ def dense_gcd_degree_mod_ell(f: list[int], g: list[int], ell: int) -> int:
 
 
 def dense_coprime_mod_ell(F: dict, G: dict, points, ell: int) -> bool:
-    """intersect._coprime_mod_ell as it was on coefficient lists: at the
-    first x0 of points where neither y-leading coefficient vanishes modulo
-    ell, whether F(x0, y) and G(x0, y) are coprime in F_ell[y]."""
+    """intersect._coprime_mod_ell on coefficient lists: at the first x0 of
+    points where the y-leading coefficient of F or of G does not vanish
+    modulo ell, whether F(x0, y) and G(x0, y), with their vanishing leading
+    entries dropped, are coprime in F_ell[y]."""
     for x0 in points:
         f, g = dense_at_mod_ell(F, x0, ell), dense_at_mod_ell(G, x0, ell)
-        if f[-1] and g[-1]:
+        if f[-1] or g[-1]:
+            for h in (f, g):
+                while h and not h[-1]:
+                    h.pop()
             return dense_gcd_degree_mod_ell(f, g, ell) == 0
     return False
 

@@ -898,7 +898,8 @@ def _fractional_curve(terms: int, p: int) -> str:
 
 def _work(monkeypatch, argv) -> tuple[int, int]:
     """The PAdicFrac values one successful request builds, and the
-    primality tests it runs."""
+    primality tests it runs, starting with no prime proven."""
+    exponents._proven_prime.cache_clear()
     counts = [0, 0]
     real_post_init, real_is_prime = PAdicFrac.__post_init__, exponents.is_prime
 
@@ -932,3 +933,25 @@ def test_blowup_work_does_not_grow_with_the_curve(monkeypatch):
     q = 2**61 - 1
     argv = ["blowup", "--f", _fractional_curve(12, q), "--p", str(q), "--json"]
     assert _work(monkeypatch, argv)[1] <= 3
+
+
+_LARGE_PRIME_ARGVS = [
+    ["h0", "--n", "1", "--deg", "2", "--grades", "3"],
+    ["hn", "--n", "1", "--deg", "-2", "--grades", "3"],
+    ["euler", "--n", "1", "--deg", "2", "--grades", "3"],
+    ["bezout-line", "--s", "1", "--t", "2", "--grades", "3"],
+    ["bezout-chi", "--d", "6", "--degf", "2", "--degg", "3", "--grades", "3"],
+    ["kunneth", "--n", "1", "--m", "1", "--a", "1", "--b", "2", "--grades", "3"],
+    ["veronese", "--n", "1", "--d", "2", "--grades", "1"],
+    ["cech-check", "--n", "2", "--degrees=-1,1", "--i", "0"],
+    ["mult", "--f", "y-x", "--g", "y", "--grades", "3"],
+    ["blowup", "--f", "x*y+y^2"],
+]
+
+
+@pytest.mark.parametrize("argv", _LARGE_PRIME_ARGVS, ids=lambda argv: argv[0])
+def test_each_command_proves_its_prime_at_most_once(monkeypatch, argv):
+    # a Miller-Rabin proof at 2**61 - 1 costs about 0.2 ms; bezout-line
+    # ran it 32 times per request and kunneth 23 times
+    q = 2**61 - 1
+    assert _work(monkeypatch, argv + ["--p", str(q), "--json"])[1] <= 1

@@ -1,4 +1,5 @@
 import io
+import re
 import time
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import is_prime_by_trial_division
 
-from perfproj import DomainError, PAdicFrac, arith, cmp, is_prime, normalize
+from perfproj import (DomainError, PAdicFrac, arith, bezout_chi, bezout_line, cmp,
+                      count_h0_monomials, exponents, is_prime, line_bundle, normalize,
+                      verify_theorems)
 from perfproj.cli import run
 from perfproj.exponents import _PRIME_BOUND
 
@@ -156,3 +159,49 @@ def test_large_prime_is_checked_in_bounded_time(p):
     assert time.process_time() - start < 2.0
     assert (code, err.getvalue()) == (0, "")
     assert out.getvalue().startswith(f'{{"p": {p}, ')
+
+
+def test_each_prime_is_proven_once(monkeypatch):
+    proofs = []
+
+    def recording_is_prime(p):
+        proofs.append(p)
+        return is_prime(p)
+
+    exponents._proven_prime.cache_clear()
+    monkeypatch.setattr(exponents, "is_prime", recording_is_prime)
+    for _ in range(3):
+        PAdicFrac(1, 1, 3)
+        normalize(4, 2, 2)
+        with pytest.raises(DomainError, match="^4 is not a prime$"):
+            PAdicFrac(1, 0, 4)
+    assert proofs == [3, 2, 4]
+
+
+def test_a_prime_that_is_no_int_never_reaches_the_cache():
+    exponents._proven_prime.cache_clear()
+    for p in (2.0, True, [2]):
+        message = f"^{re.escape(repr(p))} is not a prime$"
+        for build in (PAdicFrac, normalize):
+            with pytest.raises(DomainError, match=message):
+                build(1, 0, p)
+        with pytest.raises(DomainError, match=message):
+            line_bundle(1, 1, p)
+    assert exponents._proven_prime.cache_info().currsize == 0
+
+
+def test_public_numbers_convert_exactly():
+    # each of these truncated a Fraction or a float to an int
+    half = PAdicFrac(1, 1, 2)
+    assert line_bundle(1, Fraction(1, 2), 2).degree == half
+    with pytest.raises(DomainError, match="^denominator not a power of 2$"):
+        line_bundle(1, Fraction(1, 3), 2)
+    with pytest.raises(TypeError, match="^2.5 is not an int, a Fraction or a PAdicFrac$"):
+        count_h0_monomials(1, 2.5, 0, 2)
+    chi = bezout_chi(Fraction(7, 2), 1, 1, 3, 2)
+    assert chi.generator_desc == "bezout_chi(d=7/2,degF=1,degG=1)"
+    report = verify_theorems(1, [Fraction(1, 2)], 1, 2).to_json_dict()
+    assert [d["degree"] for d in report["degrees"]] == ["1/2"]
+    assert (bezout_line(Fraction(1, 2), 1, 3, 2).to_json_dict()
+            == bezout_line(half, 1, 3, 2).to_json_dict())
+    assert line_bundle(1, Fraction(4, 2), 3).degree == PAdicFrac(2, 0, 3)

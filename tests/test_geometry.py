@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (bezout_chi_by_counts, count_compositions, fracpoly_blowup_charts,
-                     padic_veronese_coordinates, veronese_inclusion_by_sets)
+                     padic_substitute, padic_substitute_vector, padic_veronese_coordinates,
+                     veronese_inclusion_by_sets)
 
 from perfproj.cli import _blowup_lines, run
 
@@ -324,16 +325,90 @@ def test_substitute_is_the_monomial_map_with_identity_elsewhere(case):
         return FracMonomial(Fraction(1), tuple(normalize(int(j == k), 0, p)
                                                for j in range(nvars)))
 
-    images = tuple(image if k == var else unit(k) for k in range(nvars))
+    mapping = MonomialMap(p, tuple(image if k == var else unit(k) for k in range(nvars)))
     try:
-        expected = MonomialMap(p, images).apply(f)
+        expected = padic_substitute(f, {var: image})
     except DomainError as exc:
         assert str(exc) == "fractional power of a negative monomial"
         assert image.coeff == -1
-        with pytest.raises(DomainError, match="^fractional power of a negative monomial$"):
-            f.substitute(var, image)
+        for substitute in (lambda: f.substitute(var, image), lambda: mapping.apply(f)):
+            with pytest.raises(DomainError, match="^fractional power of a negative monomial$"):
+                substitute()
         return
-    assert f.substitute(var, image) == expected
+    assert f.substitute(var, image) == expected == mapping.apply(f)
+
+
+@st.composite
+def _laurent_map(draw):
+    """A Laurent polynomial with exponents of denominator up to p**2 and a
+    +-1 Laurent monomial image for each of its first variables."""
+    p = draw(st.sampled_from([2, 3]))
+    nvars = draw(st.integers(1, 3))
+    exponent = st.builds(normalize, st.integers(-9, 9), st.integers(0, 2), st.just(p))
+    exps = st.tuples(*[exponent] * nvars)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-3, 3).filter(bool)),
+                          min_size=1, max_size=4))
+    sign = st.sampled_from([Fraction(1), Fraction(-1)])
+    images = draw(st.lists(st.builds(FracMonomial, sign, exps), max_size=nvars))
+    return FracPoly(nvars, p, terms), MonomialMap(p, tuple(images))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_map())
+@example((_x((3, 0), (1, 0)), MonomialMap(2, (_MINUS_Y,))))  # x^3*y: -y^4
+@example((_x((1, 1), (-1, 0)), MonomialMap(2, (_MINUS_Y,))))  # x^(1/2)/y: undefined
+def test_monomial_map_is_the_padic_substitution(case):
+    f, mapping = case
+    images = dict(enumerate(mapping.images))
+    message = "^fractional power of a negative monomial$"
+    try:
+        expected = padic_substitute(f, images)
+    except DomainError as exc:
+        assert str(exc) == "fractional power of a negative monomial"
+        with pytest.raises(DomainError, match=message):
+            mapping.apply(f)
+    else:
+        assert mapping.apply(f) == expected
+    for mon in f.terms():
+        try:
+            expected = padic_substitute_vector(mon.exps, images, f.prime)
+        except DomainError:
+            with pytest.raises(DomainError, match=message):
+                mapping.apply_vector(mon.exps)
+        else:
+            assert mapping.apply_vector(mon.exps) == expected
+
+
+def test_monomial_map_checks_its_images_and_its_input():
+    zero, one = normalize(0, 0, 2), normalize(1, 0, 2)
+    f = parse_poly("x^2*y", 2, 2)
+    wide = FracMonomial(Fraction(1), (one, zero, one))
+    for images in [(wide,), (FracMonomial(Fraction(1), (one, zero)),) * 3]:
+        with pytest.raises(DomainError, match="^replacement lives in a different variable space$"):
+            MonomialMap(2, images).apply(f)
+        with pytest.raises(DomainError, match="^replacement lives in a different variable space$"):
+            MonomialMap(2, images).apply_vector((one, one))
+    third = FracMonomial(Fraction(1), (normalize(1, 1, 3), normalize(0, 0, 3)))
+    with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+        MonomialMap(2, (third,))
+    with pytest.raises(DomainError, match="^mixed primes in replacement$"):
+        MonomialMap(3, (third,)).apply(f)
+    with pytest.raises(TypeError, match="^exponent 1 is not a PAdicFrac$"):
+        MonomialMap(2, (FracMonomial(Fraction(1), (1, 0)),))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1])
+def test_plane_chart_gluing_round_trip_is_the_identity(p):
+    # the five integer samples are those blowup_plane_charts once checked
+    # on every call; the others are fractional and Laurent
+    atlas = blowup_plane_charts(p)
+    samples = [((1, 0), (0, 0)), ((0, 0), (1, 0)), ((2, 0), (-3, 0)), ((-1, 0), (5, 0)),
+               ((4, 0), (4, 0)), ((1, 1), (0, 0)), ((-7, 2), (3, 1)), ((5, 3), (-5, 3))]
+    for a, b in samples:
+        exps = (normalize(*a, p), normalize(*b, p))
+        assert atlas.roundtrip(exps) == (1, exps)
+        f = FracPoly(2, p, [(exps, 3), ((normalize(*b, p), normalize(*a, p)), -1)])
+        assert atlas.glue_backward.apply(atlas.glue_forward.apply(f)) == f
 
 
 def test_a_negative_image_flips_the_sign_of_odd_powers():

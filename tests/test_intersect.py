@@ -446,11 +446,15 @@ def test_certificate_falls_back_when_every_point_is_bad():
     F, G = _int_rows(H * P("y + 1")), _int_rows(H * P("x + y"))
     assert not _coprime_mod_ell(F, G)
     assert _common_component_through_origin(F, G)
-    # coprime, but no point certifies it: the remainder sequence decides
-    F, G = _int_rows(H), _int_rows(P("y - x^2"))
+    # coprime, but neither leading coefficient survives at any point: the
+    # remainder sequence decides
+    partner = H - P("2*x")
+    F, G = _int_rows(H), _int_rows(partner)
     assert not _coprime_mod_ell(F, G)
     assert not _common_component_through_origin(F, G)
-    assert local_multiplicity(H, P("y - x^2")) == quotient_dim_oracle(H, P("y - x^2"))
+    assert local_multiplicity(H, partner) == quotient_dim_oracle(H, partner)
+    # one leading coefficient that survives is enough
+    assert _coprime_mod_ell(_int_rows(H), _int_rows(P("y - x^2")))
 
 
 def test_certificate_holds_on_coprime_curves():
@@ -490,21 +494,46 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
     assert _common_component_through_origin(G, F)
 
 
-def _mult_in_child(limit: str, value: int, argv: list[str]) -> dict:
-    """The JSON payload of `perfproj mult argv --json`, run in a child that
-    first sets its own resource limit, resource.<limit>, to value."""
+def _in_child(limit: str, value: int, code: str) -> str:
+    """The stdout of the Python code, run in a child that first sets its own
+    resource limit, resource.<limit>, to value."""
     child = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.{limit}, ({value}, {value}))\n"
-        "from perfproj.cli import main\n"
-        f"sys.argv = ['perfproj', 'mult', *{argv!r}, '--json']\n"
-        "main()\n"
-    )
+    ) + code
     src = Path(intersect_mod.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    return json.loads(done.stdout)
+    return done.stdout
+
+
+def _mult_in_child(limit: str, value: int, argv: list[str]) -> dict:
+    """The JSON payload of `perfproj mult argv --json`, run in a child that
+    first sets its own resource limit, resource.<limit>, to value."""
+    return json.loads(_in_child(limit, value, (
+        "from perfproj.cli import main\n"
+        f"sys.argv = ['perfproj', 'mult', *{argv!r}, '--json']\n"
+        "main()\n")))
+
+
+def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypatch):
+    # G's y-leading coefficient -(2**61 - 1)*x**27 vanishes modulo 2**61 - 1
+    # at every certificate point, F's does not; when both were required, the
+    # remainder sequence ran past 30 s of CPU; the child caps its own at 10 s
+    f = ("2305843009213693952*y^24 + 2305843009213693951*x^8"
+         " + 2305843009213693952*x^8*y^24 + 4611686018427387899*x^16*y^8")
+    g = "2305843009213693952*x^18 - 2305843009213693951*x^27*y^27"
+    out = _in_child("RLIMIT_CPU", 10, (
+        "from perfproj import local_multiplicity, parse_poly\n"
+        f"print(local_multiplicity(parse_poly({f!r}, 2, 2), parse_poly({g!r}, 2, 2)))\n"))
+    assert out == "432\n"
+
+    def refuse(*args):
+        raise AssertionError("the base entry reached the loop")
+
+    monkeypatch.setattr(intersect_mod, "_local", refuse)  # the Newton stage answers
+    assert braided_multiplicity(P(f), P(g), 0).diagonal.grades_list() == [432]
 
 
 def test_a_deep_grade_stays_within_a_memory_limit():
