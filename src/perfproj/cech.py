@@ -29,6 +29,7 @@ from math import comb, gcd
 from .enumeration import count_h0_monomials, count_hn_monomials
 from .errors import DomainError
 from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
+from .fracpoly import _check_vector
 
 _MAX_N = 6  # spot count 2**(n+1), at most n + 2 ranked complexes per n; desk-scale
 
@@ -42,10 +43,7 @@ class WeightVector:
     def __post_init__(self):
         if not self.entries:
             raise DomainError("empty weight vector")
-        p = self.entries[0].prime
-        for e in self.entries:
-            if e.prime != p:
-                raise DomainError("mixed primes in weight vector")
+        _check_vector(self.entries)
 
     @property
     def prime(self) -> int:
@@ -293,13 +291,13 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     counterexamples.
     """
     _require_prime(p)
+    degrees = [_as_padic(degree, p) for degree in degrees]
     if n < 1:
         raise DomainError("n must be at least 1")
     if n > _MAX_N:
         raise DomainError(f"dimension cap exceeded: n <= {_MAX_N}")
     report = CechReport(n, p, i)
-    for degree in degrees:
-        d = _as_padic(degree, p)
+    for d in degrees:
         target = d.scaled(i)  # raises if the grade is too small for d
         bound_abs = -d.num if d.num < 0 else d.num
         bound = bound_abs // p**d.pexp + 2  # floor(|d|) + 2, integer arithmetic

@@ -8,8 +8,10 @@ additionally print one machine-parsable line on stderr.
 
 A well-formed argument list is read straight from the flag table, _FLAGS;
 the argparse tree built from the same table parses only the rest, so help
-and usage errors still read as argparse writes them.  --help shows this
-docstring up to this last paragraph.
+and usage errors still read as argparse writes them.  A number flag is
+handed to the library as the int or Fraction it read, and the library
+converts it to Z[1/p] once.  --help shows this docstring up to this last
+paragraph.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import braided, cech, geometry, intersect
-from .braided import LineBundle, bundle_cohomology, kunneth
+from .braided import bundle_cohomology, kunneth, line_bundle
 from .enumeration import _scaled_vectors
 from .errors import ComputationDiagnostic, DomainError, ParseError
 from .exponents import PAdicFrac
@@ -249,8 +251,8 @@ def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
 # are computed on demand, so building both would compute them twice.
 
 def _run_h0_family(args, which: str):
-    deg = PAdicFrac.from_fraction(args.deg, args.p)
-    bundle = LineBundle(args.n, deg)
+    bundle = line_bundle(args.n, args.deg, args.p)
+    deg = bundle.degree
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, args.grades, reduced=args.reduced)
     if args.json:
@@ -266,20 +268,18 @@ def _run_h0_family(args, which: str):
 
 
 def _run_bezout_line(args):
-    dim = geometry.bezout_line(PAdicFrac.from_fraction(args.s, args.p),
-                               PAdicFrac.from_fraction(args.t, args.p), args.grades, args.p)
+    dim = geometry.bezout_line(args.s, args.t, args.grades, args.p)
     return dim.to_json_dict() if args.json else _dim_table(dim)
 
 
 def _run_bezout_chi(args):
-    dim = geometry.bezout_chi(PAdicFrac.from_fraction(args.d, args.p), args.degf,
-                              args.degg, args.grades, args.p)
+    dim = geometry.bezout_chi(args.d, args.degf, args.degg, args.grades, args.p)
     return dim.to_json_dict() if args.json else _dim_table(dim)
 
 
 def _run_kunneth(args):
-    bundle_a = LineBundle(args.n, PAdicFrac.from_fraction(args.a, args.p))
-    bundle_b = LineBundle(args.m, PAdicFrac.from_fraction(args.b, args.p))
+    bundle_a = line_bundle(args.n, args.a, args.p)
+    bundle_b = line_bundle(args.m, args.b, args.p)
     out = kunneth(bundle_cohomology(bundle_a, args.grades),
                   bundle_cohomology(bundle_b, args.grades), args.grades)
     if args.json:
@@ -345,8 +345,9 @@ def _blowup_lines(charts) -> list[str]:
 
 
 def _run_cech_check(args):
-    degrees = [PAdicFrac.from_fraction(_fraction_arg(part), args.p)
-               for part in args.degrees.split(",") if part]
+    # read lazily: verify_theorems converts each degree as it reads it, so
+    # the first bad text or bad denominator is the one reported
+    degrees = (_fraction_arg(part) for part in args.degrees.split(",") if part)
     report = cech.verify_theorems(args.n, degrees, args.i, args.p)
     if args.json:
         return report.to_json_dict()

@@ -19,8 +19,9 @@ text grammar (ASCII; whitespace, any Unicode space, is insignificant) is
     integer := digit+
     digit   := "0" .. "9"
 
-Only ASCII digits are digits, so a non-ASCII digit is a ParseError like any
-other stray character.  Exponent denominators must be powers of the
+A term's factors are joined by one "*" or by none, so a power is written
+x^2 and x**2 is a ParseError.  Only ASCII digits are digits, so a non-ASCII
+digit is a ParseError like any other stray character.  Exponent denominators must be powers of the
 configured prime.  Rendering is deterministic: terms in descending order of
 their exponent vectors, compared lexicographically across variables as
 rationals.
@@ -50,6 +51,7 @@ class FracMonomial:
     def __post_init__(self):
         if self.coeff == 0:
             raise DomainError("monomial coefficient must be nonzero")
+        _check_vector(self.exps)
 
     @property
     def degree(self) -> PAdicFrac:
@@ -225,11 +227,10 @@ class FracPoly:
             raise DomainError("replacement lives in a different variable space")
         if replacement.coeff not in (1, -1):
             raise DomainError("non-monomial replacement rejected: coefficient must be +-1")
-        for e in replacement.exps:
-            if e.prime != self.prime:
-                raise DomainError("mixed primes in replacement")
-            if e.num < 0:
-                raise DomainError("replacement exponents must be non-negative")
+        if replacement.exps[0].prime != self.prime:
+            raise DomainError("mixed primes in replacement")
+        if any(e.num < 0 for e in replacement.exps):
+            raise DomainError("replacement exponents must be non-negative")
         return self._substitute({var: replacement})
 
     def _substitute(self, images: Mapping[int, FracMonomial]) -> "FracPoly":
@@ -262,19 +263,14 @@ class FracPoly:
     def rescale_to_grade(self, i: int) -> "FracPoly":
         """Substitute each variable x_j = u_j**(p**i): exponents scale by p**i.
 
-        Every exponent must have denominator exponent <= i; the result has
-        integer exponents throughout.
+        Every exponent must have denominator exponent <= i, that is i >=
+        max_pexp(), which the error names otherwise; the result has integer
+        exponents throughout.
         """
-        k, p = self._k, self.prime
-        if i < k:
-            # the denominator exponent of the first exponent, in term order, over i
-            over = [q for v in self._terms for e in v if e and (q := normalize(e, k, p).pexp) > i]
-            if over:
-                raise DomainError(
-                    f"grade too small: grade {i} too small for denominator exponent {over[0]}")
-        q = p ** max(i - k, 0)
-        return _merged(self.nvars, p, 0, [(tuple(e * q for e in v), c)
-                                          for v, c in self._terms.items()])
+        if i < self._k:
+            raise DomainError(
+                f"grade too small: grade {i} too small for denominator exponent {self._k}")
+        return _merged(self.nvars, self.prime, 0, self._at(i))
 
     def extract_power(self, var: int) -> tuple[PAdicFrac, "FracPoly"]:
         """Factor out the maximal power of x_var: f = x_var**e * cofactor."""
@@ -299,9 +295,9 @@ class FracPoly:
     # -- text ---------------------------------------------------------------------
 
     def render(self, names: Sequence[str] | None = None) -> str:
+        names = _var_names(names, self.nvars)
         if self.is_zero:
             return "0"
-        names = tuple(names) if names is not None else default_var_names(self.nvars)
         return _render_terms([(v, self._terms[v]) for v in sorted(self._terms, reverse=True)],
                              names, self._k, self.prime)
 
@@ -340,6 +336,15 @@ def default_var_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(nvars))
 
 
+def _var_names(names: Sequence[str] | None, nvars: int) -> tuple[str, ...]:
+    """The names to render nvars variables with: names, which may hold more,
+    or default_var_names(nvars) if names is None."""
+    names = default_var_names(nvars) if names is None else tuple(names)
+    if len(names) < nvars:
+        raise DomainError(f"too few names: {len(names)} for {nvars} variables")
+    return names
+
+
 def _power_suffix(num: int, pexp: int, p: int) -> str:
     """The text after a variable raised to num / p**pexp: "" for the power 1,
     "^a" for an integer a, "^(a/p^b)" in lowest terms otherwise."""
@@ -373,7 +378,7 @@ def _render_terms(items: Sequence[tuple[tuple[int, ...], Fraction]], names: Sequ
 def monomial_string(exps: ExpVector, names: Sequence[str] | None = None) -> str:
     """Coefficient-free monomial text, e.g. "x^(1/3)*y^(5/3)"; "1" for the unit."""
     _check_vector(exps)
-    names = tuple(names) if names is not None else default_var_names(len(exps))
+    names = _var_names(names, len(exps))
     return "*".join(names[j] + _power_suffix(e.num, e.pexp, e.prime)
                     for j, e in enumerate(exps) if e.num) or "1"
 
@@ -408,9 +413,6 @@ class _Parser:
         self.prime = prime
         self.grade = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
     def accept(self, kind: str) -> tuple[str, str, int] | None:
         tok = self.tokens[self.pos]
         if tok[0] == kind:
@@ -421,7 +423,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.accept(kind)
         if tok is None:
-            raise ParseError(f"expected {what}", self.peek()[2])
+            raise ParseError(f"expected {what}", self.tokens[self.pos][2])
         return tok
 
     def parse_poly(self) -> FracPoly:
@@ -435,7 +437,7 @@ class _Parser:
                 terms.append(self.parse_term(1))
             else:
                 break
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         q = self.prime ** self.grade
@@ -443,38 +445,27 @@ class _Parser:
                        [(tuple(int(e * q) for e in exps), c) for exps, c in terms])
 
     def parse_term(self, sign: int) -> tuple[list[int | Fraction], Fraction]:
+        """term := factor ("*"? factor)*: a factor is required first and after
+        each "*"; without a "*" the term goes on only at an integer or a
+        variable."""
         coeff = Fraction(sign)
         exps: list[int | Fraction] = [0] * self.nvars
-        saw_factor = False
-        expect_factor = False
         while True:
-            tok = self.peek()
-            if tok[0] == "int":
-                self.pos += 1
-                value = Fraction(int(tok[1]))
+            tok = self.tokens[self.pos]
+            if tok[0] not in ("int", "var"):
+                raise ParseError("expected a coefficient or monomial", tok[2])
+            self.pos += 1
+            if tok[0] == "var":
+                exps[self.var_index(tok)] += self.parse_exponent() if self.accept("^") else 1
+            else:
+                coeff *= int(tok[1])
                 if self.accept("/"):
                     den = self.expect("int", "integer after '/'")
                     if int(den[1]) == 0:
                         raise ParseError("zero denominator", den[2])
-                    value /= int(den[1])
-                coeff *= value
-                saw_factor = True
-                expect_factor = False
-            elif tok[0] == "var":
-                self.pos += 1
-                idx = self.var_index(tok)
-                exps[idx] += self.parse_exponent() if self.accept("^") else 1
-                saw_factor = True
-                expect_factor = False
-            elif tok[0] == "*" and saw_factor:
-                self.pos += 1
-                expect_factor = True
-            else:
-                break
-        if expect_factor or not saw_factor:
-            tok = self.peek()
-            raise ParseError("expected a coefficient or monomial", tok[2])
-        return exps, coeff
+                    coeff /= int(den[1])
+            if not self.accept("*") and self.tokens[self.pos][0] not in ("int", "var"):
+                return exps, coeff
 
     def var_index(self, tok: tuple[str, str, int]) -> int:
         name = tok[1]

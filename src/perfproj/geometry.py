@@ -29,7 +29,7 @@ from .enumeration import (GradedPiece, _scaled_vectors, count_h0_monomials,
 from .errors import DomainError
 from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
 from .fracpoly import (FracMonomial, FracPoly, _check_vector, _merged, _plane_terms,
-                       _power_suffix, _render_terms, default_var_names)
+                       _power_suffix, _render_terms, _var_names)
 
 
 # -- Bezout ------------------------------------------------------------------------
@@ -44,9 +44,9 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
     the classical Bezout number.
     """
     _require_prime(p)
+    d = _as_padic(d, p)
     if degF < 1 or degG < 1:
         raise DomainError("curve degrees must be positive")
-    d = _as_padic(d, p)
     if d.as_fraction() < degF + degG:
         raise DomainError(f"d={d} too small: needs d >= degF + degG = {degF + degG}")
     return BraidedDim(p, d.pexp, generator=lambda j: p**(2 * j) * degF * degG, length=grades,
@@ -96,7 +96,7 @@ class VeroneseMap:
 
     def coordinate_strings(self, names=None) -> list[str]:
         n, i, p = self.n, self.grade, self.prime
-        names = default_var_names(n + 1) if names is None else tuple(names)
+        names = _var_names(names, n + 1)
         vectors = _scaled_vectors(n, self.d, i, p, False, False)
         if n == 0:
             # the one vector (p**i * d,) needs no table

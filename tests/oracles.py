@@ -7,6 +7,7 @@ implementation that a closed form replaced; the package's counting code
 appears only in those.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
@@ -492,7 +493,7 @@ class PadicParser:
                 exps[idx] = exps[idx] + e
                 saw_factor = True
                 expect_factor = False
-            elif tok[0] == "*" and saw_factor:
+            elif tok[0] == "*" and saw_factor and not expect_factor:
                 self.pos += 1
                 expect_factor = True
             else:
@@ -538,3 +539,22 @@ def padic_parse_terms(text: str, nvars: int, prime: int) -> dict:
         if c:
             merged[tuple(exps)] = c
     return merged
+
+
+# The curve grammar of the fracpoly docstring as a regular expression over the
+# token kinds of _tokenize, one letter a token: i an integer, v a variable,
+# punctuation as itself.
+_FACTOR = r"(?:i(?:/i)?|v(?:\^(?:-?i|\(-?i/i\)))?)"
+_TERM = rf"{_FACTOR}(?:\*?{_FACTOR})*"
+_POLY = re.compile(rf"[-+]?{_TERM}(?:[-+]{_TERM})*")
+
+
+def grammar_accepts(text: str) -> bool:
+    """Whether text is a sentence of the curve grammar, read from its token
+    kinds alone: which variable, and which denominator, is not looked at."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    kinds = "".join({"int": "i", "var": "v"}.get(kind, kind) for kind, _, _ in tokens[:-1])
+    return _POLY.fullmatch(kinds) is not None

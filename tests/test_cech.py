@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -51,6 +52,22 @@ def test_build_complex_spot_rules():
     c = build_complex(W(2, -1), 1)
     # spots {x1-localized} and {both}: masks with the negative position included
     assert [len(level) for level in c.spots] == [1, 1]
+
+
+def test_weight_vector_checks_its_entries_as_an_exponent_vector():
+    with pytest.raises(TypeError, match="^exponent 1 is not a PAdicFrac$"):
+        WeightVector((1, 2))
+    with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+        WeightVector((PAdicFrac(1, 0, 2), PAdicFrac(1, 0, 3)))
+    with pytest.raises(DomainError, match="^empty weight vector$"):
+        WeightVector(())
+
+
+def test_verify_theorems_converts_degrees_before_its_other_checks():
+    with pytest.raises(DomainError, match="^4 is not a prime$"):
+        verify_theorems(0, [Fraction(1, 6)], 0, 4)
+    with pytest.raises(DomainError, match="^denominator not a power of 2$"):
+        verify_theorems(0, [Fraction(1, 6)], 0, 2)
 
 
 def test_dimension_cap():

@@ -16,7 +16,7 @@ from perfproj import (
 )
 from perfproj.exponents import normalize
 from perfproj.fracpoly import _tokenize
-from oracles import padic_parse_terms, tokenize_by_characters
+from oracles import grammar_accepts, padic_parse_terms, tokenize_by_characters
 
 
 def P(text, nvars=2, p=2):
@@ -161,6 +161,46 @@ def test_parse_matches_the_padic_parser(text, p):
     assert _parsed_terms_or_error(text, p) == _padic_terms_or_error(text, p)
 
 
+# the errors of a text that is grammatical but names an unknown variable or
+# divides by zero or by a number that is no power of p
+_SEMANTIC = ("unknown variable name", "zero denominator", "denominator not a power of")
+
+
+def _parse_accepts(text, p):
+    """Whether parse accepts text once each semantic error is mended where
+    it is reported: a variable becomes x or x0, a denominator 1, each of the
+    same length, so the token kinds stay as they were."""
+    while True:
+        try:
+            parse_poly(text, 3, p)
+            return True
+        except ParseError as exc:
+            if not str(exc).startswith(_SEMANTIC):
+                return False
+            [(kind, word, at)] = [tok for tok in _tokenize(text) if tok[2] == exc.position]
+            mend = ("x0" if len(word) == 2 else "x") if kind == "var" else "1".zfill(len(word))
+            text = text[:at] + mend + text[at + len(word):]
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.lists(st.one_of(_GRAMMAR_CHARS, st.sampled_from(["**", " * *", "***"])), max_size=16)
+    .map("".join),
+    st.lists(st.tuples(st.sampled_from(["+", "-", "*", "**", ""]), st.sampled_from(_FACTORS)),
+             min_size=1, max_size=5).map(lambda parts: "".join(a + b for a, b in parts))),
+    st.sampled_from([2, 3]))
+def test_parse_accepts_exactly_the_grammar(text, p):
+    assert _parse_accepts(text, p) == grammar_accepts(text)
+
+
+def test_a_second_star_is_a_parse_error():
+    for text, position in [("x**2", 2), ("2**3", 2), ("y**2 - x**3", 2), ("x * * y", 4)]:
+        with pytest.raises(ParseError, match=r"^expected a coefficient or monomial "
+                                             rf"\(at position {position}\)$") as info:
+            P(text)
+        assert info.value.position == position
+
+
 def test_rescale_to_grade_examples():
     cusp = P("y - x^(3/2)")
     assert cusp.rescale_to_grade(1) == P("y^2 - x^3")
@@ -170,6 +210,15 @@ def test_rescale_to_grade_examples():
     assert g.rescale_to_grade(2) == parse_poly("x + y^6", 2, 3)
     with pytest.raises(DomainError, match="grade too small"):
         g.rescale_to_grade(1)
+
+
+def test_equal_polynomials_give_equal_grade_errors():
+    f, g = P("x^(1/4) + y^(1/2)"), P("y^(1/2) + x^(1/4)")
+    assert f == g and hash(f) == hash(g)
+    for h in (f, g):
+        with pytest.raises(DomainError, match="^grade too small: grade 0 too small for "
+                                              "denominator exponent 2$"):
+            h.rescale_to_grade(0)
 
 
 def test_substitute_chart_examples():
@@ -194,6 +243,16 @@ def test_substitute_rejects_bad_replacement():
         f.substitute(0, FracMonomial(Fraction(2), (PAdicFrac(1, 0, 2), PAdicFrac(0, 0, 2))))
     with pytest.raises(DomainError, match="non-negative"):
         f.substitute(0, FracMonomial(Fraction(1), (PAdicFrac(-1, 0, 2), PAdicFrac(0, 0, 2))))
+    with pytest.raises(DomainError, match="^mixed primes in replacement$"):
+        f.substitute(0, FracMonomial(Fraction(1), (PAdicFrac(1, 0, 3), PAdicFrac(0, 0, 3))))
+
+
+def test_a_monomial_checks_its_exponent_vector():
+    # the replacement is checked where it is built, before substitute sees it
+    with pytest.raises(TypeError, match="^exponent 1 is not a PAdicFrac$"):
+        P("x").substitute(0, FracMonomial(Fraction(1), (1, 0)))
+    with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+        FracMonomial(Fraction(1), (PAdicFrac(1, 0, 2), PAdicFrac(1, 0, 3)))
 
 
 def test_substitute_negative_unit_coefficient():
@@ -255,10 +314,15 @@ def test_monomial_string_rejects_mixed_primes_as_the_constructor_does():
 
 def test_too_few_names_raise_instead_of_dropping_a_variable():
     f = P("x*y^(1/2) + 1")
-    with pytest.raises(IndexError):
-        f.render(["x"])
-    with pytest.raises(IndexError):
-        monomial_string(f.terms()[0].exps, ["x"])
+    for render in (lambda: f.render(["x"]), lambda: monomial_string(f.terms()[0].exps, ["x"]),
+                   lambda: parse_poly("x*y + 1", 2, 3).render(["a"]),
+                   lambda: FracPoly.zero(2, 2).render(["a"]),
+                   lambda: monomial_string(f.terms()[-1].exps, ["x"])):
+        with pytest.raises(DomainError, match="^too few names: 1 for 2 variables$"):
+            render()
+    # more names than variables are allowed; the extra ones go unused
+    assert f.render(["a", "b", "c"]) == "a*b^(1/2) + 1"
+    assert monomial_string(f.terms()[0].exps, "uvw") == "u*v^(1/2)"
 
 
 # -- random round-trip property ------------------------------------------------------

@@ -100,6 +100,22 @@ def test_bezout_chi_rejects_small_d():
         bezout_chi(4, 2, 3, 2, 3)
 
 
+def test_bezout_chi_converts_d_before_its_other_checks():
+    with pytest.raises(DomainError, match="^denominator not a power of 3$"):
+        bezout_chi(Fraction(1, 6), 0, 3, 2, 3)
+    with pytest.raises(DomainError, match="^curve degrees must be positive$"):
+        bezout_chi(Fraction(1, 3), 0, 3, 2, 3)
+
+
+def test_too_few_names_for_the_veronese_coordinates_raise():
+    v = veronese(2, 1, 0, 2)
+    for read in (lambda: v.coordinate_strings(["a", "b"]), lambda: v.bracket("ab"),
+                 lambda: veronese(0, 2, 1, 3).coordinate_strings([])):
+        with pytest.raises(DomainError, match="^too few names: [02] for [13] variables$"):
+            read()
+    assert v.coordinate_strings("uvwz") == ["u", "v", "w"]
+
+
 def test_bezout_line_examples():
     assert bezout_line(2, 3, 3, 3).grades_list() == [1, 1, 1]
     assert bezout_line(1, 1, 4, 2).grades_list() == [1, 1, 1, 1]

@@ -40,13 +40,16 @@ def test_replay_with_closed_stdout_exits_1_without_traceback():
 
 def test_replay_answers_every_benchmark_request_as_before():
     # byte for byte: a change that alters any answer of the sections, cech or
-    # curves request lists changes a digest
+    # curves request lists changes a digest; the faults line covers the usage
+    # errors of their CLI requests under six edits, so a change of which check
+    # of a double fault runs first changes it too
     proc = _run(["tools/replay.py", "--seconds", "1"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "sections 900 77520bbb8e78b618358330451607a3fc6a876091319e8608a8b10e4b8ca81c06",
         "cech 900 81ceb19302766ea3f7a735b36792386338d7303bdb5654b3b2d9a5976a1daf6c",
         "curves 900 8ba62c1579f5eb60030c6ff3ed65a118413c50759ffe47e00800ab65c2572f78",
+        "faults 11898 f7a8f9cd0fb11296f02bd28233add58b341aa29f7cf267e91db60e84e5417f12",
     ]
 
 

@@ -7,8 +7,13 @@ curves workloads, seeds 1-3 x passes 0-2, and sends each request in process
 as perfbench/worker.py sends it: argv to perfproj.cli.run, a curve pair to
 quotient_dim_oracle.  It prints the number of requests and one SHA-256 per
 workload over exit code, stdout, stderr and oracle value (or the repr of an
-exception that escaped).  Two checkouts that print the same lines answered
-every request alike, byte for byte.
+exception that escaped).  A last line, "faults N <sha256>", does the same for
+the CLI requests of all three workloads under six edits that each make a
+usage error: --p 4; the first integer flag set to -1; the first rational flag
+set to 1/6; those two together; 1/6 together with --p 4; --p dropped.  An
+edit that names a flag the request lacks is skipped.  Two checkouts that print
+the same lines answered every request alike, byte for byte, and checked the
+faults in the same order.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -35,6 +40,11 @@ import perfproj.intersect  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+# the value flags of the requests besides --p and --grades, by the kind of
+# number they hold; veronese's --d is an integer flag, so there 1/6 is an
+# argparse error
+INTEGER_FLAGS = ("n", "m", "degf", "degg", "i")
+RATIONAL_FLAGS = ("deg", "s", "t", "d", "a", "b", "degrees")
 
 
 def answer(request) -> list:
@@ -55,11 +65,49 @@ def answer(request) -> list:
     return ["cli", code, out.getvalue(), err.getvalue()]
 
 
+def with_flag(argv: list, name: str, value) -> list:
+    """argv with --name given as --name=value, or dropped if value is None."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        option, eq, _ = token.partition("=")
+        if option != f"--{name}":
+            out.append(token)
+            continue
+        if not eq:
+            next(tokens)  # the value of "--name value"
+        if value is not None:
+            out.append(f"--{name}={value}")
+    return out
+
+
+def faults(request) -> list:
+    """The faulted argument lists of a CLI request, in edit order; none for
+    an oracle request."""
+    if request["kind"] != "cli":
+        return []
+    argv = request["argv"]
+    given = [token.partition("=")[0][2:] for token in argv[1:] if token.startswith("--")]
+    integer = next((name for name in given if name in INTEGER_FLAGS), None)
+    rational = next((name for name in given if name in RATIONAL_FLAGS), None)
+    edits = [[("p", 4)], [(integer, -1)], [(rational, "1/6")],
+             [(integer, -1), (rational, "1/6")], [(rational, "1/6"), ("p", 4)],
+             [("p", None)]]
+    out = []
+    for edit in edits:
+        if all(name in given for name, _ in edit):
+            faulted = argv
+            for name, value in edit:
+                faulted = with_flag(faulted, name, value)
+            out.append(faulted)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seconds", type=int, default=20,
                     help="run length the request lists are sized for (default 20)")
     args = ap.parse_args(argv)
+    faulted, fault_digest = 0, hashlib.sha256()
     for workload in workloads.GENERATORS:
         digest, count = hashlib.sha256(), 0
         for seed in SEEDS:
@@ -67,7 +115,12 @@ def main(argv=None) -> int:
                 for request in workloads.generate(workload, seed, args.seconds, part):
                     digest.update(json.dumps(answer(request)).encode() + b"\n")
                     count += 1
+                    for edited in faults(request):
+                        fault_digest.update(
+                            json.dumps(answer({"kind": "cli", "argv": edited})).encode() + b"\n")
+                        faulted += 1
         print(f"{workload} {count} {digest.hexdigest()}")
+    print(f"faults {faulted} {fault_digest.hexdigest()}")
     return 0
 
 
