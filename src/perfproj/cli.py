@@ -150,6 +150,9 @@ _FLAGS = {command: flags + _COMMON for command, flags in {
                    _Flag("i", _int_arg, help="max denominator exponent of the weights")),
 }.items()}
 _SUBCOMMANDS = tuple(_FLAGS)
+# each subcommand's flags by their option text, "--name", for _fast_args
+_OPTIONS = {command: {f"--{flag.name}": flag for flag in flags}
+            for command, flags in _FLAGS.items()}
 
 
 @functools.cache
@@ -185,9 +188,9 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
     abbreviated flag, a stray token or a value that does not convert, is left
     to argparse, which alone writes help and usage errors.
     """
-    if not argv or argv[0] not in _FLAGS:
+    flags = _OPTIONS.get(argv[0]) if argv else None
+    if flags is None:
         return None
-    flags = {f"--{flag.name}": flag for flag in _FLAGS[argv[0]]}
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:

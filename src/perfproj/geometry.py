@@ -9,9 +9,10 @@ counting would depend on the ambient field, which is not modeled.
 
 The charts run on the integer form a FracPoly stores, at the curve's grade k
 (its largest denominator exponent): fracpoly._plane_terms reads
-x**(a/p**k) * y**(b/p**k) as the pair (a, b), and the chart substitution
-sends it to (a+b, b) on the u-chart and to (a, a+b) on the v-chart.  Both
-maps are injective, so no terms merge.  The extracted power is the least
+x**(a/p**k) * y**(b/p**k) as the pair (a, b), with its int numerator over
+the curve's common denominator, and the chart substitution sends it to
+(a+b, b) on the u-chart and to (a, a+b) on the v-chart.  Both maps are
+injective, so no terms merge.  The extracted power is the least
 a+b, the order of the curve, on either chart.  The transformed curve is
 built from the integer cofactor and the equations are rendered from it; the
 extracted power is the only exponent that becomes a PAdicFrac value.
@@ -28,7 +29,7 @@ from .enumeration import (GradedPiece, _scaled_vectors, count_h0_monomials,
                           enumerate_h0_monomials)
 from .errors import DomainError
 from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
-from .fracpoly import (FracMonomial, FracPoly, _check_vector, _merged, _plane_terms,
+from .fracpoly import (FracMonomial, FracPoly, _coeff_text, _merged, _plane_terms,
                        _power_suffix, _render_terms, _var_names)
 
 
@@ -186,22 +187,22 @@ class BlowupChart:
         return out
 
 
-def _equation(terms: dict, k: int, p: int, names) -> str:
+def _equation(terms: dict, den: int, k: int, p: int, names) -> str:
     """Render sum(terms) = 0 as "<non-constant part> = <constant>".
 
-    terms maps integer exponent vectors at grade k to coefficients.
+    terms maps integer exponent vectors at grade k to int numerators over den.
     """
-    const = terms.get((0,) * len(names), Fraction(0))
+    const = terms.get((0,) * len(names), 0)
     rest = sorted((v for v in terms if any(v)), reverse=True)
     if not rest:
-        return f"{const} = 0"
+        return f"{_coeff_text(const, den)} = 0"
     sign = -1 if terms[rest[0]] < 0 else 1
-    lhs = _render_terms([(v, sign * terms[v]) for v in rest], names, k, p)
-    return f"{lhs} = {-sign * const}"
+    lhs = _render_terms([(v, sign * terms[v]) for v in rest], den, names, k, p)
+    return f"{lhs} = {_coeff_text(-sign * const, den)}"
 
 
-def _chart(F: dict, k: int, p: int, chart: str) -> BlowupChart:
-    """One chart of the blow-up of F, {(a, b): coeff} at grade k."""
+def _chart(F: dict, den: int, k: int, p: int, chart: str) -> BlowupChart:
+    """One chart of the blow-up of F, {(a, b): numerator over den} at grade k."""
     order = min(a + b for a, b in F)  # the power of the blown-down variable extracted
     if chart == "u":
         # u = 1: y = x*v; slot 0 stays x, slot 1 becomes v
@@ -217,16 +218,16 @@ def _chart(F: dict, k: int, p: int, chart: str) -> BlowupChart:
     if len(fiber) == 1 and (0,) in fiber:
         # every chart-coordinate term still carries a positive power of the
         # blown-down variable, so nothing survives the limit: empty fiber
-        locus = ExceptionalLocus(True, _equation(cofactor, k, p, names))
+        locus = ExceptionalLocus(True, _equation(cofactor, den, k, p, names))
     else:
         point = None
         if len(fiber) == 1:
             # pure power of the chart coordinate: the fiber is the single
             # point with coordinate 0
             point = "(1:0)" if chart == "u" else "(0:1)"
-        locus = ExceptionalLocus(False, _equation(fiber, k, p, (names[coord],)), point)
+        locus = ExceptionalLocus(False, _equation(fiber, den, k, p, (names[coord],)), point)
     return BlowupChart(chart, relation, names, names[blown], normalize(order, k, p),
-                       _merged(2, p, k, cofactor.items()), locus)
+                       _merged(2, p, k, den, cofactor.items()), locus)
 
 
 def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
@@ -242,7 +243,7 @@ def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
     terms = _plane_terms(F, k)
     if (0, 0) in terms:
         raise DomainError("origin not on curve")
-    return _chart(terms, k, p, "u"), _chart(terms, k, p, "v")
+    return _chart(terms, F._den, k, p, "u"), _chart(terms, F._den, k, p, "v")
 
 
 # -- blow-up of the affine plane: chart atlas ----------------------------------------
@@ -259,8 +260,9 @@ class MonomialMap:
     def __post_init__(self):
         if any(image.coeff not in (1, -1) for image in self.images):
             raise DomainError("non-monomial replacement rejected: coefficient must be +-1")
-        for image in self.images:
-            _check_vector(image.exps, self.prime)
+        # each FracMonomial checked its own vector: one prime, a PAdicFrac per entry
+        if any(image.exps[0].prime != self.prime for image in self.images):
+            raise DomainError("mixed primes in exponent vector")
 
     def apply_vector(self, exps) -> tuple[Fraction, tuple[PAdicFrac, ...]]:
         (mon,) = self.apply(FracPoly(len(exps), self.prime, [(exps, 1)])).terms()

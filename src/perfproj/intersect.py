@@ -51,7 +51,9 @@ and an infinite entry stays infinite.  Both curves of entry(s, t) are
 polynomials in U**p**m, V**p**m, and k[U, V] is free of rank p**(2m) over
 k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
 colength of the ideal multiplies by that rank.  A curve against itself needs
-only (0, d), since mu is symmetric.
+only (0, d), since mu is symmetric.  Entry (a+1, b+1) of grade i+1 is entry
+(a, b) of grade i, so each grade copies the one before and reads entries
+only for its row a = 0 and column b = 0: (grades+1)**2 reads in all.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
 its FracPoly stores, into integer rows at its native grade.  The rows of a
@@ -88,7 +90,7 @@ the Newton stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from . import braided
 from .braided import INFINITE_RANK, BraidedDim, _is_inf
@@ -103,17 +105,15 @@ def _int_rows(f: FracPoly, k: int = 0) -> dict[int, dict[int, int]]:
     """f at grade k as integer rows by y-degree, y-exponent -> {x-exponent ->
     nonzero int}: every exponent is multiplied by p**k.
 
-    f is read off its stored integer vectors by fracpoly._plane_terms, after
-    the 2-variable check.  The coefficients are scaled by the lcm of their
-    denominators, which leaves the ideal of f unchanged.
+    f is read off its stored integer vectors and numerators by
+    fracpoly._plane_terms, after the 2-variable check: the rows are f times
+    its common denominator, which leaves the ideal of f unchanged.
     """
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")
-    terms = _plane_terms(f, k)
-    scale = lcm(*(c.denominator for c in terms.values()))
     rows: dict[int, dict] = {}
-    for (a, b), c in terms.items():
-        rows.setdefault(b, {})[a] = c.numerator * (scale // c.denominator)
+    for (a, b), c in _plane_terms(f, k).items():
+        rows.setdefault(b, {})[a] = c
     return rows
 
 
@@ -583,13 +583,14 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
             base[key] = mu
         return braided._mul(p ** (2 * m), base[key])
 
+    # each grade is the one before, shifted by one, plus its row a = 0 and column b = 0
     mixed: list[dict[tuple[int, int], object]] = []
+    mat: dict[tuple[int, int], object] = {}
     for i in range(grades + 1):
-        mat: dict[tuple[int, int], object] = {}
-        for a in range(i + 1):
-            for b in range(i + 1):
-                s, t = i - kF - a, i - kG - b
-                mat[(a, b)] = entry(s, t) if s >= 0 and t >= 0 else 0
+        mat = {(a + 1, b + 1): v for (a, b), v in mat.items()}
+        for a, b in [(0, b) for b in range(i + 1)] + [(a, 0) for a in range(1, i + 1)]:
+            s, t = i - kF - a, i - kG - b
+            mat[(a, b)] = entry(s, t) if s >= 0 and t >= 0 else 0
         mixed.append(mat)
     # the fully rooted entry of grade i >= k0 is mat[(i - kF, i - kG)], that is
     # entry(0, 0): the classical multiplicity of F and G at their native grades

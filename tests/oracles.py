@@ -16,9 +16,9 @@ from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, Frac
                       HorizonError, PAdicFrac, ParseError, WeightVector, cohomology_ranks,
                       enumerate_h0_monomials, iter_h0_monomials, iter_hn_monomials,
                       local_multiplicity, monomial_string, normalize, parse_poly)
-from perfproj import cech
+from perfproj import cech, fracpoly
 from perfproj.enumeration import count_h0_monomials, count_hn_monomials
-from perfproj.exponents import _as_padic
+from perfproj.exponents import _as_padic, _denominator_pexp
 from perfproj.fracpoly import _tokenize
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
@@ -558,3 +558,194 @@ def grammar_accepts(text: str) -> bool:
         return False
     kinds = "".join({"int": "i", "var": "v"}.get(kind, kind) for kind, _, _ in tokens[:-1])
     return _POLY.fullmatch(kinds) is not None
+
+
+class FractionPoly:
+    """FracPoly as it was stored before its coefficients became int numerators
+    over one denominator, as a model: terms maps integer vectors at grade k,
+    for the exponents v / p**k, to Fraction coefficients; equal vectors merge
+    by summing Fractions and the grade is lowered while p divides every
+    exponent.  It checks nothing."""
+
+    def __init__(self, nvars: int, prime: int, k: int, items):
+        terms = {}
+        for v, c in items:
+            c += terms.get(v, 0)
+            if c:
+                terms[v] = c
+            else:
+                terms.pop(v, None)
+        while k and all(e % prime == 0 for v in terms for e in v):
+            terms, k = {tuple(e // prime for e in v): c for v, c in terms.items()}, k - 1
+        self.nvars, self.prime, self.k, self.terms = nvars, prime, k, terms
+
+    @classmethod
+    def of(cls, nvars: int, prime: int, items) -> "FractionPoly":
+        """From (PAdicFrac vector, coefficient) items, as FracPoly takes them."""
+        items = [(tuple(exps), Fraction(c)) for exps, c in items]
+        k = max((e.pexp for exps, _ in items for e in exps), default=0)
+        return cls(nvars, prime, k, [(tuple(e.scaled(k) for e in exps), c) for exps, c in items])
+
+    def _at(self, k: int):
+        q = self.prime ** (k - self.k)
+        return [(tuple(e * q for e in v), c) for v, c in self.terms.items()]
+
+    def __add__(self, other):
+        k = max(self.k, other.k)
+        return FractionPoly(self.nvars, self.prime, k, self._at(k) + other._at(k))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly(self.nvars, self.prime, self.k,
+                                [(v, c * other) for v, c in self.terms.items()])
+        k = max(self.k, other.k)
+        return FractionPoly(self.nvars, self.prime, k,
+                            [(tuple(a + b for a, b in zip(v1, v2)), c1 * c2)
+                             for v1, c1 in self._at(k) for v2, c2 in other._at(k)])
+
+    def substitute(self, var: int, image: FracMonomial) -> "FractionPoly":
+        """x_var -> image, +-1 times a monomial, by the integer-vector rule of
+        FracPoly._substitute."""
+        p, k = self.prime, self.k
+        k2 = max(e.pexp for e in image.exps)
+        w, unit = [e.scaled(k2) for e in image.exps], p**k
+        items = []
+        for v, c in self.terms.items():
+            if image.coeff == -1:
+                if v[var] % unit:
+                    raise DomainError("fractional power of a negative monomial")
+                c = -c if v[var] // unit % 2 else c
+            out = [0 if j == var else e * p**k2 for j, e in enumerate(v)]
+            items.append((tuple(a + v[var] * b for a, b in zip(out, w)), c))
+        return FractionPoly(self.nvars, p, k + k2, items)
+
+    def rescale_to_grade(self, i: int) -> "FractionPoly":
+        return FractionPoly(self.nvars, self.prime, 0, self._at(i))
+
+    def extract_power(self, var: int):
+        m = min(v[var] for v in self.terms)
+        return (normalize(m, self.k, self.prime),
+                FractionPoly(self.nvars, self.prime, self.k,
+                             [(v[:var] + (v[var] - m,) + v[var + 1:], c)
+                              for v, c in self.terms.items()]))
+
+    def terms_list(self) -> list:
+        """(coefficient, PAdicFrac vector) in rendering order, as FracPoly.terms()."""
+        return [(self.terms[v], tuple(normalize(e, self.k, self.prime) for e in v))
+                for v in sorted(self.terms, reverse=True)]
+
+    def coefficient(self, exps) -> Fraction:
+        if any(e.pexp > self.k for e in exps):
+            return Fraction(0)
+        return self.terms.get(tuple(e.scaled(self.k) for e in exps), Fraction(0))
+
+    def render(self, names=None) -> str:
+        """The text of FracPoly.render, from Fraction coefficients."""
+        names = names or fracpoly.default_var_names(self.nvars)
+        if not self.terms:
+            return "0"
+        text = ""
+        for v in sorted(self.terms, reverse=True):
+            c = self.terms[v]
+            factors = "*".join(names[j] + fracpoly._power_suffix(e, self.k, self.prime)
+                               for j, e in enumerate(v) if e)
+            body = str(abs(c)) if not factors else (
+                factors if abs(c) == 1 else f"{abs(c)}*{factors}")
+            text += (" - " if c < 0 else " + ") + body
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def fracpoly(self) -> FracPoly:
+        """The FracPoly of the same terms, through the public constructor."""
+        return FracPoly(self.nvars, self.prime, [(exps, c) for c, exps in self.terms_list()])
+
+
+class RecursiveParser:
+    """The curve-text reader as it was before parse became one pass over the
+    tokens: recursive descent with a method call per token, exponents read
+    as ints or Fractions and coefficients as Fractions, merged by the
+    Fraction model."""
+
+    def __init__(self, text: str, nvars: int, prime: int):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.nvars = nvars
+        self.prime = prime
+        self.grade = 0
+
+    def accept(self, kind: str):
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        return None
+
+    def expect(self, kind: str, what: str):
+        tok = self.accept(kind)
+        if tok is None:
+            raise ParseError(f"expected {what}", self.tokens[self.pos][2])
+        return tok
+
+    def parse_poly(self) -> FracPoly:
+        terms = []
+        while True:  # the sign of the first term is optional
+            if self.accept("-"):
+                terms.append(self.parse_term(-1))
+            elif self.accept("+") or not terms:
+                terms.append(self.parse_term(1))
+            else:
+                break
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        q = self.prime ** self.grade
+        return FractionPoly(self.nvars, self.prime, self.grade,
+                            [(tuple(int(e * q) for e in exps), c)
+                             for exps, c in terms]).fracpoly()
+
+    def parse_term(self, sign: int):
+        coeff = Fraction(sign)
+        exps = [0] * self.nvars
+        while True:
+            tok = self.tokens[self.pos]
+            if tok[0] not in ("int", "var"):
+                raise ParseError("expected a coefficient or monomial", tok[2])
+            self.pos += 1
+            if tok[0] == "var":
+                exps[self.var_index(tok)] += self.parse_exponent() if self.accept("^") else 1
+            else:
+                coeff *= int(tok[1])
+                if self.accept("/"):
+                    den = self.expect("int", "integer after '/'")
+                    if int(den[1]) == 0:
+                        raise ParseError("zero denominator", den[2])
+                    coeff /= int(den[1])
+            if not self.accept("*") and self.tokens[self.pos][0] not in ("int", "var"):
+                return exps, coeff
+
+    def var_index(self, tok) -> int:
+        name = tok[1]
+        idx = int(name[1]) if len(name) == 2 else {"x": 0, "y": 1, "z": 2}[name]
+        if idx >= self.nvars:
+            raise ParseError(f"unknown variable name {name!r}", tok[2])
+        return idx
+
+    def parse_exponent(self):
+        if self.accept("("):
+            sign = -1 if self.accept("-") else 1
+            num = self.expect("int", "integer exponent")
+            self.expect("/", "'/' in fractional exponent")
+            den = self.expect("int", "integer denominator")
+            self.expect(")", "')'")
+            try:
+                e = Fraction(sign * int(num[1]), int(den[1]))
+                self.grade = max(self.grade, _denominator_pexp(e.denominator, self.prime))
+            except DomainError:
+                raise ParseError(f"denominator not a power of {self.prime}", den[2])
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", den[2]) from None
+            return e
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("int", "integer exponent")[1])

@@ -1,5 +1,7 @@
 import operator
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from perfproj import (
 )
 from perfproj.exponents import normalize
 from perfproj.fracpoly import _tokenize
-from oracles import grammar_accepts, padic_parse_terms, tokenize_by_characters
+from oracles import (FractionPoly, RecursiveParser, grammar_accepts, padic_parse_terms,
+                     tokenize_by_characters)
 
 
 def P(text, nvars=2, p=2):
@@ -255,6 +258,11 @@ def test_a_monomial_checks_its_exponent_vector():
         FracMonomial(Fraction(1), (PAdicFrac(1, 0, 2), PAdicFrac(1, 0, 3)))
 
 
+def test_a_monomial_needs_an_exponent():
+    with pytest.raises(DomainError, match="^empty exponent vector$"):
+        FracMonomial(Fraction(1), ())
+
+
 def test_substitute_negative_unit_coefficient():
     minus_x = FracMonomial(Fraction(-1), (PAdicFrac(1, 0, 2), PAdicFrac(0, 0, 2)))
     f = P("x^2 + x*y")
@@ -435,3 +443,104 @@ def test_arithmetic_with_a_foreign_operand_raises_type_error(op, other):
         op(f, other)
     with pytest.raises(TypeError):
         op(other, f)
+
+
+# -- integer numerators over one denominator, against the Fraction model ------------
+
+def _items(p, nvars):
+    exp = st.builds(normalize, st.integers(0, 9), st.integers(0, 2), st.just(p))
+    coeff = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=12))
+    return st.lists(st.tuples(st.tuples(*[exp] * nvars), coeff), max_size=6)
+
+
+def _model_cases():
+    """(p, nvars, items of f, items of g, an image for substitute)."""
+    def build(p, nvars):
+        exp = st.builds(normalize, st.integers(0, 4), st.integers(0, 2), st.just(p))
+        image = st.builds(FracMonomial, st.sampled_from([Fraction(1), Fraction(-1)]),
+                          st.tuples(*[exp] * nvars))
+        return st.tuples(st.just(p), st.just(nvars), _items(p, nvars), _items(p, nvars),
+                         st.integers(0, nvars - 1), image)
+    return st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 4)).flatmap(
+        lambda args: build(*args))
+
+
+def _agrees(f, model):
+    """f holds the model's terms as numerators over their least common
+    denominator, and shows them alike."""
+    assert f.max_pexp() == model.k
+    assert {v: Fraction(c, f._den) for v, c in f._terms.items()} == model.terms
+    assert f._den == lcm(*(c.denominator for c in model.terms.values()))
+    assert [(m.coeff, m.exps) for m in f.terms()] == model.terms_list()
+    assert f.render() == model.render()
+
+
+def _outcome(op):
+    try:
+        return op()
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(_model_cases(), st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)),
+       st.integers(0, 2))
+def test_fracpoly_matches_the_fraction_model(case, scalar, extra):
+    p, nvars, items_f, items_g, var, image = case
+    f, g = FracPoly(nvars, p, items_f), FracPoly(nvars, p, items_g)
+    mf, mg = FractionPoly.of(nvars, p, items_f), FractionPoly.of(nvars, p, items_g)
+    grade = max(f.max_pexp(), g.max_pexp()) + extra
+    for h, m in [(f, mf), (g, mg), (f + g, mf + mg), (f - g, mf - mg), (f * g, mf * mg),
+                 (-f, mf * -1), (f * scalar, mf * scalar), (scalar * g, mg * scalar),
+                 ((f + g).rescale_to_grade(grade), (mf + mg).rescale_to_grade(grade))]:
+        _agrees(h, m)
+    if not f.is_zero:
+        e, cofactor = f.extract_power(var)
+        e_model, cofactor_model = mf.extract_power(var)
+        assert e == e_model
+        _agrees(cofactor, cofactor_model)
+    substituted = _outcome(lambda: f.substitute(var, image))
+    if isinstance(substituted, str):
+        assert substituted == _outcome(lambda: mf.substitute(var, image))
+    else:
+        _agrees(substituted, mf.substitute(var, image))
+    for exps, _ in items_f + items_g:
+        assert f.coefficient(exps) == mf.coefficient(exps)
+    assert f.constant_term() == mf.coefficient([normalize(0, 0, p)] * nvars)
+
+
+def test_equal_polynomials_hold_equal_numerators():
+    half_x = FracPoly(2, 2, [((normalize(1, 0, 2), normalize(0, 0, 2)), Fraction(1, 2))])
+    for a, b in [(P("1/2*x + 1/2*x"), P("x")), (P("2/4*x"), P("1/2*x")), (half_x, P("1/2*x")),
+                 (P("6/4*x + 1/2*y") * 2, P("3*x + y")), (P("1/3*x") * 3, P("x"))]:
+        assert a == b and hash(a) == hash(b)
+        assert (a._terms, a._den) == (b._terms, b._den)
+    assert (P("1/2*x + 1/3*y")._den, P("2/3 - 1/6*x")._den) == (6, 6)
+    assert P("1/2*x + 1/2*y") != P("x + y")
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.lists(st.one_of(_GRAMMAR_CHARS, _GRAMMAR_CHARS, _SPACES, _STRAY,
+                       st.sampled_from(["**", " * *", "***"])), max_size=16).map("".join),
+    st.lists(_PIECES, max_size=10).map("".join),
+    _TERMS.map(lambda terms: "".join(f" {s} " + "*".join(fs) for s, fs in terms))),
+    st.sampled_from([2, 3]))
+def test_parse_matches_the_recursive_parser(text, p):
+    def read(parse):
+        try:
+            return parse()
+        except ParseError as exc:
+            return str(exc), exc.position
+    assert read(lambda: parse_poly(text, 3, p)) == read(
+        lambda: RecursiveParser(text, 3, p).parse_poly())
+
+
+def test_a_stray_character_is_reported_before_a_too_long_integer():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError, match="integer string conversion"):
+        P(f"{digits}*x")
+    with pytest.raises(ParseError, match=r"^unexpected character '\?'"):
+        P(f"{digits}*x ?")
+    with pytest.raises(ParseError, match=r"^unexpected character '\?'"):
+        P(f"x^({digits}/2) ?")

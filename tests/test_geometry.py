@@ -27,6 +27,7 @@ from perfproj import (
     veronese,
     veronese_tower_inclusion,
 )
+from perfproj import fracpoly
 from perfproj.exponents import normalize
 
 
@@ -432,6 +433,25 @@ def test_a_negative_image_flips_the_sign_of_odd_powers():
     assert _x((3, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (4, 0), -1)
     assert _x((2, 0), (1, 0)).substitute(0, _MINUS_Y) == _x((0, 0), (3, 0))
     assert MonomialMap(2, (_MINUS_Y, y)).apply(_x((3, 0), (1, 0))) == _x((0, 0), (4, 0), -1)
+
+
+def test_monomial_map_compares_primes_and_leaves_vectors_to_the_monomials(monkeypatch):
+    # every FracMonomial checked its own vector when it was built
+    third = FracMonomial(Fraction(1), (normalize(1, 1, 3), normalize(0, 0, 3)))
+    half = FracMonomial(Fraction(1), (normalize(1, 1, 2), normalize(1, 0, 2)))
+
+    def refuse(*args):
+        raise AssertionError("checked a vector again")
+
+    monkeypatch.setattr(fracpoly, "_check_vector", refuse)
+    assert MonomialMap(2, (half, half)).images == (half, half)
+    with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+        MonomialMap(2, (half, third))
+    with pytest.raises(DomainError, match="^mixed primes in exponent vector$"):
+        MonomialMap(3, (third, half))
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="^empty exponent vector$"):
+        MonomialMap(2, (FracMonomial(Fraction(1), ()),))
 
 
 def test_monomial_map_rejects_a_coefficient_other_than_a_sign():

@@ -14,6 +14,7 @@ from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
                      dense_coprime_mod_ell, dense_gcd_degree_mod_ell, mixed_by_depth_brute,
                      monomial_staircase_by_loop, rooted_texts)
 
+import perfproj.braided as braided_mod
 import perfproj.intersect as intersect_mod
 from perfproj import (
     DomainError,
@@ -288,6 +289,56 @@ def test_fractional_inputs_zero_below_native_grade():
     assert all(v == 0 for v in tup.flattened_row(0))
     assert tup.mixed[1][(1, 1)] == 0  # F cannot be rooted past the grade
     assert tup.mixed[1][(0, 1)] == 2
+
+
+def _entry_reads(monkeypatch, F, G, grades):
+    """braided_multiplicity(F, G, grades) and the number of entry reads it
+    made: each read scales a base entry once, by braided._mul."""
+    reads = []
+    mul = braided_mod._mul
+    monkeypatch.setattr(braided_mod, "_mul", lambda a, b: reads.append(1) or mul(a, b))
+    tup = braided_multiplicity(F, G, grades)
+    monkeypatch.undo()
+    return tup, len(reads)
+
+
+@pytest.mark.parametrize("f, g, reads", [
+    # kF = 1, kG = 0: row a = 0 and column b = 0 of grades 1..4 where F is
+    # rooted at s >= 0, 2 + 4 + 6 + 8, and the classical entry
+    ("y - x^(3/2)", "x", 21),
+    # a self pair: 2i + 1 entries at grade i, (4 + 1)**2 in all, and the classical entry
+    ("y^2 - x^3", "y^2 - x^3", 26),
+])
+def test_each_grade_reads_only_its_first_row_and_column(monkeypatch, f, g, reads):
+    F, G = P(f), P(g)
+    tup, count = _entry_reads(monkeypatch, F, G, 4)
+    assert count == reads
+    assert tup.mixed == mixed_by_depth_brute(F, G, 4)
+
+
+def test_integer_curves_build_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    codes = set()
+    for f in CURVE_CORPUS_TEXT:
+        for mode in ([], ["--json"]):
+            codes.add(run(["blowup", "--f", f, "--p", "3"] + mode, io.StringIO(), io.StringIO()))
+            for g in CURVE_CORPUS_TEXT[::3]:
+                argv = ["mult", "--f", f, "--g", g, "--p", "2", "--grades", "2"] + mode
+                codes.add(run(argv, io.StringIO(), io.StringIO()))
+        for g in ["y - x", "y^2 - x^3"]:
+            try:
+                quotient_dim_oracle(P(f), P(g))
+            except QuotientCapExceeded:
+                pass
+    monkeypatch.undo()
+    assert codes == {0} and built == []
 
 
 def test_infinite_pair_serializes():
