@@ -7,12 +7,16 @@ outside S is non-negative; equivalently, the spots present are exactly the
 supersets of the set of strictly negative positions.  Cohomology is computed
 two independent ways: the sign case analysis (classify_weight) and exact
 fraction-free integer elimination on the +-1 incidence matrices
-(cohomology_ranks).  verify_theorems runs both for every weight of the
-requested degrees and cross-checks the totals against the closed forms.
-Both depend only on the number k of negative entries, so each is computed
-once per count of negative entries; the weights with k negative entries
-are counted in closed form, so no weight is visited unless a count's two
-profiles disagree.
+(cohomology_ranks, through _int_rank, the library's one exact rank, which
+intersect's quotient oracle uses too).  verify_theorems runs both for every
+weight of the requested degrees and cross-checks the totals against the
+closed forms.  Both depend only on the number k of negative entries, so each
+is computed once per count of negative entries, and only for the counts the
+box holds, decided by an interval test on k.  Weights are counted in closed
+form: the box's total always, and the weights of one count only when that
+count adds to a total (nonzero exact ranks that agree with the case
+analysis).  The box is walked only when a count's two profiles disagree, to
+list its weights as counterexamples.
 
 The incidence sign of (T, T - t) is (-1)**(position of t in T), so d o d = 0
 by construction; n <= _MAX_N bounds the complexes the library can build, and
@@ -100,7 +104,7 @@ def _spot_masks(n: int, neg_mask: int) -> list[list[int]]:
     spots: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << (n + 1)):
         if mask & neg_mask == neg_mask:
-            spots[bin(mask).count("1") - 1].append(mask)
+            spots[mask.bit_count() - 1].append(mask)
     return spots
 
 
@@ -109,14 +113,16 @@ def _build_from_mask(n: int, neg_mask: int, weight: WeightVector | None) -> Cech
     index = [{m: i for i, m in enumerate(level)} for level in spots]
     differentials = []
     for k in range(n):
-        rows = [[0] * len(spots[k]) for _ in spots[k + 1]]
-        for r, target in enumerate(spots[k + 1]):
-            elems = [j for j in range(n + 1) if target >> j & 1]
-            for pos, t in enumerate(elems):
-                source = target & ~(1 << t)
-                col = index[k].get(source)
+        rows = []
+        for target in spots[k + 1]:
+            row, sign, rest = [0] * len(spots[k]), 1, target
+            while rest:  # the elements t of target, in increasing order
+                low = rest & -rest
+                col = index[k].get(target ^ low)
                 if col is not None:
-                    rows[r][col] = (-1) ** pos
+                    row[col] = sign
+                sign, rest = -sign, rest ^ low
+            rows.append(row)
         differentials.append(rows)
     return CechComplex(n, weight, spots, differentials)
 
@@ -129,39 +135,51 @@ def build_complex(w: WeightVector, n: int) -> CechComplex:
     return _build_from_mask(n, w.negative_mask(), w)
 
 
-def _int_rank(rows: list[list[int]], ncols: int) -> int:
-    """Fraction-free elimination rank of an integer matrix."""
-    rank = 0
-    rows = [r for r in rows if any(r)]
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
+def _int_rank(rows) -> int:
+    """Rank over Q of an integer matrix given as sparse rows {column: nonzero
+    int}, by fraction-free elimination; the rows are not modified.
+
+    Each pivot row is kept under its greatest column.  A row is reduced by
+    the pivot row of its greatest column until that column has none, where
+    it becomes a pivot row, or until it vanishes; every step clears the
+    greatest column and adds none above it.  Pivot rows have distinct
+    greatest columns, so they are independent and the rank is their number.
+    An entry v over a pivot c = +-1 is cleared by subtracting v*c times the
+    pivot row, which keeps the entries integral with no gcd; over any other
+    c, row <- c*row - v*(pivot row), and the row's content is divided out.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # greatest column -> pivot row
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            v = rows[i][col]
-            if v:
-                new = [pv * a - v * b for a, b in zip(rows[i], rows[rank])]
-                g = 0
-                for entry in new:
-                    g = gcd(g, entry)
-                    if g == 1:
-                        break
-                rows[i] = [entry // g for entry in new] if g > 1 else new
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            v, c = row[col], pivot[col]
+            unit = c == 1 or c == -1
+            if unit:
+                v *= c
+            else:
+                row = {j: c * a for j, a in row.items()}
+            for j, a in pivot.items():
+                entry = row.get(j, 0) - v * a
+                if entry:
+                    row[j] = entry
+                else:
+                    del row[j]
+            if not unit:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: a // g for j, a in row.items()}
+    return len(pivots)
 
 
 def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
     """Exact ranks H^k = dim ker d_k - rank d_{k-1} by integer elimination."""
-    ranks_d = [_int_rank(d, c.dim(k)) for k, d in enumerate(c.differentials)]
+    ranks_d = [_int_rank({j: v for j, v in enumerate(row) if v} for row in d)
+               for d in c.differentials]
     out = []
     for k in range(c.n + 1):
         dim_k = c.dim(k)
@@ -242,26 +260,55 @@ def _neg_mask(ints) -> int:
     return sum(1 << j for j, v in enumerate(ints) if v < 0)
 
 
-def _weights_by_count(n: int, target: int, bound: int) -> list[int]:
-    """Integer weights in [-bound, bound]**(n+1) summing to target whose
-    negative entries are a given set of k positions, at index k = 0..n+1.
+def _capped_compositions(total: int, n: int, first: int, cap: int, cap_rest: int) -> int:
+    """Solutions of y_0 + ... + y_n = total with `first` parts in [0, cap]
+    and the other n + 1 - first in [0, cap_rest], both caps >= 0.
 
-    The count is a closed form in k, so no weight is visited.  Shifting each
-    negative entry x to x + bound makes those weights the solutions of
-    sum = target + k*bound in n+1-k parts in [0, bound] and k parts in
-    [0, bound - 1].  Inclusion-exclusion over the i parts of the first kind
-    and j of the second pushed past their caps counts them as signed
-    stars-and-bars terms C(top + n, n).
+    Inclusion-exclusion over the i parts of the first kind and the j of the
+    second pushed past their caps: one signed stars-and-bars binomial
+    C(top + n, n) per term with top = total - i*(cap+1) - j*(cap_rest+1) >= 0,
+    and only those terms are visited; the coefficient
+    (-1)**(i + j) C(first, i) C(n + 1 - first, j) is carried from term to term.
     """
-    by_k = []
-    for k in range(n + 2):
-        total = 0
-        for i, j in itertools.product(range(n + 2 - k), range(k + 1)):
-            top = target + k * bound - i * (bound + 1) - j * bound
-            if top >= 0:
-                total += (-1) ** (i + j) * comb(n + 1 - k, i) * comb(k, j) * comb(top + n, n)
-        by_k.append(total)
-    return by_k
+    rest, out, ci = n + 1 - first, 0, 1
+    for i in range(min(first, total // (cap + 1)) + 1):
+        top, cj = total - i * (cap + 1), ci
+        for j in range(min(rest, top // (cap_rest + 1)) + 1):
+            out += cj * comb(top - j * (cap_rest + 1) + n, n)
+            cj = -cj * (rest - j) // (j + 1)
+        ci = -ci * (first - i) // (i + 1)
+    return out
+
+
+def _weights_in_box(n: int, target: int, bound: int) -> int:
+    """Integer weights in [-bound, bound]**(n+1) summing to target: shifted
+    by bound, the compositions of target + (n+1)*bound into n+1 parts in
+    [0, 2*bound], n + 2 binomials at most."""
+    return _capped_compositions(target + (n + 1) * bound, n, n + 1, 2 * bound, 0)
+
+
+def _counts_with_weights(n: int, target: int, bound: int) -> range:
+    """The k for which some integer weight in [-bound, bound]**(n+1), bound
+    >= 1, sums to target with exactly k negative entries.
+
+    Those k entries sum to every integer of [-k*bound, -k] and the others to
+    every integer of [0, (n+1-k)*bound], so k qualifies iff
+    -k*bound <= target <= (n+1-k)*bound - k: k >= -target/bound and
+    k*(bound+1) <= (n+1)*bound - target.
+    """
+    return range(max(0, -(target // bound)),
+                 min(n + 1, ((n + 1) * bound - target) // (bound + 1)) + 1)
+
+
+def _weights_per_mask(n: int, target: int, bound: int, k: int) -> int:
+    """Integer weights in [-bound, bound]**(n+1), bound >= 1, summing to
+    target whose negative entries are a given set of k positions.
+
+    Shifting each negative entry x to x + bound makes them the solutions of
+    sum = target + k*bound in n+1-k parts in [0, bound] and k parts in
+    [0, bound - 1].
+    """
+    return _capped_compositions(target + k * bound, n, n + 1 - k, bound, bound - 1)
 
 
 def _weights_with_counts(n: int, target: int, bound: int, counts):
@@ -279,16 +326,25 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     """Cross-check the case analysis against exact ranks, degree by degree.
 
     For each degree this checks every weight with denominator exponent
-    <= i and entries in [-B, B], B = floor(|degree|) + 2.  The box covers all
-    weights that can carry nonzero cohomology (all-non-negative or
+    <= i and entries in [-B, B], B = floor(|degree|) + 2.  The box covers
+    all weights that can carry nonzero cohomology (all-non-negative or
     all-negative vectors of the degree), so the per-degree totals are exact
     and must equal the closed forms, with zero middle cohomology.  Both
     profiles depend only on the number k of negative entries, so the check
-    runs once per count of negative entries: k is classified and ranked on
-    the mask (1 << k) - 1 and stands for its comb(n + 1, k) masks, whose
-    weights are counted in closed form.  No weight is visited unless a count
-    mismatches: only then is the box walked, in order, to list the
-    counterexamples.
+    runs once per count: k is classified and ranked on the mask
+    (1 << k) - 1, once per call, and stands for its comb(n + 1, k) masks.
+
+    At grade i the box is [-M, M]**(n+1) in integers, M = B p**i, around
+    the target t = degree * p**i, and no weight is visited to count it.  It
+    holds a weight with k negative entries iff -k M <= t <= (n+1-k) M - k
+    (_counts_with_weights), and only those k are checked.  The weights
+    checked are the box's total, one count of at most n + 2 binomials.  The
+    weights of one count k are counted (_weights_per_mask) only when they
+    enter a total, that is when the exact ranks equal the profile and are
+    nonzero: in a correct run k = 0 if t >= 0 and k = n + 1 if
+    t <= -(n+1), at most n + 2 binomials more.  A count whose ranks differ
+    from its profile adds to no total; only then is the box walked, in
+    order, to list the counterexamples.
     """
     _require_prime(p)
     degrees = [_as_padic(degree, p) for degree in degrees]
@@ -297,27 +353,26 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     if n > _MAX_N:
         raise DomainError(f"dimension cap exceeded: n <= {_MAX_N}")
     report = CechReport(n, p, i)
+    checks = {}  # k -> (profile, exact ranks), once per call
     for d in degrees:
         target = d.scaled(i)  # raises if the grade is too small for d
         bound_abs = -d.num if d.num < 0 else d.num
         bound = bound_abs // p**d.pexp + 2  # floor(|d|) + 2, integer arithmetic
         m_int = bound * p**i
-        h0_total = middle_total = hn_total = checked = 0
+        h0_total = middle_total = hn_total = 0
         mismatched = {}
-        for k, per_mask in enumerate(_weights_by_count(n, target, m_int)):
-            if not per_mask:
-                continue
-            count = comb(n + 1, k) * per_mask
-            profile = _classify_mask(n, (1 << k) - 1)
-            ranks = _ranks_for_count(n, k)
-            checked += count
+        for k in _counts_with_weights(n, target, m_int):
+            if k not in checks:
+                checks[k] = _classify_mask(n, (1 << k) - 1), _ranks_for_count(n, k)
+            profile, ranks = checks[k]
             if profile != ranks:
                 mismatched[k] = (profile, ranks)
-                continue
-            h0_total += count * ranks[0]
-            hn_total += count * ranks[n]
-            middle_total += count * sum(ranks[1:n])
-        if mismatched:  # walk the box again, in order, to report them
+            elif any(ranks):
+                count = comb(n + 1, k) * _weights_per_mask(n, target, m_int, k)
+                h0_total += count * ranks[0]
+                hn_total += count * ranks[n]
+                middle_total += count * sum(ranks[1:n])
+        if mismatched:  # walk the box, in order, to report them
             for ints in _weights_with_counts(n, target, m_int, mismatched):
                 classified, ranks = mismatched[_neg_mask(ints).bit_count()]
                 report.counterexamples.append({
@@ -329,6 +384,6 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
         h0_expected = count_h0_monomials(n, d, i, p) if d.num >= 0 else 0
         hn_expected = count_hn_monomials(n, -d, i, p) if d.num < 0 else 0
         report.per_degree.append(DegreeSummary(
-            d, checked, h0_total, middle_total, hn_total,
+            d, _weights_in_box(n, target, m_int), h0_total, middle_total, hn_total,
             h0_expected, hn_expected))
     return report

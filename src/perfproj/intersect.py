@@ -477,19 +477,22 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
-    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G in integer rows (_int_rows)."""
-    mons = [(a, b) for a in range(N) for b in range(N - a)]
-    index = {m: k for k, m in enumerate(mons)}
-    matrix = []
+    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G in integer rows (_int_rows).
+
+    The multiples x**a * y**b * F and x**a * y**b * G, a + b < N, truncated
+    below total degree N, are sparse rows (_int_rank) over the N(N+1)/2
+    monomials x**a * y**b of degree < N, the monomial labelled a*N + b; the
+    dimension is the count of monomials less the rank of those rows.
+    """
+    rows = []
     for P in (F, G):
-        for (ma, mb) in mons:
-            line = [0] * len(mons)
-            for b, row in P.items():
-                for a, c in row.items():
-                    if a + ma + b + mb < N:
-                        line[index[(a + ma, b + mb)]] = c
-            matrix.append(line)
-    return len(mons) - _int_rank(matrix, len(mons))
+        terms = [(a + b, a * N + b, c) for b, row in P.items() for a, c in row.items()
+                 if a + b < N]
+        for a in range(N):
+            for b in range(N - a):
+                room, shift = N - a - b, a * N + b
+                rows.append({col + shift: c for degree, col, c in terms if degree < room})
+    return N * (N + 1) // 2 - _int_rank(rows)
 
 
 def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
@@ -498,9 +501,12 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     dim O_0 / ((F, G) + m**N) is computed for growing N; by Nakayama, two
     equal consecutive values certify that m**N already lies inside (F, G)
     locally, so the truncated dimension is the local dimension itself.
-    Both single-term inputs short-circuit to the monomial staircase count in
-    closed form: 0 if either is a unit, infinite unless one is a pure power
-    x**a and the other y**b, and a * b for that pair.
+    Each N costs one exact rank (_truncated_quotient_dim): the truncated
+    multiples of F and G as sparse integer rows, eliminated by cech's
+    _int_rank, the kernel the Cech ranks use.  Both single-term inputs
+    short-circuit to the monomial staircase count in closed form: 0 if
+    either is a unit, infinite unless one is a pure power x**a and the other
+    y**b, and a * b for that pair.
     """
     Fr, Gr = _int_rows(F), _int_rows(G)
     mons = [(a, b) for rows in (Fr, Gr) for b, row in rows.items() for a in row]

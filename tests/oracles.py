@@ -11,6 +11,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
+from math import comb, gcd
 
 from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, FracPoly,
                       HorizonError, PAdicFrac, ParseError, WeightVector, cohomology_ranks,
@@ -324,6 +325,26 @@ def mask_ranks(n: int, mask: int) -> tuple[int, ...]:
     return cohomology_ranks(cech._build_from_mask(n, mask, None))
 
 
+def weights_by_count(n: int, target: int, bound: int) -> list[int]:
+    """cech's count of weights by number of negative entries as it was, for
+    every k = 0..n+1 at once: the integer weights in [-bound, bound]**(n+1)
+    summing to target whose negative entries are a given set of k positions,
+    at index k.  Shifting each negative entry x to x + bound makes them the
+    solutions of sum = target + k*bound in n+1-k parts in [0, bound] and k
+    parts in [0, bound - 1]; inclusion-exclusion over the i parts of the
+    first kind and j of the second pushed past their caps counts them as
+    signed stars-and-bars terms C(top + n, n), all (n+2-k)(k+1) of them."""
+    by_k = []
+    for k in range(n + 2):
+        total = 0
+        for i, j in product(range(n + 2 - k), range(k + 1)):
+            top = target + k * bound - i * (bound + 1) - j * bound
+            if top >= 0:
+                total += (-1) ** (i + j) * comb(n + 1 - k, i) * comb(k, j) * comb(top + n, n)
+        by_k.append(total)
+    return by_k
+
+
 def verify_by_mask(n: int, degrees, i: int, p: int, ranks=mask_ranks) -> dict:
     """cech.verify_theorems as it was before it checked once per count of
     negative entries, as its JSON dict: each of the 2**(n+1) sign masks that
@@ -335,7 +356,7 @@ def verify_by_mask(n: int, degrees, i: int, p: int, ranks=mask_ranks) -> dict:
         d = _as_padic(degree, p)
         target = d.scaled(i)
         m_int = (abs(d.num) // p**d.pexp + 2) * p**i
-        by_k = cech._weights_by_count(n, target, m_int)
+        by_k = weights_by_count(n, target, m_int)
         by_mask = {mask: by_k[mask.bit_count()] for mask in range(1 << (n + 1))
                    if by_k[mask.bit_count()]}
         h0_total = middle_total = hn_total = checked = 0
@@ -366,6 +387,49 @@ def verify_by_mask(n: int, degrees, i: int, p: int, ranks=mask_ranks) -> dict:
             count_h0_monomials(n, d, i, p) if d.num >= 0 else 0,
             count_hn_monomials(n, -d, i, p) if d.num < 0 else 0))
     return report.to_json_dict()
+
+
+def dense_int_rank(rows, ncols: int) -> int:
+    """cech._int_rank as it was, on dense rows: fraction-free elimination
+    column by column, every new row divided by its content."""
+    rank = 0
+    rows = [list(r) for r in rows if any(r)]
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            v = rows[i][col]
+            if v:
+                new = [pv * a - v * b for a, b in zip(rows[i], rows[rank])]
+                g = 0
+                for entry in new:
+                    g = gcd(g, entry)
+                rows[i] = [entry // g for entry in new] if g > 1 else new
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def dense_truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
+    """intersect._truncated_quotient_dim as it was: each truncated multiple
+    x**a * y**b * P, a + b < N, as a dense row over the monomials of degree
+    < N, and the dense rank of those rows."""
+    mons = [(a, b) for a in range(N) for b in range(N - a)]
+    index = {m: k for k, m in enumerate(mons)}
+    matrix = []
+    for P in (F, G):
+        for ma, mb in mons:
+            line = [0] * len(mons)
+            for b, row in P.items():
+                for a, c in row.items():
+                    if a + ma + b + mb < N:
+                        line[index[(a + ma, b + mb)]] = c
+            matrix.append(line)
+    return len(mons) - dense_int_rank(matrix, len(mons))
 
 
 def is_prime_by_trial_division(p: int) -> bool:

@@ -1,14 +1,19 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_square_zero, mask_ranks, rational_rank, verify_by_mask
+from oracles import (dense_square_zero, mask_ranks, rational_rank, verify_by_mask,
+                     weights_by_count)
 
 from perfproj import (
     DomainError,
@@ -23,9 +28,9 @@ from perfproj import (
     verify_theorems,
 )
 import perfproj.cech as cech_mod
-from perfproj.cech import (_MAX_N, _build_from_mask, _int_rank, _ranks_for_count,
-                           _weights_by_count)
-from perfproj.cli import run
+from perfproj.cech import (_MAX_N, _build_from_mask, _counts_with_weights, _int_rank,
+                           _ranks_for_count, _weights_in_box, _weights_per_mask)
+from perfproj.cli import _digit_limit_message, run
 from perfproj.exponents import PAdicFrac, normalize
 
 
@@ -214,13 +219,18 @@ def test_one_complex_per_count_of_negative_entries(monkeypatch):
     assert json.loads(out.getvalue())["ok"] is True
 
 
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
 @st.composite
 def int_matrices(draw):
-    """(ncols, rows): small integer matrices, often with zero rows or rows that
-    are integer combinations of other rows."""
+    """(ncols, rows): small integer matrices, often with zero rows, repeated
+    rows or rows that are integer combinations of other rows, with entries
+    of a few bits or past 2**64."""
     ncols = draw(st.integers(0, 5))
-    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, max_size=5))
+    entry = st.integers(-6, 6) | st.integers(-2**70, 2**70)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         r, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
@@ -231,17 +241,24 @@ def int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices())
 def test_int_rank_equals_rational_rank(matrix):
-    ncols, rows = matrix
-    before = [list(r) for r in rows]
-    assert _int_rank(rows, ncols) == rational_rank(rows)
-    assert rows == before  # the input is not modified
+    _, rows = matrix
+    sparse = _sparse(rows)
+    before = [dict(r) for r in sparse]
+    assert _int_rank(sparse) == rational_rank(rows)
+    assert sparse == before  # the input is not modified
 
 
 def test_int_rank_edge_cases():
-    assert _int_rank([], 0) == _int_rank([], 3) == _int_rank([[]], 0) == 0
-    assert _int_rank([[0, 0], [0, 0]], 2) == 0
-    assert _int_rank([[2, 4], [3, 6], [0, 0]], 2) == 1
-    assert _int_rank([[0, 2, 1], [0, 4, 2], [5, 0, 0]], 3) == 2
+    assert _int_rank([]) == _int_rank([{}]) == _int_rank([{}, {}]) == 0
+    assert _int_rank(_sparse([[2, 4], [3, 6], [0, 0]])) == 1
+    assert _int_rank(_sparse([[0, 2, 1], [0, 4, 2], [5, 0, 0]])) == 2
+    # non-unit pivots only; then two matrices one sign apart, of rank 2 and 3
+    assert _int_rank(_sparse([[2, 3, 0], [3, 5, 0], [4, 6, 0]])) == 2
+    assert _int_rank(_sparse([[1, 1, 0], [0, 1, 1], [1, 0, -1]])) == 2
+    assert _int_rank(_sparse([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 3
+    big = 2**64 + 1
+    assert _int_rank([{0: big, 1: big * 3}, {0: 2 * big, 1: 6 * big}]) == 1
+    assert _int_rank({j: 1} for j in range(4)) == 4  # any iterable of rows
 
 
 def test_spot_flags_are_monotone():
@@ -324,10 +341,45 @@ def test_weights_by_mask_matches_a_walk():
                 walk[sum(ints)][sum(1 << j for j, v in enumerate(ints) if v < 0)] += 1
             # one unreachable target past each end: every mask reads 0
             for target in range(-(n + 1) * bound - 1, (n + 1) * bound + 2):
-                by_k = _weights_by_count(n, target, bound)
+                by_k = weights_by_count(n, target, bound)
                 assert len(by_k) == n + 2
                 for mask in range(1 << (n + 1)):
                     assert walk[target][mask] == by_k[mask.bit_count()], (n, bound, target, mask)
+                assert _weights_in_box(n, target, bound) == sum(walk[target].values())
+                if bound:  # the runtime bound is at least 2
+                    for k in range(n + 2):
+                        assert _weights_per_mask(n, target, bound, k) == by_k[k], (n, bound, target, k)
+                    assert list(_counts_with_weights(n, target, bound)) == [
+                        k for k, v in enumerate(by_k) if v]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10**6) | st.integers(1, 2**80), st.data())
+def test_counts_match_the_all_counts_oracle_for_large_bounds(n, bound, data):
+    ends = (n + 1) * bound + 2
+    target = data.draw(st.integers(-ends, ends) | st.sampled_from(
+        [-ends, -(n + 1) * bound, -(n + 1), -1, 0, 1, (n + 1) * bound, ends]))
+    by_k = weights_by_count(n, target, bound)
+    assert [_weights_per_mask(n, target, bound, k) for k in range(n + 2)] == by_k
+    assert list(_counts_with_weights(n, target, bound)) == [k for k, v in enumerate(by_k) if v]
+    assert _weights_in_box(n, target, bound) == sum(
+        comb(n + 1, k) * v for k, v in enumerate(by_k))
+
+
+@pytest.mark.parametrize("n,degrees,i,p", [
+    (6, [-3, 0, 2], 1, 2), (6, [-8, 0, 2], 1, 2), (1, [-4, -1, 0, 3], 2, 3),
+    (4, [-3, 2, 5], 2, 5), (5, [normalize(-7, 1, 3), normalize(5, 2, 3)], 2, 3),
+])
+def test_binomials_per_degree_are_at_most_three_per_count(monkeypatch, n, degrees, i, p):
+    # a run without mismatches evaluates the box total and at most one
+    # count's inclusion-exclusion per degree: no more than 3(n + 2)
+    # binomials, where the count of every k takes sum (n+2-k)(k+1) of them
+    calls = []
+    monkeypatch.setattr(cech_mod, "comb", lambda a, b: calls.append((a, b)) or comb(a, b))
+    for d in degrees:
+        calls.clear()
+        assert verify_theorems(n, [d], i, p).ok
+        assert 0 < len(calls) <= 3 * (n + 2), (d, len(calls))
 
 
 def test_verify_theorems_large_box():
@@ -338,6 +390,27 @@ def test_verify_theorems_large_box():
         2_163_776_251, 916_089_126, 7_949_203_626]
     assert [s.h0_total for s in report.per_degree] == [0, 316_251, 11_009_376]
     assert [s.hn_total for s in report.per_degree] == [1_150_626, 0, 0]
+
+
+def test_a_large_grade_ends_in_the_digit_limit_within_a_cpu_limit():
+    # at grade 400000 the box bound is about 2**400000: the counts take
+    # binomials of numbers of 120,000 digits, and the JSON payload cannot
+    # print them; the box total and one count take a few seconds of CPU,
+    # every count's inclusion-exclusion about 31 s; the child caps its own
+    # CPU time at 20 s
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
+             "from perfproj.cli import main\n"
+             "sys.argv = ['perfproj', 'cech-check', '--n', '6', '--degrees=-3,1,2',"
+             " '--i', '400000', '--p', '2', '--json']\n"
+             "main()\n")
+    src = os.path.dirname(os.path.dirname(cech_mod.__file__))
+    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert json.loads(done.stdout) == {
+        "error": {"category": "computation", "message": _digit_limit_message()}}
+    assert done.stderr == f"error: computation: {_digit_limit_message()}\n"
 
 
 def test_verify_theorems_classifies_once_per_count(monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
-                     dense_coprime_mod_ell, dense_gcd_degree_mod_ell, mixed_by_depth_brute,
+                     dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
+                     dense_truncated_quotient_dim, mixed_by_depth_brute,
                      monomial_staircase_by_loop, rooted_texts)
 
 import perfproj.braided as braided_mod
@@ -40,6 +41,7 @@ from perfproj.intersect import (
     _newton,
     _newton_polygon,
     _scaled,
+    _truncated_quotient_dim,
 )
 
 
@@ -701,6 +703,20 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
     assert _mu(_scaled(A, 1), _scaled(B, 1)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
         assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
+
+
+_COEFF = st.sampled_from([1, -1, 2, -3, 6]) | st.integers(-2**70, 2**70).filter(bool)
+_INT_ROWS = st.dictionaries(st.integers(0, 5), st.dictionaries(st.integers(0, 5), _COEFF,
+                                                               min_size=1, max_size=4),
+                            max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT_ROWS, _INT_ROWS, st.integers(1, 8))
+def test_truncated_quotient_dim_matches_the_dense_elimination(F, G, N):
+    before = repr((F, G))
+    assert _truncated_quotient_dim(F, G, N) == dense_truncated_quotient_dim(F, G, N)
+    assert repr((F, G)) == before  # the rows are not modified
 
 
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():

@@ -2,6 +2,7 @@
 as a separate process on tiny arguments."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +51,34 @@ def test_replay_answers_every_benchmark_request_as_before():
         "cech 900 81ceb19302766ea3f7a735b36792386338d7303bdb5654b3b2d9a5976a1daf6c",
         "curves 900 8ba62c1579f5eb60030c6ff3ed65a118413c50759ffe47e00800ab65c2572f78",
         "faults 11898 f7a8f9cd0fb11296f02bd28233add58b341aa29f7cf267e91db60e84e5417f12",
+    ]
+
+
+_NO_WORK = dict.fromkeys([
+    "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses", "cech.comb",
+    "exponents.is_prime", "fractions.Fraction", "intersect._local", "intersect._mu",
+    "intersect._newton", "intersect._truncated_quotient_dim", "intersect.quotient_dim_oracle",
+], 0)
+
+
+def test_replay_counts_the_work_of_every_benchmark_request():
+    # deterministic work over the same requests as the digests, each
+    # workload on fresh rank and prime caches: a change of how much work is
+    # done for the same answers shows here first
+    proc = _run(["tools/replay.py", "--seconds", "1", "--counters"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(g["workload"], g["requests"], g["sha256"][:8]) for g in got] == [
+        ("sections", 900, "77520bbb"), ("cech", 900, "81ceb193"), ("curves", 900, "8ba62c15")]
+    assert [g["counters"] for g in got] == [
+        {**_NO_WORK, "exponents.is_prime": 3, "fractions.Fraction": 2016},
+        {**_NO_WORK, "cech._int_rank": 105, "cech._int_rank.rows": 449,
+         "cech._ranks_for_count.misses": 28, "cech.comb": 6340, "exponents.is_prime": 3,
+         "fractions.Fraction": 2832},
+        {**_NO_WORK, "cech._int_rank": 690, "cech._int_rank.rows": 6606,
+         "exponents.is_prime": 3, "intersect._local": 488, "intersect._mu": 61,
+         "intersect._newton": 1752, "intersect._truncated_quotient_dim": 690,
+         "intersect.quotient_dim_oracle": 261},
     ]
 
 

@@ -1,6 +1,6 @@
 """Replay every benchmark request and print one SHA-256 per workload.
 
-    python3 tools/replay.py [--seconds 20]
+    python3 tools/replay.py [--seconds 20] [--counters]
 
 Builds the request lists of perfbench/workloads.py for the sections, cech and
 curves workloads, seeds 1-3 x passes 0-2, and sends each request in process
@@ -15,6 +15,18 @@ edit that names a flag the request lacks is skipped.  Two checkouts that print
 the same lines answered every request alike, byte for byte, and checked the
 faults in the same order.
 
+With --counters it prints instead one JSON object per workload: its request
+count and digest, as above, and how much work its requests did, counted by
+wrapping library functions while they run (COUNTED).  Each counter is named
+<module>.<function> and counts calls: the exact rank cech._int_rank (and the
+rows it was given), cech's binomials (cech.comb), the quotient oracle and the
+truncated quotients it eliminates, the base entries offered to each
+multiplicity engine (intersect._newton, then _local, then the Fulton loop
+_mu) and exponents.is_prime; besides, the misses of cech's rank cache and the
+Fraction constructions (calls of Fraction.__new__).  The rank and prime
+caches are cleared before each workload, as in a fresh process, and the
+faults pass is skipped.
+
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
 """
@@ -24,16 +36,21 @@ import sys
 sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
+from collections import Counter  # noqa: E402
+from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import perfproj.cech  # noqa: E402
 import perfproj.cli  # noqa: E402
+import perfproj.exponents  # noqa: E402
 import perfproj.fracpoly  # noqa: E402
 import perfproj.intersect  # noqa: E402
 
@@ -45,6 +62,22 @@ SEEDS = (1, 2, 3)
 # argparse error
 INTEGER_FLAGS = ("n", "m", "degf", "degg", "i")
 RATIONAL_FLAGS = ("deg", "s", "t", "d", "a", "b", "degrees")
+# (module, function, counter): each call of the function, looked up by name in
+# that module's namespace, adds one to the counter named after the module that
+# defines it; _int_rank also adds its rows to cech._int_rank.rows
+COUNTED = (
+    (perfproj.cech, "comb", "cech.comb"),
+    (perfproj.cech, "_int_rank", "cech._int_rank"),
+    (perfproj.intersect, "_int_rank", "cech._int_rank"),
+    (perfproj.intersect, "quotient_dim_oracle", "intersect.quotient_dim_oracle"),
+    (perfproj.intersect, "_truncated_quotient_dim", "intersect._truncated_quotient_dim"),
+    (perfproj.intersect, "_newton", "intersect._newton"),
+    (perfproj.intersect, "_local", "intersect._local"),
+    (perfproj.intersect, "_mu", "intersect._mu"),
+    (perfproj.exponents, "is_prime", "exponents.is_prime"),
+)
+COUNTERS = sorted({key for _, _, key in COUNTED} | {
+    "cech._int_rank.rows", "cech._ranks_for_count.misses", "fractions.Fraction"})
 
 
 def answer(request) -> list:
@@ -102,11 +135,68 @@ def faults(request) -> list:
     return out
 
 
+def _counted(fn, key: str, counts: Counter):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        if key == "cech._int_rank":
+            rows = list(args[0])
+            counts["cech._int_rank.rows"] += len(rows)
+            args = (rows, *args[1:])
+        return fn(*args, **kwargs)
+    return counted
+
+
+@contextlib.contextmanager
+def counting():
+    """A Counter of the work done inside the block, by COUNTED, by the misses
+    of cech's rank cache and by Fraction constructions."""
+    counts = Counter(dict.fromkeys(COUNTERS, 0))
+    saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
+    new = vars(Fraction)["__new__"]
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions.Fraction"] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    ranks = perfproj.cech._ranks_for_count
+    misses = ranks.cache_info().misses
+    for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
+        setattr(module, name, _counted(fn, key, counts))
+    Fraction.__new__ = counted_new
+    try:
+        yield counts
+    finally:
+        Fraction.__new__ = new
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+        counts["cech._ranks_for_count.misses"] = ranks.cache_info().misses - misses
+
+
+def count_work(workload: str, seconds: int) -> dict:
+    """The --counters object of one workload."""
+    requests = [request for seed in SEEDS for part in range(workloads.PASSES)
+                for request in workloads.generate(workload, seed, seconds, part)]
+    perfproj.cech._ranks_for_count.cache_clear()
+    perfproj.exponents._proven_prime.cache_clear()
+    digest = hashlib.sha256()
+    with counting() as counts:
+        for request in requests:
+            digest.update(json.dumps(answer(request)).encode() + b"\n")
+    return {"workload": workload, "requests": len(requests), "sha256": digest.hexdigest(),
+            "counters": dict(counts)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seconds", type=int, default=20,
                     help="run length the request lists are sized for (default 20)")
+    ap.add_argument("--counters", action="store_true",
+                    help="print one JSON object of work counters per workload instead")
     args = ap.parse_args(argv)
+    if args.counters:
+        for workload in workloads.GENERATORS:
+            print(json.dumps(count_work(workload, args.seconds)))
+        return 0
     faulted, fault_digest = 0, hashlib.sha256()
     for workload in workloads.GENERATORS:
         digest, count = hashlib.sha256(), 0
