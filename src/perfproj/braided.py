@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .enumeration import count_h0_monomials, count_hn_monomials
+from .enumeration import _graded_count
 from .errors import DomainError, HorizonError, IndeterminateForm
 from .exponents import PAdicFrac, _as_padic, _require_prime
 
@@ -217,12 +217,16 @@ def line_bundle(n: int, degree, p: int) -> LineBundle:
     return LineBundle(n, _as_padic(degree, p))
 
 
-def _monomial_counts(bundle: LineBundle, grades: int, reduced: bool, count, m: int,
+def _monomial_counts(bundle: LineBundle, grades: int, reduced: bool, negative: bool, m: int,
                      desc: str) -> BraidedDim:
-    """count(n, m, label - k, p) at each grade label, offset k, for a degree
-    of denominator p**k; desc is the generator text before its flags."""
+    """The grade-(label - k) count of degree m (-m if negative) at each grade
+    label, offset k, for a degree m/p**k of the bundle; desc is the generator
+    text before its flags.  The bundle and its degree were checked when they
+    were built, and BraidedDim checks the prime, so a read is one integer
+    count."""
     p, n, k = bundle.prime, bundle.n, bundle.degree.pexp
-    return BraidedDim(p, k, generator=lambda label: count(n, m, label - k, p, reduced=reduced),
+    return BraidedDim(p, k, generator=lambda label: _graded_count(
+                          n, m * p**(label - k), label - k, p, reduced, negative),
                       generator_desc=desc + (",reduced)" if reduced else ")"), length=grades)
 
 
@@ -235,7 +239,7 @@ def h0(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
     deg = bundle.degree
     if deg.num < 0:
         return BraidedDim.zeros(bundle.prime, grades)
-    return _monomial_counts(bundle, grades, reduced, count_h0_monomials, deg.num,
+    return _monomial_counts(bundle, grades, reduced, False, deg.num,
                             f"h0(n={bundle.n},d={deg}")
 
 
@@ -245,7 +249,7 @@ def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim
     if deg.num >= 0:
         return BraidedDim.zeros(p, grades)
     m, k = -deg.num, deg.pexp
-    return _monomial_counts(bundle, grades, reduced, count_hn_monomials, m,
+    return _monomial_counts(bundle, grades, reduced, True, m,
                             f"hn(n={bundle.n},m={m}{f'/{p}^{k}' if k else ''}")
 
 

@@ -6,11 +6,17 @@ the cumulative convention: a vector whose denominators all divide p**(i-1)
 is counted again at grade i.  Pass reduced=True to count only vectors whose
 exact denominator is p**i.
 
-One private path enumerates: _scaled_vectors yields the compositions
-themselves, the vectors times p**i, with the reduced filter applied.  The
-CLI's table cells print them as they are and its Veronese coordinates are
-written from them; iter_* and enumerate_* map each entry to its PAdicFrac
-through a cache of normalize, one call per distinct entry.
+One private path enumerates: _compositions walks the compositions, and
+_scaled_vectors yields them as the vectors times p**i, with the reduced
+filter applied.  The CLI's table cells print them as they are; iter_* and
+enumerate_* map each entry to its PAdicFrac through a cache of normalize,
+one call per distinct entry.  The Veronese coordinates (geometry) draw from
+_compositions only the heads, the compositions into n parts.
+
+One private formula counts: _graded_count, on a total p**i * d already
+checked.  count_* check their arguments through _total first; braided's
+tuples check a bundle once when they are built and then read _graded_count
+at each grade.
 """
 
 from __future__ import annotations
@@ -82,6 +88,18 @@ def _total(n: int, d, i: int, p: int, negative: bool) -> int:
         raise DomainError(f"grade too small for degree: {exc}") from exc
 
 
+def _graded_count(n: int, total: int, i: int, p: int, reduced: bool, negative: bool) -> int:
+    """The number of grade-i vectors whose parts, times p**i, sum to total,
+    for arguments already checked: comb(total + n, n) compositions into n+1
+    parts >= 0, or comb(total - 1, n) into parts >= 1 if negative; reduced
+    leaves out the vectors of grade i-1, those of total // p."""
+    extra = -1 if negative else n
+    count = comb(total + extra, n)
+    if reduced and i > 0 and total % p == 0:
+        count -= comb(total // p + extra, n)
+    return count
+
+
 def _scaled_vectors(n: int, d, i: int, p: int, reduced: bool,
                     negative: bool) -> Iterator[tuple[int, ...]]:
     """p**i times each grade-i vector, as integers: the compositions of
@@ -106,11 +124,7 @@ def _normalized(n: int, d, i: int, p: int, reduced: bool,
 
 def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
     """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
-    total = _total(n, d, i, p, negative=False)
-    count = comb(total + n, n)
-    if reduced and i > 0 and total % p == 0:
-        count -= comb(total // p + n, n)
-    return count
+    return _graded_count(n, _total(n, d, i, p, negative=False), i, p, reduced, negative=False)
 
 
 def iter_h0_monomials(n: int, d, i: int, p: int,
@@ -134,11 +148,7 @@ def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
     Compositions of p**i * m into n+1 strictly positive parts, negated;
     comb(a, n) is 0 for a < n, so classically vanishing cases come out 0.
     """
-    total = _total(n, m, i, p, negative=True)
-    count = comb(total - 1, n)
-    if reduced and i > 0 and total % p == 0:
-        count -= comb(total // p - 1, n)
-    return count
+    return _graded_count(n, _total(n, m, i, p, negative=True), i, p, reduced, negative=True)
 
 
 def iter_hn_monomials(n: int, m, i: int, p: int,

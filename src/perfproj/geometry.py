@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .braided import BraidedDim, LineBundle, hn_top
-from .enumeration import (GradedPiece, _scaled_vectors, count_h0_monomials,
+from .enumeration import (GradedPiece, _compositions, _total, count_h0_monomials,
                           enumerate_h0_monomials)
 from .errors import DomainError
 from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
@@ -79,10 +79,15 @@ class VeroneseMap:
     """One grade of the degree-d Veronese tower: coordinates and target dimension.
 
     The coordinates are the grade-i monomials of degree d in n+1 variables,
-    written straight from the integer compositions of p**i * d, whose entry c
-    stands for the exponent c / p**i: each call forms every (variable, entry)
-    factor once, in a table indexed by c.  monomials, the same basis as
-    PAdicFrac vectors, is built only when read.
+    in the order of the integer compositions of p**i * d, whose entry c
+    stands for the exponent c / p**i.  They are written a row per head: a
+    head is a composition's first n-1 entries and the rest r they leave,
+    drawn from the compositions of p**i * d into n parts, and its row is the
+    splits (a, r - a) of r over the last two variables, a from r down to 0.
+    A head's text is written once and each row once per r, from factor
+    tables indexed by c, so a coordinate costs one concatenation once its
+    row is built.
+    monomials, the same basis as PAdicFrac vectors, is built only when read.
     """
 
     n: int
@@ -98,27 +103,56 @@ class VeroneseMap:
     def coordinate_strings(self, names=None) -> list[str]:
         n, i, p = self.n, self.grade, self.prime
         names = _var_names(names, n + 1)
-        vectors = _scaled_vectors(n, self.d, i, p, False, False)
+        total = _total(n, self.d, i, p, negative=False)
         if n == 0:
             # the one vector (p**i * d,) needs no table
-            return [names[0] + _power_suffix(c, i, p) for (c,) in vectors]
-        tables = _factor_tables(names, n, i, p, p**i * self.d)
-        return ["*".join(filter(None, map(list.__getitem__, tables, v))) or "1"
-                for v in vectors]
+            return [names[0] + _power_suffix(total, i, p)]
+        # the last variable's factors come with the "*" that joins them
+        *tables, last, starred = _factor_tables([*names[:n], "*" + names[n]], i, p, total)
+        rows = [None] * (total + 1)
+        out = []
+        for head in _compositions(total, n, 1):
+            # the first n-1 entries: map stops at the end of tables, before r
+            text = "*".join(filter(None, map(list.__getitem__, tables, head)))
+            r = head[-1]
+            if not r:
+                out.append(text or "1")
+                continue
+            row = rows[r]
+            if row is None:
+                row = rows[r] = [last[r], *map(str.__add__, last[r - 1:0:-1], starred[1:r]),
+                                 starred[r][1:]]
+            if text:
+                text += "*"
+                out += [text + entry for entry in row]
+            else:
+                out += row
+        return out
 
     def bracket(self, names=None) -> str:
         return "[" + ":".join(self.coordinate_strings(names)) + "]"
 
 
-def _factor_tables(names, n: int, i: int, p: int, total: int) -> list[list[str]]:
-    """For each of the n+1 variables, its factor text at every entry c in
-    0..total of grade i: names[j] raised to c / p**i, and "" at c = 0.
+def _suffixes(total: int, i: int, p: int) -> list[str]:
+    """_power_suffix(c, i, p) at every entry c in 0..total: at a multiple of
+    p (i > 0) it is the grade-(i-1) suffix of c/p, so only the entries
+    coprime to p are formatted at each grade."""
+    if not i:
+        return [_power_suffix(c, 0, p) for c in range(total + 1)]
+    lower = _suffixes(total // p, i - 1, p)
+    return [_power_suffix(c, i, p) if c % p else lower[c // p] for c in range(total + 1)]
 
-    A table has total + 1 slots; for n >= 1 that is never more than the
-    comb(total + n, n) vectors it serves.
+
+def _factor_tables(names, i: int, p: int, total: int) -> list[list[str]]:
+    """For each name, its factor text at every entry c in 0..total of grade
+    i: the name followed by the suffix of c / p**i, and "" at c = 0.
+
+    The tables share one _suffixes table.  A table has total + 1 slots; for
+    a map of n >= 1 that is never more than its comb(total + n, n)
+    coordinates.
     """
-    suffixes = [_power_suffix(c, i, p) for c in range(1, total + 1)]
-    return [["", *(names[j] + s for s in suffixes)] for j in range(n + 1)]
+    suffixes = _suffixes(total, i, p)[1:]
+    return [["", *map(name.__add__, suffixes)] for name in names]
 
 
 def veronese(n: int, d: int, i: int, p: int) -> VeroneseMap:

@@ -18,9 +18,9 @@ from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, Frac
                       enumerate_h0_monomials, iter_h0_monomials, iter_hn_monomials,
                       local_multiplicity, monomial_string, normalize, parse_poly)
 from perfproj import cech, fracpoly
-from perfproj.enumeration import count_h0_monomials, count_hn_monomials
+from perfproj.enumeration import _scaled_vectors, count_h0_monomials, count_hn_monomials
 from perfproj.exponents import _as_padic, _denominator_pexp
-from perfproj.fracpoly import _tokenize
+from perfproj.fracpoly import _power_suffix, _tokenize, _var_names
 from perfproj.geometry import BlowupChart, ExceptionalLocus
 
 
@@ -280,6 +280,19 @@ def padic_veronese_coordinates(n: int, d: int, i: int, p: int, names=None) -> li
     """The grade-i Veronese coordinates as the PAdicFrac path wrote them: the
     normalized vectors of enumerate_h0_monomials, each through monomial_string."""
     return [monomial_string(v, names) for v in enumerate_h0_monomials(n, d, i, p).vectors]
+
+
+def veronese_strings_by_join(n: int, d: int, i: int, p: int, names=None) -> list[str]:
+    """The grade-i Veronese coordinates of a degree d >= 1 as the per-vector
+    writer joined them: each integer composition of p**i * d, its nonzero
+    entries looked up in one factor table per variable (every slot formatted
+    by _power_suffix) and joined with "*"."""
+    names = _var_names(names, n + 1)
+    vectors = list(_scaled_vectors(n, d, i, p, False, False))
+    total = sum(vectors[0])
+    tables = [["", *(names[j] + _power_suffix(c, i, p) for c in range(1, total + 1))]
+              for j in range(n + 1)]
+    return ["*".join(filter(None, map(list.__getitem__, tables, v))) or "1" for v in vectors]
 
 
 def veronese_inclusion_by_sets(lower, upper) -> bool:

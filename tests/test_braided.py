@@ -25,6 +25,7 @@ from perfproj import (
     tuple_arith,
 )
 from perfproj.cli import run
+from perfproj.enumeration import count_h0_monomials, count_hn_monomials
 from perfproj.exponents import normalize
 
 
@@ -83,6 +84,33 @@ def test_h0_matches_bruteforce():
             dim = h0(line_bundle(n, d, 3), 3)
             for j in range(3):
                 assert dim.at(j) == count_compositions(3**j * d, n + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(0, 4), num=st.integers(-6, 6),
+       k=st.integers(0, 2), grades=st.integers(0, 3), reduced=st.booleans())
+def test_tuples_read_the_public_counts(p, n, num, k, grades, reduced):
+    # each grade of a tuple is the count its degree has at that label, and 0
+    # below the degree's denominator exponent
+    bundle = LineBundle(n, normalize(num, k, p))
+    d = bundle.degree
+
+    def want_h0(label):
+        if d.num < 0 or label < d.pexp:
+            return 0
+        return count_h0_monomials(n, d, label, p, reduced)
+
+    def want_hn(label):
+        if d.num >= 0 or label < d.pexp:
+            return 0
+        return count_hn_monomials(n, -d, label, p, reduced)
+
+    for dim, want in ((h0(bundle, grades, reduced), want_h0),
+                      (hn_top(bundle, grades, reduced), want_hn),
+                      (euler(bundle, grades, reduced),
+                       lambda label: want_h0(label) + (-1)**n * want_hn(label))):
+        labels = range(dim.offset, dim.offset + grades + 3)
+        assert [dim.at(label) for label in labels] == [want(label) for label in labels]
 
 
 def test_middle_vanishing():
@@ -253,11 +281,9 @@ def test_kunneth_reads_each_factor_grade_once(monkeypatch, a, b):
     import perfproj.braided as braided
 
     calls = []
-    for name in ("count_h0_monomials", "count_hn_monomials"):
-        real = getattr(braided, name)
-        monkeypatch.setattr(braided, name,
-                            lambda *args, _real=real, **kwargs: calls.append(args)
-                            or _real(*args, **kwargs))
+    real = braided._graded_count
+    monkeypatch.setattr(braided, "_graded_count",
+                        lambda *args: calls.append(args) or real(*args))
     hA, hB = _cohomology(2, a, 1, 3, 4), _cohomology(1, b, 0, 3, 4)
     for dim in kunneth(hA, hB, 4):
         dim.grades_list()

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+from math import comb
 from fractions import Fraction
 from unittest import mock
 
@@ -432,41 +433,47 @@ def test_cech_check_reports_the_first_bad_degree(degrees, p, message):
 def test_veronese_formats_each_monomial_once(monkeypatch, mode):
     import perfproj.geometry as geometry
 
-    drawn, tables, suffixes = [], [], []
-    real_vectors = geometry._scaled_vectors
+    heads, tables, suffixes = [], [], []
+    real_compositions = geometry._compositions
     real_tables = geometry._factor_tables
     real_suffix = geometry._power_suffix
 
-    def counting_vectors(*args):
-        for v in real_vectors(*args):
-            drawn.append(v)
-            yield v
+    def counting_compositions(total, parts, sign):
+        for head in real_compositions(total, parts, sign):
+            heads.append((total, parts, head))
+            yield head
 
-    def counting_tables(names, n, i, p, total):
+    def counting_tables(names, i, p, total):
         tables.append(i)
-        return real_tables(names, n, i, p, total)
+        suffixes.append([])
+        return real_tables(names, i, p, total)
 
     def counting_suffix(num, pexp, p):
-        suffixes.append((num, pexp))
+        suffixes[-1].append((num, pexp))
         return real_suffix(num, pexp, p)
 
-    monkeypatch.setattr(geometry, "_scaled_vectors", counting_vectors)
+    monkeypatch.setattr(geometry, "_compositions", counting_compositions)
     monkeypatch.setattr(geometry, "_factor_tables", counting_tables)
     monkeypatch.setattr(geometry, "_power_suffix", counting_suffix)
-    code, out, _ = invoke(["veronese", "--n", "2", "--d", "5", "--p", "3",
+    code, out, _ = invoke(["veronese", "--n", "3", "--d", "5", "--p", "3",
                            "--grades", "2"] + mode)
     assert code == 0
-    count = sum(count_h0_monomials(2, 5, i, 3) for i in range(2))
     if mode:
-        shown = sum(len(g["monomials"]) for g in json.loads(out)["tower"])
+        shown = [g["monomials"] for g in json.loads(out)["tower"]]
     else:
-        shown = sum(line.partition("[")[2].count(":") + 1 for line in out.splitlines())
-    # each vector is drawn and written once
-    assert len(drawn) == shown == count
-    # one table per grade, whose slots form each (variable, entry) factor
-    # from the suffix of the entry, written once per grade
+        shown = [line.partition("[")[2][:-1].split(":") for line in out.splitlines()]
+    # each coordinate of a grade is written once: C(3**i * 5 + 3, 3) at grade i
+    assert [len(set(grade)) for grade in shown] == [len(grade) for grade in shown] == [
+        count_h0_monomials(3, 5, i, 3) for i in range(2)]
+    # only heads are drawn: the compositions of 3**i * 5 into n = 3 parts,
+    # C(3**i * 5 + 2, 2) at grade i
+    assert {(total, parts) for total, parts, _ in heads} == {(5, 3), (15, 3)}
+    assert len(heads) == comb(5 + 2, 2) + comb(15 + 2, 2)
+    # one table per grade, whose suffixes are each formatted at most once:
+    # one per entry c in 0..3**i * 5 of the grade
     assert tables == [0, 1]
-    assert len(suffixes) == len(set(suffixes)) == 5 + 5 * 3
+    assert [len(calls) for calls in suffixes] == [5 + 1, 15 + 1]
+    assert all(len(set(calls)) == len(calls) for calls in suffixes)
 
 
 def _work_counts(monkeypatch, argv):
@@ -503,14 +510,31 @@ def test_veronese_work_does_not_grow_with_the_monomials(monkeypatch, mode):
     assert work(2) == work(7)
 
 
+@pytest.mark.parametrize("argv", [
+    ["kunneth", "--n", "2", "--m", "1", "--a=2/3", "--b=-1", "--p", "3"],
+    ["bezout-line", "--s=2/3", "--t", "5", "--p", "3"],
+    ["euler", "--n", "2", "--deg=-7/3", "--p", "3", "--reduced", "--json"],
+    ["euler", "--n", "3", "--deg=5/9", "--p", "3", "--json"],
+], ids=["kunneth", "bezout-line", "euler-negative", "euler-positive"])
+def test_closed_form_work_does_not_grow_with_the_grades(monkeypatch, argv):
+    # a degree is checked, and its PAdicFrac built, once per tuple, not per grade read
+    def work(grades):
+        return _work_counts(monkeypatch, argv + ["--grades", str(grades)])
+
+    assert work(2) == work(9)
+
+
 def test_too_many_veronese_variables_fail_before_enumerating(monkeypatch):
     import perfproj.enumeration as enumeration
+    import perfproj.geometry as geometry
 
-    # the names were checked after C(37, 10) grade-2 vectors were enumerated
+    # the names were checked after C(37, 10) grade-2 vectors were enumerated;
+    # geometry draws its heads through its own name for the walk
     def refuse(*args):
         raise AssertionError("enumerated before the names were checked")
 
-    monkeypatch.setattr(enumeration, "_compositions", refuse)
+    for module in (enumeration, geometry):
+        monkeypatch.setattr(module, "_compositions", refuse)
     message = "the grammar names at most 10 variables"
     assert invoke(["veronese", "--n", "10", "--d", "2", "--p", "3", "--grades", "3",
                    "--json"]) == (

@@ -185,7 +185,7 @@ def _parse_accepts(text, p):
             text = text[:at] + mend + text[at + len(word):]
 
 
-@settings(max_examples=1000)
+@settings(max_examples=1000, deadline=None)
 @given(st.one_of(
     st.lists(st.one_of(_GRAMMAR_CHARS, st.sampled_from(["**", " * *", "***"])), max_size=16)
     .map("".join),

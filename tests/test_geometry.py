@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (bezout_chi_by_counts, count_compositions, fracpoly_blowup_charts,
                      padic_substitute, padic_substitute_vector, padic_veronese_coordinates,
-                     veronese_inclusion_by_sets)
+                     veronese_inclusion_by_sets, veronese_strings_by_join)
 
 from perfproj.cli import _blowup_lines, run
 
@@ -27,7 +27,7 @@ from perfproj import (
     veronese,
     veronese_tower_inclusion,
 )
-from perfproj import fracpoly
+from perfproj import fracpoly, geometry
 from perfproj.exponents import normalize
 
 
@@ -163,9 +163,9 @@ def test_veronese_counts_match_enumeration():
 
 
 @st.composite
-def _veronese_args(draw):
-    n, d = draw(st.integers(0, 9)), draw(st.integers(1, 8))
-    p, i = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 3))
+def _veronese_args(draw, max_n=9, max_d=8, primes=(2, 3, 5, 7)):
+    n, d = draw(st.integers(0, max_n)), draw(st.integers(1, max_d))
+    p, i = draw(st.sampled_from(primes)), draw(st.integers(0, 3))
     # at most 2,000 monomials: lower the grade first, then the degree
     while count_h0_monomials(n, d, i, p) > 2000:
         if i:
@@ -189,6 +189,25 @@ def test_veronese_coordinates_match_the_padic_path(args, extra, names):
     expected = padic_veronese_coordinates(*args, names)
     assert v.coordinate_strings(names) == expected
     assert v.bracket(names) == "[" + ":".join(expected) + "]"
+
+
+_NAMES = st.lists(st.text("abuvw_", min_size=1, max_size=3), min_size=5, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_veronese_args(max_n=4, max_d=7, primes=(2, 3, 5)), names=st.none() | _NAMES)
+@example(args=(4, 1, 0, 2), names=None)
+@example(args=(1, 7, 3, 2), names=["u", "v", "w", "a", "b"])
+def test_veronese_rows_match_the_per_vector_join(args, names):
+    # heads and rows against the join of every vector through its n+1 tables
+    assert veronese(*args).coordinate_strings(names) == veronese_strings_by_join(*args, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(0, 400), i=st.integers(0, 4), p=st.sampled_from([2, 3, 5, 7]))
+def test_suffix_table_matches_power_suffix_at_every_slot(total, i, p):
+    table = geometry._suffixes(total, i, p)
+    assert table == [fracpoly._power_suffix(c, i, p) for c in range(total + 1)]
 
 
 _SMALL_VERONESE = {"n": st.integers(0, 2), "d": st.integers(1, 3),

@@ -22,10 +22,13 @@ wrapping library functions while they run (COUNTED).  Each counter is named
 rows it was given), cech's binomials (cech.comb), the quotient oracle and the
 truncated quotients it eliminates, the base entries offered to each
 multiplicity engine (intersect._newton, then _local, then the Fulton loop
-_mu) and exponents.is_prime; besides, the misses of cech's rank cache and the
-Fraction constructions (calls of Fraction.__new__).  The rank and prime
-caches are cleared before each workload, as in a fresh process, and the
-faults pass is skipped.
+_mu), the modular certificates of a shared component
+(intersect._coprime_mod_ell), the checked grade totals of enumeration
+(enumeration._total) and exponents.is_prime; besides, the misses of cech's
+rank cache and the Fraction and PAdicFrac constructions (calls of
+Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
+cleared before each workload, as in a fresh process, and the faults pass is
+skipped.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -50,9 +53,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import perfproj.cech  # noqa: E402
 import perfproj.cli  # noqa: E402
+import perfproj.enumeration  # noqa: E402
 import perfproj.exponents  # noqa: E402
 import perfproj.fracpoly  # noqa: E402
+import perfproj.geometry  # noqa: E402
 import perfproj.intersect  # noqa: E402
+from perfproj.exponents import PAdicFrac  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -74,10 +80,14 @@ COUNTED = (
     (perfproj.intersect, "_newton", "intersect._newton"),
     (perfproj.intersect, "_local", "intersect._local"),
     (perfproj.intersect, "_mu", "intersect._mu"),
+    (perfproj.intersect, "_coprime_mod_ell", "intersect._coprime_mod_ell"),
+    (perfproj.enumeration, "_total", "enumeration._total"),
+    (perfproj.geometry, "_total", "enumeration._total"),
     (perfproj.exponents, "is_prime", "exponents.is_prime"),
 )
 COUNTERS = sorted({key for _, _, key in COUNTED} | {
-    "cech._int_rank.rows", "cech._ranks_for_count.misses", "fractions.Fraction"})
+    "cech._int_rank.rows", "cech._ranks_for_count.misses", "exponents.PAdicFrac",
+    "fractions.Fraction"})
 
 
 def answer(request) -> list:
@@ -149,24 +159,31 @@ def _counted(fn, key: str, counts: Counter):
 @contextlib.contextmanager
 def counting():
     """A Counter of the work done inside the block, by COUNTED, by the misses
-    of cech's rank cache and by Fraction constructions."""
+    of cech's rank cache and by Fraction and PAdicFrac constructions."""
     counts = Counter(dict.fromkeys(COUNTERS, 0))
     saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
     new = vars(Fraction)["__new__"]
+    init = PAdicFrac.__init__
 
     def counted_new(cls, *args, **kwargs):
         counts["fractions.Fraction"] += 1
         return new.__func__(cls, *args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["exponents.PAdicFrac"] += 1
+        init(self, *args, **kwargs)
 
     ranks = perfproj.cech._ranks_for_count
     misses = ranks.cache_info().misses
     for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
         setattr(module, name, _counted(fn, key, counts))
     Fraction.__new__ = counted_new
+    PAdicFrac.__init__ = counted_init
     try:
         yield counts
     finally:
         Fraction.__new__ = new
+        PAdicFrac.__init__ = init
         for module, name, fn in saved:
             setattr(module, name, fn)
         counts["cech._ranks_for_count.misses"] = ranks.cache_info().misses - misses
