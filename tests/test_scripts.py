@@ -55,10 +55,11 @@ def test_replay_answers_every_benchmark_request_as_before():
 
 
 _NO_WORK = dict.fromkeys([
-    "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses", "cech.comb",
-    "enumeration._total", "exponents.PAdicFrac", "exponents.is_prime", "fractions.Fraction",
-    "intersect._coprime_mod_ell", "intersect._local", "intersect._mu", "intersect._newton",
-    "intersect._truncated_quotient_dim", "intersect.quotient_dim_oracle",
+    "braided._mul", "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses",
+    "cech.comb", "enumeration._total", "exponents.PAdicFrac", "exponents.is_prime",
+    "fractions.Fraction", "intersect._coprime_mod_ell", "intersect._gcd", "intersect._local",
+    "intersect._mu", "intersect._newton", "intersect._truncated_quotient_dim",
+    "intersect.quotient_dim_oracle",
 ], 0)
 
 
@@ -72,14 +73,15 @@ def test_replay_counts_the_work_of_every_benchmark_request():
     assert [(g["workload"], g["requests"], g["sha256"][:8]) for g in got] == [
         ("sections", 900, "77520bbb"), ("cech", 900, "81ceb193"), ("curves", 900, "8ba62c15")]
     assert [g["counters"] for g in got] == [
-        {**_NO_WORK, "enumeration._total": 643, "exponents.PAdicFrac": 1822,
-         "exponents.is_prime": 3, "fractions.Fraction": 2016},
+        {**_NO_WORK, "braided._mul": 2786, "enumeration._total": 643,
+         "exponents.PAdicFrac": 1822, "exponents.is_prime": 3, "fractions.Fraction": 2016},
         {**_NO_WORK, "cech._int_rank": 105, "cech._int_rank.rows": 449,
          "cech._ranks_for_count.misses": 28, "cech.comb": 6340, "enumeration._total": 1416,
          "exponents.PAdicFrac": 1967, "exponents.is_prime": 3, "fractions.Fraction": 2832},
-        {**_NO_WORK, "cech._int_rank": 690, "cech._int_rank.rows": 6606,
-         "exponents.PAdicFrac": 630, "exponents.is_prime": 3, "intersect._coprime_mod_ell": 65,
-         "intersect._local": 488, "intersect._mu": 61, "intersect._newton": 1752,
+        {**_NO_WORK, "braided._mul": 4412, "cech._int_rank": 690,
+         "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
+         "intersect._coprime_mod_ell": 65, "intersect._gcd": 5, "intersect._local": 488,
+         "intersect._mu": 61, "intersect._newton": 1752,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
     ]
 

@@ -17,15 +17,18 @@ faults in the same order.
 
 With --counters it prints instead one JSON object per workload: its request
 count and digest, as above, and how much work its requests did, counted by
-wrapping library functions while they run (COUNTED).  Each counter is named
-<module>.<function> and counts calls: the exact rank cech._int_rank (and the
-rows it was given), cech's binomials (cech.comb), the quotient oracle and the
-truncated quotients it eliminates, the base entries offered to each
-multiplicity engine (intersect._newton, then _local, then the Fulton loop
-_mu), the modular certificates of a shared component
-(intersect._coprime_mod_ell), the checked grade totals of enumeration
-(enumeration._total) and exponents.is_prime; besides, the misses of cech's
-rank cache and the Fraction and PAdicFrac constructions (calls of
+wrapping library functions while they run (COUNTED, OUTERMOST).  Each
+counter is named <module>.<function> and counts calls: the exact rank
+cech._int_rank (and the rows it was given), cech's binomials (cech.comb),
+the quotient oracle and the truncated quotients it eliminates, the base
+entries offered to each multiplicity engine (intersect._newton, then _local,
+then the Fulton loop _mu), the modular certificates of a shared component
+(intersect._coprime_mod_ell), the remainder sequences over Z
+(intersect._gcd, counted only at the outermost call, since _primitive calls
+it again inside a sequence), the products braided._mul (a read of a mixed
+multiplicity entry, or a Kunneth product), the checked grade totals of
+enumeration (enumeration._total) and exponents.is_prime; besides, the misses
+of cech's rank cache and the Fraction and PAdicFrac constructions (calls of
 Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
 cleared before each workload, as in a fresh process, and the faults pass is
 skipped.
@@ -51,6 +54,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import perfproj.braided  # noqa: E402
 import perfproj.cech  # noqa: E402
 import perfproj.cli  # noqa: E402
 import perfproj.enumeration  # noqa: E402
@@ -72,6 +76,7 @@ RATIONAL_FLAGS = ("deg", "s", "t", "d", "a", "b", "degrees")
 # that module's namespace, adds one to the counter named after the module that
 # defines it; _int_rank also adds its rows to cech._int_rank.rows
 COUNTED = (
+    (perfproj.braided, "_mul", "braided._mul"),
     (perfproj.cech, "comb", "cech.comb"),
     (perfproj.cech, "_int_rank", "cech._int_rank"),
     (perfproj.intersect, "_int_rank", "cech._int_rank"),
@@ -85,7 +90,10 @@ COUNTED = (
     (perfproj.geometry, "_total", "enumeration._total"),
     (perfproj.exponents, "is_prime", "exponents.is_prime"),
 )
-COUNTERS = sorted({key for _, _, key in COUNTED} | {
+# the same, counted only at the outermost call: _gcd calls itself through
+# _primitive, so each count is one remainder sequence
+OUTERMOST = ((perfproj.intersect, "_gcd", "intersect._gcd"),)
+COUNTERS = sorted({key for _, _, key in COUNTED + OUTERMOST} | {
     "cech._int_rank.rows", "cech._ranks_for_count.misses", "exponents.PAdicFrac",
     "fractions.Fraction"})
 
@@ -156,12 +164,30 @@ def _counted(fn, key: str, counts: Counter):
     return counted
 
 
+def _outermost(fn, key: str, counts: Counter):
+    """fn counted only where no call of it is under way."""
+    depth = 0
+
+    def counted(*args, **kwargs):
+        nonlocal depth
+        counts[key] += not depth
+        depth += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth -= 1
+    return counted
+
+
 @contextlib.contextmanager
 def counting():
-    """A Counter of the work done inside the block, by COUNTED, by the misses
-    of cech's rank cache and by Fraction and PAdicFrac constructions."""
+    """A Counter of the work done inside the block, by COUNTED and
+    OUTERMOST, by the misses of cech's rank cache and by Fraction and
+    PAdicFrac constructions."""
     counts = Counter(dict.fromkeys(COUNTERS, 0))
-    saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
+    wrappers = ([(_counted, *spec) for spec in COUNTED]
+                + [(_outermost, *spec) for spec in OUTERMOST])
+    saved = [(module, name, getattr(module, name)) for _, module, name, _ in wrappers]
     new = vars(Fraction)["__new__"]
     init = PAdicFrac.__init__
 
@@ -175,8 +201,8 @@ def counting():
 
     ranks = perfproj.cech._ranks_for_count
     misses = ranks.cache_info().misses
-    for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
-        setattr(module, name, _counted(fn, key, counts))
+    for (wrap, module, name, key), (_, _, fn) in zip(wrappers, saved):
+        setattr(module, name, wrap(fn, key, counts))
     Fraction.__new__ = counted_new
     PAdicFrac.__init__ = counted_init
     try:
