@@ -179,6 +179,7 @@ class FracPoly:
         return self._k
 
     def min_exp(self, var: int) -> PAdicFrac:
+        self._check_var(var)
         if self.is_zero:
             raise DomainError("zero polynomial rejected")
         return normalize(min(v[var] for v in self._terms), self._k, self.prime)
@@ -232,6 +233,10 @@ class FracPoly:
 
     # -- structural operations ---------------------------------------------------
 
+    def _check_var(self, var: int) -> None:
+        if not 0 <= var < self.nvars:
+            raise DomainError("variable index out of range")
+
     def substitute(self, var: int, replacement: FracMonomial) -> "FracPoly":
         """Replace x_var by a monomial in the same variable slots.
 
@@ -239,8 +244,7 @@ class FracPoly:
         coefficient of -1 is only meaningful when every exponent of x_var is
         an integer (fractional powers of -1 are not defined here).
         """
-        if not 0 <= var < self.nvars:
-            raise DomainError("variable index out of range")
+        self._check_var(var)
         if len(replacement.exps) != self.nvars:
             raise DomainError("replacement lives in a different variable space")
         if replacement.coeff not in (1, -1):
@@ -299,6 +303,7 @@ class FracPoly:
 
     def set_var_zero(self, var: int) -> "FracPoly":
         """Evaluate x_var = 0: terms with positive exponent vanish."""
+        self._check_var(var)
         if any(v[var] < 0 for v in self._terms):
             raise DomainError("cannot evaluate a negative power at zero")
         return _merged(self.nvars, self.prime, self._k, self._den,
@@ -306,6 +311,7 @@ class FracPoly:
 
     def restrict_to_var(self, var: int) -> "FracPoly":
         """Project onto a single-variable polynomial; other exponents must be zero."""
+        self._check_var(var)
         if any(e for v in self._terms for j, e in enumerate(v) if j != var):
             raise DomainError("polynomial involves other variables")
         return _merged(1, self.prime, self._k, self._den,

@@ -289,6 +289,17 @@ def test_extract_power_examples():
         FracPoly.zero(2, 2).extract_power(0)
 
 
+@pytest.mark.parametrize("method", ["min_exp", "extract_power", "set_var_zero",
+                                    "restrict_to_var"])
+@pytest.mark.parametrize("var", [-1, 2])
+def test_variable_index_is_checked_first(method, var):
+    # -1 used to read the last variable, and 2 to raise IndexError
+    f = P("x^2*y + x*y^3", p=3)
+    with pytest.raises(DomainError) as info:
+        getattr(f, method)(var)
+    assert str(info.value) == "variable index out of range"
+
+
 def test_homogeneous_degree():
     assert P("x^2 + x*y").homogeneous_degree() == PAdicFrac(2, 0, 2)
     assert P("x^2 + y").homogeneous_degree() is None
