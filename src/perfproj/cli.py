@@ -126,10 +126,9 @@ _COMMON = (
     _Flag("p", _int_arg, help="ambient prime"),
     _Flag("grades", _int_arg, 4, "grade horizon (default 4)"),
     _Flag("json", None, False, "JSON output"),
-    _Flag("reduced", None, False, "count only exact-denominator monomials"),
 )
-_H0_FLAGS = (_N, _Flag("deg", _fraction_arg,
-                       help="degree, e.g. 2 or -5/3 (use --deg=-5/3)"))
+_H0_FLAGS = (_N, _Flag("deg", _fraction_arg, help="degree, e.g. 2 or -5/3 (use --deg=-5/3)"),
+             _Flag("reduced", None, False, "count only exact-denominator monomials"))
 
 # every flag of every subcommand, in the order --help lists them
 _FLAGS = {command: flags + _COMMON for command, flags in {

@@ -278,6 +278,26 @@ def test_reduced_flag():
     assert json.loads(out)["grades"] == [3, 4, 12]
 
 
+@pytest.mark.parametrize("argv", [
+    ["veronese", "--n", "2", "--d", "2"],
+    ["kunneth", "--n", "1", "--m", "1", "--a", "1", "--b", "1"],
+    ["bezout-line", "--s", "1", "--t", "1"],
+    ["bezout-chi", "--d", "3", "--degf", "1", "--degg", "1"],
+    ["mult", "--f", "y", "--g", "x"],
+    ["blowup", "--f", "y - x^2"],
+    ["cech-check", "--n", "1", "--degrees=-1,1", "--i", "0"],
+])
+def test_reduced_is_a_usage_error_where_nothing_reads_it(argv):
+    # only h0, hn and euler count monomials; the others printed the same
+    # bytes with or without --reduced
+    argv = argv + ["--p", "3", "--grades", "2"]
+    assert invoke(argv)[0] == 0
+    message = "unrecognized arguments: --reduced"
+    assert invoke(argv + ["--reduced", "--json"]) == (
+        1, json.dumps({"error": {"category": "usage", "message": message}}) + "\n",
+        f"error: usage: {message}\n")
+
+
 def test_mult_pure_powers_deep_grades():
     # x against y rooted five times is x^(5^5) against y^(5^5): 5^5 powers of
     # y to divide out, once a recursion per power
@@ -646,13 +666,13 @@ def test_json_and_table_report_the_same_grades(argv):
     assert [(c[0], c[-1]) for c in cells] == list(zip(labels, map(str, payload["grades"])))
 
 
-# --help and each <cmd> --help at COLUMNS=80, as the parser of literal
-# add_argument calls wrote them, by Python version: argparse of 3.13 wraps the
-# top-level usage line one line shorter
+# --help and each <cmd> --help at COLUMNS=80, with --reduced listed for h0,
+# hn and euler only, by Python version: argparse of 3.13 wraps the top-level
+# usage line one line shorter
 _HELP_SHA256 = {
-    (3, 11): "589a1e84070a35846af54a491bdb7464e500fe36062ae69cd1b957a59e43f7b1",
-    (3, 12): "589a1e84070a35846af54a491bdb7464e500fe36062ae69cd1b957a59e43f7b1",
-    (3, 13): "4b183041161a7956cb25fae1bb36d75ad9b68f0aec169c83df997c40d8d94f45",
+    (3, 11): "fda9e4f69e112da36b5c391bd9a7bf32638e60a3d5ba237d71858451e77f8224",
+    (3, 12): "fda9e4f69e112da36b5c391bd9a7bf32638e60a3d5ba237d71858451e77f8224",
+    (3, 13): "f8e0f29acaf084ae76f50cc4cd8a1096df7cc49cd417df2440b19a3831abc8fb",
 }
 
 
