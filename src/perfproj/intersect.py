@@ -16,22 +16,23 @@ with leading coefficients a of F(x, 0) (degree r) and b of G(x, 0)
 and its integer content is divided out.
 
 A common component through the origin makes the answer infinite; it is
-decided up front and in one place, so the loop never meets one.  After the
-unit check (a curve not through the origin gives 0) come the axes: x
-dividing both curves, or y dividing both, is such a component.  Then a
-factor of positive y-degree is ruled out by a certificate when it can be:
-at the first x0 of a few small points where one y-leading coefficient, of
-either curve, does not vanish modulo the prime l = 2**61 - 1, F(x0, y) and
-G(x0, y) are tested for coprimality in F_l[y], as sparse maps y-exponent ->
-value.  Each Euclid step reduces one side modulo the other: a term y**e of
-at least twice the other's degree by square-and-multiply, the rest by long
-division, so a curve rooted q times costs O(log q) products, not q steps.
-A common factor H, primitive in Z[x][y], divides both images.  Say
-lc_y(F)(x0) is nonzero modulo l: H divides F in Z[x][y], so lc_y(H)(x0)
-divides it and is nonzero too, and H(x0, y) keeps the y-degree of H while
-it divides both images, even an image that is zero.  Coprime images
-therefore exclude H, with no probability argument.  Otherwise the gcd is
-computed exactly, with a primitive remainder sequence over Z.
+decided before the loop, so the loop never meets one.  An axis, x or y
+dividing both curves, is such a component, and the Newton stage below
+decides it.  A factor of positive y-degree is ruled out by a certificate
+when it can be: at the first x0 of a few small points where one y-leading
+coefficient, of either curve, does not vanish modulo the prime
+l = 2**61 - 1, F(x0, y) and G(x0, y) are tested for coprimality in F_l[y],
+as sparse maps y-exponent -> value.  Each Euclid step reduces one side
+modulo the other: a term y**e of at least twice the other's degree by
+square-and-multiply, the rest by long division, so a curve rooted q times
+costs O(log q) products, not q steps.  A common factor H, primitive in
+Z[x][y], divides both images.  Say lc_y(F)(x0) is nonzero modulo l: H
+divides F in Z[x][y], so lc_y(H)(x0) divides it and is nonzero too, and
+H(x0, y) keeps the y-degree of H while it divides both images, even an
+image that is zero.  Coprime images therefore exclude H, with no
+probability argument.  Otherwise the gcd is computed exactly, with a
+primitive remainder sequence over Z.  A curve not through the origin needs
+no test here: the Newton stage answers 0 for it at once.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -80,11 +81,14 @@ certificate depends on q: a gcd of degree 0 in F_l[y] of P_e and
 G_w(1, y**q), with the leading coefficient of P_e nonzero modulo l, by the
 Euclid above.  A shared component through the origin would put a root of
 some P_e on B_w, or an axis in both curves, so a certified entry is finite.
-When an edge does not certify, or an axis term that the formula reads is
-missing (x dividing B with a > 0, y dividing B with b > 0), the entry goes
-to the shared-component check and the loop, unchanged.  local_multiplicity
-keeps that path alone, so the test oracles that call it stay independent of
-the Newton stage.
+The formula reads ord_y B(0, y) when a > 0 and ord_x B(x, 0) when b > 0;
+one is missing exactly when x, or y, divides both curves, and that shared
+axis makes the entry infinite.  A unit A has a polygon without edges and
+a unit B a constant term, so either gives 0 before any certificate, however
+deeply the other is rooted.  When an edge does not certify, the entry goes
+to the shared-component check and the loop, unchanged.
+local_multiplicity is the base entry of two curves neither of which is
+rooted, and runs the same stages.
 """
 
 from __future__ import annotations
@@ -161,11 +165,12 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
 def _mu(A: dict, B: dict):
     """mu(A, B) for nonzero integer polynomials in the rows of _int_rows.
 
-    A and B must share no component through the origin, as _local has
-    checked: x and y then never both divide the current pair, and the only
-    infinite answer left is the collapse of the ideal to one generator.  A
-    and B are consumed: the loop rewrites their rows in place.  Past _FUEL
-    steps it raises FuelExhausted.
+    A and B must share no component through the origin: the caller has
+    ruled out a shared axis (the Newton stage, through _base_entry) and
+    _local any other shared component.  x and y then never both divide the
+    current pair, and the only infinite answer left is the collapse of the
+    ideal to one generator.  A and B are consumed: the loop rewrites their
+    rows in place.  Past _FUEL steps it raises FuelExhausted.
     """
     acc = 0  # multiplicity of the x- and y-powers divided out so far
     # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B); then the same for B
@@ -363,29 +368,22 @@ def _coprime_mod_ell(F: dict, G: dict) -> bool:
 def _common_component_through_origin(F: dict, G: dict) -> bool:
     """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
 
-    F and G are integer rows (_int_rows); this is the one place that decides
-    a shared component, cheapest test first.  x divides both when no row has
-    a term of x-degree 0, and y divides both when neither has a row 0.
-    Otherwise gcd(F, G) is the gcd c(x) of their y-contents times the gcd g
-    of their primitive parts in y; c(0) = 0 only when x divides both, so the
-    gcd vanishes at the origin exactly when g(0, 0) = 0.  g is 1 when the
-    certificate holds; otherwise the remainder sequence computes it.
+    F and G are integer rows (_int_rows) that share no axis: neither x nor y
+    divides both, as the Newton stage has checked.  gcd(F, G) is the gcd
+    c(x) of their y-contents times the gcd g of their primitive parts in y;
+    c(0) = 0 only when x divides both, so the gcd vanishes at the origin
+    exactly when g(0, 0) = 0.  g is 1 when the certificate holds; otherwise
+    the remainder sequence computes it.
     """
-    if (0 not in F and 0 not in G) or all(
-            0 not in row for P in (F, G) for row in P.values()):  # y or x divides both
-        return True
     if _coprime_mod_ell(F, G):
         return False
     return 0 not in _gcd(F, G).get(0, {})
 
 
 def _local(Fr: dict, Gr: dict):
-    """The multiplicity of two curves in integer rows (_int_rows); consumes them."""
-    if 0 in Fr.get(0, ()) or 0 in Gr.get(0, ()):
-        return 0
-    if _common_component_through_origin(Fr, Gr):
-        return INFINITE_RANK
-    return _mu(Fr, Gr)
+    """The multiplicity of two curves in integer rows (_int_rows) that share
+    no axis, by the shared-component check and the loop; consumes them."""
+    return INFINITE_RANK if _common_component_through_origin(Fr, Gr) else _mu(Fr, Gr)
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -394,7 +392,8 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     F and G must be nonzero polynomials in two variables with integer
     exponents and exact rational coefficients.
     """
-    return _local(_int_rows(F), _int_rows(G))
+    Fr, Gr = _int_rows(F), _int_rows(G)
+    return _base_entry(Fr, Gr, _newton_polygon(Fr), 1, 1)
 
 
 # -- Newton stage: a base entry from the Newton polygon of the native curve -----
@@ -436,20 +435,24 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
 
 def _newton(polygon: tuple[int, int, list], B: dict, q: int):
     """mu(A, B(x**q, y**q)) for the curve A of polygon (_newton_polygon) and
-    a curve B in integer rows, or None when the polygon does not certify it.
+    a curve B in integer rows, or None when the polygon does not certify it;
+    0 when B is a unit, and INFINITE_RANK when x, or y, divides both curves.
 
     The answer is q * (a * ord_y B(0, y) + b * ord_x B(x, 0) + sum over the
     edges of length * h_B(w)), h_B(w) the least n*i + m*j over the terms of
     B.  It holds when every edge polynomial P is coprime to B_w(1, y**q), the
     initial form of the rooted B, which a gcd of degree 0 in F_ell[y]
     certifies since the leading coefficient of P does not vanish modulo
-    _ELL; and when x (y) does not divide B if a (b) is positive.
+    _ELL.  The terms a * ord_y B(0, y) and b * ord_x B(x, 0) are read only
+    when a and b are positive, and one is missing only on a shared axis.
     """
     a, b, edges = polygon
     oy = min((j for j, row in B.items() if 0 in row), default=None)  # ord_y B(0, y)
     ox = min(B[0]) if 0 in B else None  # ord_x B(x, 0)
+    if ox == 0:
+        return 0  # B is a unit
     if (a and oy is None) or (b and ox is None):
-        return None
+        return INFINITE_RANK  # x, or y, divides both curves
     mu = a * (oy or 0) + b * (ox or 0)
     for n, m, length, P in edges:
         h = min(n * i + m * j for j, row in B.items() for i in row)
@@ -462,6 +465,15 @@ def _newton(polygon: tuple[int, int, list], B: dict, q: int):
             return None
         mu += length * h
     return q * mu
+
+
+def _base_entry(Fr: dict, Gr: dict, polygon: tuple[int, int, list], qF: int, qG: int):
+    """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G in integer
+    rows (_int_rows), qF or qG being 1, and polygon the Newton polygon of
+    the curve not rooted (F's when neither is): the Newton stage, else the
+    shared-component check and the loop on fresh rows."""
+    mu = _newton(polygon, Gr, qG) if qF == 1 else _newton(polygon, Fr, qF)
+    return _local(_scaled(Fr, qF), _scaled(Gr, qG)) if mu is None else mu
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -580,13 +592,10 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         if key not in base:
             # (0, d) reads F's polygon against G rooted by p**d, (d, 0) G's against F
             qF, qG = p ** key[0], p ** key[1]
-            mu = _newton(polygons[0], Gr, qG) if qF == 1 else _newton(polygons[1], Fr, qF)
-            if mu is None:
-                try:
-                    mu = _local(_scaled(Fr, qF), _scaled(Gr, qG))
-                except FuelExhausted as exc:
-                    raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
-            base[key] = mu
+            try:
+                base[key] = _base_entry(Fr, Gr, polygons[qF != 1], qF, qG)
+            except FuelExhausted as exc:
+                raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
         return braided._mul(p ** (2 * m), base[key])
 
     # each grade is the one before, shifted by one, plus its row a = 0 and column b = 0

@@ -16,8 +16,8 @@ from math import comb, gcd
 from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, FracPoly,
                       HorizonError, PAdicFrac, ParseError, WeightVector, cohomology_ranks,
                       enumerate_h0_monomials, iter_h0_monomials, iter_hn_monomials,
-                      local_multiplicity, monomial_string, normalize, parse_poly)
-from perfproj import cech, fracpoly
+                      monomial_string, normalize, parse_poly)
+from perfproj import cech, fracpoly, intersect
 from perfproj.enumeration import _scaled_vectors, count_h0_monomials, count_hn_monomials
 from perfproj.exponents import _as_padic, _denominator_pexp
 from perfproj.fracpoly import _power_suffix, _tokenize, _var_names
@@ -152,12 +152,30 @@ def rooted_texts(p: int):
     return [f"y - x^({p + 1}/{p})", f"y^(1/{p}) - x", f"x^(1/{p})*y - x^2"]
 
 
+def shares_an_axis(Fr: dict, Gr: dict) -> bool:
+    """Whether x, or y, divides both curves, given as the integer rows of
+    intersect._int_rows: x divides a curve when no row has a term of
+    x-degree 0, y when it has no row 0."""
+    return (0 not in Fr and 0 not in Gr) or all(
+        0 not in row for rows in (Fr, Gr) for row in rows.values())
+
+
+def fulton_multiplicity(F, G):
+    """local_multiplicity without the Newton stage: a shared axis is a
+    shared component through the origin, and otherwise the shared-component
+    check and the Fulton loop of intersect._local run on the rows of
+    intersect._int_rows."""
+    Fr, Gr = intersect._int_rows(F), intersect._int_rows(G)
+    return INFINITE_RANK if shares_an_axis(Fr, Gr) else intersect._local(Fr, Gr)
+
+
 def mixed_by_depth_brute(F, G, grades: int):
     """The mixed multiplicity matrices with every reachable entry computed
     directly: entry (a, b) of grade i is the multiplicity of F0 rescaled to
     grade s = i - kF - a against G0 rescaled to t = i - kG - b, where F0 and
     G0 are the curves at their native grades kF and kG; zero when s < 0 or
-    t < 0.  No base-entry identity and no symmetry is used.
+    t < 0.  No base-entry identity, no symmetry and no Newton stage is used:
+    each entry is fulton_multiplicity.
     """
     kF, kG = F.max_pexp(), G.max_pexp()
     F0, G0 = F.rescale_to_grade(kF), G.rescale_to_grade(kG)
@@ -172,8 +190,8 @@ def mixed_by_depth_brute(F, G, grades: int):
                     mat[(a, b)] = 0
                     continue
                 if (s, t) not in seen:
-                    seen[(s, t)] = local_multiplicity(F0.rescale_to_grade(s),
-                                                      G0.rescale_to_grade(t))
+                    seen[(s, t)] = fulton_multiplicity(F0.rescale_to_grade(s),
+                                                       G0.rescale_to_grade(t))
                 mat[(a, b)] = seen[(s, t)]
         mixed.append(mat)
     return mixed

@@ -11,6 +11,7 @@ from oracles import (
     count_compositions,
     count_positive_compositions,
     curve_corpus,
+    fulton_multiplicity,
 )
 
 from perfproj import (
@@ -144,7 +145,8 @@ def test_criterion_08_intersection_multiplicities():
     pairs = 0
     for i, F in enumerate(corpus):
         for G in corpus[i:]:
-            mu = local_multiplicity(F, G)
+            mu = fulton_multiplicity(F, G)
+            assert local_multiplicity(F, G) == mu
             if mu == INFINITE_RANK:
                 # the staircase path proves infinity; the truncation path
                 # cannot separate it from a huge finite value and reports cap
@@ -155,7 +157,7 @@ def test_criterion_08_intersection_multiplicities():
             else:
                 assert mu == quotient_dim_oracle(F, G)
             pairs += 1
-    _report(8, f"mixed row (1,p,p,p^2); Fulton == oracle on {pairs} corpus pairs")
+    _report(8, f"mixed row (1,p,p,p^2); local == Fulton == oracle on {pairs} corpus pairs")
 
 
 def test_criterion_09_blowup_chart_outcomes():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
                      dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
-                     dense_truncated_quotient_dim, mixed_by_depth_brute,
-                     monomial_staircase_by_loop, rooted_texts)
+                     dense_truncated_quotient_dim, fulton_multiplicity, mixed_by_depth_brute,
+                     monomial_staircase_by_loop, rooted_texts, shares_an_axis)
 
 import perfproj.braided as braided_mod
 import perfproj.intersect as intersect_mod
@@ -112,8 +112,14 @@ def test_common_component_matches_sympy_gcd(h, h_const, a, b, a_y_free, b_y_free
 
     g = sympy.gcd(F, G)
     expected = sympy.Poly(g, x, y).total_degree() >= 1 and g.subs({x: 0, y: 0}) == 0
-    got = _common_component_through_origin(rows(F), rows(G))
+    # the pipeline's decision: the Newton stage's inf on a shared axis, and
+    # the shared-component check otherwise
+    Fr, Gr = rows(F), rows(G)
+    mu = _newton(_newton_polygon(Fr), Gr, 1)
+    assert (mu == INFINITE_RANK) == shares_an_axis(Fr, Gr)
+    got = mu == INFINITE_RANK or _common_component_through_origin(Fr, Gr)
     assert got == expected, (F, G, g)
+    assert mu is None or (mu == INFINITE_RANK) == expected  # a Newton answer agrees
 
 
 def test_local_multiplicity_rejects_bad_input():
@@ -168,7 +174,8 @@ def test_fulton_equals_oracle_on_corpus():
     corpus = curve_corpus()
     for i, F in enumerate(corpus):
         for G in corpus[i:]:
-            mu = local_multiplicity(F, G)
+            mu = fulton_multiplicity(F, G)
+            assert local_multiplicity(F, G) == mu, (F, G)
             if mu == INFINITE_RANK:
                 try:
                     assert quotient_dim_oracle(F, G, cap=14) == INFINITE_RANK
@@ -389,8 +396,10 @@ def test_x_power_rule_matches_oracle():
     for f, g in [("x^3*y - x^3 + x^4", "y^2 - x"), ("x^2*y - x^3", "y^3 - x^2 + x*y"),
                  ("x*y^2 + x^2", "y - x^2"), ("x^2", "y^2 - x^3 + x*y^3")]:
         F, G = P(f), P(g)
-        assert local_multiplicity(F, G) == quotient_dim_oracle(F, G), (f, g)
-    assert local_multiplicity(P("x^2*y - x^3"), P("x*y + x")) == INFINITE_RANK
+        assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == \
+            quotient_dim_oracle(F, G), (f, g)
+    F, G = P("x^2*y - x^3"), P("x*y + x")
+    assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == INFINITE_RANK
 
 
 def _counting_base_entries(monkeypatch):
@@ -505,7 +514,8 @@ def test_certificate_falls_back_when_every_point_is_bad():
     F, G = _int_rows(H), _int_rows(partner)
     assert not _coprime_mod_ell(F, G)
     assert not _common_component_through_origin(F, G)
-    assert local_multiplicity(H, partner) == quotient_dim_oracle(H, partner)
+    assert local_multiplicity(H, partner) == fulton_multiplicity(H, partner) == \
+        quotient_dim_oracle(H, partner)
     # one leading coefficient that survives is enough
     assert _coprime_mod_ell(_int_rows(H), _int_rows(P("y - x^2")))
 
@@ -538,13 +548,14 @@ def test_step_budget_names_its_numbers(monkeypatch):
     ("3*y + y^2", "y - 2*x*y^3", 9),
 ])
 def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch, f, g, q):
-    def no_gcd(a, b):
-        raise AssertionError("the remainder sequence ran")
+    def refuse(a, b):
+        raise AssertionError("the remainder sequence or the loop ran")
 
-    monkeypatch.setattr(intersect_mod, "_gcd", no_gcd)
+    monkeypatch.setattr(intersect_mod, "_gcd", refuse)
+    monkeypatch.setattr(intersect_mod, "_local", refuse)
     F, G = _scaled(_int_rows(P(f)), q), _scaled(_int_rows(P(g)), q)
-    assert _common_component_through_origin(F, G)
-    assert _common_component_through_origin(G, F)
+    assert _newton(_newton_polygon(F), G, 1) == INFINITE_RANK
+    assert _newton(_newton_polygon(G), F, 1) == INFINITE_RANK
 
 
 def _in_child(limit: str, value: int, code: str) -> str:
@@ -574,12 +585,15 @@ def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypa
     # G's y-leading coefficient -(2**61 - 1)*x**27 vanishes modulo 2**61 - 1
     # at every certificate point, F's does not; when both were required, the
     # remainder sequence ran past 30 s of CPU; the child caps its own at 10 s
+    # and runs the shared-component check and the loop alone
     f = ("2305843009213693952*y^24 + 2305843009213693951*x^8"
          " + 2305843009213693952*x^8*y^24 + 4611686018427387899*x^16*y^8")
     g = "2305843009213693952*x^18 - 2305843009213693951*x^27*y^27"
     out = _in_child("RLIMIT_CPU", 10, (
-        "from perfproj import local_multiplicity, parse_poly\n"
-        f"print(local_multiplicity(parse_poly({f!r}, 2, 2), parse_poly({g!r}, 2, 2)))\n"))
+        "from perfproj import parse_poly\n"
+        "from perfproj.intersect import _int_rows, _local\n"
+        f"F, G = (_int_rows(parse_poly(text, 2, 2)) for text in ({f!r}, {g!r}))\n"
+        "print(_local(F, G))\n"))
     assert out == "432\n"
 
     def refuse(*args):
@@ -596,6 +610,17 @@ def test_a_deep_grade_stays_within_a_memory_limit():
                              ["--f", "x", "--g", "y", "--p", "2", "--grades", "40"])
     assert payload["diagonal"] == [1] * 41
     assert payload["mixed"][40][0] == 1 and payload["mixed"][40][-1] == 4**40
+
+
+def test_local_multiplicity_of_the_rooted_cusp_against_the_node_stays_within_a_cpu_limit():
+    # the cusp rooted 27 times against the node at p = 3 took about a minute
+    # of CPU in the Fulton loop; the Newton polygon of the rooted cusp
+    # answers 27 * 4 = 108; the child caps its own CPU time at 10 s
+    out = _in_child("RLIMIT_CPU", 10, (
+        "from perfproj import local_multiplicity, parse_poly\n"
+        "F = parse_poly('y^2-x^3', 2, 3).rescale_to_grade(3)\n"
+        "print(local_multiplicity(F, parse_poly('y^2-x^2-x^3', 2, 3)))\n"))
+    assert out == "108\n"
 
 
 def test_the_cusp_against_the_node_stays_within_a_cpu_limit():
@@ -695,10 +720,15 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
     A, C = _scaled(_int_rows(A0), qa), _int_rows(C0)
     mu = _newton(_newton_polygon(A), C, q)
     if h is not None and not H.is_zero and H.constant_term() == 0:
-        assert mu is None  # a shared factor through the origin is never certified
+        # a shared factor through the origin is never certified finite
+        assert mu is None or mu == INFINITE_RANK
     if mu is None:
         return
     B = _scaled(C, q)
+    if mu == INFINITE_RANK:  # only on a shared axis, which the loop may not meet
+        assert shares_an_axis(A, B)
+        assert fulton_multiplicity(_rows_poly(A), _rows_poly(B)) == INFINITE_RANK
+        return
     assert not _common_component_through_origin(_scaled(A, 1), _scaled(B, 1))
     assert _mu(_scaled(A, 1), _scaled(B, 1)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
@@ -719,12 +749,58 @@ def test_truncated_quotient_dim_matches_the_dense_elimination(F, G, N):
     assert repr((F, G)) == before  # the rows are not modified
 
 
+_PIPELINE_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                     st.sampled_from([1, -1, 2, -3])), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_PIPELINE_TERMS, b=_PIPELINE_TERMS, q=st.sampled_from([1, 2, 3, 4]),
+       shared=st.sampled_from([None, "x", "y", "x*y", "y - x", "y^2 - x^3", "y - x^2 + 1"]),
+       unit=st.booleans(), swap=st.booleans())
+def test_local_multiplicity_matches_the_fulton_loop(a, b, q, shared, unit, swap):
+    # B rooted q times against A; with shared, both times that factor (an
+    # axis, a curve through the origin or one off it); with unit, A plus 1
+    A, B = _poly(a + [(0, 0, 1)] if unit else a), _poly(b)
+    assume(not (A.is_zero or B.is_zero))
+    B = _rows_poly(_scaled(_int_rows(B), q))
+    if shared is not None:
+        A, B = P(shared) * A, P(shared) * B
+    F, G = (B, A) if swap else (A, B)
+    assert local_multiplicity(F, G) == fulton_multiplicity(F, G), (F, G)
+
+
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
     A = _int_rows(_poly([(0, 1, _ELL), (1, 0, -1)]))  # _ELL*y - x
     polygon = _newton_polygon(A)
     assert polygon == (0, 0, [(1, 1, 1, None)])
     assert _newton(polygon, _int_rows(P("y + x")), 1) is None
     assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
+
+
+def test_the_newton_stage_answers_a_unit_at_once():
+    # an edge polynomial whose leading coefficient, or a constant term,
+    # vanishes modulo _ELL leaves no certificate, yet a unit on either side
+    # gets 0 from the Newton stage before any; _local has no unit check
+    for f, g in [([(0, 1, _ELL), (1, 0, -1)], [(0, 0, 1), (1, 0, 1)]),  # _ELL*y - x, 1 + x
+                 ([(0, 1, 1), (1, 0, -1)], [(0, 0, _ELL), (1, 0, 1)])]:  # y - x, _ELL + x
+        F, G = _poly(f), _poly(g)
+        Fr, Gr = _int_rows(F), _int_rows(G)
+        assert _newton(_newton_polygon(Fr), Gr, 1) == 0
+        assert _newton(_newton_polygon(Gr), Fr, 1) == 0
+        assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == 0 == \
+            quotient_dim_oracle(F, G)
+
+
+def test_a_unit_against_a_deeply_rooted_curve_stays_within_a_cpu_limit():
+    # F's edge polynomial loses its leading term modulo _ELL = 2**61 - 1, and
+    # both y-leading coefficients vanish modulo _ELL, so without the Newton
+    # stage's answer for a unit, base entry (0, 40) ran the remainder
+    # sequence of G rooted 2**40 times, about 2**39 pseudo-division steps;
+    # the child caps its own CPU time at 10 s
+    payload = _mult_in_child("RLIMIT_CPU", 10, [
+        "--f", f"{_ELL}*y^2 - x", "--g", f"{_ELL} + x + {_ELL}*y", "--p", "2", "--grades", "40"])
+    assert payload["diagonal"] == [0] * 41
+    assert all(v == 0 for grade in payload["mixed"] for v in grade)
 
 
 # (A, B, q, mu): the Newton stage certifies mu(A, B rooted q times) = mu
@@ -754,7 +830,8 @@ def test_newton_stage_certifies_the_pinned_cases():
     assert _newton_failures(_newton_polygon) == []
     for f, g, q, mu in _NEWTON_CASES[2:]:
         B = _rows_poly(_scaled(_int_rows(P(g)), q))
-        assert local_multiplicity(P(f), B) == mu == quotient_dim_oracle(P(f), B)
+        assert local_multiplicity(P(f), B) == fulton_multiplicity(P(f), B) == mu == \
+            quotient_dim_oracle(P(f), B)
 
 
 @pytest.mark.parametrize("mutate", [

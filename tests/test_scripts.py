@@ -80,7 +80,7 @@ def test_replay_counts_the_work_of_every_benchmark_request():
          "exponents.PAdicFrac": 1967, "exponents.is_prime": 3, "fractions.Fraction": 2832},
         {**_NO_WORK, "braided._mul": 4412, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
-         "intersect._coprime_mod_ell": 65, "intersect._gcd": 5, "intersect._local": 488,
+         "intersect._coprime_mod_ell": 65, "intersect._gcd": 5, "intersect._local": 65,
          "intersect._mu": 61, "intersect._newton": 1752,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
     ]
