@@ -22,8 +22,10 @@ counter is named <module>.<function> and counts calls: the exact rank
 cech._int_rank (and the rows it was given), cech's binomials (cech.comb),
 the quotient oracle and the truncated quotients it eliminates, the base
 entries offered to each multiplicity engine (intersect._newton, then _local,
-then the Fulton loop _mu), the modular certificates of a shared component
-(intersect._coprime_mod_ell), the remainder sequences over Z
+then the Fulton loop _mu) and the steps of that loop (intersect._reduce), the
+modular certificates of a shared component (intersect._coprime_mod_ell), the
+Euclids in F_l[y] of the Newton stage and of those certificates
+(intersect._gcd_degree_mod_ell), the remainder sequences over Z
 (intersect._gcd, counted only at the outermost call, since _primitive calls
 it again inside a sequence), the products braided._mul (a read of a mixed
 multiplicity entry, or a Kunneth product), the checked grade totals of
@@ -85,7 +87,9 @@ COUNTED = (
     (perfproj.intersect, "_newton", "intersect._newton"),
     (perfproj.intersect, "_local", "intersect._local"),
     (perfproj.intersect, "_mu", "intersect._mu"),
+    (perfproj.intersect, "_reduce", "intersect._reduce"),
     (perfproj.intersect, "_coprime_mod_ell", "intersect._coprime_mod_ell"),
+    (perfproj.intersect, "_gcd_degree_mod_ell", "intersect._gcd_degree_mod_ell"),
     (perfproj.enumeration, "_total", "enumeration._total"),
     (perfproj.geometry, "_total", "enumeration._total"),
     (perfproj.exponents, "is_prime", "exponents.is_prime"),
