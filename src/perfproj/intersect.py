@@ -15,6 +15,16 @@ with leading coefficients a of F(x, 0) (degree r) and b of G(x, 0)
 (degree s >= r) and g = gcd(a, b), G becomes (a/g)*G - (b/g)*x**(s-r)*F,
 and its integer content is divided out.
 
+The loop runs modulo a power of the maximal ideal m.  Once the pair is known
+to share no component through the origin, its multiplicity is at most the
+Bezout bound N = min(degF * degG, dx(F) * dy(G) + dy(F) * dx(G)), the
+intersection numbers of the curves' closures in P**2 and in P**1 x P**1 (deg
+the total degree, dx and dy the largest x- and y-exponents).  With acc the
+multiplicity split off so far, m**(N - acc) lies in the ideal of the pair
+left, and by Nakayama no term of total degree above N - acc changes that
+ideal; the loop drops them all, so a curve keeps at most (N + 1)(N + 2)/2
+terms.  The step budget _FUEL still guards the loop.
+
 A common component through the origin makes the answer infinite; it is
 decided before the loop, so the loop never meets one.  An axis, x or y
 dividing both curves, is such a component, and the Newton stage below
@@ -62,11 +72,11 @@ base entry are those rows with every exponent multiplied by p**s (p**t for
 G), built fresh because _mu consumes its rows.
 
 A base entry is first offered to the Newton stage, which reads the Newton
-polygon of the native curve, built once per curve: (0, d) reads F's polygon
-against G rooted q = p**d times, (d, 0) G's against F.  Write A = x**a *
-y**b * A1, where A1 has no monomial factor; each compact edge e of the
-polygon of A1 has a primitive inner normal w = (n, m), a lattice length l_e
-and an edge polynomial P_e(y) = A1_w(1, y) / y**min.  Then
+polygon of the native curve: (0, d) reads F's polygon against G rooted
+q = p**d times, (d, 0) G's against F.  Write A = x**a * y**b * A1, where A1
+has no monomial factor; each compact edge e of the polygon of A1 has a
+primitive inner normal w = (n, m), a lattice length l_e and an edge
+polynomial P_e(y) = A1_w(1, y) / y**min.  Then
 
     mu(A, B) = a * ord_y B(0, y) + b * ord_x B(x, 0) + sum_e l_e * h_B(w),
 
@@ -79,8 +89,14 @@ there.  For B rooted q times, h_B(w) is q * h_G(w) and B_w(1, y) is
 G_w(1, y**q), so the answer is q times a grade-0 number and only the
 certificate depends on q: a gcd of degree 0 in F_l[y] of P_e and
 G_w(1, y**q), with the leading coefficient of P_e nonzero modulo l, by the
-Euclid above.  A shared component through the origin would put a root of
-some P_e on B_w, or an axis in both curves, so a certified entry is finite.
+Euclid above.  So the stage is read once per curve pair, each curve's
+polygon against the other curve, and only the certificate runs per q.
+Write G_w(1, y) = y**low * R(y) with R(0) != 0: y**(q * low) is coprime to
+P_e for every q or for none, by low = 0 or P_e(0) != 0, and a constant R
+is coprime to P_e, so an edge whose initial form has one term is decided
+without a Euclid; only a longer R(y**q) is tested per q.  A shared
+component through the origin would put a root of some P_e on B_w, or an
+axis in both curves, so a certified entry is finite.
 The formula reads ord_y B(0, y) when a > 0 and ord_x B(x, 0) when b > 0;
 one is missing exactly when x, or y, divides both curves, and that shared
 axis makes the entry infinite.  A unit A has a polygon without edges and
@@ -127,28 +143,41 @@ def _scaled(rows: dict, q: int) -> dict:
     return {b * q: {a * q: c for a, c in row.items()} for b, row in rows.items()}
 
 
-def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
-    """B <- ca*B - cb*x**shift*A, then B divided by its content; in place.
+def _truncate(rows: dict, top: int) -> None:
+    """Drop every term of total degree above top from integer rows, in place."""
+    for b in list(rows):
+        row = rows[b]
+        for a in [a for a in row if a + b > top]:
+            del row[a]
+        if not row:
+            del rows[b]
 
-    A and B are integer rows by y-degree (_int_rows).  The content gcd stops
-    at the first row that brings it down to 1.
+
+def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict, top: int) -> None:
+    """B <- ca*B - cb*x**shift*A without the terms of total degree above top,
+    then B divided by its content; in place.
+
+    A and B are integer rows by y-degree (_int_rows) that hold no term above
+    top, so only the product x**shift*A can reach past it, and its terms that
+    do are never formed.  The content gcd stops at the first row that brings
+    it down to 1.
     """
     if ca != 1:
         for row in B.values():
             for a in row:
                 row[a] *= ca
     for b, arow in A.items():
-        row = B.get(b)
-        if row is None:
-            B[b] = {a + shift: -cb * c for a, c in arow.items()}
+        room = top - shift - b  # the largest x-exponent of A whose product is kept
+        if room < 0:
             continue
+        row = B.setdefault(b, {})
         for a, c in arow.items():
-            a += shift
-            v = row.get(a, 0) - cb * c
-            if v:
-                row[a] = v
-            else:
-                del row[a]
+            if a <= room:
+                a += shift
+                if v := row.get(a, 0) - cb * c:
+                    row[a] = v
+                else:
+                    del row[a]
         if not row:
             del B[b]
     g = 0
@@ -162,15 +191,20 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
                 row[a] //= g
 
 
-def _mu(A: dict, B: dict):
-    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows.
+def _mu(A: dict, B: dict, N: int):
+    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows,
+    given a bound N >= mu(A, B).
 
     A and B must share no component through the origin: the caller has
     ruled out a shared axis (the Newton stage, through _base_entry) and
     _local any other shared component.  x and y then never both divide the
-    current pair, and the only infinite answer left is the collapse of the
-    ideal to one generator.  A and B are consumed: the loop rewrites their
-    rows in place.  Past _FUEL steps it raises FuelExhausted.
+    current pair, and mu is finite.  A and B are consumed: the loop rewrites
+    their rows in place.  Past _FUEL steps it raises FuelExhausted.
+
+    No term of total degree above N - acc is kept, acc the multiplicity
+    split off so far (module docstring): both curves are truncated after the
+    x-power split and after every y-power split, so that _reduce, which
+    forms no product term past the bound, finds none in either curve.
     """
     acc = 0  # multiplicity of the x- and y-powers divided out so far
     # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B); then the same for B
@@ -180,6 +214,8 @@ def _mu(A: dict, B: dict):
             acc += k * min(b for b, row in B.items() if 0 in row)
             A = {b: {a - k: c for a, c in row.items()} for b, row in A.items()}
         A, B = B, A
+    _truncate(A, N - acc)
+    _truncate(B, N - acc)
     steps = 0
     while True:
         steps += 1
@@ -196,17 +232,19 @@ def _mu(A: dict, B: dict):
             k = min(A)
             A = {b - k: row for b, row in A.items()}
             acc += k * min(b0)
-            continue
-        if b0 is None:
+        elif b0 is None:
             k = min(B)
             B = {b - k: row for b, row in B.items()}
             acc += k * min(a0)
+        else:
+            r, s = max(a0), max(b0)
+            if r > s:
+                A, B, a0, b0, r, s = B, A, b0, a0, s, r
+            g = gcd(a0[r], b0[s])
+            _reduce(B, a0[r] // g, b0[s] // g, s - r, A, N - acc)
             continue
-        r, s = max(a0), max(b0)
-        if r > s:
-            A, B, a0, b0, r, s = B, A, b0, a0, s, r
-        g = gcd(a0[r], b0[s])
-        _reduce(B, a0[r] // g, b0[s] // g, s - r, A)
+        _truncate(A, N - acc)
+        _truncate(B, N - acc)
 
 
 # -- common component detection: primitive remainder sequence over Z -------------
@@ -380,10 +418,29 @@ def _common_component_through_origin(F: dict, G: dict) -> bool:
     return 0 not in _gcd(F, G).get(0, {})
 
 
+def _bezout_bound(F: dict, G: dict) -> int:
+    """min(degF * degG, dx(F) * dy(G) + dy(F) * dx(G)) for two curves in
+    integer rows (_int_rows): deg the total degree, dx and dy the largest x-
+    and y-exponents.
+
+    These are the Bezout numbers of the curves' closures in P**2 and in
+    P**1 x P**1 (Fulton, Algebraic Curves, ch. 3 and ch. 5), so either
+    bounds a finite mu at the origin: a common component off the origin is
+    a unit there, and dividing it out only lowers both numbers.
+    """
+    (dF, xF, yF), (dG, xG, yG) = (
+        (max(a + b for b, row in rows.items() for a in row),
+         max(max(row) for row in rows.values()), max(rows)) for rows in (F, G))
+    return min(dF * dG, xF * yG + yF * xG)
+
+
 def _local(Fr: dict, Gr: dict):
     """The multiplicity of two curves in integer rows (_int_rows) that share
-    no axis, by the shared-component check and the loop; consumes them."""
-    return INFINITE_RANK if _common_component_through_origin(Fr, Gr) else _mu(Fr, Gr)
+    no axis, by the shared-component check and then the loop, truncated at
+    the Bezout bound; consumes them."""
+    if _common_component_through_origin(Fr, Gr):
+        return INFINITE_RANK
+    return _mu(Fr, Gr, _bezout_bound(Fr, Gr))
 
 
 def local_multiplicity(F: FracPoly, G: FracPoly):
@@ -393,7 +450,7 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     exponents and exact rational coefficients.
     """
     Fr, Gr = _int_rows(F), _int_rows(G)
-    return _base_entry(Fr, Gr, _newton_polygon(Fr), 1, 1)
+    return _base_entry(Fr, Gr, _newton_stage(_newton_polygon(Fr), Gr), 1, 1)
 
 
 # -- Newton stage: a base entry from the Newton polygon of the native curve -----
@@ -433,18 +490,22 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
     return a, b, edges
 
 
-def _newton(polygon: tuple[int, int, list], B: dict, q: int):
-    """mu(A, B(x**q, y**q)) for the curve A of polygon (_newton_polygon) and
-    a curve B in integer rows, or None when the polygon does not certify it;
-    0 when B is a unit, and INFINITE_RANK when x, or y, divides both curves.
+def _newton_stage(polygon: tuple[int, int, list], B: dict):
+    """The part of the Newton stage of the curve A of polygon
+    (_newton_polygon) against a curve B in integer rows that does not depend
+    on the rooting q of B: the answer for every q, or (mu0, forms) for
+    _newton.
 
-    The answer is q * (a * ord_y B(0, y) + b * ord_x B(x, 0) + sum over the
-    edges of length * h_B(w)), h_B(w) the least n*i + m*j over the terms of
-    B.  It holds when every edge polynomial P is coprime to B_w(1, y**q), the
-    initial form of the rooted B, which a gcd of degree 0 in F_ell[y]
-    certifies since the leading coefficient of P does not vanish modulo
-    _ELL.  The terms a * ord_y B(0, y) and b * ord_x B(x, 0) are read only
-    when a and b are positive, and one is missing only on a shared axis.
+    The answer for every q is 0 when B is a unit, INFINITE_RANK when x, or
+    y, divides both curves, and None when some edge certifies no q.
+    Otherwise the answer is q * mu0, mu0 = a * ord_y B(0, y) +
+    b * ord_x B(x, 0) + the sum over the edges of length * h_B(w), once
+    every edge polynomial P is coprime in F_ell[y] to the initial form
+    B_w(1, y**q) = y**(q * low) * R(y**q) (module docstring).  The power of
+    y and a constant R are decided here; forms keeps (P, R) for each edge
+    whose R is longer.  The terms a * ord_y B(0, y) and b * ord_x B(x, 0)
+    are read only when a and b are positive, and one is missing only on a
+    shared axis.
     """
     a, b, edges = polygon
     oy = min((j for j, row in B.items() if 0 in row), default=None)  # ord_y B(0, y)
@@ -453,26 +514,47 @@ def _newton(polygon: tuple[int, int, list], B: dict, q: int):
         return 0  # B is a unit
     if (a and oy is None) or (b and ox is None):
         return INFINITE_RANK  # x, or y, divides both curves
-    mu = a * (oy or 0) + b * (ox or 0)
+    mu0 = a * (oy or 0) + b * (ox or 0)
+    forms = []
     for n, m, length, P in edges:
         h = min(n * i + m * j for j, row in B.items() for i in row)
-        init = {}  # B_w(1, y**q) modulo _ELL: row j has at most one term of weight h
+        init = {}  # B_w(1, y) modulo _ELL: row j has at most one term of weight h
         for j, row in B.items():
             i, r = divmod(h - m * j, n)
             if not r and (v := row.get(i, 0) % _ELL):
-                init[q * j] = v
-        if P is None or not init or _gcd_degree_mod_ell(P, init):
+                init[j] = v
+        if P is None or not init:
             return None
-        mu += length * h
-    return q * mu
+        low = min(init)
+        if low and 0 not in P:
+            return None  # y divides P and B_w(1, y**q) for every q
+        if len(init) > 1:
+            forms.append((P, {j - low: v for j, v in init.items()}))
+        mu0 += length * h
+    return mu0, forms
 
 
-def _base_entry(Fr: dict, Gr: dict, polygon: tuple[int, int, list], qF: int, qG: int):
+def _newton(stage, q: int):
+    """mu(A, B(x**q, y**q)) from the Newton stage of A against B
+    (_newton_stage), or None when it is not certified: each edge polynomial
+    P left in the stage's forms must have a gcd of degree 0 with R(y**q) in
+    F_ell[y]."""
+    if not isinstance(stage, tuple):
+        return stage
+    mu0, forms = stage
+    for P, R in forms:
+        if _gcd_degree_mod_ell(P, {q * j: v for j, v in R.items()}):
+            return None
+    return q * mu0
+
+
+def _base_entry(Fr: dict, Gr: dict, stage, qF: int, qG: int):
     """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G in integer
-    rows (_int_rows), qF or qG being 1, and polygon the Newton polygon of
-    the curve not rooted (F's when neither is): the Newton stage, else the
-    shared-component check and the loop on fresh rows."""
-    mu = _newton(polygon, Gr, qG) if qF == 1 else _newton(polygon, Fr, qF)
+    rows (_int_rows), qF or qG being 1, and stage the Newton stage
+    (_newton_stage) of the curve not rooted against the other (F's against
+    G when neither is): the Newton stage, else the shared-component check
+    and the loop on fresh rows."""
+    mu = _newton(stage, max(qF, qG))
     return _local(_scaled(Fr, qF), _scaled(Gr, qG)) if mu is None else mu
 
 
@@ -579,10 +661,12 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     kF, kG = F.max_pexp(), G.max_pexp()
     k0 = max(kF, kG)
     Fr, Gr = _int_rows(F, kF), _int_rows(G, kG)  # the curves at their native grades
-    polygons = _newton_polygon(Fr), _newton_polygon(Gr)
-
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
     self_pair = F == G
+    # (0, d) reads F's Newton stage against G rooted by p**d, (d, 0) G's against F
+    stages = [_newton_stage(_newton_polygon(Fr), Gr)]
+    if not self_pair:
+        stages.append(_newton_stage(_newton_polygon(Gr), Fr))
     base: dict[tuple[int, int], object] = {}  # only (0, d) and (d, 0)
 
     def entry(s: int, t: int):
@@ -590,10 +674,9 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         m = min(s, t)
         key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
         if key not in base:
-            # (0, d) reads F's polygon against G rooted by p**d, (d, 0) G's against F
             qF, qG = p ** key[0], p ** key[1]
             try:
-                base[key] = _base_entry(Fr, Gr, polygons[qF != 1], qF, qG)
+                base[key] = _base_entry(Fr, Gr, stages[qF != 1], qF, qG)
             except FuelExhausted as exc:
                 raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
         return braided._mul(p ** (2 * m), base[key])

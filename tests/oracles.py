@@ -14,9 +14,9 @@ from itertools import islice, product
 from math import comb, gcd
 
 from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, FracPoly,
-                      HorizonError, PAdicFrac, ParseError, WeightVector, cohomology_ranks,
-                      enumerate_h0_monomials, iter_h0_monomials, iter_hn_monomials,
-                      monomial_string, normalize, parse_poly)
+                      FuelExhausted, HorizonError, PAdicFrac, ParseError, WeightVector,
+                      cohomology_ranks, enumerate_h0_monomials, iter_h0_monomials,
+                      iter_hn_monomials, monomial_string, normalize, parse_poly)
 from perfproj import cech, fracpoly, intersect
 from perfproj.enumeration import _scaled_vectors, count_h0_monomials, count_hn_monomials
 from perfproj.exponents import _as_padic, _denominator_pexp
@@ -160,13 +160,77 @@ def shares_an_axis(Fr: dict, Gr: dict) -> bool:
         0 not in row for rows in (Fr, Gr) for row in rows.values())
 
 
+def _fulton_reduce(B: dict, ca: int, cb: int, shift: int, A: dict) -> None:
+    """B <- ca*B - cb*x**shift*A, then B divided by its content; in place,
+    on integer rows y-exponent -> {x-exponent -> nonzero int}."""
+    if ca != 1:
+        for row in B.values():
+            for a in row:
+                row[a] *= ca
+    for b, arow in A.items():
+        row = B.setdefault(b, {})
+        for a, c in arow.items():
+            a += shift
+            if v := row.get(a, 0) - cb * c:
+                row[a] = v
+            else:
+                del row[a]
+        if not row:
+            del B[b]
+    g = gcd(*(c for row in B.values() for c in row.values()))
+    if g > 1:
+        for row in B.values():
+            for a in row:
+                row[a] //= g
+
+
+_FULTON_FUEL = 100_000
+
+
+def fulton_loop(A: dict, B: dict):
+    """mu(A, B) by the Fulton loop as intersect._mu ran it before it was
+    truncated at a bound: every term is kept.  A and B are integer rows that
+    share no component through the origin, and are consumed; past
+    _FULTON_FUEL steps the loop raises FuelExhausted."""
+    acc = 0
+    for _ in range(2):  # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B)
+        k = min(min(row) for row in A.values())
+        if k:
+            acc += k * min(b for b, row in B.items() if 0 in row)
+            A = {b: {a - k: c for a, c in row.items()} for b, row in A.items()}
+        A, B = B, A
+    for _ in range(_FULTON_FUEL):
+        a0, b0 = A.get(0), B.get(0)
+        if (a0 and 0 in a0) or (b0 and 0 in b0):
+            return acc
+        if not A or not B:
+            return INFINITE_RANK
+        if a0 is None:  # A = y**k * A1: mu = k * ord_x B(x,0) + mu(A1, B)
+            k = min(A)
+            A = {b - k: row for b, row in A.items()}
+            acc += k * min(b0)
+        elif b0 is None:
+            k = min(B)
+            B = {b - k: row for b, row in B.items()}
+            acc += k * min(a0)
+        else:
+            r, s = max(a0), max(b0)
+            if r > s:
+                A, B, a0, b0, r, s = B, A, b0, a0, s, r
+            g = gcd(a0[r], b0[s])
+            _fulton_reduce(B, a0[r] // g, b0[s] // g, s - r, A)
+    raise FuelExhausted(f"the Fulton loop exceeded {_FULTON_FUEL} steps")
+
+
 def fulton_multiplicity(F, G):
-    """local_multiplicity without the Newton stage: a shared axis is a
-    shared component through the origin, and otherwise the shared-component
-    check and the Fulton loop of intersect._local run on the rows of
-    intersect._int_rows."""
+    """local_multiplicity without the Newton stage and without the Bezout
+    truncation: a shared axis is a shared component through the origin,
+    another one is decided by intersect._common_component_through_origin,
+    and otherwise fulton_loop runs on the rows of intersect._int_rows."""
     Fr, Gr = intersect._int_rows(F), intersect._int_rows(G)
-    return INFINITE_RANK if shares_an_axis(Fr, Gr) else intersect._local(Fr, Gr)
+    if shares_an_axis(Fr, Gr) or intersect._common_component_through_origin(Fr, Gr):
+        return INFINITE_RANK
+    return fulton_loop(Fr, Gr)
 
 
 def mixed_by_depth_brute(F, G, grades: int):

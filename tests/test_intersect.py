@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
                      dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
-                     dense_truncated_quotient_dim, fulton_multiplicity, mixed_by_depth_brute,
-                     monomial_staircase_by_loop, rooted_texts, shares_an_axis)
+                     dense_truncated_quotient_dim, fulton_loop, fulton_multiplicity,
+                     mixed_by_depth_brute, monomial_staircase_by_loop, rooted_texts,
+                     shares_an_axis)
 
 import perfproj.braided as braided_mod
 import perfproj.intersect as intersect_mod
@@ -33,13 +34,14 @@ from perfproj.intersect import (
     _CERT_POINTS,
     _ELL,
     _at_mod_ell,
+    _bezout_bound,
     _common_component_through_origin,
     _coprime_mod_ell,
     _gcd_degree_mod_ell,
     _int_rows,
-    _mu,
     _newton,
     _newton_polygon,
+    _newton_stage,
     _scaled,
     _truncated_quotient_dim,
 )
@@ -115,7 +117,7 @@ def test_common_component_matches_sympy_gcd(h, h_const, a, b, a_y_free, b_y_free
     # the pipeline's decision: the Newton stage's inf on a shared axis, and
     # the shared-component check otherwise
     Fr, Gr = rows(F), rows(G)
-    mu = _newton(_newton_polygon(Fr), Gr, 1)
+    mu = _newton(_newton_stage(_newton_polygon(Fr), Gr), 1)
     assert (mu == INFINITE_RANK) == shares_an_axis(Fr, Gr)
     got = mu == INFINITE_RANK or _common_component_through_origin(Fr, Gr)
     assert got == expected, (F, G, g)
@@ -407,9 +409,9 @@ def _counting_base_entries(monkeypatch):
     calls = []
     inner = intersect_mod._newton
 
-    def counted(polygon, B, q):
-        calls.append((polygon, B, q))
-        return inner(polygon, B, q)
+    def counted(stage, q):
+        calls.append((stage, q))
+        return inner(stage, q)
 
     monkeypatch.setattr(intersect_mod, "_newton", counted)
     return calls
@@ -554,8 +556,8 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
     monkeypatch.setattr(intersect_mod, "_gcd", refuse)
     monkeypatch.setattr(intersect_mod, "_local", refuse)
     F, G = _scaled(_int_rows(P(f)), q), _scaled(_int_rows(P(g)), q)
-    assert _newton(_newton_polygon(F), G, 1) == INFINITE_RANK
-    assert _newton(_newton_polygon(G), F, 1) == INFINITE_RANK
+    assert _newton(_newton_stage(_newton_polygon(F), G), 1) == INFINITE_RANK
+    assert _newton(_newton_stage(_newton_polygon(G), F), 1) == INFINITE_RANK
 
 
 def _in_child(limit: str, value: int, code: str) -> str:
@@ -639,6 +641,37 @@ def test_the_cusp_against_the_node_stays_within_a_cpu_limit():
     assert payload["mixed"][3][12] == 108  # grade 3, root depths (0, 3): entry (3, 0)
 
 
+_INF = "inf"
+
+
+@pytest.mark.parametrize("f,g,p,grades,row", [
+    # G = F * (F + x^7), a tangent pair: the Newton stage certifies no
+    # entry, and the untruncated loop took 187 s on entry (0, 4) and 44 s
+    # on (4, 0); it agrees with these values through grade 3
+    ("y-x-x^2", "y^2-2*x*y-2*x^2*y+x^2+2*x^3+x^4+x^7*y-x^8-x^9", 2, 4,
+     [_INF, 6, 10, 18, 34, 6, _INF, 24, 40, 72, 10, 24, _INF, 96, 160,
+      18, 40, 96, _INF, 384, 34, 72, 160, 384, _INF]),
+    # (y + x^2)(y^2 - x^2 - x^3) against itself: the untruncated loop took
+    # about 10 s on entry (0, 2); Noether's formula over the blow-ups gives
+    # 22, 42 and 82 for (0, 1) to (0, 3) too
+    ("y^3-x^2*y-x^3*y+x^2*y^2-x^4-x^5", "y^3-x^2*y-x^3*y+x^2*y^2-x^4-x^5", 2, 3,
+     [_INF, 22, 42, 82, 22, _INF, 88, 168, 42, 88, _INF, 352, 82, 168, 352, _INF]),
+    # a 3-term curve against itself: the untruncated loop gives the same
+    # 17, 47 and 137 in about 3.5 s
+    ("y^3-x^2+x*y", "y^3-x^2+x*y", 3, 3,
+     [_INF, 17, 47, 137, 17, _INF, 153, 423, 47, 153, _INF, 1377, 137, 423, 1377, _INF]),
+], ids=["tangent-pair", "self-pair-p2", "self-pair-p3"])
+def test_undecided_base_entries_stay_within_a_cpu_limit(f, g, p, grades, row):
+    # the base entries the Newton stage leaves undecided run the loop
+    # truncated at the Bezout bound; the child caps its own CPU time at 10 s.
+    # Grade i flattens (a, b) at s * (i + 1) + t, s = i - a and t = i - b, so
+    # entry (0, d) of the last grade sits at d and (d, 0) at d * (i + 1)
+    payload = _mult_in_child("RLIMIT_CPU", 10,
+                             ["--f", f, "--g", g, "--p", str(p), "--grades", str(grades)])
+    assert payload["diagonal"] == [_INF] * (grades + 1)
+    assert payload["mixed"][grades] == row
+
+
 _CERT_COEFF = st.sampled_from([1, -1, 2, -3, _ELL, -_ELL, _ELL + 1, 2 * _ELL - 3])
 _CERT_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _CERT_COEFF),
                        min_size=1, max_size=4)
@@ -718,7 +751,7 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
         A0, C0, qa = H * A0, H * C0, q
     assume(not (A0.is_zero or C0.is_zero))
     A, C = _scaled(_int_rows(A0), qa), _int_rows(C0)
-    mu = _newton(_newton_polygon(A), C, q)
+    mu = _newton(_newton_stage(_newton_polygon(A), C), q)
     if h is not None and not H.is_zero and H.constant_term() == 0:
         # a shared factor through the origin is never certified finite
         assert mu is None or mu == INFINITE_RANK
@@ -730,7 +763,7 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
         assert fulton_multiplicity(_rows_poly(A), _rows_poly(B)) == INFINITE_RANK
         return
     assert not _common_component_through_origin(_scaled(A, 1), _scaled(B, 1))
-    assert _mu(_scaled(A, 1), _scaled(B, 1)) == mu
+    assert fulton_loop(_scaled(A, 1), _scaled(B, 1)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
         assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
 
@@ -769,11 +802,59 @@ def test_local_multiplicity_matches_the_fulton_loop(a, b, q, shared, unit, swap)
     assert local_multiplicity(F, G) == fulton_multiplicity(F, G), (F, G)
 
 
+# (T, n, m, h): a curve T through the origin with one edge of inner normal
+# w = (n, m) and weight h, whose edge polynomial has the root 1 or -1; adding
+# terms of w-weight above h keeps the edge and its polynomial, and rooting
+# keeps a root in common, so the Newton stage leaves most of these pairs to
+# the loop
+_TANGENTS = [("y - x", 1, 1, 1), ("y + x", 1, 1, 1), ("y - x^2", 2, 1, 2),
+             ("y^2 - x^3", 2, 3, 6), ("y^2 - x^2", 1, 1, 2)]
+
+
+@st.composite
+def _tangent_pair(draw):
+    """Two curves T + higher terms with a common tangent T, one side rooted
+    q times."""
+    text, n, m, h = draw(st.sampled_from(_TANGENTS))
+    higher = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
+                                st.sampled_from([1, -1, 2, -3])), max_size=3)
+    A, B = (P(text) + _poly([(i, j, c) for i, j, c in draw(higher) if n * i + m * j > h])
+            for _ in range(2))
+    assume(not (A.is_zero or B.is_zero))
+    B = _rows_poly(_scaled(_int_rows(B), draw(st.sampled_from([1, 2, 3, 4]))))
+    return (B, A) if draw(st.booleans()) else (A, B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tangent_pair())
+def test_local_multiplicity_matches_the_untruncated_loop_on_tangent_pairs(pair):
+    # the Bezout truncation of the loop changes no answer
+    F, G = pair
+    assert local_multiplicity(F, G) == fulton_multiplicity(F, G), (F, G)
+
+
+@st.composite
+def _pair_sharing_a_curve_off_the_origin(draw):
+    A, B = _poly(draw(_PIPELINE_TERMS)), _poly(draw(_PIPELINE_TERMS))
+    assume(not (A.is_zero or B.is_zero))
+    H = P(draw(st.sampled_from(["1", "x + 1", "y - x^2 + 1", "1 - x*y"])))
+    return H * A, H * _rows_poly(_scaled(_int_rows(B), draw(st.sampled_from([1, 2, 3]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tangent_pair() | _pair_sharing_a_curve_off_the_origin())
+def test_a_finite_multiplicity_is_at_most_the_bezout_bound(pair):
+    # the loop may drop every term past the bound only because mu never exceeds it
+    F, G = pair
+    mu = fulton_multiplicity(F, G)
+    assert mu == INFINITE_RANK or mu <= _bezout_bound(_int_rows(F), _int_rows(G)), (F, G)
+
+
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
     A = _int_rows(_poly([(0, 1, _ELL), (1, 0, -1)]))  # _ELL*y - x
     polygon = _newton_polygon(A)
     assert polygon == (0, 0, [(1, 1, 1, None)])
-    assert _newton(polygon, _int_rows(P("y + x")), 1) is None
+    assert _newton(_newton_stage(polygon, _int_rows(P("y + x"))), 1) is None
     assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
 
 
@@ -785,8 +866,8 @@ def test_the_newton_stage_answers_a_unit_at_once():
                  ([(0, 1, 1), (1, 0, -1)], [(0, 0, _ELL), (1, 0, 1)])]:  # y - x, _ELL + x
         F, G = _poly(f), _poly(g)
         Fr, Gr = _int_rows(F), _int_rows(G)
-        assert _newton(_newton_polygon(Fr), Gr, 1) == 0
-        assert _newton(_newton_polygon(Gr), Fr, 1) == 0
+        assert _newton(_newton_stage(_newton_polygon(Fr), Gr), 1) == 0
+        assert _newton(_newton_stage(_newton_polygon(Gr), Fr), 1) == 0
         assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == 0 == \
             quotient_dim_oracle(F, G)
 
@@ -821,7 +902,7 @@ def _newton_failures(polygon_of) -> list:
     from polygon_of, leaves uncertified or answers differently."""
     failures = []
     for f, g, q, mu in _NEWTON_CASES:
-        if _newton(polygon_of(_int_rows(P(f))), _int_rows(P(g)), q) != mu:
+        if _newton(_newton_stage(polygon_of(_int_rows(P(f))), _int_rows(P(g))), q) != mu:
             failures.append((f, g, q))
     return failures
 

@@ -81,8 +81,8 @@ def test_replay_counts_the_work_of_every_benchmark_request():
         {**_NO_WORK, "braided._mul": 4412, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
          "intersect._coprime_mod_ell": 65, "intersect._gcd": 5,
-         "intersect._gcd_degree_mod_ell": 866, "intersect._local": 65, "intersect._mu": 61,
-         "intersect._newton": 1752, "intersect._reduce": 649,
+         "intersect._gcd_degree_mod_ell": 265, "intersect._local": 65, "intersect._mu": 61,
+         "intersect._newton": 1752, "intersect._reduce": 587,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
     ]
 
