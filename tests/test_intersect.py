@@ -652,8 +652,9 @@ _INF = "inf"
      [_INF, 6, 10, 18, 34, 6, _INF, 24, 40, 72, 10, 24, _INF, 96, 160,
       18, 40, 96, _INF, 384, 34, 72, 160, 384, _INF]),
     # (y + x^2)(y^2 - x^2 - x^3) against itself: the untruncated loop took
-    # about 10 s on entry (0, 2); Noether's formula over the blow-ups gives
-    # 22, 42 and 82 for (0, 1) to (0, 3) too
+    # about 10 s on entry (0, 2) and did not finish this request in 400 s;
+    # Noether's formula over the blow-ups gives 22, 42 and 82 for (0, 1) to
+    # (0, 3) too
     ("y^3-x^2*y-x^3*y+x^2*y^2-x^4-x^5", "y^3-x^2*y-x^3*y+x^2*y^2-x^4-x^5", 2, 3,
      [_INF, 22, 42, 82, 22, _INF, 88, 168, 42, 88, _INF, 352, 82, 168, 352, _INF]),
     # a 3-term curve against itself: the untruncated loop gives the same
@@ -856,6 +857,22 @@ def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing
     assert polygon == (0, 0, [(1, 1, 1, None)])
     assert _newton(_newton_stage(polygon, _int_rows(P("y + x"))), 1) is None
     assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
+
+
+def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeypatch):
+    # the edge polynomial of y - _ELL*x is y modulo _ELL: it is coprime to
+    # the initial form 1 of x + y^2 at every q, and to the initial form y**q
+    # of y + x^2 at none, and neither needs a gcd in F_ell[y]
+    def refuse(f, g):
+        raise AssertionError("a Euclid ran")
+
+    monkeypatch.setattr(intersect_mod, "_gcd_degree_mod_ell", refuse)
+    A = _int_rows(_poly([(0, 1, 1), (1, 0, -_ELL)]))
+    coprime = _newton_stage(_newton_polygon(A), _int_rows(P("x + y^2")))
+    assert coprime == (1, [])
+    assert [_newton(coprime, q) for q in (1, 4, 2**61 - 1)] == [1, 4, 2**61 - 1]
+    sharing_y = _newton_stage(_newton_polygon(A), _int_rows(P("y + x^2")))
+    assert sharing_y is None and _newton(sharing_y, 4) is None
 
 
 def test_the_newton_stage_answers_a_unit_at_once():
