@@ -8,41 +8,27 @@ G(x, 0) at x = 0 (mu(x, G) that of G(0, y)).  Powers of x dividing either
 curve are split off once, before the loop, and powers of y inside it.
 
 Each curve is converted once, by _int_rows, into integer rows by y-degree,
-y-exponent -> {x-exponent -> nonzero int}; the gcd below and the loop both
-read these rows, so G(x, 0) is the row of key 0 and dividing out y**k shifts
-the row keys.  A step kills the top term of the longer of F(x, 0), G(x, 0):
-with leading coefficients a of F(x, 0) (degree r) and b of G(x, 0)
-(degree s >= r) and g = gcd(a, b), G becomes (a/g)*G - (b/g)*x**(s-r)*F,
-and its integer content is divided out.
+y-exponent -> {x-exponent -> nonzero int}, so G(x, 0) is the row of key 0
+and dividing out y**k shifts the row keys.  A step kills the top term of the
+longer of F(x, 0), G(x, 0): with leading coefficients a of F(x, 0) (degree
+r) and b of G(x, 0) (degree s >= r) and g = gcd(a, b), G becomes
+(a/g)*G - (b/g)*x**(s-r)*F, and its integer content is divided out.
 
-The loop runs modulo a power of the maximal ideal m.  Once the pair is known
-to share no component through the origin, its multiplicity is at most the
-Bezout bound N = min(degF * degG, dx(F) * dy(G) + dy(F) * dx(G)), the
-intersection numbers of the curves' closures in P**2 and in P**1 x P**1 (deg
-the total degree, dx and dy the largest x- and y-exponents).  With acc the
-multiplicity split off so far, m**(N - acc) lies in the ideal of the pair
-left, and by Nakayama no term of total degree above N - acc changes that
-ideal; the loop drops them all, so a curve keeps at most (N + 1)(N + 2)/2
-terms.  The step budget _FUEL still guards the loop.
-
-A common component through the origin makes the answer infinite; it is
-decided before the loop, so the loop never meets one.  An axis, x or y
-dividing both curves, is such a component, and the Newton stage below
-decides it.  A factor of positive y-degree is ruled out by a certificate
-when it can be: at the first x0 of a few small points where one y-leading
-coefficient, of either curve, does not vanish modulo the prime
-l = 2**61 - 1, F(x0, y) and G(x0, y) are tested for coprimality in F_l[y],
-as sparse maps y-exponent -> value.  Each Euclid step reduces one side
-modulo the other: a term y**e of at least twice the other's degree by
-square-and-multiply, the rest by long division, so a curve rooted q times
-costs O(log q) products, not q steps.  A common factor H, primitive in
-Z[x][y], divides both images.  Say lc_y(F)(x0) is nonzero modulo l: H
-divides F in Z[x][y], so lc_y(H)(x0) divides it and is nonzero too, and
-H(x0, y) keeps the y-degree of H while it divides both images, even an
-image that is zero.  Coprime images therefore exclude H, with no
-probability argument.  Otherwise the gcd is computed exactly, with a
-primitive remainder sequence over Z.  A curve not through the origin needs
-no test here: the Newton stage answers 0 for it at once.
+The loop runs modulo a power of the maximal ideal m.  A finite multiplicity
+is at most the Bezout bound N = min(degF * degG, dx(F) * dy(G) + dy(F) *
+dx(G)), the intersection numbers of the curves' closures in P**2 and in
+P**1 x P**1 (deg the total degree, dx and dy the largest x- and
+y-exponents).  Dropping every term of total degree above t keeps a
+multiplicity at most t, and keeps one above t above t (Nakayama).  Each
+rule above holds with an infinite side too, so with acc the multiplicity
+split off so far, mu <= N exactly when the pair left has mu at most N - acc,
+and then mu is acc plus that.  The loop keeps no term above N - acc, so a
+curve holds at most (N + 1)(N + 2)/2 terms, and a shared component through
+the origin ends it in one of three infinite exits: a curve becomes zero,
+acc passes N and the truncation empties both, or y divides both curves.
+No test for a shared component runs first.  Between two y-power splits a
+step lowers deg F(x, 0) + deg G(x, 0) <= 2(N - acc), and a split raises
+acc, so the loop takes at most (N + 1)(2N + 1) steps; _FUEL still caps it.
 
 p-th roots of a curve are taken by variable rescaling,
 F -> F(X**(1/p), Y**(1/p)), never by binomial expansion; every grade-i
@@ -88,9 +74,13 @@ B meets it with order h_B(w) times its ramification unless B_w vanishes
 there.  For B rooted q times, h_B(w) is q * h_G(w) and B_w(1, y) is
 G_w(1, y**q), so the answer is q times a grade-0 number and only the
 certificate depends on q: a gcd of degree 0 in F_l[y] of P_e and
-G_w(1, y**q), with the leading coefficient of P_e nonzero modulo l, by the
-Euclid above.  So the stage is read once per curve pair, each curve's
-polygon against the other curve, and only the certificate runs per q.
+G_w(1, y**q), with the leading coefficient of P_e nonzero modulo the prime
+l = 2**61 - 1, as sparse maps y-exponent -> value.  Each Euclid step
+reduces one side modulo the other: a term y**e of at least twice the other's
+degree by square-and-multiply, the rest by long division, so the rooting
+costs O(log q) products, not q steps.  So the stage is read once per curve
+pair, each curve's polygon against the other curve, and only the
+certificate runs per q.
 Write G_w(1, y) = y**low * R(y) with R(0) != 0: y**(q * low) is coprime to
 P_e for every q or for none, by low = 0 or P_e(0) != 0, and a constant R
 is coprime to P_e, so an edge whose initial form has one term is decided
@@ -102,7 +92,7 @@ one is missing exactly when x, or y, divides both curves, and that shared
 axis makes the entry infinite.  A unit A has a polygon without edges and
 a unit B a constant term, so either gives 0 before any certificate, however
 deeply the other is rooted.  When an edge does not certify, the entry goes
-to the shared-component check and the loop, unchanged.
+to the loop, unchanged.
 local_multiplicity is the base entry of two curves neither of which is
 rooted, and runs the same stages.
 """
@@ -192,19 +182,16 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict, top: int) -> None:
 
 
 def _mu(A: dict, B: dict, N: int):
-    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows,
-    given a bound N >= mu(A, B).
-
-    A and B must share no component through the origin: the caller has
-    ruled out a shared axis (the Newton stage, through _base_entry) and
-    _local any other shared component.  x and y then never both divide the
-    current pair, and mu is finite.  A and B are consumed: the loop rewrites
-    their rows in place.  Past _FUEL steps it raises FuelExhausted.
+    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows
+    that share no axis, given N >= mu(A, B) when mu is finite.
 
     No term of total degree above N - acc is kept, acc the multiplicity
-    split off so far (module docstring): both curves are truncated after the
-    x-power split and after every y-power split, so that _reduce, which
-    forms no product term past the bound, finds none in either curve.
+    split off so far: both curves are truncated after the x-power split and
+    after every y-power split, and _reduce forms no product term past the
+    bound.  The original mu <= N exactly when the pair left has mu at most
+    N - acc, so an infinite mu ends in an exit below that returns
+    INFINITE_RANK (module docstring).  A and B are consumed.  It takes at
+    most (N + 1)(2N + 1) steps; past _FUEL it raises FuelExhausted.
     """
     acc = 0  # multiplicity of the x- and y-powers divided out so far
     # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B); then the same for B
@@ -221,12 +208,15 @@ def _mu(A: dict, B: dict, N: int):
         steps += 1
         if steps > _FUEL:
             raise FuelExhausted(
-                f"multiplicity recursion exceeded its step budget of {_FUEL} steps")
+                f"multiplicity recursion exceeded its step budget of {_FUEL} steps"
+                f" (Bezout bound N = {N}, step bound (N + 1)(2N + 1) = {(N + 1) * (2 * N + 1)})")
         a0, b0 = A.get(0), B.get(0)  # A(x,0), B(x,0): None when y divides
         if (a0 and 0 in a0) or (b0 and 0 in b0):
             return acc
         if not A or not B:
             return INFINITE_RANK  # ideal collapsed to one nonunit generator
+        if a0 is None and b0 is None:
+            return INFINITE_RANK  # y divides both: the pair left has mu > N - acc
         if a0 is None:
             # A = y**k * A1: mu = k * ord_x B(x,0) + mu(A1, B)
             k = min(A)
@@ -247,96 +237,9 @@ def _mu(A: dict, B: dict, N: int):
         _truncate(B, N - acc)
 
 
-# -- common component detection: primitive remainder sequence over Z -------------
-
-# Z[x] polynomials are dicts exponent -> nonzero int; Z[x][y] polynomials are
-# dicts y-exponent -> nonzero Z[x] polynomial, the rows of _int_rows.
-
-
-def _mul(a, b):
-    """a * b in Z or Z[x]."""
-    if isinstance(a, int):
-        return a * b
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _sub(a: dict, b: dict) -> dict:
-    """a - b in Z[x] or Z[x][y]."""
-    out = dict(a)
-    for e, c in b.items():
-        if isinstance(c, dict):
-            out[e] = _sub(out.get(e, {}), c)
-        else:
-            out[e] = out.get(e, 0) - c
-    return {e: c for e, c in out.items() if c}
-
-
-def _divide(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a / b in Z[x] for b dividing a."""
-    db = max(b)
-    q: dict[int, int] = {}
-    while a:
-        da = max(a)
-        c, r = divmod(a[da], b[db])
-        if r or da < db:
-            raise ArithmeticError("division is not exact")
-        q[da - db] = c
-        a = _sub(a, {e + da - db: c * v for e, v in b.items()})
-    return q
-
-
-def _prem(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of a by b, polynomials in one variable over Z or Z[x]."""
-    db = max(b)
-    lb = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        la = a[da]
-        a = _sub({e: _mul(c, lb) for e, c in a.items()},
-                 {e + da - db: _mul(c, la) for e, c in b.items()})
-    return a
-
-
-def _primitive(f: dict) -> dict:
-    """f divided by its content, the gcd of its coefficients: math.gcd over Z;
-    over Z[x] a fold of _gcd that stops once the gcd is a constant."""
-    if not f:
-        return f
-    coeffs = list(f.values())
-    if isinstance(coeffs[0], int):
-        g = gcd(*coeffs)
-        return {e: c // g for e, c in f.items()}
-    cont = _primitive(coeffs[0])
-    for c in coeffs[1:]:
-        if max(cont) == 0:
-            break
-        cont = _gcd(cont, c)
-    return {e: _divide(c, cont) for e, c in f.items()}
-
-
-def _gcd(a: dict, b: dict) -> dict:
-    """gcd of the primitive parts of a and b, polynomials in one variable over Z
-    or Z[x], up to sign: the last nonzero primitive remainder."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
-
-
-# -- coprimality certificate: one evaluation modulo a prime ----------------------
+# -- Euclids in F_ell[y]: the Newton stage's certificate ------------------------
 
 _ELL = (1 << 61) - 1  # a Mersenne prime
-_CERT_POINTS = (3, 5, 7)
-
-
-def _at_mod_ell(f: dict, x0: int) -> dict[int, int]:
-    """f(x0, y) modulo _ELL as y-exponent -> nonzero value."""
-    return {b: v for b, row in f.items()
-            if (v := sum(c * pow(x0, a, _ELL) for a, c in row.items()) % _ELL)}
 
 
 def _rem_mod_ell(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
@@ -375,10 +278,10 @@ def _y_power_mod(e: int, g: dict[int, int]) -> dict[int, int]:
 
 def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
     """Degree of gcd(f, g) in F_ell[y]; f and g maps y-exponent -> nonzero
-    value, as _at_mod_ell gives them, at most one of them empty (zero).
-    Each Euclid step reduces f modulo g: a term y**e of degree e >= 2 * deg g
-    by _y_power_mod, the rest by one long division, so a sparse image of
-    degree p**d costs O(d log p) products, not p**d steps."""
+    value, at most one of them empty (zero).  Each Euclid step reduces f
+    modulo g: a term y**e of degree e >= 2 * deg g by _y_power_mod, the rest
+    by one long division, so a sparse image of degree p**d costs O(d log p)
+    products, not p**d steps."""
     while g:
         dg, low = max(g), {}
         for e, c in f.items():
@@ -386,36 +289,6 @@ def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
                 low[t] = (low.get(t, 0) + c * v) % _ELL
         f, g = g, _rem_mod_ell({t: v for t, v in low.items() if v}, g)
     return max(f)
-
-
-def _coprime_mod_ell(F: dict, G: dict) -> bool:
-    """True certifies that F and G (arranged by y-degree) share no factor of
-    positive y-degree; False decides nothing.
-
-    At the first x0 of _CERT_POINTS where the y-leading coefficient of F or
-    of G does not vanish modulo _ELL, F(x0, y) and G(x0, y) are tested for
-    coprimality in F_ell[y]; one side suffices (module docstring).
-    """
-    for x0 in _CERT_POINTS:
-        f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
-        if max(F) in f or max(G) in g:
-            return _gcd_degree_mod_ell(f, g) == 0
-    return False
-
-
-def _common_component_through_origin(F: dict, G: dict) -> bool:
-    """True iff gcd(F, G) in Q[x, y] is nonconstant and vanishes at the origin.
-
-    F and G are integer rows (_int_rows) that share no axis: neither x nor y
-    divides both, as the Newton stage has checked.  gcd(F, G) is the gcd
-    c(x) of their y-contents times the gcd g of their primitive parts in y;
-    c(0) = 0 only when x divides both, so the gcd vanishes at the origin
-    exactly when g(0, 0) = 0.  g is 1 when the certificate holds; otherwise
-    the remainder sequence computes it.
-    """
-    if _coprime_mod_ell(F, G):
-        return False
-    return 0 not in _gcd(F, G).get(0, {})
 
 
 def _bezout_bound(F: dict, G: dict) -> int:
@@ -436,10 +309,7 @@ def _bezout_bound(F: dict, G: dict) -> int:
 
 def _local(Fr: dict, Gr: dict):
     """The multiplicity of two curves in integer rows (_int_rows) that share
-    no axis, by the shared-component check and then the loop, truncated at
-    the Bezout bound; consumes them."""
-    if _common_component_through_origin(Fr, Gr):
-        return INFINITE_RANK
+    no axis, by the loop truncated at the Bezout bound; consumes them."""
     return _mu(Fr, Gr, _bezout_bound(Fr, Gr))
 
 
@@ -552,8 +422,7 @@ def _base_entry(Fr: dict, Gr: dict, stage, qF: int, qG: int):
     """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G in integer
     rows (_int_rows), qF or qG being 1, and stage the Newton stage
     (_newton_stage) of the curve not rooted against the other (F's against
-    G when neither is): the Newton stage, else the shared-component check
-    and the loop on fresh rows."""
+    G when neither is): the Newton stage, else the loop on fresh rows."""
     mu = _newton(stage, max(qF, qG))
     return _local(_scaled(Fr, qF), _scaled(Gr, qG)) if mu is None else mu
 

@@ -222,13 +222,108 @@ def fulton_loop(A: dict, B: dict):
     raise FuelExhausted(f"the Fulton loop exceeded {_FULTON_FUEL} steps")
 
 
+# Z[x] polynomials are dicts exponent -> nonzero int; Z[x][y] polynomials are
+# dicts y-exponent -> nonzero Z[x] polynomial, the rows of intersect._int_rows.
+
+
+def _zx_mul(a, b):
+    """a * b in Z or Z[x]."""
+    if isinstance(a, int):
+        return a * b
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _zx_sub(a: dict, b: dict) -> dict:
+    """a - b in Z[x] or Z[x][y]."""
+    out = dict(a)
+    for e, c in b.items():
+        if isinstance(c, dict):
+            out[e] = _zx_sub(out.get(e, {}), c)
+        else:
+            out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _zx_divide(a: dict, b: dict) -> dict:
+    """a / b in Z[x] for b dividing a."""
+    db = max(b)
+    q: dict[int, int] = {}
+    while a:
+        da = max(a)
+        c, r = divmod(a[da], b[db])
+        if r or da < db:
+            raise ArithmeticError("division is not exact")
+        q[da - db] = c
+        a = _zx_sub(a, {e + da - db: c * v for e, v in b.items()})
+    return q
+
+
+def _prem(a: dict, b: dict) -> dict:
+    """Pseudo-remainder of a by b, polynomials in one variable over Z or Z[x]."""
+    db = max(b)
+    lb = b[db]
+    while a and max(a) >= db:
+        da = max(a)
+        la = a[da]
+        a = _zx_sub({e: _zx_mul(c, lb) for e, c in a.items()},
+                    {e + da - db: _zx_mul(c, la) for e, c in b.items()})
+    return a
+
+
+def _primitive(f: dict) -> dict:
+    """f divided by its content, the gcd of its coefficients: math.gcd over Z;
+    over Z[x] a fold of remainder_gcd that stops once the gcd is a constant."""
+    if not f:
+        return f
+    coeffs = list(f.values())
+    if isinstance(coeffs[0], int):
+        g = gcd(*coeffs)
+        return {e: c // g for e, c in f.items()}
+    cont = _primitive(coeffs[0])
+    for c in coeffs[1:]:
+        if max(cont) == 0:
+            break
+        cont = remainder_gcd(cont, c)
+    return {e: _zx_divide(c, cont) for e, c in f.items()}
+
+
+def remainder_gcd(a: dict, b: dict) -> dict:
+    """gcd of the primitive parts of a and b, polynomials in one variable over Z
+    or Z[x], up to sign: the last nonzero primitive remainder.  This is the
+    remainder sequence intersect ran before its truncated loop decided
+    shared components."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def shares_a_component_through_origin(Fr: dict, Gr: dict) -> bool:
+    """Whether gcd(F, G) in Q[x, y] is nonconstant and vanishes at the
+    origin, for curves in integer rows (intersect._int_rows): a shared axis,
+    or else a gcd of the primitive parts in y through the origin (the gcd
+    c(x) of the y-contents has c(0) = 0 only when x divides both).  That gcd
+    is 1 when dense_coprime_mod_ell certifies it at x0 = 3, 5 or 7 modulo
+    2**61 - 1, and remainder_gcd otherwise: alone, it takes seconds on
+    coprime curves rooted a few times."""
+    if shares_an_axis(Fr, Gr):
+        return True
+    if dense_coprime_mod_ell(Fr, Gr, (3, 5, 7), (1 << 61) - 1):
+        return False
+    return 0 not in remainder_gcd(Fr, Gr).get(0, {})
+
+
 def fulton_multiplicity(F, G):
     """local_multiplicity without the Newton stage and without the Bezout
-    truncation: a shared axis is a shared component through the origin,
-    another one is decided by intersect._common_component_through_origin,
-    and otherwise fulton_loop runs on the rows of intersect._int_rows."""
+    truncation: a shared component through the origin is decided by
+    shares_a_component_through_origin, and otherwise fulton_loop runs on the
+    rows of intersect._int_rows."""
     Fr, Gr = intersect._int_rows(F), intersect._int_rows(G)
-    if shares_an_axis(Fr, Gr) or intersect._common_component_through_origin(Fr, Gr):
+    if shares_a_component_through_origin(Fr, Gr):
         return INFINITE_RANK
     return fulton_loop(Fr, Gr)
 
@@ -545,8 +640,8 @@ def is_prime_by_trial_division(p: int) -> bool:
 
 
 def dense_at_mod_ell(f: dict, x0: int, ell: int) -> list[int]:
-    """intersect._at_mod_ell as it was before sparse maps: f(x0, y) modulo
-    ell as a coefficient list, lowest y-degree first."""
+    """f(x0, y) modulo ell as a coefficient list, lowest y-degree first, for
+    f in integer rows (intersect._int_rows)."""
     out = [0] * (max(f) + 1)
     for b, row in f.items():
         out[b] = sum(c * pow(x0, a, ell) for a, c in row.items()) % ell
@@ -572,10 +667,14 @@ def dense_gcd_degree_mod_ell(f: list[int], g: list[int], ell: int) -> int:
 
 
 def dense_coprime_mod_ell(F: dict, G: dict, points, ell: int) -> bool:
-    """intersect._coprime_mod_ell on coefficient lists: at the first x0 of
-    points where the y-leading coefficient of F or of G does not vanish
-    modulo ell, whether F(x0, y) and G(x0, y), with their vanishing leading
-    entries dropped, are coprime in F_ell[y]."""
+    """True certifies that curves F and G in integer rows share no factor of
+    positive y-degree; False decides nothing.  At the first x0 of points
+    where the y-leading coefficient of F or of G does not vanish modulo the
+    prime ell, F(x0, y) and G(x0, y), their vanishing leading entries
+    dropped, are tested for coprimality in F_ell[y] on coefficient lists.
+    A common factor H, primitive in Z[x][y], divides both images and keeps
+    its y-degree at x0, since lc_y(H)(x0) divides the leading coefficient
+    that survives."""
     for x0 in points:
         f, g = dense_at_mod_ell(F, x0, ell), dense_at_mod_ell(G, x0, ell)
         if f[-1] or g[-1]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,7 @@ from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
                      dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
                      dense_truncated_quotient_dim, fulton_loop, fulton_multiplicity,
                      mixed_by_depth_brute, monomial_staircase_by_loop, rooted_texts,
-                     shares_an_axis)
+                     shares_a_component_through_origin, shares_an_axis)
 
 import perfproj.braided as braided_mod
 import perfproj.intersect as intersect_mod
@@ -31,12 +32,8 @@ from perfproj import (
 )
 from perfproj.cli import run
 from perfproj.intersect import (
-    _CERT_POINTS,
     _ELL,
-    _at_mod_ell,
     _bezout_bound,
-    _common_component_through_origin,
-    _coprime_mod_ell,
     _gcd_degree_mod_ell,
     _int_rows,
     _newton,
@@ -108,20 +105,15 @@ def test_common_component_matches_sympy_gcd(h, h_const, a, b, a_y_free, b_y_free
     F = sympy.expand(F.subs(x, x**q))  # x -> x^q on one side
     assume(F != 0 and G != 0)
 
-    def rows(e):
-        return _int_rows(_poly((i, j, Fraction(int(c.p), int(c.q)))
-                               for (i, j), c in sympy.Poly(e, x, y).terms()))
+    def curve(e):
+        return _poly((i, j, Fraction(int(c.p), int(c.q)))
+                     for (i, j), c in sympy.Poly(e, x, y).terms())
 
     g = sympy.gcd(F, G)
     expected = sympy.Poly(g, x, y).total_degree() >= 1 and g.subs({x: 0, y: 0}) == 0
-    # the pipeline's decision: the Newton stage's inf on a shared axis, and
-    # the shared-component check otherwise
-    Fr, Gr = rows(F), rows(G)
-    mu = _newton(_newton_stage(_newton_polygon(Fr), Gr), 1)
-    assert (mu == INFINITE_RANK) == shares_an_axis(Fr, Gr)
-    got = mu == INFINITE_RANK or _common_component_through_origin(Fr, Gr)
-    assert got == expected, (F, G, g)
-    assert mu is None or (mu == INFINITE_RANK) == expected  # a Newton answer agrees
+    # the pipeline: the Newton stage's inf on a shared axis, the truncated
+    # loop's on any other shared component through the origin
+    assert (local_multiplicity(curve(F), curve(G)) == INFINITE_RANK) == expected, (F, G, g)
 
 
 def test_local_multiplicity_rejects_bad_input():
@@ -492,39 +484,48 @@ def _poly(terms):
     return FracPoly(2, 2, [((PAdicFrac(a, 0, 2), PAdicFrac(b, 0, 2)), c) for a, b, c in terms])
 
 
+# the reference's certificate of coprimality: dense_coprime_mod_ell at these
+# points modulo _ELL, ahead of its remainder sequence over Z
+_CERT_POINTS = (3, 5, 7)
+
+
+def _certified_coprime(F: dict, G: dict) -> bool:
+    return dense_coprime_mod_ell(F, G, _CERT_POINTS, _ELL)
+
+
 @settings(max_examples=150, deadline=None)
 @given(h=_TERMS, a=_TERMS, b=_TERMS)
 def test_certificate_never_holds_on_a_shared_factor(h, a, b):
     H, A, B = _poly(h), _poly(a), _poly(b)
     assume(not (H.is_zero or A.is_zero or B.is_zero))
     assume(max(e[1].num for e in (m.exps for m in H.terms())) >= 1)  # deg_y H >= 1
-    assert not _coprime_mod_ell(_int_rows(H * A), _int_rows(H * B))
+    assert not _certified_coprime(_int_rows(H * A), _int_rows(H * B))
 
 
 def test_certificate_falls_back_when_every_point_is_bad():
     H = P("x^3*y - 15*x^2*y + 71*x*y - 105*y + x")  # (x-3)(x-5)(x-7)*y + x
-    assert all(x0 in (3, 5, 7) for x0 in _CERT_POINTS)
     lead = _int_rows(H)[1]
     assert all(sum(c * x0**e for e, c in lead.items()) % _ELL == 0 for x0 in _CERT_POINTS)
-    # a shared factor: the remainder sequence finds it
+    # a shared factor: the remainder sequence finds it, and so does the loop
     F, G = _int_rows(H * P("y + 1")), _int_rows(H * P("x + y"))
-    assert not _coprime_mod_ell(F, G)
-    assert _common_component_through_origin(F, G)
+    assert not _certified_coprime(F, G)
+    assert shares_a_component_through_origin(F, G)
+    assert local_multiplicity(H * P("y + 1"), H * P("x + y")) == INFINITE_RANK
     # coprime, but neither leading coefficient survives at any point: the
     # remainder sequence decides
     partner = H - P("2*x")
     F, G = _int_rows(H), _int_rows(partner)
-    assert not _coprime_mod_ell(F, G)
-    assert not _common_component_through_origin(F, G)
+    assert not _certified_coprime(F, G)
+    assert not shares_a_component_through_origin(F, G)
     assert local_multiplicity(H, partner) == fulton_multiplicity(H, partner) == \
         quotient_dim_oracle(H, partner)
     # one leading coefficient that survives is enough
-    assert _coprime_mod_ell(_int_rows(H), _int_rows(P("y - x^2")))
+    assert _certified_coprime(_int_rows(H), _int_rows(P("y - x^2")))
 
 
 def test_certificate_holds_on_coprime_curves():
     for f, g in [("y^2 - x^3", "y - x^2"), ("y^3 - x^2 + x*y", "x"), ("x*y + 1", "y")]:
-        assert _coprime_mod_ell(_int_rows(P(f)), _int_rows(P(g)))
+        assert _certified_coprime(_int_rows(P(f)), _int_rows(P(g)))
 
 
 def test_step_budget_names_its_numbers(monkeypatch):
@@ -532,8 +533,8 @@ def test_step_budget_names_its_numbers(monkeypatch):
     # leaves base entry (0, 0) to the loop
     monkeypatch.setattr(intersect_mod, "_FUEL", 2)
     argv = ["--f", "y-x-x^2", "--g", "y-x", "--p", "3", "--grades", "1"]
-    message = ("multiplicity recursion exceeded its step budget of 2 steps "
-               "at base entry (s, t) = (0, 0)")
+    message = ("multiplicity recursion exceeded its step budget of 2 steps (Bezout bound "
+               "N = 2, step bound (N + 1)(2N + 1) = 15) at base entry (s, t) = (0, 0)")
     code, out, err = _mult(argv + ["--json"])
     assert code == 2
     assert json.loads(out) == {"error": {"category": "computation", "message": message}}
@@ -551,9 +552,8 @@ def test_step_budget_names_its_numbers(monkeypatch):
 ])
 def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch, f, g, q):
     def refuse(a, b):
-        raise AssertionError("the remainder sequence or the loop ran")
+        raise AssertionError("the loop ran")
 
-    monkeypatch.setattr(intersect_mod, "_gcd", refuse)
     monkeypatch.setattr(intersect_mod, "_local", refuse)
     F, G = _scaled(_int_rows(P(f)), q), _scaled(_int_rows(P(g)), q)
     assert _newton(_newton_stage(_newton_polygon(F), G), 1) == INFINITE_RANK
@@ -584,10 +584,10 @@ def _mult_in_child(limit: str, value: int, argv: list[str]) -> dict:
 
 
 def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypatch):
-    # G's y-leading coefficient -(2**61 - 1)*x**27 vanishes modulo 2**61 - 1
-    # at every certificate point, F's does not; when both were required, the
-    # remainder sequence ran past 30 s of CPU; the child caps its own at 10 s
-    # and runs the shared-component check and the loop alone
+    # G's y-leading coefficient -(2**61 - 1)*x**27 vanishes modulo 2**61 - 1;
+    # when a certificate needed both leading coefficients, the remainder
+    # sequence ran past 30 s of CPU; the child caps its own at 10 s and runs
+    # the loop alone
     f = ("2305843009213693952*y^24 + 2305843009213693951*x^8"
          " + 2305843009213693952*x^8*y^24 + 4611686018427387899*x^16*y^8")
     g = "2305843009213693952*x^18 - 2305843009213693951*x^27*y^27"
@@ -661,7 +661,11 @@ _INF = "inf"
     # 17, 47 and 137 in about 3.5 s
     ("y^3-x^2+x*y", "y^3-x^2+x*y", 3, 3,
      [_INF, 17, 47, 137, 17, _INF, 153, 423, 47, 153, _INF, 1377, 137, 423, 1377, _INF]),
-], ids=["tangent-pair", "self-pair-p2", "self-pair-p3"])
+    # shared components with every rooting of the other curve, which the
+    # remainder sequence over Z used to decide: every entry is infinite
+    ("y^2-x^3", "y^2-x^3", 2, 8, [_INF] * 81),
+    ("y^2-3*x*y+2*x^2", "y-x", 2, 10, [_INF] * 121),  # (y - x)(y - 2x) against y - x
+], ids=["tangent-pair", "self-pair-p2", "self-pair-p3", "shared-cusp", "shared-line"])
 def test_undecided_base_entries_stay_within_a_cpu_limit(f, g, p, grades, row):
     # the base entries the Newton stage leaves undecided run the loop
     # truncated at the Bezout bound; the child caps its own CPU time at 10 s.
@@ -687,11 +691,9 @@ def test_sparse_certificate_matches_the_dense_one(a, b, h, q, r):
         A, B = _poly(h) * A, _poly(h) * B
     assume(not (A.is_zero or B.is_zero))
     F, G = _scaled(_int_rows(A), q), _scaled(_int_rows(B), r)
-    assert _coprime_mod_ell(F, G) == dense_coprime_mod_ell(F, G, _CERT_POINTS, _ELL)
-    for x0 in _CERT_POINTS:
-        f, g = _at_mod_ell(F, x0), _at_mod_ell(G, x0)
+    for x0 in _CERT_POINTS:  # F(x0, y) and G(x0, y) in F_ell[y], sparse and dense
         dense_f, dense_g = dense_at_mod_ell(F, x0, _ELL), dense_at_mod_ell(G, x0, _ELL)
-        assert f == {b: v for b, v in enumerate(dense_f) if v}
+        f, g = ({b: v for b, v in enumerate(h) if v} for h in (dense_f, dense_g))
         if dense_f[-1] and dense_g[-1]:
             assert _gcd_degree_mod_ell(f, g) == dense_gcd_degree_mod_ell(dense_f, dense_g, _ELL)
 
@@ -711,8 +713,8 @@ def test_y_power_modulo_matches_repeated_multiplication_by_y(e, g):
 
 
 def test_certificate_reduces_a_deep_power_in_log_q_products(monkeypatch):
-    # y - x against y + x rooted q = 2**61 - 1 times: y**q modulo y - 3 is
-    # one square-and-multiply, one remainder per bit of q, not q steps
+    # y - 3 against y**q + 3, q = 2**61 - 1: y**q modulo y - 3 is one
+    # square-and-multiply, one remainder per bit of q, not q steps
     calls = []
     rem = intersect_mod._rem_mod_ell
 
@@ -722,7 +724,7 @@ def test_certificate_reduces_a_deep_power_in_log_q_products(monkeypatch):
 
     monkeypatch.setattr(intersect_mod, "_rem_mod_ell", counted)
     q = 2**61 - 1
-    assert _coprime_mod_ell(_int_rows(P("y - x")), _scaled(_int_rows(P("y + x")), q))
+    assert _gcd_degree_mod_ell({1: 1, 0: _ELL - 3}, {q: 1, 0: 3}) == 0
     assert len(calls) <= 2 * q.bit_length()
 
 
@@ -734,8 +736,9 @@ def _rows_poly(rows):
 
 
 _NEWTON_Q = st.sampled_from([1, 2, 3, 4, 8, 9])
-# _ELL + 1 is 1 modulo _ELL; a multiple of _ELL would leave the shared-component
-# check below to the exact remainder sequence, which is slow at these degrees
+# _ELL + 1 is 1 modulo _ELL; a multiple of _ELL would leave the reference's
+# shared-component check below to its exact remainder sequence, which is slow
+# at these degrees
 _NEWTON_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                    st.sampled_from([1, -1, 2, -3, _ELL + 1])),
                          min_size=1, max_size=4)
@@ -763,7 +766,7 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
         assert shares_an_axis(A, B)
         assert fulton_multiplicity(_rows_poly(A), _rows_poly(B)) == INFINITE_RANK
         return
-    assert not _common_component_through_origin(_scaled(A, 1), _scaled(B, 1))
+    assert not shares_a_component_through_origin(A, B)
     assert fulton_loop(_scaled(A, 1), _scaled(B, 1)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
         assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
@@ -849,6 +852,74 @@ def test_a_finite_multiplicity_is_at_most_the_bezout_bound(pair):
     F, G = pair
     mu = fulton_multiplicity(F, G)
     assert mu == INFINITE_RANK or mu <= _bezout_bound(_int_rows(F), _int_rows(G)), (F, G)
+
+
+# -- shared components: the truncated loop decides them ------------------------
+
+_SMALL_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.sampled_from([1, -1, 2, -3])), min_size=1, max_size=3)
+
+
+@st.composite
+def _pair_sharing_a_curve(draw, through_origin: bool):
+    """Integer rows of H*F1 against H*G1 rooted q times, sharing no axis.
+    H through the origin has a pure power of each variable, so no axis
+    divides it; H off the origin has a constant term as well."""
+    c = st.sampled_from([1, -1, 2, -3])
+    h = [(0, draw(st.integers(1, 2)), draw(c)), (draw(st.integers(1, 2)), 0, draw(c))]
+    h += draw(_SMALL_TERMS) + ([] if through_origin else [(0, 0, draw(c))])
+    H, F1, G1 = _poly(h), _poly(draw(_SMALL_TERMS)), _poly(draw(_SMALL_TERMS))
+    assume(not (H.is_zero or F1.is_zero or G1.is_zero))
+    assume((H.constant_term() == 0) == through_origin)
+    G1 = _rows_poly(_scaled(_int_rows(G1), draw(st.sampled_from([1, 2, 3]))))
+    F, G = _int_rows(H * F1), _int_rows(H * G1)
+    assume(not shares_an_axis(F, G))
+    return F, G
+
+
+def _local_and_steps(F: dict, G: dict):
+    """_local on fresh copies of integer rows, with the Bezout bound N and
+    the count of _reduce calls, the steps of the loop."""
+    with mock.patch.object(intersect_mod, "_reduce", wraps=intersect_mod._reduce) as reduce:
+        mu = intersect_mod._local(_scaled(F, 1), _scaled(G, 1))
+    return mu, _bezout_bound(F, G), reduce.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_sharing_a_curve(through_origin=True))
+def test_the_loop_answers_inf_on_a_shared_component_through_the_origin(pair):
+    assert _local_and_steps(*pair)[0] == INFINITE_RANK, pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_sharing_a_curve(through_origin=False))
+def test_the_loop_matches_the_reference_on_a_shared_component_off_the_origin(pair):
+    F, G = pair
+    assert _local_and_steps(F, G)[0] == fulton_multiplicity(_rows_poly(F), _rows_poly(G)), pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_sharing_a_curve(through_origin=True) | _pair_sharing_a_curve(through_origin=False)
+       | _tangent_pair().map(lambda pair: tuple(map(_int_rows, pair))))
+def test_the_loop_takes_at_most_the_proven_step_bound(pair):
+    # between two y-power splits a step lowers deg A(x, 0) + deg B(x, 0) <=
+    # 2(N - acc), and a split raises acc
+    if shares_an_axis(*pair):  # a tangent pair may; _local is not offered one
+        return
+    _, N, steps = _local_and_steps(*pair)
+    assert steps <= (N + 1) * (2 * N + 1), pair
+
+
+def test_y_dividing_both_curves_inside_the_loop_is_an_infinite_exit():
+    # (x^2 - y)(2x^3 + y^3) against (x^2 - y)(3xy - x + 3y): the loop
+    # reaches a pair that y divides; without an exit for it, the y-power
+    # split read ord_x B(x, 0) of a curve with no row 0 and raised TypeError
+    code, out, err = _mult(["--f", "2*x^5-2*x^3*y+x^2*y^3-y^4",
+                            "--g", "x*y-3*y^2-3*x*y^2-x^3+3*x^2*y+3*x^3*y",
+                            "--p", "2", "--grades", "1", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"p": 2, "diagonal": [_INF, _INF],
+                               "mixed": [[_INF], [_INF, _INF, _INF, _INF]]}
 
 
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():

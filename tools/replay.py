@@ -17,23 +17,19 @@ faults in the same order.
 
 With --counters it prints instead one JSON object per workload: its request
 count and digest, as above, and how much work its requests did, counted by
-wrapping library functions while they run (COUNTED, OUTERMOST).  Each
-counter is named <module>.<function> and counts calls: the exact rank
-cech._int_rank (and the rows it was given), cech's binomials (cech.comb),
-the quotient oracle and the truncated quotients it eliminates, the base
-entries offered to each multiplicity engine (intersect._newton, then _local,
-then the Fulton loop _mu) and the steps of that loop (intersect._reduce), the
-modular certificates of a shared component (intersect._coprime_mod_ell), the
-Euclids in F_l[y] of the Newton stage and of those certificates
-(intersect._gcd_degree_mod_ell), the remainder sequences over Z
-(intersect._gcd, counted only at the outermost call, since _primitive calls
-it again inside a sequence), the products braided._mul (a read of a mixed
-multiplicity entry, or a Kunneth product), the checked grade totals of
-enumeration (enumeration._total) and exponents.is_prime; besides, the misses
-of cech's rank cache and the Fraction and PAdicFrac constructions (calls of
-Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
-cleared before each workload, as in a fresh process, and the faults pass is
-skipped.
+wrapping library functions while they run (COUNTED).  Each counter is named
+<module>.<function> and counts calls: the exact rank cech._int_rank (and the
+rows it was given), cech's binomials (cech.comb), the quotient oracle and
+the truncated quotients it eliminates, the base entries offered to each
+multiplicity engine (intersect._newton, then _local, then the Fulton loop
+_mu) and the steps of that loop (intersect._reduce), the Euclids in F_l[y]
+of the Newton stage (intersect._gcd_degree_mod_ell), the products
+braided._mul (a read of a mixed multiplicity entry, or a Kunneth product),
+the checked grade totals of enumeration (enumeration._total) and
+exponents.is_prime; besides, the misses of cech's rank cache and the
+Fraction and PAdicFrac constructions (calls of Fraction.__new__ and
+PAdicFrac.__init__).  The rank and prime caches are cleared before each
+workload, as in a fresh process, and the faults pass is skipped.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -88,16 +84,12 @@ COUNTED = (
     (perfproj.intersect, "_local", "intersect._local"),
     (perfproj.intersect, "_mu", "intersect._mu"),
     (perfproj.intersect, "_reduce", "intersect._reduce"),
-    (perfproj.intersect, "_coprime_mod_ell", "intersect._coprime_mod_ell"),
     (perfproj.intersect, "_gcd_degree_mod_ell", "intersect._gcd_degree_mod_ell"),
     (perfproj.enumeration, "_total", "enumeration._total"),
     (perfproj.geometry, "_total", "enumeration._total"),
     (perfproj.exponents, "is_prime", "exponents.is_prime"),
 )
-# the same, counted only at the outermost call: _gcd calls itself through
-# _primitive, so each count is one remainder sequence
-OUTERMOST = ((perfproj.intersect, "_gcd", "intersect._gcd"),)
-COUNTERS = sorted({key for _, _, key in COUNTED + OUTERMOST} | {
+COUNTERS = sorted({key for _, _, key in COUNTED} | {
     "cech._int_rank.rows", "cech._ranks_for_count.misses", "exponents.PAdicFrac",
     "fractions.Fraction"})
 
@@ -168,30 +160,13 @@ def _counted(fn, key: str, counts: Counter):
     return counted
 
 
-def _outermost(fn, key: str, counts: Counter):
-    """fn counted only where no call of it is under way."""
-    depth = 0
-
-    def counted(*args, **kwargs):
-        nonlocal depth
-        counts[key] += not depth
-        depth += 1
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            depth -= 1
-    return counted
-
-
 @contextlib.contextmanager
 def counting():
-    """A Counter of the work done inside the block, by COUNTED and
-    OUTERMOST, by the misses of cech's rank cache and by Fraction and
-    PAdicFrac constructions."""
+    """A Counter of the work done inside the block, by COUNTED, by the
+    misses of cech's rank cache and by Fraction and PAdicFrac
+    constructions."""
     counts = Counter(dict.fromkeys(COUNTERS, 0))
-    wrappers = ([(_counted, *spec) for spec in COUNTED]
-                + [(_outermost, *spec) for spec in OUTERMOST])
-    saved = [(module, name, getattr(module, name)) for _, module, name, _ in wrappers]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
     new = vars(Fraction)["__new__"]
     init = PAdicFrac.__init__
 
@@ -205,8 +180,8 @@ def counting():
 
     ranks = perfproj.cech._ranks_for_count
     misses = ranks.cache_info().misses
-    for (wrap, module, name, key), (_, _, fn) in zip(wrappers, saved):
-        setattr(module, name, wrap(fn, key, counts))
+    for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
+        setattr(module, name, _counted(fn, key, counts))
     Fraction.__new__ = counted_new
     PAdicFrac.__init__ = counted_init
     try:
