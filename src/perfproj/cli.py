@@ -6,12 +6,12 @@ flags, grammar, preconditions), 2 computation diagnostic.  With --json the
 payload, success or failure, is a single JSON document on stdout; errors
 additionally print one machine-parsable line on stderr.
 
-A well-formed argument list is read straight from the flag table, _FLAGS;
-the argparse tree built from the same table parses only the rest, so help
-and usage errors still read as argparse writes them.  A number flag is
-handed to the library as the int or Fraction it read, and the library
-converts it to Z[1/p] once.  --help shows this docstring up to this last
-paragraph.
+A well-formed argument list is read straight from the command table,
+_COMMANDS; the argparse tree built from the same table parses only the
+rest, so help and usage errors still read as argparse writes them.  A
+number flag is handed to the library as the int or Fraction it read, and
+the library converts it to Z[1/p] once.  --help shows this docstring up to
+this last paragraph.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class _HelpRequested(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # no abbreviations: run() detects JSON mode by the exact token --json
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
     # argparse exits with code 2 on bad usage; the contract here is exit 1
     def error(self, message):
         raise _UsageError(message)
@@ -121,51 +117,20 @@ class _Flag(NamedTuple):
     help: str | None = None
 
 
-_N = _Flag("n", _int_arg)
-_COMMON = (
-    _Flag("p", _int_arg, help="ambient prime"),
-    _Flag("grades", _int_arg, 4, "grade horizon (default 4)"),
-    _Flag("json", None, False, "JSON output"),
-)
-_H0_FLAGS = (_N, _Flag("deg", _fraction_arg, help="degree, e.g. 2 or -5/3 (use --deg=-5/3)"),
-             _Flag("reduced", None, False, "count only exact-denominator monomials"))
-
-# every flag of every subcommand, in the order --help lists them
-_FLAGS = {command: flags + _COMMON for command, flags in {
-    "h0": _H0_FLAGS,
-    "hn": _H0_FLAGS,
-    "euler": _H0_FLAGS,
-    "bezout-line": (_Flag("s", _fraction_arg), _Flag("t", _fraction_arg)),
-    "bezout-chi": (_Flag("d", _fraction_arg), _Flag("degf", _int_arg),
-                   _Flag("degg", _int_arg)),
-    "kunneth": (_N, _Flag("m", _int_arg), _Flag("a", _fraction_arg),
-                _Flag("b", _fraction_arg)),
-    "veronese": (_N, _Flag("d", _int_arg)),
-    "mult": (_Flag("f", str, help="curve F in x, y"),
-             _Flag("g", str, help="curve G in x, y")),
-    "blowup": (_Flag("f", str, help="curve through the origin in x, y"),),
-    "cech-check": (_N, _Flag("degrees", str,
-                             help="comma-separated degrees, e.g. --degrees=-3,-1,2"),
-                   _Flag("i", _int_arg, help="max denominator exponent of the weights")),
-}.items()}
-_SUBCOMMANDS = tuple(_FLAGS)
-# each subcommand's flags by their option text, "--name", for _fast_args
-_OPTIONS = {command: {f"--{flag.name}": flag for flag in flags}
-            for command, flags in _FLAGS.items()}
-
-
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser tree of _FLAGS, built on the first run() that needs it and
-    shared by later calls.
+    """The parser tree of _COMMANDS, built on the first run() that needs it
+    and shared by later calls.
 
     Parsing leaves no state on it: every parse makes a fresh Namespace, and
     errors and help raise instead of printing or exiting.
     """
-    top = _Parser(prog="perfproj", description=__doc__.rpartition("\n\n")[0])
-    sub = top.add_subparsers(dest="command", metavar="|".join(_SUBCOMMANDS))
-    for command, flags in _FLAGS.items():
-        sp = sub.add_parser(command)
+    # no abbreviations: run() detects JSON mode by the exact token --json
+    top = _Parser(prog="perfproj", description=__doc__.rpartition("\n\n")[0],
+                  allow_abbrev=False)
+    sub = top.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
+    for command, (flags, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, allow_abbrev=False)
         for flag in flags:
             if flag.convert is None:
                 sp.add_argument(f"--{flag.name}", action="store_true", help=flag.help)
@@ -177,7 +142,7 @@ def _build_parser() -> _Parser:
 
 
 def _fast_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives a well-formed argv, read from _FLAGS
+    """The namespace argparse gives a well-formed argv, read from _COMMANDS
     without building the parser; None for any other argv.
 
     Well-formed: the subcommand first, then each of its flags at most once,
@@ -237,6 +202,11 @@ def _monomial_cell(n: int, size: PAdicFrac, label: int, p: int, reduced: bool,
     return " ".join(shown)
 
 
+def _dim_result(args, dim: braided.BraidedDim):
+    """The JSON payload of dim under --json, else its table lines."""
+    return dim.to_json_dict() if args.json else _dim_table(dim)
+
+
 def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
     lines = ["power of p | monomials | dim" if cell else "power of p | dim"]
     for j, value in enumerate(dim.grades_list()):
@@ -267,16 +237,6 @@ def _run_h0_family(args, which: str):
         def cell(label: int) -> str:
             return _monomial_cell(args.n, size, label, args.p, args.reduced, negative)
     return _dim_table(dim, cell)
-
-
-def _run_bezout_line(args):
-    dim = geometry.bezout_line(args.s, args.t, args.grades, args.p)
-    return dim.to_json_dict() if args.json else _dim_table(dim)
-
-
-def _run_bezout_chi(args):
-    dim = geometry.bezout_chi(args.d, args.degf, args.degg, args.grades, args.p)
-    return dim.to_json_dict() if args.json else _dim_table(dim)
 
 
 def _run_kunneth(args):
@@ -361,18 +321,41 @@ def _run_cech_check(args):
     return lines
 
 
-_DISPATCH = {
-    "h0": lambda a: _run_h0_family(a, "h0"),
-    "hn": lambda a: _run_h0_family(a, "hn"),
-    "euler": lambda a: _run_h0_family(a, "euler"),
-    "bezout-line": _run_bezout_line,
-    "bezout-chi": _run_bezout_chi,
-    "kunneth": _run_kunneth,
-    "veronese": _run_veronese,
-    "mult": _run_mult,
-    "blowup": _run_blowup,
-    "cech-check": _run_cech_check,
-}
+_N = _Flag("n", _int_arg)
+_COMMON = (
+    _Flag("p", _int_arg, help="ambient prime"),
+    _Flag("grades", _int_arg, 4, "grade horizon (default 4)"),
+    _Flag("json", None, False, "JSON output"),
+)
+_H0_FLAGS = (_N, _Flag("deg", _fraction_arg, help="degree, e.g. 2 or -5/3 (use --deg=-5/3)"),
+             _Flag("reduced", None, False, "count only exact-denominator monomials"))
+
+# subcommand -> (every flag, in the order --help lists them; its runner), in
+# the order --help lists the subcommands.  A runner names the library functions
+# it calls when it runs, never at import: tracing rebinds them while requests run
+_COMMANDS = {command: (flags + _COMMON, runner) for command, flags, runner in (
+    ("h0", _H0_FLAGS, lambda a: _run_h0_family(a, "h0")),
+    ("hn", _H0_FLAGS, lambda a: _run_h0_family(a, "hn")),
+    ("euler", _H0_FLAGS, lambda a: _run_h0_family(a, "euler")),
+    ("bezout-line", (_Flag("s", _fraction_arg), _Flag("t", _fraction_arg)),
+     lambda a: _dim_result(a, geometry.bezout_line(a.s, a.t, a.grades, a.p))),
+    ("bezout-chi", (_Flag("d", _fraction_arg), _Flag("degf", _int_arg),
+                    _Flag("degg", _int_arg)),
+     lambda a: _dim_result(a, geometry.bezout_chi(a.d, a.degf, a.degg, a.grades, a.p))),
+    ("kunneth", (_N, _Flag("m", _int_arg), _Flag("a", _fraction_arg),
+                 _Flag("b", _fraction_arg)), _run_kunneth),
+    ("veronese", (_N, _Flag("d", _int_arg)), _run_veronese),
+    ("mult", (_Flag("f", str, help="curve F in x, y"),
+              _Flag("g", str, help="curve G in x, y")), _run_mult),
+    ("blowup", (_Flag("f", str, help="curve through the origin in x, y"),), _run_blowup),
+    ("cech-check", (_N, _Flag("degrees", str,
+                              help="comma-separated degrees, e.g. --degrees=-3,-1,2"),
+                    _Flag("i", _int_arg, help="max denominator exponent of the weights")),
+     _run_cech_check),
+)}
+# each subcommand's flags by their option text, "--name", for _fast_args
+_OPTIONS = {command: {f"--{flag.name}": flag for flag in flags}
+            for command, (flags, _) in _COMMANDS.items()}
 
 
 def _emit_error(kind: str, message: str, json_mode: bool, out, err) -> None:
@@ -392,7 +375,7 @@ def run(argv: list[str], out=None, err=None) -> int:
             raise _UsageError("a subcommand is required")
         if args.grades < 1:
             raise _UsageError("--grades must be at least 1")
-        result = _DISPATCH[args.command](args)
+        result = _COMMANDS[args.command][1](args)
         # the whole text first: a failure must write no partial answer
         if args.json:
             text = json.dumps(result) + "\n"

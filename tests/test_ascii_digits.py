@@ -1,7 +1,7 @@
 """Text input is read with ASCII digits only: no module of src/perfproj names
 str.isdigit, str.isdecimal or str.isnumeric, and no command-line flag is read
 by int(), float() or Fraction() directly, neither in an add_argument call nor
-in the flag table cli._FLAGS that the parser is built from.  Each accepts
+in the command table cli._COMMANDS that the parser is built from.  Each accepts
 hundreds of non-ASCII digits, which int() then either rejects with a
 traceback or reads silently as numbers."""
 
@@ -81,8 +81,12 @@ def test_a_builtin_number_flag_is_reported(tmp_path):
         "m.py:2: type=int", "m.py:4: type=Fraction", "m.py:6: type=float"]
 
 
+# each subcommand's flags, as the command table cli._COMMANDS declares them
+_TABLE_FLAGS = {command: flags for command, (flags, _) in cli._COMMANDS.items()}
+
+
 def _builtin_number_table_flags(table) -> list[str]:
-    """Each flag of a {command: flags} table like cli._FLAGS that int, float or
+    """Each flag of a {command: flags} table like _TABLE_FLAGS that int, float or
     Fraction converts, as "command --name: convert=name"."""
     return [f"{command} --{flag.name}: convert={flag.convert.__name__}"
             for command, flags in table.items() for flag in flags
@@ -90,17 +94,17 @@ def _builtin_number_table_flags(table) -> list[str]:
 
 
 def test_no_table_flag_is_read_by_a_builtin_number_type():
-    assert _builtin_number_table_flags(cli._FLAGS) == []
+    assert _builtin_number_table_flags(_TABLE_FLAGS) == []
     # a number flag reads ASCII digits only; the rest are text or switches
-    converters = {flag.convert for flags in cli._FLAGS.values() for flag in flags}
+    converters = {flag.convert for flags in _TABLE_FLAGS.values() for flag in flags}
     assert converters == {cli._int_arg, cli._fraction_arg, str, None}
     # and argparse converts each flag as the table says
     (subcommands,) = [action for action in cli._build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction)]
-    assert list(subcommands.choices) == list(cli._FLAGS)
+    assert list(subcommands.choices) == list(_TABLE_FLAGS)
     for command, parser in subcommands.choices.items():
         assert [(action.dest, action.type) for action in parser._actions[1:]] == [
-            (flag.name, flag.convert) for flag in cli._FLAGS[command]]
+            (flag.name, flag.convert) for flag in _TABLE_FLAGS[command]]
 
 
 def test_a_builtin_number_table_flag_is_reported():

@@ -151,6 +151,7 @@ def test_tuple_arith_infinity():
     inf_tuple = BraidedDim(3, 0, [INFINITE_RANK, 1])
     fin = BraidedDim(3, 0, [1, 1])
     assert (inf_tuple + fin).at(0) == INFINITE_RANK
+    assert (inf_tuple - fin).grades_list() == [INFINITE_RANK, 0]
     with pytest.raises(IndeterminateForm):
         tuple_arith(inf_tuple, inf_tuple, "sub")
     with pytest.raises(IndeterminateForm):
@@ -160,6 +161,22 @@ def test_tuple_arith_infinity():
 def test_mixed_primes_rejected():
     with pytest.raises(DomainError):
         tuple_arith(BraidedDim(2, 0, [1]), BraidedDim(3, 0, [1]), "add")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BraidedDim(3, offset=-1), "offset must be non-negative"),
+    (lambda: BraidedDim(3, 0, [1]) + 1, "can only combine with another BraidedDim"),
+    (lambda: tuple_arith(BraidedDim(3, 0, [1]), BraidedDim(3, 0, [2]), "mul"),
+     "unknown tuple operation 'mul'"),
+    (lambda: kunneth([], [BraidedDim(3, 0, [1])], 1), "empty cohomology list"),
+    (lambda: kunneth([BraidedDim(3, 0, [1])], [BraidedDim(2, 0, [1])], 1),
+     "mixed primes in kunneth inputs"),
+], ids=["negative-offset", "add-an-int", "tuple-arith-mul", "kunneth-empty",
+        "kunneth-mixed-primes"])
+def test_public_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_horizon_error_without_generator():
@@ -175,6 +192,8 @@ def test_equality_is_horizon_bounded():
     c = BraidedDim(3, 0, [3, 7, 19, 56], generator=lambda label: 56)
     assert a.equal_up_to(c, horizon=3)
     assert not a.equal_up_to(c, horizon=4)
+    # tuples over different primes are never equal, whatever their values
+    assert not BraidedDim(2, 0, [1]).equal_up_to(BraidedDim(3, 0, [1]))
 
 
 def test_euler_examples():
@@ -220,6 +239,7 @@ def test_json_shape():
     assert payload == {"p": 3, "offset": 0, "grades": [3, 7, 19],
                        "generator": "h0(n=1,d=2)"}
     json.dumps(payload)
+    assert repr(BraidedDim(3, 1, [4, 14])) == "BraidedDim(p=3, offset=1, values=[4, 14])"
 
 
 def test_ample_predicate():

@@ -68,6 +68,18 @@ def test_weight_vector_checks_its_entries_as_an_exponent_vector():
         WeightVector(())
 
 
+def test_weight_vector_prime_and_degree():
+    w = WeightVector((normalize(1, 1, 2), PAdicFrac(-3, 0, 2)))
+    assert w.prime == 2
+    assert w.degree() == normalize(-5, 1, 2)
+
+
+@pytest.mark.parametrize("check", [classify_weight, build_complex])
+def test_a_weight_of_the_wrong_length_is_rejected(check):
+    with pytest.raises(DomainError, match=r"^weight length does not match n \+ 1$"):
+        check(W(0, 0), 2)
+
+
 def test_verify_theorems_converts_degrees_before_its_other_checks():
     with pytest.raises(DomainError, match="^4 is not a prime$"):
         verify_theorems(0, [Fraction(1, 6)], 0, 4)

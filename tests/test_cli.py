@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from math import comb
 from fractions import Fraction
 from unittest import mock
@@ -164,7 +165,7 @@ def test_computation_diagnostic_exit_2(monkeypatch):
     def boom(*args, **kwargs):
         raise FuelExhausted("step budget exceeded")
 
-    monkeypatch.setitem(cli_mod._DISPATCH, "mult", boom)
+    monkeypatch.setitem(cli_mod._COMMANDS, "mult", (cli_mod._COMMANDS["mult"][0], boom))
     code, out, err = invoke(["mult", "--f", "x", "--g", "y", "--p", "2", "--json"])
     assert code == 2
     assert json.loads(out)["error"]["category"] == "computation"
@@ -254,7 +255,7 @@ def test_other_value_errors_escape_run(monkeypatch):
     def bug(*args, **kwargs):
         raise ValueError("not a digit-limit error")
 
-    monkeypatch.setitem(cli_mod._DISPATCH, "mult", bug)
+    monkeypatch.setitem(cli_mod._COMMANDS, "mult", (cli_mod._COMMANDS["mult"][0], bug))
     with pytest.raises(ValueError, match="not a digit-limit error"):
         invoke(["mult", "--f", "x", "--g", "y", "--p", "2", "--json"])
 
@@ -679,7 +680,7 @@ _HELP_SHA256 = {
 def test_help_text_is_pinned(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     digest = hashlib.sha256()
-    for argv in [["--help"]] + [[command, "--help"] for command in cli_mod._SUBCOMMANDS]:
+    for argv in [["--help"]] + [[command, "--help"] for command in cli_mod._COMMANDS]:
         digest.update(json.dumps(invoke(argv)).encode() + b"\n")
     version = sys.version_info[:2]
     assert version in _HELP_SHA256, f"no help digest is pinned for Python {version}"
@@ -736,7 +737,48 @@ def test_shared_parser_matches_a_fresh_one(monkeypatch):
     for _ in range(2):
         assert [invoke(argv) for argv in _REUSE_SEQUENCE] == fresh
     # the top-level parser and one per subcommand, built by the first call only
-    assert len(built) == 1 + len(cli_mod._SUBCOMMANDS)
+    assert len(built) == 1 + len(cli_mod._COMMANDS)
+
+
+# the library function each subcommand must call
+_LIBRARY_CALLS = {
+    "h0": "braided.h0", "hn": "braided.hn_top", "euler": "braided.euler",
+    "bezout-line": "geometry.bezout_line", "bezout-chi": "geometry.bezout_chi",
+    "kunneth": "braided.kunneth", "veronese": "geometry.veronese",
+    "mult": "intersect.braided_multiplicity", "blowup": "geometry.blowup_origin",
+    "cech-check": "cech.verify_theorems",
+}
+
+
+def _counting(fn, key, calls):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_every_subcommand_calls_the_library_functions_bound_when_it_runs(monkeypatch):
+    # as perfbench's tracer does: each library function is rebound to a
+    # wrapper in every perfproj module namespace that holds it, so a runner
+    # that kept the function object it saw at import would bypass the wrapper
+    requests = _REUSE_SEQUENCE[:len(_LIBRARY_CALLS)]  # one answer of each subcommand
+    assert [argv[0] for argv in requests] == list(_LIBRARY_CALLS) == list(cli_mod._COMMANDS)
+    untraced = [invoke(argv) for argv in requests]
+    modules = [module for name, module in sys.modules.items()
+               if name == "perfproj" or name.startswith("perfproj.")]
+    calls = Counter()
+    for key in _LIBRARY_CALLS.values():
+        layer, name = key.split(".")
+        fn = getattr(sys.modules[f"perfproj.{layer}"], name)
+        wrapper = _counting(fn, key, calls)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    for argv, before in zip(requests, untraced):
+        calls.clear()
+        assert invoke(argv) == before
+        assert calls[_LIBRARY_CALLS[argv[0]]] > 0, argv[0]
 
 
 # -- fuzzing the exit contract -------------------------------------------------------

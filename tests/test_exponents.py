@@ -1,4 +1,5 @@
 import io
+import operator
 import re
 import time
 from fractions import Fraction
@@ -43,6 +44,10 @@ def test_normalize_rejects_bad_input():
             normalize(6, 2, p)
     with pytest.raises(DomainError):
         PAdicFrac(6, 1, 3)  # not in lowest terms
+    with pytest.raises(DomainError, match="^pexp must be non-negative$"):
+        PAdicFrac(1, -1, 2)
+    with pytest.raises(DomainError, match=r"^zero must be represented as \(0, 0\)$"):
+        PAdicFrac(0, 1, 2)
 
 
 def test_arith_examples():
@@ -53,11 +58,30 @@ def test_arith_examples():
     assert arith(normalize(1, 1, 3), normalize(2, 1, 3), "add") == PAdicFrac(1, 0, 3)
     assert arith(normalize(1, 2, 3), normalize(1, 1, 3), "cmp") == -1
     assert arith(PAdicFrac(5, 0, 3), PAdicFrac(5, 0, 3), "neg") == PAdicFrac(-5, 0, 3)
+    assert arith(normalize(1, 1, 3), normalize(2, 1, 3), "sub") == normalize(-1, 1, 3)
+    assert arith(normalize(1, 1, 3), normalize(2, 1, 3), "mul") == normalize(2, 2, 3)
+    with pytest.raises(DomainError, match="^unknown operation 'div'$"):
+        arith(normalize(1, 1, 3), normalize(2, 1, 3), "div")
+    assert 1 - normalize(1, 1, 2) == normalize(1, 1, 2)
 
 
 def test_mixed_primes_rejected():
     with pytest.raises(DomainError):
         PAdicFrac(1, 0, 2) + PAdicFrac(1, 0, 3)
+    with pytest.raises(DomainError, match="^mixed primes 3 and 2$"):
+        line_bundle(1, PAdicFrac(1, 0, 3), 2)
+
+
+@pytest.mark.parametrize("op, message", [
+    (operator.add, "unsupported operand type(s) for +: 'PAdicFrac' and 'NoneType'"),
+    (operator.sub, "unsupported operand type(s) for -: 'PAdicFrac' and 'NoneType'"),
+    (operator.mul, "unsupported operand type(s) for *: 'PAdicFrac' and 'NoneType'"),
+    (operator.lt, "'<' not supported between instances of 'PAdicFrac' and 'NoneType'"),
+], ids=["add", "sub", "mul", "lt"])
+def test_a_non_number_operand_is_left_to_python(op, message):
+    with pytest.raises(TypeError) as info:
+        op(PAdicFrac(1, 0, 2), None)
+    assert str(info.value) == message
 
 
 def test_order_key_examples():
@@ -68,6 +92,7 @@ def test_order_key_examples():
 
 def test_text_rendering():
     assert str(normalize(7, 2, 3)) == "7/9"
+    assert repr(normalize(7, 2, 3)) == "PAdicFrac(7/9, p=3)"
     assert str(PAdicFrac(5, 0, 3)) == "5"
     assert str(normalize(-2, 1, 3)) == "-2/3"
 

@@ -263,6 +263,32 @@ def test_a_monomial_needs_an_exponent():
         FracMonomial(Fraction(1), ())
 
 
+def test_monomial_degree():
+    m = FracMonomial(Fraction(3), (normalize(1, 1, 2), PAdicFrac(2, 0, 2)))
+    assert m.degree == normalize(5, 1, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FracMonomial(Fraction(0), (PAdicFrac(1, 0, 2),)),
+     "monomial coefficient must be nonzero"),
+    (lambda: FracPoly(0, 2), "nvars must be positive"),
+    (lambda: FracPoly(2, 2, [((PAdicFrac(1, 0, 2),), 1)]),
+     "exponent vector length does not match nvars"),
+    (lambda: P("x") + P("x", nvars=1), "polynomials from different ambient rings"),
+    (lambda: P("x").substitute(0, FracMonomial(Fraction(1), (PAdicFrac(1, 0, 2),))),
+     "replacement lives in a different variable space"),
+    (lambda: P("x^-1 + y").set_var_zero(0), "cannot evaluate a negative power at zero"),
+    (lambda: P("x + x*y").restrict_to_var(0), "polynomial involves other variables"),
+    (lambda: parse_poly("x", 11, 2), "nvars must be between 1 and 10"),
+], ids=["zero-coefficient", "no-variables", "vector-length", "add-across-rings",
+        "substitute-other-space", "negative-power-at-zero", "other-variables",
+        "parse-eleven-variables"])
+def test_public_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_substitute_negative_unit_coefficient():
     minus_x = FracMonomial(Fraction(-1), (PAdicFrac(1, 0, 2), PAdicFrac(0, 0, 2)))
     f = P("x^2 + x*y")
@@ -310,6 +336,8 @@ def test_render_examples():
     assert FracPoly.zero(2, 2).render() == "0"
     assert P("-x + 3").render() == "-x + 3"
     assert P("1/2*x*y^2").render() == "1/2*x*y^2"
+    assert str(P("y^(1/4) - x^(1/4) + x^(1/2)")) == "x^(1/2) - x^(1/4) + y^(1/4)"
+    assert (P("1") == 1) is False  # a FracPoly equals only a FracPoly
 
 
 def test_monomial_string_of_the_unit_is_one():

@@ -1,6 +1,7 @@
 """Smoke tests: the CLI entry point `python -m perfproj.cli` runs end to end
 as a separate process on tiny arguments."""
 
+import ast
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from perfproj.cli import run
+from perfproj.cli import _COMMANDS, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +85,25 @@ def test_replay_counts_the_work_of_every_benchmark_request():
          "intersect._newton": 1752, "intersect._reduce": 617,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
     ]
+
+
+def _replay_constant(name: str) -> tuple:
+    """The value of the module-level constant name of tools/replay.py, read
+    without importing it."""
+    tree = ast.parse((ROOT / "tools" / "replay.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
+    return ast.literal_eval(value)
+
+
+def test_replay_faults_every_number_flag_of_the_cli():
+    # the faults pass edits the first integer and the first rational flag of a
+    # request; a number flag in neither list, or in both, would go unfaulted
+    # or be faulted as the wrong kind
+    named = _replay_constant("INTEGER_FLAGS") + _replay_constant("RATIONAL_FLAGS")
+    value_flags = {flag.name for flags, _ in _COMMANDS.values() for flag in flags
+                   if flag.convert is not None} - {"p", "grades", "f", "g"}
+    assert sorted(named) == sorted(value_flags)
 
 
 def test_cli_help_matches_in_process_run(monkeypatch):
