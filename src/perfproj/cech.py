@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, gcd
 
-from .enumeration import count_h0_monomials, count_hn_monomials
+from .enumeration import _graded_count
 from .errors import DomainError
 from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
 from .fracpoly import _check_vector
@@ -332,7 +332,8 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     and must equal the closed forms, with zero middle cohomology.  Both
     profiles depend only on the number k of negative entries, so the check
     runs once per count: k is classified and ranked on the mask
-    (1 << k) - 1, once per call, and stands for its comb(n + 1, k) masks.
+    (1 << k) - 1 (_ranks_for_count caches the ranks), and stands for its
+    comb(n + 1, k) masks.
 
     At grade i the box is [-M, M]**(n+1) in integers, M = B p**i, around
     the target t = degree * p**i, and no weight is visited to count it.  It
@@ -353,7 +354,6 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     if n > _MAX_N:
         raise DomainError(f"dimension cap exceeded: n <= {_MAX_N}")
     report = CechReport(n, p, i)
-    checks = {}  # k -> (profile, exact ranks), once per call
     for d in degrees:
         target = d.scaled(i)  # raises if the grade is too small for d
         bound_abs = -d.num if d.num < 0 else d.num
@@ -362,9 +362,7 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
         h0_total = middle_total = hn_total = 0
         mismatched = {}
         for k in _counts_with_weights(n, target, m_int):
-            if k not in checks:
-                checks[k] = _classify_mask(n, (1 << k) - 1), _ranks_for_count(n, k)
-            profile, ranks = checks[k]
+            profile, ranks = _classify_mask(n, (1 << k) - 1), _ranks_for_count(n, k)
             if profile != ranks:
                 mismatched[k] = (profile, ranks)
             elif any(ranks):
@@ -381,8 +379,9 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
                     "classified": list(classified),
                     "ranks": list(ranks),
                 })
-        h0_expected = count_h0_monomials(n, d, i, p) if d.num >= 0 else 0
-        hn_expected = count_hn_monomials(n, -d, i, p) if d.num < 0 else 0
+        # the closed forms at the target already checked
+        h0_expected = _graded_count(n, target, i, p, False, False) if d.num >= 0 else 0
+        hn_expected = _graded_count(n, -target, i, p, False, True) if d.num < 0 else 0
         report.per_degree.append(DegreeSummary(
             d, _weights_in_box(n, target, m_int), h0_total, middle_total, hn_total,
             h0_expected, hn_expected))

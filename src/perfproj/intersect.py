@@ -73,20 +73,24 @@ origin is tangent to an edge, its leading coefficient is a root of P_e, and
 B meets it with order h_B(w) times its ramification unless B_w vanishes
 there.  For B rooted q times, h_B(w) is q * h_G(w) and B_w(1, y) is
 G_w(1, y**q), so the answer is q times a grade-0 number and only the
-certificate depends on q: a gcd of degree 0 in F_l[y] of P_e and
-G_w(1, y**q), with the leading coefficient of P_e nonzero modulo the prime
-l = 2**61 - 1, as sparse maps y-exponent -> value.  Each Euclid step
-reduces one side modulo the other: a term y**e of at least twice the other's
-degree by square-and-multiply, the rest by long division, so the rooting
-costs O(log q) products, not q steps.  So the stage is read once per curve
-pair, each curve's polygon against the other curve, and only the
-certificate runs per q.
-Write G_w(1, y) = y**low * R(y) with R(0) != 0: y**(q * low) is coprime to
-P_e for every q or for none, by low = 0 or P_e(0) != 0, and a constant R
-is coprime to P_e, so an edge whose initial form has one term is decided
-without a Euclid; only a longer R(y**q) is tested per q.  A shared
-component through the origin would put a root of some P_e on B_w, or an
-axis in both curves, so a certified entry is finite.
+certificate depends on q.  The edge polynomials and initial forms are read
+exactly.  Write G_w(1, y) = y**low * R(y) with R(0) != 0.  P_e(0) is the
+coefficient of A1 at a hull vertex, so P_e(0) != 0 and y**(q * low) is
+coprime to P_e for every q; so is a constant R, and an edge whose initial
+form has one term is decided for every q without a gcd.  Only a longer
+R(y**q) is tested per q: a gcd of degree 0 in F_l[y] of P_e and R(y**q)
+modulo the prime l = 2**61 - 1, as sparse maps y-exponent -> value.  It
+certifies when l does not divide the leading coefficient of P_e: a common
+factor of P_e and R(y**q), taken primitive in Z[y], divides both in Z[y]
+(Gauss), and its leading coefficient divides P_e's, so it keeps its degree
+modulo l and would leave a gcd of positive degree.  An edge whose leading
+coefficient l divides certifies no q.  Each Euclid step reduces one side
+modulo the other: a term y**e of at least twice the other's degree by
+square-and-multiply, the rest by long division, so the rooting costs
+O(log q) products, not q steps.  So the stage is read once per curve pair,
+each curve's polygon against the other curve, and only the certificate
+runs per q.  A shared component through the origin would put a root of
+some P_e on B_w, or an axis in both curves, so a certified entry is finite.
 The formula reads ord_y B(0, y) when a > 0 and ord_x B(x, 0) when b > 0;
 one is missing exactly when x, or y, divides both curves, and that shared
 axis makes the entry infinite.  A unit A has a polygon without edges and
@@ -331,9 +335,9 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
 
     Each compact edge of the Newton polygon of A1 is (n, m, length, P): its
     primitive inner normal w = (n, m), its lattice length and its edge
-    polynomial P(y) = A1_w(1, y) / y**min modulo _ELL, as y-exponent ->
-    nonzero value; P is None when its leading coefficient vanishes modulo
-    _ELL, and then that edge certifies nothing.
+    polynomial P(y) = A1_w(1, y) / y**min, exact, as y-exponent -> nonzero
+    int.  P's constant term and leading coefficient are the coefficients of
+    A1 at the edge's two hull vertices, so neither is zero.
     """
     a = min(min(row) for row in rows.values())
     b = min(rows)
@@ -354,52 +358,50 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
         length = gcd(i2 - i1, j1 - j2)
         n, m = (j1 - j2) // length, (i2 - i1) // length
-        P = {j - j2: v for (i, j), c in terms.items()
-             if n * i + m * j == n * i1 + m * j1 and (v := c % _ELL)}
-        edges.append((n, m, length, P if j1 - j2 in P else None))
+        edges.append((n, m, length, {j - j2: c for (i, j), c in terms.items()
+                                     if n * i + m * j == n * i1 + m * j1}))
     return a, b, edges
 
 
 def _newton_stage(polygon: tuple[int, int, list], B: dict):
     """The part of the Newton stage of the curve A of polygon
     (_newton_polygon) against a curve B in integer rows that does not depend
-    on the rooting q of B: the answer for every q, or (mu0, forms) for
-    _newton.
+    on the rooting q of B: None when some edge certifies no q, else
+    (mu0, forms) for _newton.
 
-    The answer for every q is 0 when B is a unit, INFINITE_RANK when x, or
-    y, divides both curves, and None when some edge certifies no q.
-    Otherwise the answer is q * mu0, mu0 = a * ord_y B(0, y) +
-    b * ord_x B(x, 0) + the sum over the edges of length * h_B(w), once
-    every edge polynomial P is coprime in F_ell[y] to the initial form
-    B_w(1, y**q) = y**(q * low) * R(y**q) (module docstring).  The power of
-    y and a constant R are decided here; forms keeps (P, R) for each edge
-    whose R is longer.  The terms a * ord_y B(0, y) and b * ord_x B(x, 0)
-    are read only when a and b are positive, and one is missing only on a
-    shared axis.
+    mu0 is 0 when B is a unit and INFINITE_RANK when x, or y, divides both
+    curves, with no forms.  Otherwise the answer is q * mu0, mu0 =
+    a * ord_y B(0, y) + b * ord_x B(x, 0) + the sum over the edges of
+    length * h_B(w), once every edge polynomial P is coprime to the initial
+    form B_w(1, y**q) = y**(q * low) * R(y**q) (module docstring).  P(0) is
+    not 0, so the power of y and a constant R are coprime to P at every q;
+    forms keeps (P, R) modulo _ELL for each edge whose R is longer, and such
+    an edge certifies no q when _ELL divides P's leading coefficient.  The
+    terms a * ord_y B(0, y) and b * ord_x B(x, 0) are read only when a and
+    b are positive, and one is missing only on a shared axis.
     """
     a, b, edges = polygon
     oy = min((j for j, row in B.items() if 0 in row), default=None)  # ord_y B(0, y)
     ox = min(B[0]) if 0 in B else None  # ord_x B(x, 0)
     if ox == 0:
-        return 0  # B is a unit
+        return 0, []  # B is a unit
     if (a and oy is None) or (b and ox is None):
-        return INFINITE_RANK  # x, or y, divides both curves
+        return INFINITE_RANK, []  # x, or y, divides both curves
     mu0 = a * (oy or 0) + b * (ox or 0)
     forms = []
     for n, m, length, P in edges:
         h = min(n * i + m * j for j, row in B.items() for i in row)
-        init = {}  # B_w(1, y) modulo _ELL: row j has at most one term of weight h
+        init = {}  # B_w(1, y): row j has at most one term of weight h
         for j, row in B.items():
             i, r = divmod(h - m * j, n)
-            if not r and (v := row.get(i, 0) % _ELL):
-                init[j] = v
-        if P is None or not init:
-            return None
-        low = min(init)
-        if low and 0 not in P:
-            return None  # y divides P and B_w(1, y**q) for every q
+            if not r and i in row:
+                init[j] = row[i]
         if len(init) > 1:
-            forms.append((P, {j - low: v for j, v in init.items()}))
+            if P[max(P)] % _ELL == 0:
+                return None  # the certificate needs P's degree modulo _ELL
+            low = min(init)
+            forms.append(({e: v for e, c in P.items() if (v := c % _ELL)},
+                          {j - low: v for j, c in init.items() if (v := c % _ELL)}))
         mu0 += length * h
     return mu0, forms
 
@@ -409,8 +411,8 @@ def _newton(stage, q: int):
     (_newton_stage), or None when it is not certified: each edge polynomial
     P left in the stage's forms must have a gcd of degree 0 with R(y**q) in
     F_ell[y]."""
-    if not isinstance(stage, tuple):
-        return stage
+    if stage is None:
+        return None
     mu0, forms = stage
     for P, R in forms:
         if _gcd_degree_mod_ell(P, {q * j: v for j, v in R.items()}):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -24,6 +27,7 @@ from perfproj import (
     middle_vanishing,
     tuple_arith,
 )
+from perfproj import braided as braided_mod
 from perfproj.cli import run
 from perfproj.enumeration import count_h0_monomials, count_hn_monomials
 from perfproj.exponents import normalize
@@ -220,6 +224,26 @@ def test_total_rank():
     assert h0(line_bundle(1, 2, 3), 3).total_rank() == INFINITE_RANK
     assert BraidedDim.zeros(3, 4).total_rank() == 0
     assert BraidedDim(3, 0, [1, 2]).total_rank() == 3
+
+
+def test_h0_of_a_large_dimension_stays_within_a_cpu_limit():
+    # C(Q + n, n), Q = 2**i, read in closed form at each grade: the same
+    # count expanded as a polynomial in Q has n + 1 coefficients, O(n**2)
+    # big-int products at n = 100000; the child caps its own CPU time at 10 s
+    n = 100_000
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+             "from perfproj.cli import main\n"
+             f"sys.argv = ['perfproj', 'h0', '--n', '{n}', '--deg', '1', '--p', '2',"
+             " '--grades', '4', '--json']\n"
+             "main()\n")
+    src = os.path.dirname(os.path.dirname(braided_mod.__file__))
+    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {
+        "p": 2, "offset": 0, "grades": [comb(2**i + n, n) for i in range(4)],
+        "generator": f"h0(n={n},d=1)"}
 
 
 def test_reads_never_change_a_tuple():

@@ -614,6 +614,18 @@ def test_a_deep_grade_stays_within_a_memory_limit():
     assert payload["mixed"][40][0] == 1 and payload["mixed"][40][-1] == 4**40
 
 
+def test_a_two_term_initial_form_at_a_deep_grade_is_certified_within_a_cpu_limit():
+    # every base entry of y - x against y - 2x needs the per-q gcd in
+    # F_ell[y]: the edge polynomial y - 1 against the initial form
+    # y**q - 2; the Fulton loop alone ran out of fuel from grade 16 on; the
+    # child caps its own CPU time at 10 s
+    payload = _mult_in_child("RLIMIT_CPU", 10,
+                             ["--f", "y-x", "--g", "y-2*x", "--p", "2", "--grades", "30"])
+    assert payload["diagonal"] == [1] * 31
+    row = payload["mixed"][30]
+    assert row[0] == 1 and row[30] == row[930] == 2**30 and row[-1] == 4**30
+
+
 def test_local_multiplicity_of_the_rooted_cusp_against_the_node_stays_within_a_cpu_limit():
     # the cusp rooted 27 times against the node at p = 3 took about a minute
     # of CPU in the Fulton loop; the Newton polygon of the rooted cusp
@@ -925,15 +937,16 @@ def test_y_dividing_both_curves_inside_the_loop_is_an_infinite_exit():
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
     A = _int_rows(_poly([(0, 1, _ELL), (1, 0, -1)]))  # _ELL*y - x
     polygon = _newton_polygon(A)
-    assert polygon == (0, 0, [(1, 1, 1, None)])
+    assert polygon == (0, 0, [(1, 1, 1, {0: -1, 1: _ELL})])
     assert _newton(_newton_stage(polygon, _int_rows(P("y + x"))), 1) is None
     assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
 
 
 def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeypatch):
-    # the edge polynomial of y - _ELL*x is y modulo _ELL: it is coprime to
-    # the initial form 1 of x + y^2 at every q, and to the initial form y**q
-    # of y + x^2 at none, and neither needs a gcd in F_ell[y]
+    # the edge polynomial of y - _ELL*x is y - _ELL, with a nonzero constant
+    # term: it is coprime to the initial form 1 of x + y^2 and to the
+    # initial form y**q of y + x^2 at every q, and neither needs a gcd in
+    # F_ell[y], though it is y modulo _ELL
     def refuse(f, g):
         raise AssertionError("a Euclid ran")
 
@@ -943,7 +956,8 @@ def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeyp
     assert coprime == (1, [])
     assert [_newton(coprime, q) for q in (1, 4, 2**61 - 1)] == [1, 4, 2**61 - 1]
     sharing_y = _newton_stage(_newton_polygon(A), _int_rows(P("y + x^2")))
-    assert sharing_y is None and _newton(sharing_y, 4) is None
+    assert sharing_y == (1, []) and _newton(sharing_y, 4) == 4
+    assert intersect_mod._local(A, _scaled(_int_rows(P("y + x^2")), 4)) == 4
 
 
 def test_the_newton_stage_answers_a_unit_at_once():
@@ -1005,9 +1019,9 @@ def test_newton_stage_certifies_the_pinned_cases():
 
 @pytest.mark.parametrize("mutate", [
     lambda a, b, edges: (a, b, [(n, m, length + 1, P) for n, m, length, P in edges]),
-    lambda a, b, edges: (a, b, [(n, m, length, P and {e + 1: v for e, v in P.items()})
-                                for n, m, length, P in edges]),  # y * P: y not divided out
+    lambda a, b, edges: (a, b, [(n, m, length, {e: -v if e % 2 else v for e, v in P.items()})
+                                for n, m, length, P in edges]),  # P(-y): roots negated
     lambda a, b, edges: (0, 0, edges),  # the monomial factor x**a * y**b dropped
-], ids=["wrong-lattice-length", "unstripped-y-power", "dropped-monomial-factor"])
+], ids=["wrong-lattice-length", "negated-edge-roots", "dropped-monomial-factor"])
 def test_each_mutation_of_the_polygon_is_caught(mutate):
     assert _newton_failures(lambda rows: mutate(*_newton_polygon(rows)))
