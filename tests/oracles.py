@@ -188,9 +188,9 @@ _FULTON_FUEL = 100_000
 
 
 def fulton_loop(A: dict, B: dict):
-    """mu(A, B) by the Fulton loop as intersect._mu ran it before it was
-    truncated at a bound: every term is kept.  A and B are integer rows that
-    share no component through the origin, and are consumed; past
+    """mu(A, B) by the rules of the Fulton loop of intersect._local, without
+    its truncation at a bound: every term is kept.  A and B are integer rows
+    that share no component through the origin, and are consumed; past
     _FULTON_FUEL steps the loop raises FuelExhausted."""
     acc = 0
     for _ in range(2):  # A = x**k * A1: mu = k * ord_y B(0,y) + mu(A1, B)

@@ -366,8 +366,10 @@ def _mult(argv):
 
 
 def test_curve_against_x_uses_the_x_power_rule():
-    # base entry (0, 3) is the curve against x**125: unless x**k is split off
-    # (k * ord_y of the other side at x = 0) the loop runs out of steps
+    # the Newton stage answers all seven base entries and the loop never
+    # runs; the entries (d, 0) read the polygon of x, so they pin the
+    # stage's a * ord_y term: a = 1 times ord_y of the curve rooted 5**d
+    # times, 3 * 5**d
     code, out, err = _mult(["--f", "y^3-x^2+x*y", "--g", "x", "--p", "5",
                             "--grades", "3", "--json"])
     assert code == 0 and err == ""
@@ -387,8 +389,12 @@ def test_curve_against_x_uses_the_x_power_rule():
 
 
 def test_x_power_rule_matches_oracle():
+    # the last two pairs leave the Newton stage undecided (both edge
+    # polynomials are y - 1), so the loop starts with y dividing A, then B:
+    # they pin its y-power rule on each side
     for f, g in [("x^3*y - x^3 + x^4", "y^2 - x"), ("x^2*y - x^3", "y^3 - x^2 + x*y"),
-                 ("x*y^2 + x^2", "y - x^2"), ("x^2", "y^2 - x^3 + x*y^3")]:
+                 ("x*y^2 + x^2", "y - x^2"), ("x^2", "y^2 - x^3 + x*y^3"),
+                 ("y^2 - x^2*y", "y - x^2 + x^4"), ("y - x^2 + x^4", "y^2 - x^2*y")]:
         F, G = P(f), P(g)
         assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == \
             quotient_dim_oracle(F, G), (f, g)
@@ -963,11 +969,14 @@ def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeyp
 def test_the_newton_stage_answers_a_unit_at_once():
     # an edge polynomial whose leading coefficient, or a constant term,
     # vanishes modulo _ELL leaves no certificate, yet a unit on either side
-    # gets 0 from the Newton stage before any; _local has no unit check
+    # gets 0 from the Newton stage's formula, with no form left to certify;
+    # the loop's first exit would answer a unit too
     for f, g in [([(0, 1, _ELL), (1, 0, -1)], [(0, 0, 1), (1, 0, 1)]),  # _ELL*y - x, 1 + x
                  ([(0, 1, 1), (1, 0, -1)], [(0, 0, _ELL), (1, 0, 1)])]:  # y - x, _ELL + x
         F, G = _poly(f), _poly(g)
         Fr, Gr = _int_rows(F), _int_rows(G)
+        assert _newton_stage(_newton_polygon(Fr), Gr) == (0, [])
+        assert _newton_stage(_newton_polygon(Gr), Fr) == (0, [])
         assert _newton(_newton_stage(_newton_polygon(Fr), Gr), 1) == 0
         assert _newton(_newton_stage(_newton_polygon(Gr), Fr), 1) == 0
         assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == 0 == \

@@ -58,7 +58,7 @@ def test_replay_answers_every_benchmark_request_as_before():
 _NO_WORK = dict.fromkeys([
     "braided._mul", "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses",
     "cech.comb", "enumeration._total", "exponents.PAdicFrac", "exponents.is_prime",
-    "fractions.Fraction", "intersect._gcd_degree_mod_ell", "intersect._local", "intersect._mu",
+    "fractions.Fraction", "intersect._gcd_degree_mod_ell", "intersect._local",
     "intersect._newton", "intersect._reduce", "intersect._truncated_quotient_dim",
     "intersect.quotient_dim_oracle",
 ], 0)
@@ -81,7 +81,7 @@ def test_replay_counts_the_work_of_every_benchmark_request():
          "exponents.PAdicFrac": 1416, "exponents.is_prime": 3, "fractions.Fraction": 2832},
         {**_NO_WORK, "braided._mul": 4412, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
-         "intersect._gcd_degree_mod_ell": 200, "intersect._local": 65, "intersect._mu": 65,
+         "intersect._gcd_degree_mod_ell": 200, "intersect._local": 65,
          "intersect._newton": 1752, "intersect._reduce": 617,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
     ]

@@ -21,15 +21,15 @@ wrapping library functions while they run (COUNTED).  Each counter is named
 <module>.<function> and counts calls: the exact rank cech._int_rank (and the
 rows it was given), cech's binomials (cech.comb), the quotient oracle and
 the truncated quotients it eliminates, the base entries offered to each
-multiplicity engine (intersect._newton, then _local, then the Fulton loop
-_mu) and the steps of that loop (intersect._reduce), the Euclids in F_l[y]
-of the Newton stage (intersect._gcd_degree_mod_ell), the products
-braided._mul (a read of a mixed multiplicity entry, or a Kunneth product),
-the checked grade totals of enumeration (enumeration._total) and
-exponents.is_prime; besides, the misses of cech's rank cache and the
-Fraction and PAdicFrac constructions (calls of Fraction.__new__ and
-PAdicFrac.__init__).  The rank and prime caches are cleared before each
-workload, as in a fresh process, and the faults pass is skipped.
+multiplicity engine (intersect._newton, then the Fulton loop _local) and the
+steps of that loop (intersect._reduce), the Euclids in F_l[y] of the Newton
+stage (intersect._gcd_degree_mod_ell), the products braided._mul (a read of a
+mixed multiplicity entry, or a Kunneth product), the checked grade totals of
+enumeration (enumeration._total) and exponents.is_prime; besides, the misses
+of cech's rank cache and the Fraction and PAdicFrac constructions (calls of
+Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
+cleared before each workload, as in a fresh process, and the faults pass is
+skipped.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -82,7 +82,6 @@ COUNTED = (
     (perfproj.intersect, "_truncated_quotient_dim", "intersect._truncated_quotient_dim"),
     (perfproj.intersect, "_newton", "intersect._newton"),
     (perfproj.intersect, "_local", "intersect._local"),
-    (perfproj.intersect, "_mu", "intersect._mu"),
     (perfproj.intersect, "_reduce", "intersect._reduce"),
     (perfproj.intersect, "_gcd_degree_mod_ell", "intersect._gcd_degree_mod_ell"),
     (perfproj.enumeration, "_total", "enumeration._total"),
