@@ -310,7 +310,7 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
         raise HorizonError(f"grade horizon mismatch: {exc}") from exc
     out = []
     for i in range(len(hA) + len(hB) - 1):
-        js = [j for j in range(len(hA)) if 0 <= i - j < len(hB)]
+        js = range(max(0, i - len(hB) + 1), min(i + 1, len(hA)))
         values = [0] * grades
         for j in js:
             values = list(map(_add, values, map(_mul, rowsA[j], rowsB[i - j])))

@@ -61,14 +61,19 @@ def _compositions(total: int, parts: int, sign: int) -> Iterator[tuple[int, ...]
         if total >= least:
             yield (sign * total,)
         return
-    firsts = range(least, total - least * (parts - 1) + 1)
-    for first in (firsts if sign < 0 else reversed(firsts)):
-        if parts == 2:
+    if parts == 2:
+        firsts = range(least, total - least + 1)
+        for first in (firsts if sign < 0 else reversed(firsts)):
             # the last part is what remains: no generator per vector
             yield (sign * first, sign * (total - first))
-            continue
-        head = (sign * first,)
-        for rest in _compositions(total - first, parts - 1, sign):
+        return
+    # recurse on halves, so the depth is log2(parts): the left half takes one
+    # more part, the total of the right half, at least `least` per right part
+    right = (parts + 1) // 2
+    shift = least * (right - 1)
+    for left in _compositions(total - shift, parts - right + 1, sign):
+        head = left[:-1]
+        for rest in _compositions(sign * left[-1] + shift, right, sign):
             yield head + rest
 
 

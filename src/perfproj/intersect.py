@@ -48,9 +48,12 @@ and an infinite entry stays infinite.  Both curves of entry(s, t) are
 polynomials in U**p**m, V**p**m, and k[U, V] is free of rank p**(2m) over
 k[U**p**m, V**p**m]; the origin is the only point over the origin, so the
 colength of the ideal multiplies by that rank.  A curve against itself needs
-only (0, d), since mu is symmetric.  Entry (a+1, b+1) of grade i+1 is entry
-(a, b) of grade i, so each grade copies the one before and reads entries
-only for its row a = 0 and column b = 0: (grades+1)**2 reads in all.
+only (0, d), since mu is symmetric.  One cached function, entry(s, t),
+computes each (s, t) once: 0 below a native grade, entry(t, s) for a curve
+against itself when s > t, the identity above when m > 0, and a base entry
+otherwise.  Cell (a, b) of grade i is entry(i - kF - a, i - kG - b), so cell
+(a+1, b+1) of grade i+1 reads the same cached value as cell (a, b) of grade
+i, and each distinct rescaled entry is scaled once.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
 its FracPoly stores, into integer rows at its native grade.  The rows of a
@@ -104,6 +107,7 @@ rooted, and runs the same stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from . import braided
@@ -493,9 +497,10 @@ class MultiplicityTuple:
 
     mixed[i] is a full (i+1) x (i+1) dict keyed by root depths (a, b): the
     multiplicity of F rooted a times against G rooted b times, measured in
-    the grade-i local ring.  Root depths that are not reachable (fractional
-    inputs below their native grade) hold zero.  The diagonal tuple takes
-    the fully rooted entry of each grade.
+    the grade-i local ring, read from the one cached entry(s, t) of
+    braided_multiplicity at s = i - kF - a, t = i - kG - b.  Root depths that
+    are not reachable (fractional inputs below their native grade) hold
+    zero.  The diagonal tuple takes the fully rooted entry of each grade.
     """
 
     prime: int
@@ -537,32 +542,29 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     stages = [_newton_stage(_newton_polygon(Fr), Gr)]
     if not self_pair:
         stages.append(_newton_stage(_newton_polygon(Gr), Fr))
-    base: dict[tuple[int, int], object] = {}  # only (0, d) and (d, 0)
 
+    @cache
     def entry(s: int, t: int):
-        # mu(F rescaled to grade kF+s, G rescaled to grade kG+t) = p**(2m) * entry(s-m, t-m)
+        # mu(F rescaled to grade kF+s, G rescaled to grade kG+t); 0 below a native grade
+        if s < 0 or t < 0:
+            return 0
+        if self_pair and s > t:
+            return entry(t, s)
         m = min(s, t)
-        key = (0, s + t - 2 * m) if self_pair else (s - m, t - m)
-        if key not in base:
-            qF, qG = p ** key[0], p ** key[1]
-            try:
-                base[key] = _base_entry(Fr, Gr, stages[qF != 1], qF, qG)
-            except FuelExhausted as exc:
-                raise FuelExhausted(f"{exc} at base entry (s, t) = {key}") from exc
-        return braided._mul(p ** (2 * m), base[key])
+        if m:
+            return braided._mul(p ** (2 * m), entry(s - m, t - m))
+        try:  # a base entry, (0, d) or (d, 0)
+            return _base_entry(Fr, Gr, stages[s != 0], p ** s, p ** t)
+        except FuelExhausted as exc:
+            raise FuelExhausted(f"{exc} at base entry (s, t) = {(s, t)}") from exc
 
-    # each grade is the one before, shifted by one, plus its row a = 0 and column b = 0
-    mixed: list[dict[tuple[int, int], object]] = []
-    mat: dict[tuple[int, int], object] = {}
-    for i in range(grades + 1):
-        mat = {(a + 1, b + 1): v for (a, b), v in mat.items()}
-        for a, b in [(0, b) for b in range(i + 1)] + [(a, 0) for a in range(1, i + 1)]:
-            s, t = i - kF - a, i - kG - b
-            mat[(a, b)] = entry(s, t) if s >= 0 and t >= 0 else 0
-        mixed.append(mat)
-    # the fully rooted entry of grade i >= k0 is mat[(i - kF, i - kG)], that is
-    # entry(0, 0): the classical multiplicity of F and G at their native grades
-    classical = entry(0, 0)
+    mixed = [{(a, b): entry(i - kF - a, i - kG - b) for a in range(i + 1) for b in range(i + 1)}
+             for i in range(grades + 1)]
+    # the fully rooted entry (i - kF, i - kG) of grade i >= k0 is entry(0, 0):
+    # the classical multiplicity of F and G at their native grades.  entry
+    # reaches itself through its cache, so it is unbound here: the cache and
+    # the rows are then freed on return, not later by the cycle collector
+    classical, entry = entry(0, 0), None
     diagonal = BraidedDim(p, k0, generator=lambda label: classical,
                           length=max(0, grades + 1 - k0))
     return MultiplicityTuple(p, diagonal, mixed)

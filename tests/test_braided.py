@@ -226,24 +226,41 @@ def test_total_rank():
     assert BraidedDim(3, 0, [1, 2]).total_rank() == 3
 
 
-def test_h0_of_a_large_dimension_stays_within_a_cpu_limit():
+def _h0_grades(out, n):
+    assert out == {"p": 2, "offset": 0, "grades": [comb(2**i + n, n) for i in range(4)],
+                   "generator": f"h0(n={n},d=1)"}
+
+
+def _kunneth_grades(out, n):
+    # h0 of O(1) on P^n times h0 of O(1) on P^1 has n + 2 cohomology indices;
+    # index 0 is the product of the two h0 tuples
+    assert len(out["cohomology"]) == n + 2
+    assert out["cohomology"][0]["grades"] == [
+        comb(2**i + n, n) * comb(2**i + 1, 1) for i in range(2)]
+
+
+@pytest.mark.parametrize("argv, check", [
     # C(Q + n, n), Q = 2**i, read in closed form at each grade: the same
     # count expanded as a polynomial in Q has n + 1 coefficients, O(n**2)
-    # big-int products at n = 100000; the child caps its own CPU time at 10 s
-    n = 100_000
+    # big-int products at n = 100000
+    (["h0", "--n", "100000", "--deg", "1", "--p", "2", "--grades", "4", "--json"], _h0_grades),
+    # Kunneth reads only the index pairs that exist: scanning every factor
+    # index for each output index took minutes at this n
+    (["kunneth", "--n", "100000", "--m", "1", "--a", "1", "--b", "1", "--p", "2",
+      "--grades", "2", "--json"], _kunneth_grades),
+], ids=["h0", "kunneth"])
+def test_h0_of_a_large_dimension_stays_within_a_cpu_limit(argv, check):
+    # the child caps its own CPU time at 10 s
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
              "from perfproj.cli import main\n"
-             f"sys.argv = ['perfproj', 'h0', '--n', '{n}', '--deg', '1', '--p', '2',"
-             " '--grades', '4', '--json']\n"
+             f"sys.argv = ['perfproj', *{argv!r}]\n"
              "main()\n")
     src = os.path.dirname(os.path.dirname(braided_mod.__file__))
     done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    assert json.loads(done.stdout) == {
-        "p": 2, "offset": 0, "grades": [comb(2**i + n, n) for i in range(4)],
-        "generator": f"h0(n={n},d=1)"}
+    check(json.loads(done.stdout), 100_000)
 
 
 def test_reads_never_change_a_tuple():

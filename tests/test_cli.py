@@ -46,6 +46,19 @@ def test_h0_table_layout():
     assert lines[2].endswith("| 7")
 
 
+def test_tables_of_many_variables_answer():
+    # the composition walk recurses on halves, not once per part
+    n = 2000
+    code, out, err = invoke(["h0", "--n", str(n), "--deg", "1", "--p", "2", "--grades", "1"])
+    assert (code, err) == (0, "")
+    units = ["(" + ",".join("1" if k == j else "0" for k in range(n + 1)) + ")"
+             for j in range(8)]
+    assert out.splitlines()[1] == f"0 | {' '.join(units)} ... | {n + 1}"
+    code, out, err = invoke(["hn", "--n", str(n), "--deg=-2001", "--p", "2", "--grades", "1"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "0 | (" + ",".join(["-1"] * (n + 1)) + ") | 1"
+
+
 def test_hn_fractional_degree():
     code, out, _ = invoke(["hn", "--n", "1", "--deg=-5/3", "--p", "3",
                            "--grades", "3", "--json"])

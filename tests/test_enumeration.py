@@ -14,6 +14,7 @@ from perfproj import (
     iter_h0_monomials,
     iter_hn_monomials,
 )
+from perfproj.enumeration import _compositions
 from perfproj.exponents import normalize
 from math import comb
 
@@ -104,6 +105,18 @@ def test_enumerate_matches_bruteforce_vectors():
     brute = {tuple(normalize(c, 1, 3) for c in comp)
              for comp in enumerate_compositions(6, 3)}
     assert set(piece.vectors) == brute
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_compositions_walk_the_oracle_in_descending_order(sign):
+    # the walk recurses on halves; the oracle peels off one part at a time
+    least = 1 if sign < 0 else 0
+    for parts in range(1, 9):
+        for total in range(11):
+            brute = sorted((tuple(sign * c for c in comp)
+                            for comp in enumerate_compositions(total, parts)
+                            if min(comp) >= least), reverse=True)
+            assert list(_compositions(total, parts, sign)) == brute
 
 
 def test_monotone_in_grade():

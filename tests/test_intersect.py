@@ -294,28 +294,28 @@ def test_fractional_inputs_zero_below_native_grade():
     assert tup.mixed[1][(0, 1)] == 2
 
 
-def _entry_reads(monkeypatch, F, G, grades):
-    """braided_multiplicity(F, G, grades) and the number of entry reads it
-    made: each read scales a base entry once, by braided._mul."""
-    reads = []
+def _rescalings(monkeypatch, F, G, grades):
+    """braided_multiplicity(F, G, grades) and the number of rescalings it
+    made: each distinct entry(s, t) with s, t >= 1 scales a base entry once,
+    by braided._mul."""
+    count = []
     mul = braided_mod._mul
-    monkeypatch.setattr(braided_mod, "_mul", lambda a, b: reads.append(1) or mul(a, b))
+    monkeypatch.setattr(braided_mod, "_mul", lambda a, b: count.append(1) or mul(a, b))
     tup = braided_multiplicity(F, G, grades)
     monkeypatch.undo()
-    return tup, len(reads)
+    return tup, len(count)
 
 
-@pytest.mark.parametrize("f, g, reads", [
-    # kF = 1, kG = 0: row a = 0 and column b = 0 of grades 1..4 where F is
-    # rooted at s >= 0, 2 + 4 + 6 + 8, and the classical entry
-    ("y - x^(3/2)", "x", 21),
-    # a self pair: 2i + 1 entries at grade i, (4 + 1)**2 in all, and the classical entry
-    ("y^2 - x^3", "y^2 - x^3", 26),
+@pytest.mark.parametrize("f, g, rescalings", [
+    # kF = 1, kG = 0: s = i - 1 - a runs over 1..3 and t = i - b over 1..4
+    ("y - x^(3/2)", "x", 12),
+    # a self pair reads entry(t, s) for s > t: the pairs 1 <= s <= t <= 4
+    ("y^2 - x^3", "y^2 - x^3", 10),
 ])
-def test_each_grade_reads_only_its_first_row_and_column(monkeypatch, f, g, reads):
+def test_each_distinct_entry_is_computed_once(monkeypatch, f, g, rescalings):
     F, G = P(f), P(g)
-    tup, count = _entry_reads(monkeypatch, F, G, 4)
-    assert count == reads
+    tup, count = _rescalings(monkeypatch, F, G, 4)
+    assert count == rescalings
     assert tup.mixed == mixed_by_depth_brute(F, G, 4)
 
 

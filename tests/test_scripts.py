@@ -79,7 +79,7 @@ def test_replay_counts_the_work_of_every_benchmark_request():
         {**_NO_WORK, "cech._int_rank": 105, "cech._int_rank.rows": 449,
          "cech._ranks_for_count.misses": 28, "cech.comb": 6340,
          "exponents.PAdicFrac": 1416, "exponents.is_prime": 3, "fractions.Fraction": 2832},
-        {**_NO_WORK, "braided._mul": 4412, "cech._int_rank": 690,
+        {**_NO_WORK, "braided._mul": 2336, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
          "intersect._gcd_degree_mod_ell": 200, "intersect._local": 65,
          "intersect._newton": 1752, "intersect._reduce": 617,

@@ -23,8 +23,9 @@ rows it was given), cech's binomials (cech.comb), the quotient oracle and
 the truncated quotients it eliminates, the base entries offered to each
 multiplicity engine (intersect._newton, then the Fulton loop _local) and the
 steps of that loop (intersect._reduce), the Euclids in F_l[y] of the Newton
-stage (intersect._gcd_degree_mod_ell), the products braided._mul (a read of a
-mixed multiplicity entry, or a Kunneth product), the checked grade totals of
+stage (intersect._gcd_degree_mod_ell), the products braided._mul (a mixed
+multiplicity entry rescaled by p**(2m) with m > 0, or a Kunneth product), the
+checked grade totals of
 enumeration (enumeration._total) and exponents.is_prime; besides, the misses
 of cech's rank cache and the Fraction and PAdicFrac constructions (calls of
 Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
