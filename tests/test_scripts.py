@@ -57,7 +57,8 @@ def test_replay_answers_every_benchmark_request_as_before():
 
 _NO_WORK = dict.fromkeys([
     "braided._mul", "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses",
-    "cech.comb", "enumeration._total", "exponents.PAdicFrac", "exponents.is_prime",
+    "cech.comb", "enumeration._total", "exponents.PAdicFrac", "exponents._require_prime",
+    "exponents.is_prime",
     "fractions.Fraction", "intersect._gcd_degree_mod_ell", "intersect._local",
     "intersect._newton", "intersect._reduce", "intersect._truncated_quotient_dim",
     "intersect.quotient_dim_oracle",
@@ -75,12 +76,15 @@ def test_replay_counts_the_work_of_every_benchmark_request():
         ("sections", 900, "77520bbb"), ("cech", 900, "81ceb193"), ("curves", 900, "8ba62c15")]
     assert [g["counters"] for g in got] == [
         {**_NO_WORK, "braided._mul": 2786, "enumeration._total": 643,
-         "exponents.PAdicFrac": 1822, "exponents.is_prime": 3, "fractions.Fraction": 2016},
+         "exponents.PAdicFrac": 1822, "exponents._require_prime": 6858,
+         "exponents.is_prime": 3, "fractions.Fraction": 2016},
         {**_NO_WORK, "cech._int_rank": 105, "cech._int_rank.rows": 449,
          "cech._ranks_for_count.misses": 28, "cech.comb": 6340,
-         "exponents.PAdicFrac": 1416, "exponents.is_prime": 3, "fractions.Fraction": 2832},
+         "exponents.PAdicFrac": 1416, "exponents._require_prime": 5148,
+         "exponents.is_prime": 3, "fractions.Fraction": 2832},
         {**_NO_WORK, "braided._mul": 2336, "cech._int_rank": 690,
-         "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630, "exponents.is_prime": 3,
+         "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630,
+         "exponents._require_prime": 3069, "exponents.is_prime": 3,
          "intersect._gcd_degree_mod_ell": 200, "intersect._local": 65,
          "intersect._newton": 1752, "intersect._reduce": 617,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},

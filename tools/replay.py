@@ -25,12 +25,13 @@ multiplicity engine (intersect._newton, then the Fulton loop _local) and the
 steps of that loop (intersect._reduce), the Euclids in F_l[y] of the Newton
 stage (intersect._gcd_degree_mod_ell), the products braided._mul (a mixed
 multiplicity entry rescaled by p**(2m) with m > 0, or a Kunneth product), the
-checked grade totals of
-enumeration (enumeration._total) and exponents.is_prime; besides, the misses
-of cech's rank cache and the Fraction and PAdicFrac constructions (calls of
-Fraction.__new__ and PAdicFrac.__init__).  The rank and prime caches are
-cleared before each workload, as in a fresh process, and the faults pass is
-skipped.
+checked grade totals of enumeration (enumeration._total), the prime checks
+exponents._require_prime (counted through every module that binds the name)
+and the proofs among them, exponents.is_prime, one per prime while it stays
+cached; besides, the misses of cech's rank cache and the Fraction and
+PAdicFrac constructions (calls of Fraction.__new__ and PAdicFrac.__init__).
+The rank and prime caches are cleared before each workload, as in a fresh
+process, and the faults pass is skipped.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -88,6 +89,9 @@ COUNTED = (
     (perfproj.enumeration, "_total", "enumeration._total"),
     (perfproj.geometry, "_total", "enumeration._total"),
     (perfproj.exponents, "is_prime", "exponents.is_prime"),
+    *((module, "_require_prime", "exponents._require_prime")
+      for name, module in sorted(sys.modules.items())
+      if name.startswith("perfproj.") and hasattr(module, "_require_prime")),
 )
 COUNTERS = sorted({key for _, _, key in COUNTED} | {
     "cech._int_rank.rows", "cech._ranks_for_count.misses", "exponents.PAdicFrac",
