@@ -30,20 +30,23 @@ def _is_inf(v) -> bool:
     return v == INFINITE_RANK
 
 
+def _json_grades(values) -> list:
+    """Grade values as JSON writes them: ints, and "inf" for INFINITE_RANK."""
+    return ["inf" if _is_inf(v) else v for v in values]
+
+
+# the rules Python lacks: inf - inf and n - inf are no integer, 0 * inf = 0,
+# inf * -n = inf, and inf + n = inf - n = inf also for n >= 2**1024, where
+# Python's own raise OverflowError
 def _add(a, b):
-    if _is_inf(a) or _is_inf(b):
-        return INFINITE_RANK
-    return a + b
+    return INFINITE_RANK if _is_inf(a) or _is_inf(b) else a + b
 
 
 def _sub(a, b):
-    if _is_inf(a) and _is_inf(b):
-        raise IndeterminateForm("inf - inf is indeterminate")
     if _is_inf(b):
-        raise IndeterminateForm("result below every integer: finite - inf")
-    if _is_inf(a):
-        return INFINITE_RANK
-    return a - b
+        raise IndeterminateForm("inf - inf is indeterminate" if _is_inf(a)
+                                else "result below every integer: finite - inf")
+    return INFINITE_RANK if _is_inf(a) else a - b
 
 
 def _mul(a, b):
@@ -122,10 +125,7 @@ class BraidedDim:
         infinitely many nonzero grades.
         """
         if self._generator is None:
-            total = 0
-            for v in self.grades_list():
-                total = _add(total, v)
-            return total
+            return functools.reduce(_add, self.grades_list(), 0)
         span = max(_PROBE, self.length)
         if any(v != 0 for v in self.window(self.offset, span)):
             return INFINITE_RANK
@@ -170,8 +170,7 @@ class BraidedDim:
     # -- presentation -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        grades = ["inf" if _is_inf(v) else v for v in self.grades_list()]
-        out = {"p": self.prime, "offset": self.offset, "grades": grades}
+        out = {"p": self.prime, "offset": self.offset, "grades": _json_grades(self.grades_list())}
         if self.generator_desc is not None:
             out["generator"] = self.generator_desc
         return out
@@ -281,10 +280,7 @@ def bundle_cohomology(bundle: LineBundle, grades: int) -> list[BraidedDim]:
 
 def _sum_of_products(pairs, label: int):
     """The sum over pairs (a, b) of a.at(label) * b.at(label), folded left from 0."""
-    acc = 0
-    for a, b in pairs:
-        acc = _add(acc, _mul(a.at(label), b.at(label)))
-    return acc
+    return functools.reduce(_add, (_mul(a.at(label), b.at(label)) for a, b in pairs), 0)
 
 
 def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],

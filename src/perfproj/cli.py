@@ -193,8 +193,9 @@ _MONOMIAL_CAP = 8
 def _monomial_cell(n: int, size: PAdicFrac, label: int, p: int, reduced: bool,
                    negative: bool) -> str:
     """The first _MONOMIAL_CAP vectors at grade label, each entry times
-    p**label, then "..." if there are more."""
-    vectors = _scaled_vectors(n, size, label, p, reduced, negative)
+    p**label, then "..." if there are more; size is a checked bundle's degree,
+    or minus it if negative, and label at least its offset."""
+    vectors = _scaled_vectors(n, size.scaled(label), label, p, reduced, negative)
     head = list(islice(vectors, _MONOMIAL_CAP + 1))
     shown = ["(" + ",".join(map(str, v)) + ")" for v in head[:_MONOMIAL_CAP]]
     if len(head) > _MONOMIAL_CAP:
@@ -202,9 +203,14 @@ def _monomial_cell(n: int, size: PAdicFrac, label: int, p: int, reduced: bool,
     return " ".join(shown)
 
 
-def _dim_result(args, dim: braided.BraidedDim):
-    """The JSON payload of dim under --json, else its table lines."""
-    return dim.to_json_dict() if args.json else _dim_table(dim)
+def _dim_result(args, dim: braided.BraidedDim, cell=None):
+    """The JSON payload of dim under --json, else its table lines.
+
+    The last grade is written first: one past the digit limit would end the
+    answer in its diagnostic anyway, so it ends it before the other grades are
+    computed."""
+    str(dim.at(dim.offset + dim.length - 1))
+    return dim.to_json_dict() if args.json else _dim_table(dim, cell)
 
 
 def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
@@ -227,16 +233,14 @@ def _run_h0_family(args, which: str):
     deg = bundle.degree
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, args.grades, reduced=args.reduced)
-    if args.json:
-        return dim.to_json_dict()  # counts only: nothing is enumerated
     negative = deg.num < 0
     cell = None
-    if which == ("hn" if negative else "h0"):
+    if not args.json and which == ("hn" if negative else "h0"):  # --json only counts
         size = -deg if negative else deg
 
         def cell(label: int) -> str:
             return _monomial_cell(args.n, size, label, args.p, args.reduced, negative)
-    return _dim_table(dim, cell)
+    return _dim_result(args, dim, cell)
 
 
 def _run_kunneth(args):

@@ -6,17 +6,17 @@ the cumulative convention: a vector whose denominators all divide p**(i-1)
 is counted again at grade i.  Pass reduced=True to count only vectors whose
 exact denominator is p**i.
 
-One private path enumerates: _compositions walks the compositions, and
-_scaled_vectors yields them as the vectors times p**i, with the reduced
-filter applied.  The CLI's table cells print them as they are; iter_* and
-enumerate_* map each entry to its PAdicFrac through a cache of normalize,
-one call per distinct entry.  The Veronese coordinates (geometry) draw from
-_compositions only the heads, the compositions into n parts.
-
-One private formula counts: _graded_count, on a total p**i * d already
-checked.  count_* check their arguments through _total first; braided's
-tuples check a bundle once when they are built and then read _graded_count
-at each grade.
+One private path enumerates and one private formula counts, both on a
+total p**i * d already checked: _scaled_vectors yields the compositions that
+_compositions walks as the vectors times p**i, with the reduced filter
+applied, and _graded_count counts them.  The public functions check their
+arguments once, through _total; iter_* and enumerate_* then map each entry
+of a vector to its PAdicFrac through a cache of normalize, one call per
+distinct entry.  braided's tuples check a bundle once when they are built
+and then read _graded_count at each grade; the CLI's table cells take the
+total from that bundle's degree and print the vectors as they are.  The
+Veronese coordinates (geometry) draw from _compositions only the heads, the
+compositions into n parts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import DomainError
-from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
+from .exponents import PAdicFrac, _as_padic, normalize
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ def _compositions(total: int, parts: int, sign: int) -> Iterator[tuple[int, ...]
 
 
 def _total(n: int, d, i: int, p: int, negative: bool) -> int:
-    """p**i * d after checking n >= 0, p prime and d >= 0 (d > 0 if negative)."""
+    """p**i * d after checking n >= 0, p prime and d >= 0 (d > 0 if negative);
+    the conversion of d to Z[1/p] checks the prime."""
     if n < 0:
         raise DomainError("projective dimension must be non-negative")
-    _require_prime(p)
     d = _as_padic(d, p)
     if negative and d.num <= 0:
         raise DomainError("m must be positive")
@@ -105,15 +105,14 @@ def _graded_count(n: int, total: int, i: int, p: int, reduced: bool, negative: b
     return count
 
 
-def _scaled_vectors(n: int, d, i: int, p: int, reduced: bool,
+def _scaled_vectors(n: int, total: int, i: int, p: int, reduced: bool,
                     negative: bool) -> Iterator[tuple[int, ...]]:
     """p**i times each grade-i vector, as integers: the compositions of
-    p**i * d into n+1 parts, negated with every part >= 1 if negative.
-
-    Arguments are checked at call time; nothing is enumerated until the
-    iterator is advanced.
+    total = p**i * d, already checked, into n+1 parts, negated with every
+    part >= 1 if negative.  Nothing is enumerated until the iterator is
+    advanced.
     """
-    vectors = _compositions(_total(n, d, i, p, negative), n + 1, -1 if negative else 1)
+    vectors = _compositions(total, n + 1, -1 if negative else 1)
     if reduced and i > 0:
         # an entry of exact denominator p**i is a part that p does not divide
         return (v for v in vectors if any(c % p for c in v))
@@ -123,8 +122,9 @@ def _scaled_vectors(n: int, d, i: int, p: int, reduced: bool,
 def _normalized(n: int, d, i: int, p: int, reduced: bool,
                 negative: bool) -> Iterator[tuple[PAdicFrac, ...]]:
     # one piece has at most p**i * |d| + 1 distinct entries
+    vectors = _scaled_vectors(n, _total(n, d, i, p, negative), i, p, reduced, negative)
     lookup = cache(lambda c: normalize(c, i, p))
-    return (tuple(map(lookup, v)) for v in _scaled_vectors(n, d, i, p, reduced, negative))
+    return (tuple(map(lookup, v)) for v in vectors)
 
 
 def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:

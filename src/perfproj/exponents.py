@@ -101,10 +101,13 @@ class PAdicFrac:
 
     @classmethod
     def from_fraction(cls, fr: Fraction, p: int) -> "PAdicFrac":
-        """Exact conversion; rejects denominators that are not powers of p."""
+        """Exact conversion; rejects denominators that are not powers of p.
+
+        A Fraction is in lowest terms, so p does not divide the numerator over
+        a denominator p**j > 1: the pair is already normalized."""
         _require_prime(p)
         fr = Fraction(fr)
-        return normalize(fr.numerator, _denominator_pexp(fr.denominator, p), p)
+        return cls(fr.numerator, _denominator_pexp(fr.denominator, p), p)
 
     @property
     def is_zero(self) -> bool:

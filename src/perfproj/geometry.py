@@ -28,7 +28,7 @@ from .braided import BraidedDim, LineBundle, hn_top
 from .enumeration import (GradedPiece, _compositions, _total, count_h0_monomials,
                           enumerate_h0_monomials)
 from .errors import DomainError
-from .exponents import PAdicFrac, _as_padic, _require_prime, normalize
+from .exponents import PAdicFrac, _as_padic, normalize
 from .fracpoly import (FracMonomial, FracPoly, _coeff_text, _merged, _plane_terms,
                        _power_suffix, _render_terms, _var_names)
 
@@ -44,7 +44,6 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
     p**(2j) * degF * degG, computed directly and counting nothing; grade 0 is
     the classical Bezout number.
     """
-    _require_prime(p)
     d = _as_padic(d, p)
     if degF < 1 or degG < 1:
         raise DomainError("curve degrees must be positive")
@@ -62,7 +61,6 @@ def bezout_line(s, t, grades: int, p: int) -> BraidedDim:
     reached reads 0, so the difference may differ from 1 there: s = 2/3,
     t = 5 over p = 3 reads -4, 1, 1, 1 from label 0.
     """
-    _require_prime(p)
     s = _as_padic(s, p)
     t = _as_padic(t, p)
     if s.num <= 0 or t.num <= 0:
@@ -339,7 +337,6 @@ def blowup_plane_charts(p: int) -> PlaneBlowupAtlas:
     that the composite identification is the identity on Laurent monomials
     of the overlap.
     """
-    _require_prime(p)
 
     def mono(e0, e1):
         return FracMonomial(Fraction(1), (PAdicFrac(e0, 0, p), PAdicFrac(e1, 0, p)))

@@ -111,7 +111,7 @@ from functools import cache
 from math import gcd
 
 from . import braided
-from .braided import INFINITE_RANK, BraidedDim, _is_inf
+from .braided import INFINITE_RANK, BraidedDim, _json_grades
 from .cech import _int_rank
 from .errors import DomainError, FuelExhausted, QuotientCapExceeded
 from .fracpoly import FracPoly, _plane_terms
@@ -513,13 +513,10 @@ class MultiplicityTuple:
                 for a in range(i, -1, -1) for b in range(i, -1, -1)]
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            return "inf" if _is_inf(v) else v
         return {
             "p": self.prime,
-            "diagonal": [enc(v) for v in self.diagonal.grades_list()],
-            "mixed": [[enc(v) for v in self.flattened_row(i)]
-                      for i in range(len(self.mixed))],
+            "diagonal": _json_grades(self.diagonal.grades_list()),
+            "mixed": [_json_grades(self.flattened_row(i)) for i in range(len(self.mixed))],
         }
 
 

@@ -4,14 +4,21 @@ Nothing here uses binomial formulas: counts come from literal nested-loop
 enumeration so that closed forms are checked against something that cannot
 share their bugs.  The oracles described as a function "as it was" keep an
 implementation that a closed form replaced; the package's counting code
-appears only in those.
+appears only in those.  Besides, run_in_child and cli_in_child run code in a
+child process under a resource limit, for the tests that bound a cost.
 """
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import comb, gcd
+from pathlib import Path
+
+import perfproj
 
 from perfproj import (INFINITE_RANK, BraidedDim, DomainError, FracMonomial, FracPoly,
                       FuelExhausted, HorizonError, PAdicFrac, ParseError, WeightVector,
@@ -22,6 +29,27 @@ from perfproj.enumeration import _scaled_vectors, count_h0_monomials, count_hn_m
 from perfproj.exponents import _as_padic, _denominator_pexp
 from perfproj.fracpoly import _power_suffix, _tokenize, _var_names
 from perfproj.geometry import BlowupChart, ExceptionalLocus
+
+
+def run_in_child(limit: str, value: int, code: str) -> subprocess.CompletedProcess:
+    """The Python code, run in a child that first sets its own resource limit,
+    resource.<limit>, to value, and imports perfproj from this checkout; its
+    stdout and stderr are captured as text."""
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.{limit}, ({value}, {value}))\n"
+    ) + code
+    src = Path(perfproj.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+
+
+def cli_in_child(limit: str, value: int, argv: list[str]) -> subprocess.CompletedProcess:
+    """`perfproj argv`, run by run_in_child."""
+    return run_in_child(limit, value, (
+        "from perfproj.cli import main\n"
+        f"sys.argv = ['perfproj', *{argv!r}]\n"
+        "main()\n"))
 
 
 def count_compositions(total: int, parts: int) -> int:
@@ -465,7 +493,7 @@ def veronese_strings_by_join(n: int, d: int, i: int, p: int, names=None) -> list
     entries looked up in one factor table per variable (every slot formatted
     by _power_suffix) and joined with "*"."""
     names = _var_names(names, n + 1)
-    vectors = list(_scaled_vectors(n, d, i, p, False, False))
+    vectors = list(_scaled_vectors(n, d * p**i, i, p, False, False))
     total = sum(vectors[0])
     tables = [["", *(names[j] + _power_suffix(c, i, p) for c in range(1, total + 1))]
               for j in range(n + 1)]

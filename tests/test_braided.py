@@ -1,15 +1,12 @@
 import io
 import json
-import os
-import subprocess
-import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_compositions, kunneth_lazy
+from oracles import cli_in_child, count_compositions, kunneth_lazy
 
 from perfproj import (
     INFINITE_RANK,
@@ -156,6 +153,23 @@ def test_tuple_arith_infinity():
     fin = BraidedDim(3, 0, [1, 1])
     assert (inf_tuple + fin).at(0) == INFINITE_RANK
     assert (inf_tuple - fin).grades_list() == [INFINITE_RANK, 0]
+    assert (inf_tuple - BraidedDim(3, 0, [7, 1])).grades_list() == [INFINITE_RANK, 0]
+    assert (fin + inf_tuple).grades_list() == [INFINITE_RANK, 2]
+    assert BraidedDim(3, 0, [2, INFINITE_RANK, 3]).total_rank() == INFINITE_RANK
+    assert (BraidedDim(3, 0, [0, -2]) * BraidedDim(3, 0, [INFINITE_RANK] * 2)).grades_list() == [
+        0, INFINITE_RANK]
+    # no float holds an int from 2**1024 on: Python's inf + n and inf - n raise
+    # OverflowError there, and every sum of tuple values still reads inf
+    big = BraidedDim(3, 0, [2**1024, 1])
+    assert (inf_tuple + big).grades_list() == [INFINITE_RANK, 2]
+    assert (big + inf_tuple).grades_list() == [INFINITE_RANK, 2]
+    assert (inf_tuple - big).grades_list() == [INFINITE_RANK, 0]
+    assert big.total_rank() == 2**1024 + 1
+    assert BraidedDim(3, 0, [2**1024, INFINITE_RANK]).total_rank() == INFINITE_RANK
+    one = BraidedDim(3, 0, [1, 1])
+    # output 1 is inf_tuple * one + big * one
+    assert kunneth([inf_tuple, big], [one, one], 2)[1].grades_list() == [INFINITE_RANK, 2]
+    assert braided_mod._sum_of_products([(inf_tuple, one), (big, one)], 0) == INFINITE_RANK
     with pytest.raises(IndeterminateForm):
         tuple_arith(inf_tuple, inf_tuple, "sub")
     with pytest.raises(IndeterminateForm):
@@ -251,14 +265,7 @@ def _kunneth_grades(out, n):
 ], ids=["h0", "kunneth"])
 def test_h0_of_a_large_dimension_stays_within_a_cpu_limit(argv, check):
     # the child caps its own CPU time at 10 s
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
-             "from perfproj.cli import main\n"
-             f"sys.argv = ['perfproj', *{argv!r}]\n"
-             "main()\n")
-    src = os.path.dirname(os.path.dirname(braided_mod.__file__))
-    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    done = cli_in_child("RLIMIT_CPU", 10, argv)
     assert (done.returncode, done.stderr) == (0, "")
     check(json.loads(done.stdout), 100_000)
 

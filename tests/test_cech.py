@@ -1,9 +1,6 @@
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -12,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_square_zero, mask_ranks, rational_rank, verify_by_mask,
-                     weights_by_count)
+from oracles import (cli_in_child, dense_square_zero, mask_ranks, rational_rank,
+                     verify_by_mask, weights_by_count)
 
 from perfproj import (
     DomainError,
@@ -410,15 +407,8 @@ def test_a_large_grade_ends_in_the_digit_limit_within_a_cpu_limit():
     # print them; the box total and one count take a few seconds of CPU,
     # every count's inclusion-exclusion about 31 s; the child caps its own
     # CPU time at 20 s
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
-             "from perfproj.cli import main\n"
-             "sys.argv = ['perfproj', 'cech-check', '--n', '6', '--degrees=-3,1,2',"
-             " '--i', '400000', '--p', '2', '--json']\n"
-             "main()\n")
-    src = os.path.dirname(os.path.dirname(cech_mod.__file__))
-    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
+    done = cli_in_child("RLIMIT_CPU", 20, ["cech-check", "--n", "6", "--degrees=-3,1,2",
+                                           "--i", "400000", "--p", "2", "--json"])
     assert done.returncode == 2
     assert json.loads(done.stdout) == {
         "error": {"category": "computation", "message": _digit_limit_message()}}

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import perfproj.cli as cli_mod
 from perfproj import PAdicFrac, exponents, enumerate_h0_monomials, enumerate_hn_monomials
 from perfproj.enumeration import count_h0_monomials
-from perfproj.cli import run
+from perfproj.cli import _digit_limit_message, run
 from perfproj.errors import ComputationDiagnostic, FuelExhausted
-from oracles import CURVE_CORPUS_TEXT, fraction_table_cell, rooted_texts
+from oracles import CURVE_CORPUS_TEXT, cli_in_child, fraction_table_cell, rooted_texts
 
 
 def invoke(argv):
@@ -208,6 +208,26 @@ def test_int_past_the_digit_limit_exits_2(argv):
         assert json.loads(out) == {"error": {"category": "computation", "message": message}}
     else:
         assert out == ""  # no partial answer
+
+
+# the last grade of each tuple is past the digit limit, and is written first:
+# computing the grades before it took 1.2 to 19 s of CPU
+_LAST_GRADE_PAST_THE_LIMIT = [
+    ["h0", "--n", "1", "--deg", "1", "--p", "5", "--grades", "6200"],
+    ["euler", "--n", "1", "--deg", "1", "--p", "2", "--grades", "100000", "--json"],
+    ["hn", "--n", "1", "--deg=-1", "--p", "2", "--grades", "20000"],
+    ["bezout-chi", "--d", "2", "--degf", "1", "--degg", "1", "--p", "2", "--grades", "8000",
+     "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _LAST_GRADE_PAST_THE_LIMIT, ids=lambda argv: argv[0])
+def test_a_last_grade_past_the_digit_limit_ends_within_a_cpu_limit(argv):
+    done = cli_in_child("RLIMIT_CPU", 2, argv)
+    message = _digit_limit_message()
+    payload = {"error": {"category": "computation", "message": message}}
+    assert (done.returncode, done.stderr) == (2, f"error: computation: {message}\n")
+    assert done.stdout == (json.dumps(payload) + "\n" if "--json" in argv else "")
 
 
 # the answers at integer degrees this large are the digit-limit diagnostic, so a

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import is_prime_by_trial_division
 
-from perfproj import (DomainError, PAdicFrac, arith, bezout_chi, bezout_line, cmp,
-                      count_h0_monomials, exponents, is_prime, line_bundle, normalize,
-                      verify_theorems)
+from perfproj import (DomainError, PAdicFrac, arith, bezout_chi, bezout_line,
+                      blowup_plane_charts, cmp, count_h0_monomials, count_hn_monomials,
+                      enumerate_hn_monomials, exponents, is_prime, iter_h0_monomials,
+                      line_bundle, normalize, verify_theorems, veronese)
 from perfproj.cli import run
 from perfproj.exponents import _PRIME_BOUND
 
@@ -213,6 +214,30 @@ def test_a_prime_that_is_no_int_never_reaches_the_cache():
         with pytest.raises(DomainError, match=message):
             line_bundle(1, 1, p)
     assert exponents._proven_prime.cache_info().currsize == 0
+
+
+_PRIME_TAKERS = {
+    "count_h0_monomials": lambda p: count_h0_monomials(1, 1, 0, p),
+    "count_hn_monomials": lambda p: count_hn_monomials(1, 1, 0, p),
+    "iter_h0_monomials": lambda p: iter_h0_monomials(1, 1, 0, p),
+    "enumerate_hn_monomials": lambda p: enumerate_hn_monomials(1, 1, 0, p),
+    "bezout_chi": lambda p: bezout_chi(2, 1, 1, 3, p),
+    "bezout_line": lambda p: bezout_line(1, 1, 3, p),
+    "blowup_plane_charts": blowup_plane_charts,
+    "from_fraction": lambda p: PAdicFrac.from_fraction(Fraction(1, 2), p),
+    "line_bundle": lambda p: line_bundle(1, 1, p),
+    "verify_theorems": lambda p: verify_theorems(1, [], 0, p),
+    "veronese": lambda p: veronese(1, 1, 0, p),
+}
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 2.0])
+@pytest.mark.parametrize("name", list(_PRIME_TAKERS))
+def test_every_public_function_rejects_a_non_prime(name, p):
+    # each checks the prime once, where its first number is converted or
+    # built, or on its own when it converts none (an empty degree list)
+    with pytest.raises(DomainError, match=f"^{re.escape(repr(p))} is not a prime$"):
+        _PRIME_TAKERS[name](p)
 
 
 def test_public_numbers_convert_exactly():

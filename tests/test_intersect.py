@@ -1,9 +1,5 @@
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from fractions import Fraction
 from unittest import mock
 
@@ -11,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (CURVE_CORPUS_TEXT, curve_corpus, dense_at_mod_ell,
+from oracles import (CURVE_CORPUS_TEXT, cli_in_child, curve_corpus, dense_at_mod_ell,
                      dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
                      dense_truncated_quotient_dim, fulton_loop, fulton_multiplicity,
                      mixed_by_depth_brute, monomial_staircase_by_loop, rooted_texts,
-                     shares_a_component_through_origin, shares_an_axis)
+                     run_in_child, shares_a_component_through_origin, shares_an_axis)
 
 import perfproj.braided as braided_mod
 import perfproj.intersect as intersect_mod
@@ -567,26 +563,18 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
 
 
 def _in_child(limit: str, value: int, code: str) -> str:
-    """The stdout of the Python code, run in a child that first sets its own
-    resource limit, resource.<limit>, to value."""
-    child = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.{limit}, ({value}, {value}))\n"
-    ) + code
-    src = Path(intersect_mod.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", child], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
+    """The stdout of the Python code, run by run_in_child, which must succeed."""
+    done = run_in_child(limit, value, code)
     assert (done.returncode, done.stderr) == (0, "")
     return done.stdout
 
 
 def _mult_in_child(limit: str, value: int, argv: list[str]) -> dict:
-    """The JSON payload of `perfproj mult argv --json`, run in a child that
-    first sets its own resource limit, resource.<limit>, to value."""
-    return json.loads(_in_child(limit, value, (
-        "from perfproj.cli import main\n"
-        f"sys.argv = ['perfproj', 'mult', *{argv!r}, '--json']\n"
-        "main()\n")))
+    """The JSON payload of `perfproj mult argv --json`, run by cli_in_child,
+    which must succeed."""
+    done = cli_in_child(limit, value, ["mult", *argv, "--json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout)
 
 
 def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypatch):

@@ -75,12 +75,12 @@ def test_replay_counts_the_work_of_every_benchmark_request():
     assert [(g["workload"], g["requests"], g["sha256"][:8]) for g in got] == [
         ("sections", 900, "77520bbb"), ("cech", 900, "81ceb193"), ("curves", 900, "8ba62c15")]
     assert [g["counters"] for g in got] == [
-        {**_NO_WORK, "braided._mul": 2786, "enumeration._total": 643,
-         "exponents.PAdicFrac": 1822, "exponents._require_prime": 6858,
+        {**_NO_WORK, "braided._mul": 2786, "enumeration._total": 444,
+         "exponents.PAdicFrac": 1822, "exponents._require_prime": 5072,
          "exponents.is_prime": 3, "fractions.Fraction": 2016},
         {**_NO_WORK, "cech._int_rank": 105, "cech._int_rank.rows": 449,
          "cech._ranks_for_count.misses": 28, "cech.comb": 6340,
-         "exponents.PAdicFrac": 1416, "exponents._require_prime": 5148,
+         "exponents.PAdicFrac": 1416, "exponents._require_prime": 3732,
          "exponents.is_prime": 3, "fractions.Fraction": 2832},
         {**_NO_WORK, "braided._mul": 2336, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 630,
