@@ -268,14 +268,12 @@ def euler(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
 
 
 def bundle_cohomology(bundle: LineBundle, grades: int) -> list[BraidedDim]:
-    """All cohomology tuples [h^0, h^1, ..., h^n] of a line bundle."""
+    """All cohomology tuples [h^0, h^1, ..., h^n] of a line bundle; the
+    middle indices list one zero tuple, which never changes."""
     if bundle.n < 1:
         raise DomainError("bundle_cohomology requires n >= 1")
-    out = [h0(bundle, grades)]
-    for _ in range(bundle.n - 1):
-        out.append(BraidedDim.zeros(bundle.prime, grades))
-    out.append(hn_top(bundle, grades))
-    return out
+    zero = BraidedDim.zeros(bundle.prime, grades)
+    return [h0(bundle, grades), *[zero] * (bundle.n - 1), hn_top(bundle, grades)]
 
 
 def _sum_of_products(pairs, label: int):
@@ -289,10 +287,11 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
 
     Index i of the output is the sum over j of hA[j] * hB[i-j], grade by grade
     (the dimension of a tensor product is the product of dimensions), folded
-    left from 0 at labels 0..grades-1, where each factor is read once.  An
-    output whose factors all have generators keeps their composed text and
-    answers later labels from the factors.  Inputs must share the prime and
-    hold every label below grades.
+    left from 0 at labels 0..grades-1, where each distinct tuple is read
+    once: a tuple listed twice, such as a shared zero tuple, is one object.
+    An output whose factors all have generators keeps their composed text
+    and answers later labels from the factors.  Inputs must share the prime
+    and hold every label below grades.
     """
     if not hA or not hB:
         raise DomainError("empty cohomology list")
@@ -300,17 +299,16 @@ def kunneth(hA: Sequence[BraidedDim], hB: Sequence[BraidedDim],
     for t in list(hA) + list(hB):
         if t.prime != prime:
             raise DomainError("mixed primes in kunneth inputs")
-    try:
-        rowsA, rowsB = ([t.window(0, grades) for t in h] for h in (hA, hB))
+    try:  # BraidedDim hashes by identity
+        rows = {t: t.window(0, grades) for t in dict.fromkeys((*hA, *hB))}
     except HorizonError as exc:
         raise HorizonError(f"grade horizon mismatch: {exc}") from exc
     out = []
     for i in range(len(hA) + len(hB) - 1):
-        js = range(max(0, i - len(hB) + 1), min(i + 1, len(hA)))
+        pairs = [(hA[j], hB[i - j]) for j in range(max(0, i - len(hB) + 1), min(i + 1, len(hA)))]
         values = [0] * grades
-        for j in js:
-            values = list(map(_add, values, map(_mul, rowsA[j], rowsB[i - j])))
-        pairs = [(hA[j], hB[i - j]) for j in js]
+        for a, b in pairs:
+            values = list(map(_add, values, map(_mul, rows[a], rows[b])))
         generator = desc = None
         if all(a._generator and b._generator for a, b in pairs):
             desc = "zero"

@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, NamedTuple
 
 from . import braided, cech, geometry, intersect
@@ -145,12 +145,13 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives a well-formed argv, read from _COMMANDS
     without building the parser; None for any other argv.
 
-    Well-formed: the subcommand first, then each of its flags at most once,
-    as --flag=value or as --flag value where value does not start with "-",
-    switches bare, every flag without a default present and every value
-    converted.  Anything else, such as --, -h, a repeated, unknown or
-    abbreviated flag, a stray token or a value that does not convert, is left
-    to argparse, which alone writes help and usage errors.
+    Well-formed: the subcommand first, then its flags, each as --flag=value
+    or as --flag value where value does not start with "-", switches bare,
+    every flag without a default present and every value converted.  A
+    repeated flag is read as argparse reads it: each value is converted in
+    order and the last one wins.  Anything else, such as --, -h, an unknown
+    or abbreviated flag, a stray token or a value that does not convert, is
+    left to argparse, which alone writes help and usage errors.
     """
     flags = _OPTIONS.get(argv[0]) if argv else None
     if flags is None:
@@ -160,7 +161,7 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
     for token in tokens:
         option, eq, value = token.partition("=")
         flag = flags.get(option)
-        if flag is None or flag.name in given:
+        if flag is None:
             return None
         if flag.convert is None:
             if eq:
@@ -190,12 +191,13 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
 _MONOMIAL_CAP = 8
 
 
-def _monomial_cell(n: int, size: PAdicFrac, label: int, p: int, reduced: bool,
+def _monomial_cell(n: int, deg: PAdicFrac, label: int, p: int, reduced: bool,
                    negative: bool) -> str:
     """The first _MONOMIAL_CAP vectors at grade label, each entry times
-    p**label, then "..." if there are more; size is a checked bundle's degree,
-    or minus it if negative, and label at least its offset."""
-    vectors = _scaled_vectors(n, size.scaled(label), label, p, reduced, negative)
+    p**label, then "..." if there are more; deg is a checked bundle's degree,
+    negative if negative is set, and label at least its offset; the vectors
+    are compositions of abs(deg) * p**label, negated if negative."""
+    vectors = _scaled_vectors(n, abs(deg.scaled(label)), label, p, reduced, negative)
     head = list(islice(vectors, _MONOMIAL_CAP + 1))
     shown = ["(" + ",".join(map(str, v)) + ")" for v in head[:_MONOMIAL_CAP]]
     if len(head) > _MONOMIAL_CAP:
@@ -236,18 +238,23 @@ def _run_h0_family(args, which: str):
     negative = deg.num < 0
     cell = None
     if not args.json and which == ("hn" if negative else "h0"):  # --json only counts
-        size = -deg if negative else deg
-
         def cell(label: int) -> str:
-            return _monomial_cell(args.n, size, label, args.p, args.reduced, negative)
+            return _monomial_cell(args.n, deg, label, args.p, args.reduced, negative)
     return _dim_result(args, dim, cell)
 
 
 def _run_kunneth(args):
     bundle_a = line_bundle(args.n, args.a, args.p)
     bundle_b = line_bundle(args.m, args.b, args.p)
-    out = kunneth(bundle_cohomology(bundle_a, args.grades),
-                  bundle_cohomology(bundle_b, args.grades), args.grades)
+    g = args.grades
+    hA, hB = bundle_cohomology(bundle_a, g), bundle_cohomology(bundle_b, g)
+    # the last grade first, as _dim_result writes it: the middle indices and
+    # one end of each list are zero tuples, so each output's last grade is 0
+    # or one of these four products, and one past the digit limit is a value
+    # the full answer prints, which would end in the same diagnostic
+    for a, b in product((hA[0], hA[-1]), (hB[0], hB[-1])):
+        str(a.at(g - 1) * b.at(g - 1))
+    out = kunneth(hA, hB, g)
     if args.json:
         return {
             "p": args.p,

@@ -103,11 +103,9 @@ class PAdicFrac:
     def from_fraction(cls, fr: Fraction, p: int) -> "PAdicFrac":
         """Exact conversion; rejects denominators that are not powers of p.
 
-        A Fraction is in lowest terms, so p does not divide the numerator over
-        a denominator p**j > 1: the pair is already normalized."""
+        The prime is checked before fr is read."""
         _require_prime(p)
-        fr = Fraction(fr)
-        return cls(fr.numerator, _denominator_pexp(fr.denominator, p), p)
+        return _as_padic(Fraction(fr), p)
 
     @property
     def is_zero(self) -> bool:
@@ -212,8 +210,12 @@ def normalize(a: int, b: int, p: int) -> PAdicFrac:
 def _as_padic(value, p: int) -> PAdicFrac:
     """A number given to a public function as a PAdicFrac of prime p: a
     PAdicFrac of that prime as it is, an int as an integer, a Fraction
-    exactly (its denominator must be a power of p); anything else is a
-    TypeError."""
+    exactly, read and not copied (its denominator must be a power of p);
+    anything else is a TypeError.
+
+    A Fraction is in lowest terms, so p does not divide the numerator over a
+    denominator p**j > 1: the pair is already normalized.  p is checked
+    first, since _denominator_pexp would never stop at p = 1."""
     if isinstance(value, PAdicFrac):
         if value.prime != p:
             raise DomainError(f"mixed primes {value.prime} and {p}")
@@ -221,7 +223,8 @@ def _as_padic(value, p: int) -> PAdicFrac:
     if isinstance(value, int):
         return PAdicFrac(int(value), 0, p)
     if isinstance(value, Fraction):
-        return PAdicFrac.from_fraction(value, p)
+        _require_prime(p)
+        return PAdicFrac(value.numerator, _denominator_pexp(value.denominator, p), p)
     raise TypeError(f"{value!r} is not an int, a Fraction or a PAdicFrac")
 
 

@@ -47,7 +47,7 @@ def bezout_chi(d, degF: int, degG: int, grades: int, p: int) -> BraidedDim:
     d = _as_padic(d, p)
     if degF < 1 or degG < 1:
         raise DomainError("curve degrees must be positive")
-    if d.as_fraction() < degF + degG:
+    if d.num < (degF + degG) * p**d.pexp:
         raise DomainError(f"d={d} too small: needs d >= degF + degG = {degF + degG}")
     return BraidedDim(p, d.pexp, generator=lambda j: p**(2 * j) * degF * degG, length=grades,
                       generator_desc=f"bezout_chi(d={d},degF={degF},degG={degG})")
@@ -233,9 +233,12 @@ def _equation(terms: dict, den: int, k: int, p: int, names) -> str:
     return f"{lhs} = {_coeff_text(-sign * const, den)}"
 
 
-def _chart(F: dict, den: int, k: int, p: int, chart: str) -> BlowupChart:
-    """One chart of the blow-up of F, {(a, b): numerator over den} at grade k."""
-    order = min(a + b for a, b in F)  # the power of the blown-down variable extracted
+def _chart(F: dict, den: int, k: int, p: int, chart: str, power: PAdicFrac) -> BlowupChart:
+    """One chart of the blow-up of F, {(a, b): numerator over den} at grade k.
+
+    power is the extracted power of the blown-down variable, the curve's order
+    normalized once for both charts, which share it."""
+    order = power.scaled(k)
     if chart == "u":
         # u = 1: y = x*v; slot 0 stays x, slot 1 becomes v
         names, relation, blown = ("x", "v"), "y = x*v", 0
@@ -258,7 +261,7 @@ def _chart(F: dict, den: int, k: int, p: int, chart: str) -> BlowupChart:
             # point with coordinate 0
             point = "(1:0)" if chart == "u" else "(0:1)"
         locus = ExceptionalLocus(False, _equation(fiber, den, k, p, (names[coord],)), point)
-    return BlowupChart(chart, relation, names, names[blown], normalize(order, k, p),
+    return BlowupChart(chart, relation, names, names[blown], power,
                        _merged(2, p, k, den, cofactor.items()), locus)
 
 
@@ -275,7 +278,8 @@ def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
     terms = _plane_terms(F, k)
     if (0, 0) in terms:
         raise DomainError("origin not on curve")
-    return _chart(terms, F._den, k, p, "u"), _chart(terms, F._den, k, p, "v")
+    power = normalize(min(a + b for a, b in terms), k, p)  # the curve's order
+    return _chart(terms, F._den, k, p, "u", power), _chart(terms, F._den, k, p, "v", power)
 
 
 # -- blow-up of the affine plane: chart atlas ----------------------------------------

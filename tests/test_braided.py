@@ -359,6 +359,11 @@ def test_kunneth_reads_each_factor_grade_once(monkeypatch, a, b):
     # from its offset (1 for a/3, 0 for b) to 3
     assert sorted(calls) == sorted({args for args in calls})
     assert len(calls) == (4 - 1) + 4
+    # a tuple given in both factors is one object, read once
+    calls.clear()
+    for dim in kunneth(hA, hA, 4):
+        dim.grades_list()
+    assert len(calls) == 4 - 1
 
 
 def test_kunneth_horizon_mismatch():
@@ -420,6 +425,12 @@ def test_bundle_cohomology_shape():
     assert out[0].grades_list() == [0, 0]
     assert out[1].grades_list() == [0, 0]
     assert out[2].at(0) == comb(3, 2)
+
+
+def test_bundle_cohomology_lists_one_zero_tuple():
+    middle = bundle_cohomology(line_bundle(4, 1, 2), 3)[1:4]
+    assert len({id(t) for t in middle}) == 1
+    assert middle[0].grades_list() == [0, 0, 0]
 
 
 def test_concurrent_lazy_extension():

@@ -225,6 +225,8 @@ _PRIME_TAKERS = {
     "bezout_line": lambda p: bezout_line(1, 1, 3, p),
     "blowup_plane_charts": blowup_plane_charts,
     "from_fraction": lambda p: PAdicFrac.from_fraction(Fraction(1, 2), p),
+    # the prime is checked before the value is read
+    "from_fraction of text": lambda p: PAdicFrac.from_fraction("x", p),
     "line_bundle": lambda p: line_bundle(1, 1, p),
     "verify_theorems": lambda p: verify_theorems(1, [], 0, p),
     "veronese": lambda p: veronese(1, 1, 0, p),
