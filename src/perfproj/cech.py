@@ -12,7 +12,12 @@ intersect's quotient oracle uses too).  verify_theorems runs both for every
 weight of the requested degrees and cross-checks the totals against the
 closed forms.  Both depend only on the number k of negative entries, so each
 is computed once per count of negative entries, and only for the counts the
-box holds, decided by an interval test on k.  Weights are counted in closed
+box holds, decided by an interval test on k.  The exact ranks are shared
+further, by complement size: for k >= 1 the spots are S u U, U a subset of
+the r = n + 1 - k positions outside S, so the complex is the augmented
+cochain complex of the simplex on r vertices shifted k - 1 levels, and for
+k = 0 it is that complex on n + 1 vertices without its empty face.  One
+elimination per r <= _MAX_N + 1 serves every n.  Weights are counted in closed
 form: the box's total always, and the weights of one count only when that
 count adds to a total (nonzero exact ranks that agree with the case
 analysis).  The box is walked only when a count's two profiles disagree, to
@@ -192,7 +197,7 @@ def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _ranks_for_count(n: int, k: int) -> tuple[int, ...]:
     """Exact ranks of the complex of every negative mask S with k = |S|
-    entries, computed on the mask (1 << k) - 1.
+    entries, read from the ranks of the complex of the complement size.
 
     A permutation of the coordinates sending S to {0, ..., k-1} maps the
     spots (the index sets containing S) onto those of the mask (1 << k) - 1
@@ -200,8 +205,31 @@ def _ranks_for_count(n: int, k: int) -> tuple[int, ...]:
     by e(T) e(T - t), e(T) the sign of sorting the image of T: a diagonal
     +-1 change of basis.  The complexes are isomorphic, so they have the
     same ranks.
+
+    For S = {0, ..., k-1}, k >= 1, the spots are S u U, U any subset of the
+    r = n + 1 - k other positions, at level k - 1 + |U|; t in U sits k
+    places further in S u U than in U, so every incidence sign is (-1)**k
+    times that of (U, t), and (-1)**(k-1) times that of the complex of
+    _simplex_ranks(r).  A uniform sign keeps the ranks: the complex is the
+    augmented cochain complex of the simplex on r vertices, shifted k - 1
+    levels.  For k = 0 it is that complex on n + 1 vertices without the
+    empty face, which leaves every level above the vertices as it was; the
+    vertices gain the rank of the differential out of the empty face, 1 - H
+    of that face, whose level has dimension 1.
     """
-    return cohomology_ranks(_build_from_mask(n, (1 << k) - 1, None))
+    if k:
+        return (0,) * (k - 1) + _simplex_ranks(n + 1 - k)
+    augmented = _simplex_ranks(n + 1)
+    return (augmented[1] + 1 - augmented[0], *augmented[2:])
+
+
+@lru_cache(maxsize=None)
+def _simplex_ranks(r: int) -> tuple[int, ...]:
+    """Exact ranks of the augmented cochain complex of the simplex on r
+    vertices, level j holding its faces of j vertices, j = 0..r: the complex
+    of the mask 1 on r + 1 coordinates.  n <= _MAX_N needs r <= _MAX_N + 1,
+    so a process eliminates at most _MAX_N + 2 complexes."""
+    return cohomology_ranks(_build_from_mask(r, 1, None))
 
 
 @dataclass

@@ -8,9 +8,10 @@ additionally print one machine-parsable line on stderr.
 
 A well-formed argument list is read straight from the command table,
 _COMMANDS; the argparse tree built from the same table parses only the
-rest, so help and usage errors still read as argparse writes them.  A
-number flag is handed to the library as the int or Fraction it read, and
-the library converts it to Z[1/p] once.  --help shows this docstring up to
+rest, so help and usage errors still read as argparse writes them.  An
+integer flag is read as an int and a rational one as a reduced integer
+pair, built into Z[1/p] once its prime is proven, in the order the
+library's own conversion checks them.  --help shows this docstring up to
 this last paragraph.
 """
 
@@ -24,13 +25,14 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice, product
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import braided, cech, geometry, intersect
 from .braided import bundle_cohomology, kunneth, line_bundle
 from .enumeration import _scaled_vectors
 from .errors import ComputationDiagnostic, DomainError, ParseError
-from .exponents import PAdicFrac
+from .exponents import PAdicFrac, _from_ratio, _require_prime
 from .fracpoly import parse as parse_poly
 
 
@@ -73,6 +75,9 @@ def _int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+# the plain form of a rational flag, [-]digits[/digits] in ASCII digits, read
+# without Fraction
+_PLAIN_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # a decimal exponent and the text before it, as Fraction reads them
 _EXPONENT_FORM = re.compile(r"(.*)[eE]([-+]?[0-9]+(?:_[0-9]+)*)\s*", re.DOTALL)
 
@@ -83,27 +88,47 @@ def _digit_limit_message() -> str:
             "PYTHONINTMAXSTRDIGITS raises it")
 
 
-def _fraction_arg(text: str) -> Fraction:
-    """Fraction(text) for ASCII text only, as _int_arg.  A value past the digit
-    limit ends in its diagnostic before 10**e is built: 10**|e| / b has more than
-    |e| - b.bit_length() digits, b the mantissa's denominator (numerator if e < 0)."""
+def _fraction_arg(text: str) -> tuple[int, int]:
+    """The value Fraction(text) reads, as a reduced pair (numerator,
+    denominator > 0), for ASCII text only, as _int_arg.
+
+    Plain [-]digits[/digits] text is read as two ints; only the other forms
+    Fraction reads (signs +, _, spaces, decimals, exponents) build a
+    Fraction.  A value past the digit limit ends in its diagnostic before
+    10**e is built: 10**|e| / b has more than |e| - b.bit_length() digits, b
+    the mantissa's denominator (numerator if e < 0)."""
     try:
+        plain = _PLAIN_FORM.fullmatch(text)
+        if plain:
+            num, den = int(plain[1]), int(plain[2] or 1)
+            if den:  # a zero one raises in Fraction below
+                g = gcd(num, den)
+                return num // g, den // g
         if not text.isascii():
             raise ValueError(text)
         form, limit = _EXPONENT_FORM.fullmatch(text), sys.get_int_max_str_digits()
         if form is None or not limit:
-            return Fraction(text)
+            value = Fraction(text)
+            return value.numerator, value.denominator
         mantissa, e = Fraction(form[1] + "e0"), int(form[2])
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"not a rational number: {text!r}") from None
     if not mantissa:
-        return mantissa
+        return 0, 1
     small = mantissa.denominator if e >= 0 else abs(mantissa.numerator)
     if abs(e) - small.bit_length() < limit:
         value = mantissa * Fraction(10) ** e
         if max(abs(value.numerator), value.denominator) < 10**limit:
-            return value
+            return value.numerator, value.denominator
     raise ComputationDiagnostic(_digit_limit_message())
+
+
+def _rational(pair: tuple[int, int], p: int) -> PAdicFrac:
+    """A rational flag's pair as a PAdicFrac of prime p.  The prime is proven
+    first and the denominator read second, as the library converts a
+    Fraction, so a request with both faults reports the same one."""
+    _require_prime(p)
+    return _from_ratio(*pair, p)
 
 
 class _Flag(NamedTuple):
@@ -183,7 +208,9 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
             if flag.default is None:
                 return None
             given[flag.name] = flag.default
-    return argparse.Namespace(command=argv[0], **given)
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(given)  # one dict update, not one setattr per flag
+    return args
 
 
 # -- table helpers -----------------------------------------------------------------
@@ -231,7 +258,7 @@ def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
 # are computed on demand, so building both would compute them twice.
 
 def _run_h0_family(args, which: str):
-    bundle = line_bundle(args.n, args.deg, args.p)
+    bundle = line_bundle(args.n, _rational(args.deg, args.p), args.p)
     deg = bundle.degree
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, args.grades, reduced=args.reduced)
@@ -244,8 +271,10 @@ def _run_h0_family(args, which: str):
 
 
 def _run_kunneth(args):
-    bundle_a = line_bundle(args.n, args.a, args.p)
-    bundle_b = line_bundle(args.m, args.b, args.p)
+    # each degree is built just before its own bundle, so a bad --n is still
+    # reported before a bad --b
+    bundle_a = line_bundle(args.n, _rational(args.a, args.p), args.p)
+    bundle_b = line_bundle(args.m, _rational(args.b, args.p), args.p)
     g = args.grades
     hA, hB = bundle_cohomology(bundle_a, g), bundle_cohomology(bundle_b, g)
     # the last grade first, as _dim_result writes it: the middle indices and
@@ -318,10 +347,12 @@ def _blowup_lines(charts) -> list[str]:
 
 
 def _run_cech_check(args):
-    # read lazily: verify_theorems converts each degree as it reads it, so
-    # the first bad text or bad denominator is the one reported
-    degrees = (_fraction_arg(part) for part in args.degrees.split(",") if part)
-    report = cech.verify_theorems(args.n, degrees, args.i, args.p)
+    # read lazily: verify_theorems proves the prime and then converts each
+    # degree as it reads it, so the prime is checked once and the first bad
+    # text or bad denominator is the one reported
+    p = args.p
+    degrees = (_from_ratio(*_fraction_arg(text), p) for text in args.degrees.split(",") if text)
+    report = cech.verify_theorems(args.n, degrees, args.i, p)
     if args.json:
         return report.to_json_dict()
     lines = ["degree | weights | h0 | middle | hn | ok"]
@@ -349,10 +380,12 @@ _COMMANDS = {command: (flags + _COMMON, runner) for command, flags, runner in (
     ("hn", _H0_FLAGS, lambda a: _run_h0_family(a, "hn")),
     ("euler", _H0_FLAGS, lambda a: _run_h0_family(a, "euler")),
     ("bezout-line", (_Flag("s", _fraction_arg), _Flag("t", _fraction_arg)),
-     lambda a: _dim_result(a, geometry.bezout_line(a.s, a.t, a.grades, a.p))),
+     lambda a: _dim_result(a, geometry.bezout_line(
+         _rational(a.s, a.p), _rational(a.t, a.p), a.grades, a.p))),
     ("bezout-chi", (_Flag("d", _fraction_arg), _Flag("degf", _int_arg),
                     _Flag("degg", _int_arg)),
-     lambda a: _dim_result(a, geometry.bezout_chi(a.d, a.degf, a.degg, a.grades, a.p))),
+     lambda a: _dim_result(a, geometry.bezout_chi(
+         _rational(a.d, a.p), a.degf, a.degg, a.grades, a.p))),
     ("kunneth", (_N, _Flag("m", _int_arg), _Flag("a", _fraction_arg),
                  _Flag("b", _fraction_arg)), _run_kunneth),
     ("veronese", (_N, _Flag("d", _int_arg)), _run_veronese),

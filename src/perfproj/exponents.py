@@ -8,7 +8,7 @@ wrong denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
@@ -81,14 +81,20 @@ class PAdicFrac:
     """An element num / prime**pexp of Z[1/p] in normalized form.
 
     Invariants: pexp >= 0; if pexp > 0 then prime does not divide num;
-    zero is canonically (num=0, pexp=0).
+    zero is canonically (num=0, pexp=0).  The private keyword _checked is
+    for the package's own constructions, whose prime is proven and whose
+    pair is normalized already: they skip the checks.
     """
 
     num: int
     pexp: int
     prime: int
+    _: KW_ONLY
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
+        if _checked:
+            return
         _require_prime(self.prime)
         if self.pexp < 0:
             raise DomainError("pexp must be non-negative")
@@ -105,7 +111,8 @@ class PAdicFrac:
 
         The prime is checked before fr is read."""
         _require_prime(p)
-        return _as_padic(Fraction(fr), p)
+        fr = Fraction(fr)
+        return _from_ratio(fr.numerator, fr.denominator, p)
 
     @property
     def is_zero(self) -> bool:
@@ -140,7 +147,7 @@ class PAdicFrac:
                 )
             return other
         if isinstance(other, int):
-            return PAdicFrac(other, 0, self.prime)
+            return PAdicFrac(other, 0, self.prime, _checked=True)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "PAdicFrac":
@@ -172,7 +179,7 @@ class PAdicFrac:
     __rmul__ = __mul__
 
     def __neg__(self) -> "PAdicFrac":
-        return PAdicFrac(-self.num, self.pexp, self.prime)
+        return PAdicFrac(-self.num, self.pexp, self.prime, _checked=True)
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -200,11 +207,11 @@ def normalize(a: int, b: int, p: int) -> PAdicFrac:
         raise DomainError("pexp must be non-negative")
     _require_prime(p)
     if a == 0:
-        return PAdicFrac(0, 0, p)
+        return PAdicFrac(0, 0, p, _checked=True)
     while b > 0 and a % p == 0:
         a //= p
         b -= 1
-    return PAdicFrac(a, b, p)
+    return PAdicFrac(a, b, p, _checked=True)
 
 
 def _as_padic(value, p: int) -> PAdicFrac:
@@ -213,9 +220,7 @@ def _as_padic(value, p: int) -> PAdicFrac:
     exactly, read and not copied (its denominator must be a power of p);
     anything else is a TypeError.
 
-    A Fraction is in lowest terms, so p does not divide the numerator over a
-    denominator p**j > 1: the pair is already normalized.  p is checked
-    first, since _denominator_pexp would never stop at p = 1."""
+    p is checked first, since _denominator_pexp would never stop at p = 1."""
     if isinstance(value, PAdicFrac):
         if value.prime != p:
             raise DomainError(f"mixed primes {value.prime} and {p}")
@@ -224,8 +229,17 @@ def _as_padic(value, p: int) -> PAdicFrac:
         return PAdicFrac(int(value), 0, p)
     if isinstance(value, Fraction):
         _require_prime(p)
-        return PAdicFrac(value.numerator, _denominator_pexp(value.denominator, p), p)
+        return _from_ratio(value.numerator, value.denominator, p)
     raise TypeError(f"{value!r} is not an int, a Fraction or a PAdicFrac")
+
+
+def _from_ratio(num: int, den: int, p: int) -> PAdicFrac:
+    """num / den in lowest terms, den > 0, as a PAdicFrac of a prime p the
+    caller has proven; DomainError if den is no power of p.
+
+    p does not divide num over a denominator p**j > 1, so the pair is
+    already normalized and nothing is checked twice."""
+    return PAdicFrac(num, _denominator_pexp(den, p), p, _checked=True)
 
 
 def cmp(lhs: PAdicFrac, rhs: PAdicFrac) -> int:

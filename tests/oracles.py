@@ -335,14 +335,22 @@ def shares_a_component_through_origin(Fr: dict, Gr: dict) -> bool:
     origin, for curves in integer rows (intersect._int_rows): a shared axis,
     or else a gcd of the primitive parts in y through the origin (the gcd
     c(x) of the y-contents has c(0) = 0 only when x divides both).  That gcd
-    is 1 when dense_coprime_mod_ell certifies it at x0 = 3, 5 or 7 modulo
-    2**61 - 1, and remainder_gcd otherwise: alone, it takes seconds on
-    coprime curves rooted a few times."""
+    is 1 when dense_coprime_mod_ell certifies it at x0 = 3, 5 or 7 modulo one
+    of CERTIFICATE_PRIMES, and remainder_gcd decides otherwise: alone, it
+    takes seconds on coprime curves rooted a few times, and minutes where
+    coefficients merge into a multiple of the first prime."""
     if shares_an_axis(Fr, Gr):
         return True
-    if dense_coprime_mod_ell(Fr, Gr, (3, 5, 7), (1 << 61) - 1):
+    if any(dense_coprime_mod_ell(Fr, Gr, (3, 5, 7), ell) for ell in CERTIFICATE_PRIMES):
         return False
     return 0 not in remainder_gcd(Fr, Gr).get(0, {})
+
+
+# 2**61 - 1, the Newton stage's own prime, then an independent one: curves
+# whose coefficients merge into a multiple of the first, as the constants -1
+# and 2**61 merge into 2**61 - 1, can share a factor modulo it and not modulo
+# the second
+CERTIFICATE_PRIMES = ((1 << 61) - 1, (1 << 61) - 31)
 
 
 def fulton_multiplicity(F, G):

@@ -409,14 +409,16 @@ def test_a_kunneth_request_builds_one_tuple_per_factor_and_output(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(BraidedDim, "__init__", counting_init)
-    n, m = 2, 2
+    # n != m: at n = m = 2 the count per factor list, 3, is also n + 1
+    n, m = 1, 4
     out, err = io.StringIO(), io.StringIO()
     assert run(["kunneth", "--n", str(n), "--m", str(m), "--a", "1", "--b", "1", "--p", "3",
                 "--grades", "6", "--json"], out, err) == 0
     assert err.getvalue() == ""
     assert len(json.loads(out.getvalue())["cohomology"]) == n + m + 1
-    # n + 1 and m + 1 factor tuples, n + m + 1 outputs, and no tuple in between
-    assert len(built) == (n + 1) + (m + 1) + (n + m + 1)
+    # 3 tuples per factor list (h0, hn and one zero tuple, built even when
+    # no middle index lists it), n + m + 1 outputs, and no tuple in between
+    assert len(built) == 3 + 3 + (n + m + 1)
 
 
 def test_bundle_cohomology_shape():

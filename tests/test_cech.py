@@ -26,7 +26,8 @@ from perfproj import (
 )
 import perfproj.cech as cech_mod
 from perfproj.cech import (_MAX_N, _build_from_mask, _counts_with_weights, _int_rank,
-                           _ranks_for_count, _weights_in_box, _weights_per_mask)
+                           _ranks_for_count, _simplex_ranks, _weights_in_box,
+                           _weights_per_mask)
 from perfproj.cli import _digit_limit_message, run
 from perfproj.exponents import PAdicFrac, normalize
 
@@ -199,7 +200,7 @@ def test_ranks_depend_only_on_the_count_of_negative_entries():
 
 def _count_builds(monkeypatch, call):
     """(complexes built, distinct negative-entry counts of the masks checked)
-    while call() runs on an empty rank cache."""
+    while call() runs on empty rank caches."""
     built, counts = [], set()
     build, classify = cech_mod._build_from_mask, cech_mod._classify_mask
 
@@ -214,18 +215,28 @@ def _count_builds(monkeypatch, call):
     monkeypatch.setattr(cech_mod, "_build_from_mask", counting_build)
     monkeypatch.setattr(cech_mod, "_classify_mask", recording_classify)
     _ranks_for_count.cache_clear()
+    _simplex_ranks.cache_clear()
     call()
     return len(built), len(counts)
 
 
 def test_one_complex_per_count_of_negative_entries(monkeypatch):
-    # no weight of degree -3 has all seven entries negative: counts 0..6
+    # no weight of degree -3 has all seven entries negative: counts 0..6,
+    # complement sizes 7 (k = 0, without the empty face) and 6..1
     assert _count_builds(monkeypatch, lambda: verify_theorems(6, [-3, 0, 2], 1, 2)) == (7, 7)
     # degree -8 adds the all-negative mask: all n + 2 counts, of 2**(n+1) masks
     argv = ["cech-check", "--n", "6", "--degrees=-8,0,2", "--i", "1", "--p", "2", "--json"]
     out, err = io.StringIO(), io.StringIO()
     assert _count_builds(monkeypatch, lambda: run(argv, out, err)) == (8, 8)
     assert json.loads(out.getvalue())["ok"] is True
+
+
+def test_every_dimension_shares_one_complex_per_complement_size(monkeypatch):
+    # all n + 2 counts of every n up to _MAX_N: 33 (n, k) pairs, complement sizes 0..7
+    def every_count():
+        for n in range(1, _MAX_N + 1):
+            assert verify_theorems(n, [-(n + 2), 0, 2], 1, 2).ok
+    assert _count_builds(monkeypatch, every_count) == (_MAX_N + 2, _MAX_N + 2)
 
 
 def _sparse(rows):

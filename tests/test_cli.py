@@ -12,11 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import perfproj.braided as braided
 import perfproj.cli as cli_mod
-from perfproj import PAdicFrac, exponents, enumerate_h0_monomials, enumerate_hn_monomials
+from perfproj import (PAdicFrac, exponents, enumerate_h0_monomials, enumerate_hn_monomials,
+                      verify_theorems)
 from perfproj.enumeration import count_h0_monomials
 from perfproj.cli import _digit_limit_message, run
-from perfproj.errors import ComputationDiagnostic, FuelExhausted
+from perfproj.errors import ComputationDiagnostic, DomainError, FuelExhausted
 from oracles import CURVE_CORPUS_TEXT, cli_in_child, fraction_table_cell, rooted_texts
 
 
@@ -266,7 +268,10 @@ def test_a_decimal_exponent_past_the_digit_limit_exits_2_at_once(argv):
 
 def test_decimal_exponents_read_exactly_up_to_the_digit_limit():
     limit = sys.get_int_max_str_digits()
-    read = cli_mod._fraction_arg
+
+    def read(text):  # the reader's reduced pair, as the Fraction it stands for
+        return Fraction(*cli_mod._fraction_arg(text))
+
     assert read(f"1e{limit - 1}") == 10 ** (limit - 1)
     assert read(f"-1.5e-{limit - 1}") == Fraction(-3, 2 * 10 ** (limit - 1))
     # 25 / 10**(limit + 1) is 1 / (4 * 10**(limit - 1)) in lowest terms
@@ -287,9 +292,81 @@ def test_decimal_exponents_are_not_bounded_without_a_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert cli_mod._fraction_arg(f"3e{limit}") == 3 * 10**limit
+        assert cli_mod._fraction_arg(f"3e{limit}") == (3 * 10**limit, 1)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _fraction_reference(text: str):
+    """What a rational flag's text reads as, from Fraction(text) alone: its
+    reduced pair, "usage" when it is no ASCII rational, or "digits" when
+    a part has more digits than the interpreter's limit."""
+    if not text.isascii():
+        return "usage"
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return "usage"
+    if max(abs(value.numerator), value.denominator) >= 10 ** sys.get_int_max_str_digits():
+        return "digits"
+    return value.numerator, value.denominator
+
+
+def _json_answer(call) -> tuple[int, str]:
+    """(exit code, --json stdout) that run() gives for a library call's
+    answer or its DomainError."""
+    try:
+        return 0, json.dumps(call().to_json_dict()) + "\n"
+    except DomainError as exc:
+        return 1, json.dumps({"error": {"category": "usage", "message": str(exc)}}) + "\n"
+
+
+# pieces of the forms Fraction reads and of their near misses: signs, leading
+# zeros, _, spaces, decimals, e exponents, a non-ASCII digit, /0 and
+# denominators that are, or are not, powers of 3
+_FLAG_PIECES = st.sampled_from(["", "-", "+", " ", "\t", "_", "/", "/0", "/00", ".", "e",
+                                "E-", "e+", "0", "00", "1", "7", "12", "3_4", "\u0663",
+                                "/3", "/9", "/4", "/10", "/27", "/081"])
+_FLAG_TEXTS = (st.lists(_FLAG_PIECES, min_size=1, max_size=5).map("".join)
+               | st.text("0123456789-+/_.eE \u0663", min_size=1, max_size=10)
+               | st.builds("{}{}{}{}{}".format, st.sampled_from(["", "", "-", "+", " -"]),
+                           st.from_regex(r"0*[0-9]{1,5}(_[0-9]{1,2})?", fullmatch=True),
+                           st.sampled_from(["", "/3", "/9", "/27", "/081", "/6", "/10", "/0"]),
+                           st.sampled_from(["", "", ".5", "e2", "E-1"]),
+                           st.sampled_from(["", "", " "])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_FLAG_TEXTS)
+@example(text="1" * (sys.get_int_max_str_digits() + 1))
+@example(text="1/" + "0" * sys.get_int_max_str_digits() + "3")
+@example(text=f"1e{sys.get_int_max_str_digits()}")
+@example(text=f"-7/1{'0' * (sys.get_int_max_str_digits() - 1)}")
+def test_the_flag_reader_reads_what_fraction_reads(text):
+    # a nonempty text without a comma is one cech-check degree; --deg=-- is
+    # argparse's missing value, not a text
+    assume(text and "," not in text and text != "--")
+    expected = _fraction_reference(text)
+    h0_argv = ["h0", "--n", "1", f"--deg={text}", "--p", "3", "--grades", "2", "--json"]
+    cech_argv = ["cech-check", "--n", "1", f"--degrees={text}", "--i", "2", "--p", "3",
+                 "--json"]
+    if isinstance(expected, tuple):
+        assert cli_mod._fraction_arg(text) == expected
+        degree = Fraction(*expected)
+        assert invoke(h0_argv)[:2] == _json_answer(
+            lambda: braided.h0(braided.line_bundle(1, degree, 3), 2))
+        assert invoke(cech_argv)[:2] == _json_answer(
+            lambda: verify_theorems(1, [degree], 2, 3))
+        return
+    if expected == "usage":
+        error = (1, "usage", f"not a rational number: {text!r}")
+    else:
+        error = (2, "computation", _digit_limit_message())
+    code, category, message = error
+    for argv in (h0_argv, cech_argv):
+        assert invoke(argv) == (
+            code, json.dumps({"error": {"category": category, "message": message}}) + "\n",
+            f"error: {category}: {message}\n")
 
 
 def test_other_value_errors_escape_run(monkeypatch):
@@ -548,9 +625,9 @@ def _work_counts(monkeypatch, argv):
         counts["normalize"] += 1
         return real_normalize(*args)
 
-    def post_init(self):
+    def post_init(self, *checked):
         counts["PAdicFrac"] += 1
-        real_post_init(self)
+        real_post_init(self, *checked)
 
     with monkeypatch.context() as m:
         for name, module in list(sys.modules.items()):
@@ -1070,9 +1147,9 @@ def _work(monkeypatch, argv) -> tuple[int, int]:
     counts = [0, 0]
     real_post_init, real_is_prime = PAdicFrac.__post_init__, exponents.is_prime
 
-    def counting_post_init(self):
+    def counting_post_init(self, *checked):
         counts[0] += 1
-        real_post_init(self)
+        real_post_init(self, *checked)
 
     def counting_is_prime(p):
         counts[1] += 1

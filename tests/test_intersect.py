@@ -1,14 +1,15 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (CURVE_CORPUS_TEXT, cli_in_child, curve_corpus, dense_at_mod_ell,
-                     dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
+from oracles import (CERTIFICATE_PRIMES, CURVE_CORPUS_TEXT, cli_in_child, curve_corpus,
+                     dense_at_mod_ell, dense_coprime_mod_ell, dense_gcd_degree_mod_ell,
                      dense_truncated_quotient_dim, fulton_loop, fulton_multiplicity,
                      mixed_by_depth_brute, monomial_staircase_by_loop, rooted_texts,
                      run_in_child, shares_a_component_through_origin, shares_an_axis)
@@ -22,6 +23,7 @@ from perfproj import (
     PAdicFrac,
     QuotientCapExceeded,
     braided_multiplicity,
+    is_prime,
     local_multiplicity,
     parse_poly,
     quotient_dim_oracle,
@@ -742,16 +744,25 @@ def _rows_poly(rows):
 
 
 _NEWTON_Q = st.sampled_from([1, 2, 3, 4, 8, 9])
-# _ELL + 1 is 1 modulo _ELL; a multiple of _ELL would leave the reference's
-# shared-component check below to its exact remainder sequence, which is slow
-# at these degrees
+# _ELL + 1 is 1 modulo _ELL, a coefficient the Newton stage's gcds modulo _ELL
+# see as 1.  Terms with equal exponents merge, so a sum such as _ELL + 1 - 1
+# is a multiple of _ELL; the reference's shared-component check then needs its
+# second certificate prime (oracles.CERTIFICATE_PRIMES), since modulo _ELL
+# alone it would leave the curves to its exact remainder sequence, which took
+# minutes on _NEWTON_D4
 _NEWTON_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                    st.sampled_from([1, -1, 2, -3, _ELL + 1])),
                          min_size=1, max_size=4)
+# B = _ELL - x^2 y - 3 x^3 y^2 is a unit, but modulo _ELL it shares the factor
+# y with A, rooted
+_NEWTON_D4 = {"a": [(2, 1, 1), (3, 3, 1), (0, 1, -3)],
+              "c": [(2, 1, -1), (0, 0, -1), (3, 2, -3), (0, 0, _ELL + 1)],
+              "h": None, "qa": 8, "q": 9}
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=_NEWTON_TERMS, c=_NEWTON_TERMS, h=st.none() | _NEWTON_TERMS, qa=_NEWTON_Q, q=_NEWTON_Q)
+@example(**_NEWTON_D4)
 def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
     # A is a curve rooted qa times and B a curve rooted q times; with h they
     # share the factor H rooted q times (qa = q then)
@@ -776,6 +787,25 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
     assert fulton_loop(_scaled(A, 1), _scaled(B, 1)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
         assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
+
+
+def test_the_newton_reference_decides_d4_within_a_cpu_limit():
+    # the whole check of _NEWTON_D4, in a child that caps its CPU at 10 s:
+    # modulo _ELL alone the reference's remainder sequence ran for minutes.
+    # Its assume() holds on d4; outside a hypothesis run it only warns
+    tests = Path(__file__).resolve().parent
+    out = _in_child("RLIMIT_CPU", 10, (
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "import warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import test_intersect as t\n"
+        "t.test_newton_stage_matches_the_fulton_loop.hypothesis.inner_test(**t._NEWTON_D4)\n"
+        "print('done')\n"))
+    assert out == "done\n"
+
+
+def test_the_certificate_primes_are_prime():
+    assert [is_prime(ell) for ell in CERTIFICATE_PRIMES] == [True, True]
 
 
 _COEFF = st.sampled_from([1, -1, 2, -3, 6]) | st.integers(-2**70, 2**70).filter(bool)
