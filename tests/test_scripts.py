@@ -56,7 +56,7 @@ def test_replay_answers_every_benchmark_request_as_before():
 
 
 _NO_WORK = dict.fromkeys([
-    "braided._mul", "cech._int_rank", "cech._int_rank.rows", "cech._ranks_for_count.misses",
+    "braided._mul", "cech._int_rank", "cech._int_rank.rows", "cech._simplex_ranks.misses",
     "cech.comb", "enumeration._total", "exponents.PAdicFrac", "exponents._require_prime",
     "exponents.is_prime",
     "fractions.Fraction", "intersect._gcd_degree_mod_ell", "intersect._local",
@@ -79,7 +79,7 @@ def test_replay_counts_the_work_of_every_benchmark_request():
          "exponents.PAdicFrac": 1767, "exponents._require_prime": 3707,
          "exponents.is_prime": 3},
         {**_NO_WORK, "cech._int_rank": 28, "cech._int_rank.rows": 247,
-         "cech._ranks_for_count.misses": 28, "cech.comb": 6340,
+         "cech._simplex_ranks.misses": 8, "cech.comb": 6340,
          "exponents.PAdicFrac": 1416, "exponents._require_prime": 900,
          "exponents.is_prime": 3},
         {**_NO_WORK, "braided._mul": 2336, "cech._int_rank": 690,

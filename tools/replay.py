@@ -28,7 +28,8 @@ multiplicity entry rescaled by p**(2m) with m > 0, or a Kunneth product), the
 checked grade totals of enumeration (enumeration._total), the prime checks
 exponents._require_prime (counted through every module that binds the name)
 and the proofs among them, exponents.is_prime, one per prime while it stays
-cached; besides, the misses of cech's rank cache and the Fraction and
+cached; besides, the misses of cech's elimination cache
+cech._simplex_ranks (one per complex eliminated) and the Fraction and
 PAdicFrac constructions (calls of Fraction.__new__ and PAdicFrac.__init__).
 The rank and prime caches are cleared before each workload, as in a fresh
 process, and the faults pass is skipped.
@@ -94,7 +95,7 @@ COUNTED = (
       if name.startswith("perfproj.") and hasattr(module, "_require_prime")),
 )
 COUNTERS = sorted({key for _, _, key in COUNTED} | {
-    "cech._int_rank.rows", "cech._ranks_for_count.misses", "exponents.PAdicFrac",
+    "cech._int_rank.rows", "cech._simplex_ranks.misses", "exponents.PAdicFrac",
     "fractions.Fraction"})
 
 
@@ -167,7 +168,7 @@ def _counted(fn, key: str, counts: Counter):
 @contextlib.contextmanager
 def counting():
     """A Counter of the work done inside the block, by COUNTED, by the
-    misses of cech's rank cache and by Fraction and PAdicFrac
+    misses of cech's elimination cache and by Fraction and PAdicFrac
     constructions."""
     counts = Counter(dict.fromkeys(COUNTERS, 0))
     saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
@@ -182,7 +183,7 @@ def counting():
         counts["exponents.PAdicFrac"] += 1
         init(self, *args, **kwargs)
 
-    ranks = perfproj.cech._ranks_for_count
+    ranks = perfproj.cech._simplex_ranks
     misses = ranks.cache_info().misses
     for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
         setattr(module, name, _counted(fn, key, counts))
@@ -195,7 +196,7 @@ def counting():
         PAdicFrac.__init__ = init
         for module, name, fn in saved:
             setattr(module, name, fn)
-        counts["cech._ranks_for_count.misses"] = ranks.cache_info().misses - misses
+        counts["cech._simplex_ranks.misses"] = ranks.cache_info().misses - misses
 
 
 def count_work(workload: str, seconds: int) -> dict:
@@ -203,6 +204,7 @@ def count_work(workload: str, seconds: int) -> dict:
     requests = [request for seed in SEEDS for part in range(workloads.PASSES)
                 for request in workloads.generate(workload, seed, seconds, part)]
     perfproj.cech._ranks_for_count.cache_clear()
+    perfproj.cech._simplex_ranks.cache_clear()
     perfproj.exponents._proven_prime.cache_clear()
     digest = hashlib.sha256()
     with counting() as counts:
