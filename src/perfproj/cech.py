@@ -8,7 +8,8 @@ supersets of the set of strictly negative positions.  Cohomology is computed
 two independent ways: the sign case analysis (classify_weight) and exact
 fraction-free integer elimination on the +-1 incidence matrices
 (cohomology_ranks, through _int_rank, the library's one exact rank, which
-intersect's quotient oracle uses too).  verify_theorems runs both for every
+intersect's quotient oracle uses too), built once as the sparse rows
+{column: +-1} that _int_rank reads.  verify_theorems runs both for every
 weight of the requested degrees and cross-checks the totals against the
 closed forms.  Both depend only on the number k of negative entries, so each
 is computed once per count of negative entries, and only for the counts the
@@ -17,11 +18,11 @@ further, by complement size: for k >= 1 the spots are S u U, U a subset of
 the r = n + 1 - k positions outside S, so the complex is the augmented
 cochain complex of the simplex on r vertices shifted k - 1 levels, and for
 k = 0 it is that complex on n + 1 vertices without its empty face.  One
-elimination per r <= _MAX_N + 1 serves every n.  Weights are counted in closed
-form: the box's total always, and the weights of one count only when that
-count adds to a total (nonzero exact ranks that agree with the case
-analysis).  The box is walked only when a count's two profiles disagree, to
-list its weights as counterexamples.
+elimination per r <= _MAX_N + 1, the one rank cache (_simplex_ranks), serves
+every n.  Weights are counted in closed form: the box's total always, and
+the weights of one count only when that count adds to a total (nonzero exact
+ranks that agree with the case analysis).  The box is walked only when a
+count's two profiles disagree, to list its weights as counterexamples.
 
 The incidence sign of (T, T - t) is (-1)**(position of t in T), so d o d = 0
 by construction; n <= _MAX_N bounds the complexes the library can build, and
@@ -76,13 +77,15 @@ class CechComplex:
     """Explicit weight-component complex: present spots and +-1 incidence matrices.
 
     spots[k] lists the present index-set bitmasks of size k+1 (sorted);
-    differentials[k] maps level k to level k+1, rows indexed by spots[k+1].
+    differentials[k] maps level k to level k+1 as sparse rows, one per spot
+    of spots[k+1], in order: {column: +-1}, the column the index of a spot
+    of spots[k], absent entries zero (the rows were dense lists before).
     """
 
     n: int
     weight: WeightVector | None
     spots: list[list[int]]
-    differentials: list[list[list[int]]]
+    differentials: list[list[dict[int, int]]]
 
     def dim(self, k: int) -> int:
         return len(self.spots[k])
@@ -120,7 +123,7 @@ def _build_from_mask(n: int, neg_mask: int, weight: WeightVector | None) -> Cech
     for k in range(n):
         rows = []
         for target in spots[k + 1]:
-            row, sign, rest = [0] * len(spots[k]), 1, target
+            row, sign, rest = {}, 1, target
             while rest:  # the elements t of target, in increasing order
                 low = rest & -rest
                 col = index[k].get(target ^ low)
@@ -183,8 +186,7 @@ def _int_rank(rows) -> int:
 
 def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
     """Exact ranks H^k = dim ker d_k - rank d_{k-1} by integer elimination."""
-    ranks_d = [_int_rank({j: v for j, v in enumerate(row) if v} for row in d)
-               for d in c.differentials]
+    ranks_d = [_int_rank(d) for d in c.differentials]
     out = []
     for k in range(c.n + 1):
         dim_k = c.dim(k)
@@ -194,10 +196,10 @@ def cohomology_ranks(c: CechComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _ranks_for_count(n: int, k: int) -> tuple[int, ...]:
     """Exact ranks of the complex of every negative mask S with k = |S|
-    entries, read from the ranks of the complex of the complement size.
+    entries, read from the ranks of the complex of the complement size
+    (_simplex_ranks, the one cache).
 
     A permutation of the coordinates sending S to {0, ..., k-1} maps the
     spots (the index sets containing S) onto those of the mask (1 << k) - 1
@@ -360,7 +362,7 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
     and must equal the closed forms, with zero middle cohomology.  Both
     profiles depend only on the number k of negative entries, so the check
     runs once per count: k is classified and ranked on the mask
-    (1 << k) - 1 (_ranks_for_count caches the ranks), and stands for its
+    (1 << k) - 1 (_ranks_for_count reads the cached ranks), and stands for its
     comb(n + 1, k) masks.
 
     At grade i the box is [-M, M]**(n+1) in integers, M = B p**i, around

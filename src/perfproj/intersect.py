@@ -7,9 +7,9 @@ additive over factors of G, and mu(y, G) is the order of vanishing of
 G(x, 0) at x = 0 (mu(x, G) that of G(0, y)).  Powers of x dividing either
 curve are split off once, before the loop, and powers of y inside it.
 
-Each curve is converted once, by _int_rows, into integer rows by y-degree,
-y-exponent -> {x-exponent -> nonzero int}, so G(x, 0) is the row of key 0
-and dividing out y**k shifts the row keys.  A step kills the top term of the
+The loop reads a curve as integer rows by y-degree, y-exponent ->
+{x-exponent -> nonzero int} (_scaled), so G(x, 0) is the row of key 0 and
+dividing out y**k shifts the row keys.  A step kills the top term of the
 longer of F(x, 0), G(x, 0): with leading coefficients a of F(x, 0) (degree
 r) and b of G(x, 0) (degree s >= r) and g = gcd(a, b), G becomes
 (a/g)*G - (b/g)*x**(s-r)*F, and its integer content is divided out.
@@ -56,9 +56,11 @@ otherwise.  Cell (a, b) of grade i is entry(i - kF - a, i - kG - b), so cell
 i, and each distinct rescaled entry is scaled once.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
-its FracPoly stores, into integer rows at its native grade.  The rows of a
-base entry are those rows with every exponent multiplied by p**s (p**t for
-G), built fresh because _local consumes its rows.
+its FracPoly stores, into integer terms (i, j) -> c, x**i * y**j at its
+native grade (_int_terms); the Newton stage and the quotient oracle read
+those terms.  Only a base entry that reaches the loop turns them into rows,
+with every exponent multiplied by p**s (p**t for G), built fresh because
+_local consumes its rows.
 
 A base entry is first offered to the Newton stage, which reads the Newton
 polygon of the native curve: (0, d) reads F's polygon against G rooted
@@ -119,26 +121,24 @@ from .fracpoly import FracPoly, _plane_terms
 _FUEL = 100_000
 
 
-def _int_rows(f: FracPoly, k: int = 0) -> dict[int, dict[int, int]]:
-    """f at grade k as integer rows by y-degree, y-exponent -> {x-exponent ->
-    nonzero int}: every exponent is multiplied by p**k.
-
-    f is read off its stored integer vectors and numerators by
-    fracpoly._plane_terms, after the 2-variable check: the rows are f times
-    its common denominator, which leaves the ideal of f unchanged.
-    """
+def _int_terms(f: FracPoly, k: int = 0) -> dict[tuple[int, int], int]:
+    """f at grade k as integer terms (i, j) -> nonzero int, x**i * y**j with
+    every exponent multiplied by p**k: fracpoly._plane_terms after the
+    2-variable check, f times its common denominator, which leaves the ideal
+    of f unchanged."""
     if f.nvars != 2:
         raise DomainError("plane curves require exactly 2 variables")
+    return _plane_terms(f, k)
+
+
+def _scaled(terms: dict, q: int) -> dict:
+    """The curve of integer terms (_int_terms) rescaled by X -> X**q,
+    Y -> Y**q, as fresh integer rows by y-degree for the loop: y-exponent ->
+    {x-exponent -> nonzero int}."""
     rows: dict[int, dict] = {}
-    for (a, b), c in _plane_terms(f, k).items():
-        rows.setdefault(b, {})[a] = c
+    for (i, j), c in terms.items():
+        rows.setdefault(j * q, {})[i * q] = c
     return rows
-
-
-def _scaled(rows: dict, q: int) -> dict:
-    """Fresh integer rows with every exponent multiplied by q: the curve
-    rescaled by X -> X**q, Y -> Y**q."""
-    return {b * q: {a * q: c for a, c in row.items()} for b, row in rows.items()}
 
 
 def _truncate(rows: dict, top: int) -> None:
@@ -155,7 +155,7 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict, top: int) -> None:
     """B <- ca*B - cb*x**shift*A without the terms of total degree above top,
     then B divided by its content; in place.
 
-    A and B are integer rows by y-degree (_int_rows) that hold no term above
+    A and B are integer rows by y-degree (_scaled) that hold no term above
     top, so only the product x**shift*A can reach past it, and its terms that
     do are never formed.  The content gcd stops at the first row that brings
     it down to 1.
@@ -190,7 +190,7 @@ def _reduce(B: dict, ca: int, cb: int, shift: int, A: dict, top: int) -> None:
 
 
 def _local(A: dict, B: dict):
-    """mu(A, B) for nonzero integer polynomials in the rows of _int_rows
+    """mu(A, B) for nonzero integer polynomials in the rows of _scaled
     that share no axis, by the loop truncated at the Bezout bound
     N = _bezout_bound(A, B), read from the rows given.
 
@@ -306,7 +306,7 @@ def _gcd_degree_mod_ell(f: dict[int, int], g: dict[int, int]) -> int:
 
 def _bezout_bound(F: dict, G: dict) -> int:
     """min(degF * degG, dx(F) * dy(G) + dy(F) * dx(G)) for two curves in
-    integer rows (_int_rows): deg the total degree, dx and dy the largest x-
+    integer rows (_scaled): deg the total degree, dx and dy the largest x-
     and y-exponents.
 
     These are the Bezout numbers of the curves' closures in P**2 and in
@@ -326,15 +326,15 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     F and G must be nonzero polynomials in two variables with integer
     exponents and exact rational coefficients.
     """
-    Fr, Gr = _int_rows(F), _int_rows(G)
-    return _base_entry(Fr, Gr, _newton_stage(_newton_polygon(Fr), Gr), 1, 1)
+    F, G = _int_terms(F), _int_terms(G)
+    return _base_entry(F, G, _newton_stage(_newton_polygon(F), G), 1, 1)
 
 
 # -- Newton stage: a base entry from the Newton polygon of the native curve -----
 
-def _newton_polygon(rows: dict) -> tuple[int, int, list]:
-    """A curve in integer rows (_int_rows) as x**a * y**b * A1, read once at
-    its native grade: (a, b, edges).
+def _newton_polygon(terms: dict) -> tuple[int, int, list]:
+    """A curve of integer terms (_int_terms) as x**a * y**b * A1, read once
+    at its native grade: (a, b, edges).
 
     Each compact edge of the Newton polygon of A1 is (n, m, length, P): its
     primitive inner normal w = (n, m), its lattice length and its edge
@@ -342,9 +342,8 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
     int.  P's constant term and leading coefficient are the coefficients of
     A1 at the edge's two hull vertices, so neither is zero.
     """
-    a = min(min(row) for row in rows.values())
-    b = min(rows)
-    terms = {(i - a, j - b): c for j, row in rows.items() for i, c in row.items()}
+    a, b = map(min, zip(*terms))
+    terms = {(i - a, j - b): c for (i, j), c in terms.items()}
     low: dict[int, int] = {}  # x-exponent -> least y-exponent of A1
     for i, j in terms:
         low[i] = min(j, low.get(i, j))
@@ -368,7 +367,7 @@ def _newton_polygon(rows: dict) -> tuple[int, int, list]:
 
 def _newton_stage(polygon: tuple[int, int, list], B: dict):
     """The part of the Newton stage of the curve A of polygon
-    (_newton_polygon) against a curve B in integer rows that does not depend
+    (_newton_polygon) against a curve B of integer terms that does not depend
     on the rooting q of B: None when some edge certifies no q, else
     (mu0, forms) for _newton.
 
@@ -386,19 +385,15 @@ def _newton_stage(polygon: tuple[int, int, list], B: dict):
     edge h_B(w) = 0 with the one-term initial form of B's constant.
     """
     a, b, edges = polygon
-    oy = min((j for j, row in B.items() if 0 in row), default=None)  # ord_y B(0, y)
-    ox = min(B[0]) if 0 in B else None  # ord_x B(x, 0)
+    oy = min((j for i, j in B if i == 0), default=None)  # ord_y B(0, y)
+    ox = min((i for i, j in B if j == 0), default=None)  # ord_x B(x, 0)
     if (a and oy is None) or (b and ox is None):
         return INFINITE_RANK, []  # x, or y, divides both curves
     mu0 = a * (oy or 0) + b * (ox or 0)
     forms = []
     for n, m, length, P in edges:
-        h = min(n * i + m * j for j, row in B.items() for i in row)
-        init = {}  # B_w(1, y): row j has at most one term of weight h
-        for j, row in B.items():
-            i, r = divmod(h - m * j, n)
-            if not r and i in row:
-                init[j] = row[i]
+        h = min(n * i + m * j for i, j in B)
+        init = {j: c for (i, j), c in B.items() if n * i + m * j == h}  # B_w(1, y)
         if len(init) > 1:
             if P[max(P)] % _ELL == 0:
                 return None  # the certificate needs P's degree modulo _ELL
@@ -423,13 +418,13 @@ def _newton(stage, q: int):
     return q * mu0
 
 
-def _base_entry(Fr: dict, Gr: dict, stage, qF: int, qG: int):
-    """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G in integer
-    rows (_int_rows), qF or qG being 1, and stage the Newton stage
+def _base_entry(F: dict, G: dict, stage, qF: int, qG: int):
+    """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G of integer
+    terms (_int_terms), qF or qG being 1, and stage the Newton stage
     (_newton_stage) of the curve not rooted against the other (F's against
     G when neither is): the Newton stage, else the loop on fresh rows."""
     mu = _newton(stage, max(qF, qG))
-    return _local(_scaled(Fr, qF), _scaled(Gr, qG)) if mu is None else mu
+    return _local(_scaled(F, qF), _scaled(G, qG)) if mu is None else mu
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -445,7 +440,7 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
-    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G in integer rows (_int_rows).
+    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G of integer terms (_int_terms).
 
     The multiples x**a * y**b * F and x**a * y**b * G, a + b < N, truncated
     below total degree N, are sparse rows (_int_rank) over the N(N+1)/2
@@ -454,8 +449,7 @@ def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
     """
     rows = []
     for P in (F, G):
-        terms = [(a + b, a * N + b, c) for b, row in P.items() for a, c in row.items()
-                 if a + b < N]
+        terms = [(a + b, a * N + b, c) for (a, b), c in P.items() if a + b < N]
         for a in range(N):
             for b in range(N - a):
                 room, shift = N - a - b, a * N + b
@@ -476,13 +470,12 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     either is a unit, infinite unless one is a pure power x**a and the other
     y**b, and a * b for that pair.
     """
-    Fr, Gr = _int_rows(F), _int_rows(G)
-    mons = [(a, b) for rows in (Fr, Gr) for b, row in rows.items() for a in row]
-    if len(mons) == 2:  # one term each: neither curve is zero
-        return _monomial_staircase(*mons)
-    prev = _truncated_quotient_dim(Fr, Gr, 1)
+    F, G = _int_terms(F), _int_terms(G)
+    if len(F) + len(G) == 2:  # one term each: neither curve is zero
+        return _monomial_staircase(*F, *G)
+    prev = _truncated_quotient_dim(F, G, 1)
     for N in range(2, cap + 1):
-        cur = _truncated_quotient_dim(Fr, Gr, N)
+        cur = _truncated_quotient_dim(F, G, N)
         if cur == prev:
             return cur
         prev = cur
@@ -532,13 +525,13 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     p = F.prime
     kF, kG = F.max_pexp(), G.max_pexp()
     k0 = max(kF, kG)
-    Fr, Gr = _int_rows(F, kF), _int_rows(G, kG)  # the curves at their native grades
+    Ft, Gt = _int_terms(F, kF), _int_terms(G, kG)  # the curves at their native grades
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
     self_pair = F == G
     # (0, d) reads F's Newton stage against G rooted by p**d, (d, 0) G's against F
-    stages = [_newton_stage(_newton_polygon(Fr), Gr)]
+    stages = [_newton_stage(_newton_polygon(Ft), Gt)]
     if not self_pair:
-        stages.append(_newton_stage(_newton_polygon(Gr), Fr))
+        stages.append(_newton_stage(_newton_polygon(Gt), Ft))
 
     @cache
     def entry(s: int, t: int):
@@ -551,7 +544,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
         if m:
             return braided._mul(p ** (2 * m), entry(s - m, t - m))
         try:  # a base entry, (0, d) or (d, 0)
-            return _base_entry(Fr, Gr, stages[s != 0], p ** s, p ** t)
+            return _base_entry(Ft, Gt, stages[s != 0], p ** s, p ** t)
         except FuelExhausted as exc:
             raise FuelExhausted(f"{exc} at base entry (s, t) = {(s, t)}") from exc
 
@@ -560,7 +553,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     # the fully rooted entry (i - kF, i - kG) of grade i >= k0 is entry(0, 0):
     # the classical multiplicity of F and G at their native grades.  entry
     # reaches itself through its cache, so it is unbound here: the cache and
-    # the rows are then freed on return, not later by the cycle collector
+    # the terms are then freed on return, not later by the cycle collector
     classical, entry = entry(0, 0), None
     diagonal = BraidedDim(p, k0, generator=lambda label: classical,
                           length=max(0, grades + 1 - k0))

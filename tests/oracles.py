@@ -115,16 +115,21 @@ def rational_rank(rows) -> int:
 
 
 def dense_square_zero(c) -> bool:
-    """Whether every product d_{k+1} d_k of a Cech complex is zero, each entry
-    of the product summed over the full inner dimension."""
-    for a, b in zip(c.differentials, c.differentials[1:]):
-        if not a or not b:
-            continue
+    """Whether every product d_{k+1} d_k of a Cech complex is zero, for
+    differentials given as sparse rows {column: entry}: each entry of the
+    product is summed over the full inner dimension, absent entries read as
+    zero, at every column of level k."""
+    for k, (a, b) in enumerate(zip(c.differentials, c.differentials[1:])):
         for row in b:
-            for col in range(len(a[0])):
-                if sum(row[i] * a[i][col] for i in range(len(a))):
+            for col in range(c.dim(k)):
+                if sum(row.get(i, 0) * a[i].get(col, 0) for i in range(len(a))):
                     return False
     return True
+
+
+def densified(c, k: int) -> list[list[int]]:
+    """The differential d_k of a Cech complex as dense rows of c.dim(k) ints."""
+    return [[row.get(j, 0) for j in range(c.dim(k))] for row in c.differentials[k]]
 
 
 def tokenize_by_characters(text: str) -> list[tuple[str, str, int]]:
@@ -182,7 +187,7 @@ def rooted_texts(p: int):
 
 def shares_an_axis(Fr: dict, Gr: dict) -> bool:
     """Whether x, or y, divides both curves, given as the integer rows of
-    intersect._int_rows: x divides a curve when no row has a term of
+    intersect._scaled: x divides a curve when no row has a term of
     x-degree 0, y when it has no row 0."""
     return (0 not in Fr and 0 not in Gr) or all(
         0 not in row for rows in (Fr, Gr) for row in rows.values())
@@ -251,7 +256,7 @@ def fulton_loop(A: dict, B: dict):
 
 
 # Z[x] polynomials are dicts exponent -> nonzero int; Z[x][y] polynomials are
-# dicts y-exponent -> nonzero Z[x] polynomial, the rows of intersect._int_rows.
+# dicts y-exponent -> nonzero Z[x] polynomial, the rows of intersect._scaled.
 
 
 def _zx_mul(a, b):
@@ -332,7 +337,7 @@ def remainder_gcd(a: dict, b: dict) -> dict:
 
 def shares_a_component_through_origin(Fr: dict, Gr: dict) -> bool:
     """Whether gcd(F, G) in Q[x, y] is nonconstant and vanishes at the
-    origin, for curves in integer rows (intersect._int_rows): a shared axis,
+    origin, for curves in integer rows (intersect._scaled): a shared axis,
     or else a gcd of the primitive parts in y through the origin (the gcd
     c(x) of the y-contents has c(0) = 0 only when x divides both).  That gcd
     is 1 when dense_coprime_mod_ell certifies it at x0 = 3, 5 or 7 modulo one
@@ -357,8 +362,8 @@ def fulton_multiplicity(F, G):
     """local_multiplicity without the Newton stage and without the Bezout
     truncation: a shared component through the origin is decided by
     shares_a_component_through_origin, and otherwise fulton_loop runs on the
-    rows of intersect._int_rows."""
-    Fr, Gr = intersect._int_rows(F), intersect._int_rows(G)
+    rows of intersect._scaled."""
+    Fr, Gr = (intersect._scaled(intersect._int_terms(P), 1) for P in (F, G))
     if shares_a_component_through_origin(Fr, Gr):
         return INFINITE_RANK
     return fulton_loop(Fr, Gr)
@@ -677,7 +682,7 @@ def is_prime_by_trial_division(p: int) -> bool:
 
 def dense_at_mod_ell(f: dict, x0: int, ell: int) -> list[int]:
     """f(x0, y) modulo ell as a coefficient list, lowest y-degree first, for
-    f in integer rows (intersect._int_rows)."""
+    f in integer rows (intersect._scaled)."""
     out = [0] * (max(f) + 1)
     for b, row in f.items():
         out[b] = sum(c * pow(x0, a, ell) for a, c in row.items()) % ell

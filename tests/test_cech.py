@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cli_in_child, dense_square_zero, mask_ranks, rational_rank,
-                     verify_by_mask, weights_by_count)
+from oracles import (cli_in_child, dense_square_zero, densified, mask_ranks,
+                     rational_rank, verify_by_mask, weights_by_count)
 
 from perfproj import (
     DomainError,
@@ -45,16 +45,20 @@ def test_classify_examples():
 
 
 def test_build_complex_spot_rules():
+    # one sparse row {column: +-1} per spot of the level above; the sign of
+    # (T, T - t) is (-1)**(position of t in T)
     c = build_complex(W(0, 0), 1)
-    assert [len(level) for level in c.spots] == [2, 1]
-    assert c.differentials[0] == [[-1, 1]] or c.differentials[0] == [[1, -1]]
+    assert c.spots == [[0b01, 0b10], [0b11]]
+    assert c.differentials == [[{1: 1, 0: -1}]]
 
     c = build_complex(W(-1, -1), 1)
-    assert [len(level) for level in c.spots] == [0, 1]
+    assert c.spots == [[], [0b11]]
+    assert c.differentials == [[{}]]
 
     c = build_complex(W(2, -1), 1)
     # spots {x1-localized} and {both}: masks with the negative position included
-    assert [len(level) for level in c.spots] == [1, 1]
+    assert c.spots == [[0b10], [0b11]]
+    assert c.differentials == [[{0: 1}]]
 
 
 def test_weight_vector_checks_its_entries_as_an_exponent_vector():
@@ -184,9 +188,10 @@ def test_every_complex_the_library_builds_squares_to_zero():
             assert dense_square_zero(_build_from_mask(n, mask, None)), (n, mask)
     for ints in [(0, 0, 0), (-1, 2, -1), (1, -1, 1), (-2, -2, -2)]:
         assert dense_square_zero(build_complex(W(*ints), 2))
-    # the oracle sees a single flipped sign
+    # the oracle sees a single flipped sign, on an entry that is present
     c = _build_from_mask(3, 0, None)
-    c.differentials[1][0][0] *= -1
+    row = c.differentials[1][0]
+    row[min(row)] *= -1
     assert not dense_square_zero(c)
 
 
@@ -196,6 +201,17 @@ def test_ranks_depend_only_on_the_count_of_negative_entries():
         for mask in range(1 << (n + 1)):
             c = _build_from_mask(n, mask, None)
             assert _ranks_for_count(n, mask.bit_count()) == cohomology_ranks(c), (n, mask)
+
+
+def test_the_eliminated_complexes_match_rational_ranks_on_dense_rows():
+    # the complexes _simplex_ranks eliminates, r = 0.._MAX_N + 1, ranked a
+    # second way: Gaussian elimination over Q on the densified rows
+    for r in range(_MAX_N + 2):
+        c = _build_from_mask(r, 1, None)
+        ranks_d = [rational_rank(densified(c, k)) for k in range(r)] + [0]
+        dense = tuple(c.dim(k) - ranks_d[k] - (ranks_d[k - 1] if k else 0)
+                      for k in range(r + 1))
+        assert cohomology_ranks(c) == _simplex_ranks(r) == dense, r
 
 
 def _count_builds(monkeypatch, call):
@@ -214,7 +230,6 @@ def _count_builds(monkeypatch, call):
 
     monkeypatch.setattr(cech_mod, "_build_from_mask", counting_build)
     monkeypatch.setattr(cech_mod, "_classify_mask", recording_classify)
-    _ranks_for_count.cache_clear()
     _simplex_ranks.cache_clear()
     call()
     return len(built), len(counts)

@@ -1,4 +1,5 @@
 import io
+import copy
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from perfproj.intersect import (
     _ELL,
     _bezout_bound,
     _gcd_degree_mod_ell,
-    _int_rows,
+    _int_terms,
     _newton,
     _newton_polygon,
     _newton_stage,
@@ -469,11 +470,12 @@ def test_base_entries_rescale_each_curve_at_most_once(monkeypatch, text_f, text_
     F, G = parse_poly(text_f, 2, p), parse_poly(text_g, 2, p)
     braided_multiplicity(F, G, 3)
     assert len(calls) == len({id(curve) for curve in calls}) <= 2
-    # a base entry's rows are the native rows with every exponent scaled
+    # a base entry's rows are the native terms with every exponent scaled
     for curve in (F, G):
         k = curve.max_pexp()
         for s in range(3):
-            assert _scaled(_int_rows(curve, k), p**s) == _int_rows(rescale(curve, k + s))
+            assert _scaled(_int_terms(curve, k), p**s) == \
+                _scaled(_int_terms(rescale(curve, k + s)), 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -486,6 +488,11 @@ def test_base_entries_match_every_entry_computed(pair):
 
 def _poly(terms):
     return FracPoly(2, 2, [((PAdicFrac(a, 0, 2), PAdicFrac(b, 0, 2)), c) for a, b, c in terms])
+
+
+def _rooted(terms: dict, q: int) -> dict:
+    """Integer terms (_int_terms) of a curve rescaled by X -> X**q, Y -> Y**q."""
+    return {(i * q, j * q): c for (i, j), c in terms.items()}
 
 
 # the reference's certificate of coprimality: dense_coprime_mod_ell at these
@@ -503,33 +510,33 @@ def test_certificate_never_holds_on_a_shared_factor(h, a, b):
     H, A, B = _poly(h), _poly(a), _poly(b)
     assume(not (H.is_zero or A.is_zero or B.is_zero))
     assume(max(e[1].num for e in (m.exps for m in H.terms())) >= 1)  # deg_y H >= 1
-    assert not _certified_coprime(_int_rows(H * A), _int_rows(H * B))
+    assert not _certified_coprime(_scaled(_int_terms(H * A), 1), _scaled(_int_terms(H * B), 1))
 
 
 def test_certificate_falls_back_when_every_point_is_bad():
     H = P("x^3*y - 15*x^2*y + 71*x*y - 105*y + x")  # (x-3)(x-5)(x-7)*y + x
-    lead = _int_rows(H)[1]
+    lead = _scaled(_int_terms(H), 1)[1]
     assert all(sum(c * x0**e for e, c in lead.items()) % _ELL == 0 for x0 in _CERT_POINTS)
     # a shared factor: the remainder sequence finds it, and so does the loop
-    F, G = _int_rows(H * P("y + 1")), _int_rows(H * P("x + y"))
+    F, G = (_scaled(_int_terms(H * P(g)), 1) for g in ("y + 1", "x + y"))
     assert not _certified_coprime(F, G)
     assert shares_a_component_through_origin(F, G)
     assert local_multiplicity(H * P("y + 1"), H * P("x + y")) == INFINITE_RANK
     # coprime, but neither leading coefficient survives at any point: the
     # remainder sequence decides
     partner = H - P("2*x")
-    F, G = _int_rows(H), _int_rows(partner)
+    F, G = _scaled(_int_terms(H), 1), _scaled(_int_terms(partner), 1)
     assert not _certified_coprime(F, G)
     assert not shares_a_component_through_origin(F, G)
     assert local_multiplicity(H, partner) == fulton_multiplicity(H, partner) == \
         quotient_dim_oracle(H, partner)
     # one leading coefficient that survives is enough
-    assert _certified_coprime(_int_rows(H), _int_rows(P("y - x^2")))
+    assert _certified_coprime(_scaled(_int_terms(H), 1), _scaled(_int_terms(P("y - x^2")), 1))
 
 
 def test_certificate_holds_on_coprime_curves():
     for f, g in [("y^2 - x^3", "y - x^2"), ("y^3 - x^2 + x*y", "x"), ("x*y + 1", "y")]:
-        assert _certified_coprime(_int_rows(P(f)), _int_rows(P(g)))
+        assert _certified_coprime(_scaled(_int_terms(P(f)), 1), _scaled(_int_terms(P(g)), 1))
 
 
 def test_step_budget_names_its_numbers(monkeypatch):
@@ -559,7 +566,7 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
         raise AssertionError("the loop ran")
 
     monkeypatch.setattr(intersect_mod, "_local", refuse)
-    F, G = _scaled(_int_rows(P(f)), q), _scaled(_int_rows(P(g)), q)
+    F, G = _rooted(_int_terms(P(f)), q), _rooted(_int_terms(P(g)), q)
     assert _newton(_newton_stage(_newton_polygon(F), G), 1) == INFINITE_RANK
     assert _newton(_newton_stage(_newton_polygon(G), F), 1) == INFINITE_RANK
 
@@ -589,8 +596,8 @@ def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypa
     g = "2305843009213693952*x^18 - 2305843009213693951*x^27*y^27"
     out = _in_child("RLIMIT_CPU", 10, (
         "from perfproj import parse_poly\n"
-        "from perfproj.intersect import _int_rows, _local\n"
-        f"F, G = (_int_rows(parse_poly(text, 2, 2)) for text in ({f!r}, {g!r}))\n"
+        "from perfproj.intersect import _int_terms, _local, _scaled\n"
+        f"F, G = (_scaled(_int_terms(parse_poly(text, 2, 2)), 1) for text in ({f!r}, {g!r}))\n"
         "print(_local(F, G))\n"))
     assert out == "432\n"
 
@@ -698,7 +705,7 @@ def test_sparse_certificate_matches_the_dense_one(a, b, h, q, r):
     if h is not None:
         A, B = _poly(h) * A, _poly(h) * B
     assume(not (A.is_zero or B.is_zero))
-    F, G = _scaled(_int_rows(A), q), _scaled(_int_rows(B), r)
+    F, G = _scaled(_int_terms(A), q), _scaled(_int_terms(B), r)
     for x0 in _CERT_POINTS:  # F(x0, y) and G(x0, y) in F_ell[y], sparse and dense
         dense_f, dense_g = dense_at_mod_ell(F, x0, _ELL), dense_at_mod_ell(G, x0, _ELL)
         f, g = ({b: v for b, v in enumerate(h) if v} for h in (dense_f, dense_g))
@@ -771,20 +778,20 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
         H = _poly(h)
         A0, C0, qa = H * A0, H * C0, q
     assume(not (A0.is_zero or C0.is_zero))
-    A, C = _scaled(_int_rows(A0), qa), _int_rows(C0)
-    mu = _newton(_newton_stage(_newton_polygon(A), C), q)
+    At, C = _rooted(_int_terms(A0), qa), _int_terms(C0)
+    mu = _newton(_newton_stage(_newton_polygon(At), C), q)
     if h is not None and not H.is_zero and H.constant_term() == 0:
         # a shared factor through the origin is never certified finite
         assert mu is None or mu == INFINITE_RANK
     if mu is None:
         return
-    B = _scaled(C, q)
+    A, B = _scaled(At, 1), _scaled(C, q)
     if mu == INFINITE_RANK:  # only on a shared axis, which the loop may not meet
         assert shares_an_axis(A, B)
         assert fulton_multiplicity(_rows_poly(A), _rows_poly(B)) == INFINITE_RANK
         return
     assert not shares_a_component_through_origin(A, B)
-    assert fulton_loop(_scaled(A, 1), _scaled(B, 1)) == mu
+    assert fulton_loop(_scaled(At, 1), _scaled(C, q)) == mu
     if mu <= 22:  # the oracle stabilizes by total degree mu + 2 <= 24
         assert quotient_dim_oracle(_rows_poly(A), _rows_poly(B)) == mu
 
@@ -817,9 +824,11 @@ _INT_ROWS = st.dictionaries(st.integers(0, 5), st.dictionaries(st.integers(0, 5)
 @settings(max_examples=300, deadline=None)
 @given(_INT_ROWS, _INT_ROWS, st.integers(1, 8))
 def test_truncated_quotient_dim_matches_the_dense_elimination(F, G, N):
-    before = repr((F, G))
-    assert _truncated_quotient_dim(F, G, N) == dense_truncated_quotient_dim(F, G, N)
-    assert repr((F, G)) == before  # the rows are not modified
+    # the reference reads integer rows, _truncated_quotient_dim their terms
+    terms = [{(a, b): c for b, row in R.items() for a, c in row.items()} for R in (F, G)]
+    before = repr(terms)
+    assert _truncated_quotient_dim(*terms, N) == dense_truncated_quotient_dim(F, G, N)
+    assert repr(terms) == before  # the terms are not modified
 
 
 _PIPELINE_TERMS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
@@ -835,7 +844,7 @@ def test_local_multiplicity_matches_the_fulton_loop(a, b, q, shared, unit, swap)
     # axis, a curve through the origin or one off it); with unit, A plus 1
     A, B = _poly(a + [(0, 0, 1)] if unit else a), _poly(b)
     assume(not (A.is_zero or B.is_zero))
-    B = _rows_poly(_scaled(_int_rows(B), q))
+    B = _rows_poly(_scaled(_int_terms(B), q))
     if shared is not None:
         A, B = P(shared) * A, P(shared) * B
     F, G = (B, A) if swap else (A, B)
@@ -861,7 +870,7 @@ def _tangent_pair(draw):
     A, B = (P(text) + _poly([(i, j, c) for i, j, c in draw(higher) if n * i + m * j > h])
             for _ in range(2))
     assume(not (A.is_zero or B.is_zero))
-    B = _rows_poly(_scaled(_int_rows(B), draw(st.sampled_from([1, 2, 3, 4]))))
+    B = _rows_poly(_scaled(_int_terms(B), draw(st.sampled_from([1, 2, 3, 4]))))
     return (B, A) if draw(st.booleans()) else (A, B)
 
 
@@ -878,7 +887,7 @@ def _pair_sharing_a_curve_off_the_origin(draw):
     A, B = _poly(draw(_PIPELINE_TERMS)), _poly(draw(_PIPELINE_TERMS))
     assume(not (A.is_zero or B.is_zero))
     H = P(draw(st.sampled_from(["1", "x + 1", "y - x^2 + 1", "1 - x*y"])))
-    return H * A, H * _rows_poly(_scaled(_int_rows(B), draw(st.sampled_from([1, 2, 3]))))
+    return H * A, H * _rows_poly(_scaled(_int_terms(B), draw(st.sampled_from([1, 2, 3]))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -887,7 +896,8 @@ def test_a_finite_multiplicity_is_at_most_the_bezout_bound(pair):
     # the loop may drop every term past the bound only because mu never exceeds it
     F, G = pair
     mu = fulton_multiplicity(F, G)
-    assert mu == INFINITE_RANK or mu <= _bezout_bound(_int_rows(F), _int_rows(G)), (F, G)
+    N = _bezout_bound(_scaled(_int_terms(F), 1), _scaled(_int_terms(G), 1))
+    assert mu == INFINITE_RANK or mu <= N, (F, G)
 
 
 # -- shared components: the truncated loop decides them ------------------------
@@ -907,8 +917,8 @@ def _pair_sharing_a_curve(draw, through_origin: bool):
     H, F1, G1 = _poly(h), _poly(draw(_SMALL_TERMS)), _poly(draw(_SMALL_TERMS))
     assume(not (H.is_zero or F1.is_zero or G1.is_zero))
     assume((H.constant_term() == 0) == through_origin)
-    G1 = _rows_poly(_scaled(_int_rows(G1), draw(st.sampled_from([1, 2, 3]))))
-    F, G = _int_rows(H * F1), _int_rows(H * G1)
+    G1 = _rows_poly(_scaled(_int_terms(G1), draw(st.sampled_from([1, 2, 3]))))
+    F, G = _scaled(_int_terms(H * F1), 1), _scaled(_int_terms(H * G1), 1)
     assume(not shares_an_axis(F, G))
     return F, G
 
@@ -917,7 +927,7 @@ def _local_and_steps(F: dict, G: dict):
     """_local on fresh copies of integer rows, with the Bezout bound N and
     the count of _reduce calls, the steps of the loop."""
     with mock.patch.object(intersect_mod, "_reduce", wraps=intersect_mod._reduce) as reduce:
-        mu = intersect_mod._local(_scaled(F, 1), _scaled(G, 1))
+        mu = intersect_mod._local(copy.deepcopy(F), copy.deepcopy(G))
     return mu, _bezout_bound(F, G), reduce.call_count
 
 
@@ -936,7 +946,7 @@ def test_the_loop_matches_the_reference_on_a_shared_component_off_the_origin(pai
 
 @settings(max_examples=150, deadline=None)
 @given(_pair_sharing_a_curve(through_origin=True) | _pair_sharing_a_curve(through_origin=False)
-       | _tangent_pair().map(lambda pair: tuple(map(_int_rows, pair))))
+       | _tangent_pair().map(lambda pair: tuple(_scaled(_int_terms(f), 1) for f in pair)))
 def test_the_loop_takes_at_most_the_proven_step_bound(pair):
     # between two y-power splits a step lowers deg A(x, 0) + deg B(x, 0) <=
     # 2(N - acc), and a split raises acc
@@ -959,11 +969,11 @@ def test_y_dividing_both_curves_inside_the_loop_is_an_infinite_exit():
 
 
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
-    A = _int_rows(_poly([(0, 1, _ELL), (1, 0, -1)]))  # _ELL*y - x
+    A, B = _int_terms(_poly([(0, 1, _ELL), (1, 0, -1)])), _int_terms(P("y + x"))  # _ELL*y - x
     polygon = _newton_polygon(A)
     assert polygon == (0, 0, [(1, 1, 1, {0: -1, 1: _ELL})])
-    assert _newton(_newton_stage(polygon, _int_rows(P("y + x"))), 1) is None
-    assert intersect_mod._local(A, _int_rows(P("y + x"))) == 1
+    assert _newton(_newton_stage(polygon, B), 1) is None
+    assert intersect_mod._local(_scaled(A, 1), _scaled(B, 1)) == 1
 
 
 def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeypatch):
@@ -975,13 +985,13 @@ def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeyp
         raise AssertionError("a Euclid ran")
 
     monkeypatch.setattr(intersect_mod, "_gcd_degree_mod_ell", refuse)
-    A = _int_rows(_poly([(0, 1, 1), (1, 0, -_ELL)]))
-    coprime = _newton_stage(_newton_polygon(A), _int_rows(P("x + y^2")))
+    A = _int_terms(_poly([(0, 1, 1), (1, 0, -_ELL)]))
+    coprime = _newton_stage(_newton_polygon(A), _int_terms(P("x + y^2")))
     assert coprime == (1, [])
     assert [_newton(coprime, q) for q in (1, 4, 2**61 - 1)] == [1, 4, 2**61 - 1]
-    sharing_y = _newton_stage(_newton_polygon(A), _int_rows(P("y + x^2")))
+    sharing_y = _newton_stage(_newton_polygon(A), _int_terms(P("y + x^2")))
     assert sharing_y == (1, []) and _newton(sharing_y, 4) == 4
-    assert intersect_mod._local(A, _scaled(_int_rows(P("y + x^2")), 4)) == 4
+    assert intersect_mod._local(_scaled(A, 1), _scaled(_int_terms(P("y + x^2")), 4)) == 4
 
 
 def test_the_newton_stage_answers_a_unit_at_once():
@@ -992,11 +1002,11 @@ def test_the_newton_stage_answers_a_unit_at_once():
     for f, g in [([(0, 1, _ELL), (1, 0, -1)], [(0, 0, 1), (1, 0, 1)]),  # _ELL*y - x, 1 + x
                  ([(0, 1, 1), (1, 0, -1)], [(0, 0, _ELL), (1, 0, 1)])]:  # y - x, _ELL + x
         F, G = _poly(f), _poly(g)
-        Fr, Gr = _int_rows(F), _int_rows(G)
-        assert _newton_stage(_newton_polygon(Fr), Gr) == (0, [])
-        assert _newton_stage(_newton_polygon(Gr), Fr) == (0, [])
-        assert _newton(_newton_stage(_newton_polygon(Fr), Gr), 1) == 0
-        assert _newton(_newton_stage(_newton_polygon(Gr), Fr), 1) == 0
+        Ft, Gt = _int_terms(F), _int_terms(G)
+        assert _newton_stage(_newton_polygon(Ft), Gt) == (0, [])
+        assert _newton_stage(_newton_polygon(Gt), Ft) == (0, [])
+        assert _newton(_newton_stage(_newton_polygon(Ft), Gt), 1) == 0
+        assert _newton(_newton_stage(_newton_polygon(Gt), Ft), 1) == 0
         assert local_multiplicity(F, G) == fulton_multiplicity(F, G) == 0 == \
             quotient_dim_oracle(F, G)
 
@@ -1031,7 +1041,7 @@ def _newton_failures(polygon_of) -> list:
     from polygon_of, leaves uncertified or answers differently."""
     failures = []
     for f, g, q, mu in _NEWTON_CASES:
-        if _newton(_newton_stage(polygon_of(_int_rows(P(f))), _int_rows(P(g))), q) != mu:
+        if _newton(_newton_stage(polygon_of(_int_terms(P(f))), _int_terms(P(g))), q) != mu:
             failures.append((f, g, q))
     return failures
 
@@ -1039,7 +1049,7 @@ def _newton_failures(polygon_of) -> list:
 def test_newton_stage_certifies_the_pinned_cases():
     assert _newton_failures(_newton_polygon) == []
     for f, g, q, mu in _NEWTON_CASES[2:]:
-        B = _rows_poly(_scaled(_int_rows(P(g)), q))
+        B = _rows_poly(_scaled(_int_terms(P(g)), q))
         assert local_multiplicity(P(f), B) == fulton_multiplicity(P(f), B) == mu == \
             quotient_dim_oracle(P(f), B)
 
@@ -1051,4 +1061,4 @@ def test_newton_stage_certifies_the_pinned_cases():
     lambda a, b, edges: (0, 0, edges),  # the monomial factor x**a * y**b dropped
 ], ids=["wrong-lattice-length", "negated-edge-roots", "dropped-monomial-factor"])
 def test_each_mutation_of_the_polygon_is_caught(mutate):
-    assert _newton_failures(lambda rows: mutate(*_newton_polygon(rows)))
+    assert _newton_failures(lambda terms: mutate(*_newton_polygon(terms)))

@@ -203,7 +203,6 @@ def count_work(workload: str, seconds: int) -> dict:
     """The --counters object of one workload."""
     requests = [request for seed in SEEDS for part in range(workloads.PASSES)
                 for request in workloads.generate(workload, seed, seconds, part)]
-    perfproj.cech._ranks_for_count.cache_clear()
     perfproj.cech._simplex_ranks.cache_clear()
     perfproj.exponents._proven_prime.cache_clear()
     digest = hashlib.sha256()
