@@ -216,7 +216,7 @@ def test_the_eliminated_complexes_match_rational_ranks_on_dense_rows():
 
 def _count_builds(monkeypatch, call):
     """(complexes built, distinct negative-entry counts of the masks checked)
-    while call() runs on empty rank caches."""
+    while call() runs on an empty rank cache."""
     built, counts = [], set()
     build, classify = cech_mod._build_from_mask, cech_mod._classify_mask
 
