@@ -91,6 +91,24 @@ def test_replay_counts_the_work_of_every_benchmark_request():
     ]
 
 
+def test_replay_counts_each_function_under_its_own_name():
+    # a counter is named <module>.<qualname> of its function, so renaming or
+    # moving a counted function without its counter fails here; a generator
+    # function would be counted again at each resumption
+    proc = _run(["-c", "import inspect, json, sys\n"
+                 "sys.path.insert(0, 'tools')\n"
+                 "from replay import COUNTED\n"
+                 "print(json.dumps([[key, fn.__module__, fn.__qualname__,\n"
+                 "                   inspect.isgeneratorfunction(fn)]\n"
+                 "                  for key, fn in COUNTED.items()]))"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    table = json.loads(proc.stdout)
+    assert len(table) == 13
+    for key, module, qualname, generator in table:
+        name = qualname.removesuffix(".__init__").removesuffix(".__new__")
+        assert (key, generator) == (f"{module.removeprefix('perfproj.')}.{name}", False)
+
+
 def _replay_constant(name: str) -> tuple:
     """The value of the module-level constant name of tools/replay.py, read
     without importing it."""

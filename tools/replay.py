@@ -17,22 +17,23 @@ faults in the same order.
 
 With --counters it prints instead one JSON object per workload: its request
 count and digest, as above, and how much work its requests did, counted by
-wrapping library functions while they run (COUNTED).  Each counter is named
-<module>.<function> and counts calls: the exact rank cech._int_rank (and the
-rows it was given), cech's binomials (cech.comb), the quotient oracle and
-the truncated quotients it eliminates, the base entries offered to each
+code: while they run, a profile hook (sys.setprofile) counts each call whose
+frame runs the code of a function in COUNTED, however it was reached.  Each
+counter is named <module>.<function> and counts calls: the exact rank
+cech._int_rank (and the rows it was given), the quotient oracle and the
+truncated quotients it eliminates, the base entries offered to each
 multiplicity engine (intersect._newton, then the Fulton loop _local) and the
 steps of that loop (intersect._reduce), the Euclids in F_l[y] of the Newton
 stage (intersect._gcd_degree_mod_ell), the products braided._mul (a mixed
 multiplicity entry rescaled by p**(2m) with m > 0, or a Kunneth product), the
 checked grade totals of enumeration (enumeration._total), the prime checks
-exponents._require_prime (counted through every module that binds the name)
-and the proofs among them, exponents.is_prime, one per prime while it stays
-cached; besides, the misses of cech's elimination cache
-cech._simplex_ranks (one per complex eliminated) and the Fraction and
-PAdicFrac constructions (calls of Fraction.__new__ and PAdicFrac.__init__).
-The rank and prime caches are cleared before each workload, as in a fresh
-process, and the faults pass is skipped.
+exponents._require_prime and the proofs among them, exponents.is_prime, one
+per prime while it stays cached, and the Fraction and PAdicFrac constructions
+(Fraction.__new__ and PAdicFrac.__init__).  cech.comb counts the hook's
+c_call events of math.comb from frames of cech's own code, and
+cech._simplex_ranks.misses the misses of cech's elimination cache (one per
+complex eliminated).  The rank and prime caches are cleared before each
+workload, as in a fresh process, and the faults pass is skipped.
 
 It reads only the checkout it lives in and writes no bytecode there: a warm
 __pycache__ would lower perfbench's setup_s in a later run.
@@ -47,6 +48,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import os  # noqa: E402
 from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
@@ -61,7 +63,6 @@ import perfproj.cli  # noqa: E402
 import perfproj.enumeration  # noqa: E402
 import perfproj.exponents  # noqa: E402
 import perfproj.fracpoly  # noqa: E402
-import perfproj.geometry  # noqa: E402
 import perfproj.intersect  # noqa: E402
 from perfproj.exponents import PAdicFrac  # noqa: E402
 
@@ -73,30 +74,24 @@ SEEDS = (1, 2, 3)
 # argparse error
 INTEGER_FLAGS = ("n", "m", "degf", "degg", "i")
 RATIONAL_FLAGS = ("deg", "s", "t", "d", "a", "b", "degrees")
-# (module, function, counter): each call of the function, looked up by name in
-# that module's namespace, adds one to the counter named after the module that
-# defines it; _int_rank also adds its rows to cech._int_rank.rows
-COUNTED = (
-    (perfproj.braided, "_mul", "braided._mul"),
-    (perfproj.cech, "comb", "cech.comb"),
-    (perfproj.cech, "_int_rank", "cech._int_rank"),
-    (perfproj.intersect, "_int_rank", "cech._int_rank"),
-    (perfproj.intersect, "quotient_dim_oracle", "intersect.quotient_dim_oracle"),
-    (perfproj.intersect, "_truncated_quotient_dim", "intersect._truncated_quotient_dim"),
-    (perfproj.intersect, "_newton", "intersect._newton"),
-    (perfproj.intersect, "_local", "intersect._local"),
-    (perfproj.intersect, "_reduce", "intersect._reduce"),
-    (perfproj.intersect, "_gcd_degree_mod_ell", "intersect._gcd_degree_mod_ell"),
-    (perfproj.enumeration, "_total", "enumeration._total"),
-    (perfproj.geometry, "_total", "enumeration._total"),
-    (perfproj.exponents, "is_prime", "exponents.is_prime"),
-    *((module, "_require_prime", "exponents._require_prime")
-      for name, module in sorted(sys.modules.items())
-      if name.startswith("perfproj.") and hasattr(module, "_require_prime")),
-)
-COUNTERS = sorted({key for _, _, key in COUNTED} | {
-    "cech._int_rank.rows", "cech._simplex_ranks.misses", "exponents.PAdicFrac",
-    "fractions.Fraction"})
+# counter -> function; none is a generator function, whose every resumption
+# would count again
+COUNTED = {
+    "braided._mul": perfproj.braided._mul,
+    "cech._int_rank": perfproj.cech._int_rank,
+    "enumeration._total": perfproj.enumeration._total,
+    "exponents.PAdicFrac": PAdicFrac.__init__,
+    "exponents._require_prime": perfproj.exponents._require_prime,
+    "exponents.is_prime": perfproj.exponents.is_prime,
+    "fractions.Fraction": Fraction.__new__,
+    "intersect._gcd_degree_mod_ell": perfproj.intersect._gcd_degree_mod_ell,
+    "intersect._local": perfproj.intersect._local,
+    "intersect._newton": perfproj.intersect._newton,
+    "intersect._reduce": perfproj.intersect._reduce,
+    "intersect._truncated_quotient_dim": perfproj.intersect._truncated_quotient_dim,
+    "intersect.quotient_dim_oracle": perfproj.intersect.quotient_dim_oracle,
+}
+COUNTERS = sorted([*COUNTED, "cech._int_rank.rows", "cech._simplex_ranks.misses", "cech.comb"])
 
 
 def answer(request) -> list:
@@ -154,48 +149,32 @@ def faults(request) -> list:
     return out
 
 
-def _counted(fn, key: str, counts: Counter):
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        if key == "cech._int_rank":
-            rows = list(args[0])
-            counts["cech._int_rank.rows"] += len(rows)
-            args = (rows, *args[1:])
-        return fn(*args, **kwargs)
-    return counted
-
-
 @contextlib.contextmanager
 def counting():
-    """A Counter of the work done inside the block, by COUNTED, by the
-    misses of cech's elimination cache and by Fraction and PAdicFrac
-    constructions."""
+    """A Counter of the work done inside the block, by COUNTED, by the rows
+    given to cech._int_rank, by cech's calls of math.comb and by the misses
+    of cech's elimination cache."""
     counts = Counter(dict.fromkeys(COUNTERS, 0))
-    saved = [(module, name, getattr(module, name)) for module, name, _ in COUNTED]
-    new = vars(Fraction)["__new__"]
-    init = PAdicFrac.__init__
+    keys = {fn.__code__: key for key, fn in COUNTED.items()}
+    rank, cech = perfproj.cech._int_rank.__code__, vars(perfproj.cech)
 
-    def counted_new(cls, *args, **kwargs):
-        counts["fractions.Fraction"] += 1
-        return new.__func__(cls, *args, **kwargs)
-
-    def counted_init(self, *args, **kwargs):
-        counts["exponents.PAdicFrac"] += 1
-        init(self, *args, **kwargs)
+    def hook(frame, event, arg):
+        if event == "call":
+            key = keys.get(frame.f_code)
+            if key is not None:
+                counts[key] += 1
+                if frame.f_code is rank:
+                    counts["cech._int_rank.rows"] += len(frame.f_locals["rows"])
+        elif event == "c_call" and arg is math.comb and frame.f_globals is cech:
+            counts["cech.comb"] += 1
 
     ranks = perfproj.cech._simplex_ranks
     misses = ranks.cache_info().misses
-    for (module, name, key), (_, _, fn) in zip(COUNTED, saved):
-        setattr(module, name, _counted(fn, key, counts))
-    Fraction.__new__ = counted_new
-    PAdicFrac.__init__ = counted_init
+    sys.setprofile(hook)
     try:
         yield counts
     finally:
-        Fraction.__new__ = new
-        PAdicFrac.__init__ = init
-        for module, name, fn in saved:
-            setattr(module, name, fn)
+        sys.setprofile(None)
         counts["cech._simplex_ranks.misses"] = ranks.cache_info().misses - misses
 
 
