@@ -216,16 +216,15 @@ def line_bundle(n: int, degree, p: int) -> LineBundle:
     return LineBundle(n, _as_padic(degree, p))
 
 
-def _monomial_counts(bundle: LineBundle, grades: int, reduced: bool, negative: bool, m: int,
-                     desc: str) -> BraidedDim:
-    """The grade-(label - k) count of degree m (-m if negative) at each grade
-    label, offset k, for a degree m/p**k of the bundle; desc is the generator
-    text before its flags.  The bundle and its degree were checked when they
-    were built, and BraidedDim checks the prime, so a read is one integer
-    count."""
-    p, n, k = bundle.prime, bundle.n, bundle.degree.pexp
+def _monomial_counts(bundle: LineBundle, grades: int, reduced: bool, desc: str) -> BraidedDim:
+    """The grade-(label - k) count of the signed total m * p**(label - k) at
+    each grade label, offset k, for the bundle's degree m/p**k: h0's count if
+    m >= 0 and hn's if m < 0; desc is the generator text before its flags.
+    The bundle and its degree were checked when they were built, and
+    BraidedDim checks the prime, so a read is one integer count."""
+    p, n, m, k = bundle.prime, bundle.n, bundle.degree.num, bundle.degree.pexp
     return BraidedDim(p, k, generator=lambda label: _graded_count(
-                          n, m * p**(label - k), label - k, p, reduced, negative),
+                          n, m * p**(label - k), label - k, p, reduced),
                       generator_desc=desc + (",reduced)" if reduced else ")"), length=grades)
 
 
@@ -238,8 +237,7 @@ def h0(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
     deg = bundle.degree
     if deg.num < 0:
         return BraidedDim.zeros(bundle.prime, grades)
-    return _monomial_counts(bundle, grades, reduced, False, deg.num,
-                            f"h0(n={bundle.n},d={deg}")
+    return _monomial_counts(bundle, grades, reduced, f"h0(n={bundle.n},d={deg}")
 
 
 def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim:
@@ -248,7 +246,7 @@ def hn_top(bundle: LineBundle, grades: int, reduced: bool = False) -> BraidedDim
     if deg.num >= 0:
         return BraidedDim.zeros(p, grades)
     m, k = -deg.num, deg.pexp
-    return _monomial_counts(bundle, grades, reduced, True, m,
+    return _monomial_counts(bundle, grades, reduced,
                             f"hn(n={bundle.n},m={m}{f'/{p}^{k}' if k else ''}")
 
 

@@ -409,9 +409,10 @@ def verify_theorems(n: int, degrees, i: int, p: int) -> CechReport:
                     "classified": list(classified),
                     "ranks": list(ranks),
                 })
-        # the closed forms at the target already checked
-        h0_expected = _graded_count(n, target, i, p, False, False) if d.num >= 0 else 0
-        hn_expected = _graded_count(n, -target, i, p, False, True) if d.num < 0 else 0
+        # the closed form at the signed target already checked: h0's count
+        # if the degree is >= 0, hn's if it is < 0
+        expected = _graded_count(n, target, i, p, False)
+        h0_expected, hn_expected = (expected, 0) if d.num >= 0 else (0, expected)
         report.per_degree.append(DegreeSummary(
             d, _weights_in_box(n, target, m_int), h0_total, middle_total, hn_total,
             h0_expected, hn_expected))

@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -218,13 +218,12 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
 _MONOMIAL_CAP = 8
 
 
-def _monomial_cell(n: int, deg: PAdicFrac, label: int, p: int, reduced: bool,
-                   negative: bool) -> str:
+def _monomial_cell(n: int, deg: PAdicFrac, label: int, reduced: bool) -> str:
     """The first _MONOMIAL_CAP vectors at grade label, each entry times
-    p**label, then "..." if there are more; deg is a checked bundle's degree,
-    negative if negative is set, and label at least its offset; the vectors
-    are compositions of abs(deg) * p**label, negated if negative."""
-    vectors = _scaled_vectors(n, abs(deg.scaled(label)), label, p, reduced, negative)
+    p**label, then "..." if there are more; deg is a checked bundle's degree
+    and label at least its offset; the vectors are those of the signed total
+    deg * p**label (_scaled_vectors)."""
+    vectors = _scaled_vectors(n, deg.scaled(label), label, deg.prime, reduced)
     head = list(islice(vectors, _MONOMIAL_CAP + 1))
     shown = ["(" + ",".join(map(str, v)) + ")" for v in head[:_MONOMIAL_CAP]]
     if len(head) > _MONOMIAL_CAP:
@@ -262,11 +261,10 @@ def _run_h0_family(args, which: str):
     deg = bundle.degree
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, args.grades, reduced=args.reduced)
-    negative = deg.num < 0
     cell = None
-    if not args.json and which == ("hn" if negative else "h0"):  # --json only counts
+    if not args.json and which == ("hn" if deg.num < 0 else "h0"):  # --json only counts
         def cell(label: int) -> str:
-            return _monomial_cell(args.n, deg, label, args.p, args.reduced, negative)
+            return _monomial_cell(args.n, deg, label, args.reduced)
     return _dim_result(args, dim, cell)
 
 
@@ -277,12 +275,11 @@ def _run_kunneth(args):
     bundle_b = line_bundle(args.m, _rational(args.b, args.p), args.p)
     g = args.grades
     hA, hB = bundle_cohomology(bundle_a, g), bundle_cohomology(bundle_b, g)
-    # the last grade first, as _dim_result writes it: the middle indices and
-    # one end of each list are zero tuples, so each output's last grade is 0
-    # or one of these four products, and one past the digit limit is a value
-    # the full answer prints, which would end in the same diagnostic
-    for a, b in product((hA[0], hA[-1]), (hB[0], hB[-1])):
-        str(a.at(g - 1) * b.at(g - 1))
+    # the last grade first, as _dim_result writes it: each output's last grade
+    # is a sum of products of the factors' last grades, none negative, so if
+    # the largest product is past the digit limit, so is a value the full
+    # answer prints, which would end in the same diagnostic
+    str(max(t.at(g - 1) for t in hA) * max(t.at(g - 1) for t in hB))
     out = kunneth(hA, hB, g)
     if args.json:
         return {

@@ -6,17 +6,20 @@ the cumulative convention: a vector whose denominators all divide p**(i-1)
 is counted again at grade i.  Pass reduced=True to count only vectors whose
 exact denominator is p**i.
 
-One private path enumerates and one private formula counts, both on a
-total p**i * d already checked: _scaled_vectors yields the compositions that
-_compositions walks as the vectors times p**i, with the reduced filter
-applied, and _graded_count counts them.  The public functions check their
-arguments once, through _total; iter_* and enumerate_* then map each entry
-of a vector to its PAdicFrac through a cache of normalize, one call per
-distinct entry.  braided's tuples check a bundle once when they are built
-and then read _graded_count at each grade; the CLI's table cells take the
-total from that bundle's degree and print the vectors as they are.  The
-Veronese coordinates (geometry) draw from _compositions only the heads, the
-compositions into n parts.
+h0 of degree d and hn of degree -m are the two signs of one count.  One
+private path enumerates and one private formula counts, both on a signed
+total p**i * degree already checked: a total t >= 0 stands for the
+compositions of t into n+1 parts >= 0, and a total t < 0 for those of -t into
+parts >= 1, negated.  _scaled_vectors yields the vectors times p**i that
+_compositions walks, with the reduced filter applied, and _graded_count
+counts them.  The public functions check their arguments once, through
+_total, which gives the hn family's total its sign; iter_* and enumerate_*
+then map each entry of a vector to its PAdicFrac through a cache of
+normalize, one call per distinct entry.  braided's tuples check a bundle
+once when they are built and then read _graded_count at each grade; the
+CLI's table cells take the total from that bundle's degree and print the
+vectors as they are.  The Veronese coordinates (geometry) draw from
+_compositions only the heads, the compositions into n parts.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ def _compositions(total: int, parts: int, sign: int) -> Iterator[tuple[int, ...]
 
 
 def _total(n: int, d, i: int, p: int, negative: bool) -> int:
-    """p**i * d after checking n >= 0, p prime and d >= 0 (d > 0 if negative);
-    the conversion of d to Z[1/p] checks the prime."""
+    """The signed total of grade i: p**i * d, or -p**i * d if negative, after
+    checking n >= 0, p prime and d >= 0 (d > 0 if negative); the conversion
+    of d to Z[1/p] checks the prime."""
     if n < 0:
         raise DomainError("projective dimension must be non-negative")
     d = _as_padic(d, p)
@@ -88,31 +92,32 @@ def _total(n: int, d, i: int, p: int, negative: bool) -> int:
     if d.num < 0:
         raise DomainError("degree must be non-negative")
     try:
-        return d.scaled(i)
+        return -d.scaled(i) if negative else d.scaled(i)
     except DomainError as exc:
         raise DomainError(f"grade too small for degree: {exc}") from exc
 
 
-def _graded_count(n: int, total: int, i: int, p: int, reduced: bool, negative: bool) -> int:
-    """The number of grade-i vectors whose parts, times p**i, sum to total,
-    for arguments already checked: comb(total + n, n) compositions into n+1
-    parts >= 0, or comb(total - 1, n) into parts >= 1 if negative; reduced
-    leaves out the vectors of grade i-1, those of total // p."""
-    extra = -1 if negative else n
-    count = comb(total + extra, n)
+def _graded_count(n: int, total: int, i: int, p: int, reduced: bool) -> int:
+    """The number of grade-i vectors whose parts, times p**i, sum to the
+    signed total, for arguments already checked: comb(total + n, n)
+    compositions into n+1 parts >= 0, or comb(-total - 1, n) into parts
+    <= -1 if total < 0; reduced leaves out the vectors of grade i-1, those of
+    total // p."""
+    size, extra = (total, n) if total >= 0 else (-total, -1)
+    count = comb(size + extra, n)
     if reduced and i > 0 and total % p == 0:
-        count -= comb(total // p + extra, n)
+        count -= comb(size // p + extra, n)
     return count
 
 
-def _scaled_vectors(n: int, total: int, i: int, p: int, reduced: bool,
-                    negative: bool) -> Iterator[tuple[int, ...]]:
-    """p**i times each grade-i vector, as integers: the compositions of
-    total = p**i * d, already checked, into n+1 parts, negated with every
-    part >= 1 if negative.  Nothing is enumerated until the iterator is
-    advanced.
+def _scaled_vectors(n: int, total: int, i: int, p: int,
+                    reduced: bool) -> Iterator[tuple[int, ...]]:
+    """p**i times each grade-i vector, as integers: the compositions of the
+    signed total p**i * degree, already checked, into n+1 parts, or those of
+    -total into parts >= 1, negated, if total < 0.  Nothing is enumerated
+    until the iterator is advanced.
     """
-    vectors = _compositions(total, n + 1, -1 if negative else 1)
+    vectors = _compositions(abs(total), n + 1, -1 if total < 0 else 1)
     if reduced and i > 0:
         # an entry of exact denominator p**i is a part that p does not divide
         return (v for v in vectors if any(c % p for c in v))
@@ -122,14 +127,14 @@ def _scaled_vectors(n: int, total: int, i: int, p: int, reduced: bool,
 def _normalized(n: int, d, i: int, p: int, reduced: bool,
                 negative: bool) -> Iterator[tuple[PAdicFrac, ...]]:
     # one piece has at most p**i * |d| + 1 distinct entries
-    vectors = _scaled_vectors(n, _total(n, d, i, p, negative), i, p, reduced, negative)
+    vectors = _scaled_vectors(n, _total(n, d, i, p, negative), i, p, reduced)
     lookup = cache(lambda c: normalize(c, i, p))
     return (tuple(map(lookup, v)) for v in vectors)
 
 
 def count_h0_monomials(n: int, d, i: int, p: int, reduced: bool = False) -> int:
     """Number of grade-i monomials of degree d >= 0 in n+1 variables."""
-    return _graded_count(n, _total(n, d, i, p, negative=False), i, p, reduced, negative=False)
+    return _graded_count(n, _total(n, d, i, p, negative=False), i, p, reduced)
 
 
 def iter_h0_monomials(n: int, d, i: int, p: int,
@@ -153,7 +158,7 @@ def count_hn_monomials(n: int, m, i: int, p: int, reduced: bool = False) -> int:
     Compositions of p**i * m into n+1 strictly positive parts, negated;
     comb(a, n) is 0 for a < n, so classically vanishing cases come out 0.
     """
-    return _graded_count(n, _total(n, m, i, p, negative=True), i, p, reduced, negative=True)
+    return _graded_count(n, _total(n, m, i, p, negative=True), i, p, reduced)
 
 
 def iter_hn_monomials(n: int, m, i: int, p: int,

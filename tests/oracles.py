@@ -506,7 +506,7 @@ def veronese_strings_by_join(n: int, d: int, i: int, p: int, names=None) -> list
     entries looked up in one factor table per variable (every slot formatted
     by _power_suffix) and joined with "*"."""
     names = _var_names(names, n + 1)
-    vectors = list(_scaled_vectors(n, d * p**i, i, p, False, False))
+    vectors = list(_scaled_vectors(n, d * p**i, i, p, False))
     total = sum(vectors[0])
     tables = [["", *(names[j] + _power_suffix(c, i, p) for c in range(1, total + 1))]
               for j in range(n + 1)]

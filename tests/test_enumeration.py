@@ -14,7 +14,7 @@ from perfproj import (
     iter_h0_monomials,
     iter_hn_monomials,
 )
-from perfproj.enumeration import _compositions
+from perfproj.enumeration import _compositions, _graded_count, _scaled_vectors
 from perfproj.exponents import normalize
 from math import comb
 
@@ -90,6 +90,15 @@ def test_counts_match_enumeration_lengths(n, p):
             piece = enumerate_hn_monomials(n, m, i, p)
             assert piece.count == count_hn_monomials(n, m, i, p)
             assert len(set(piece.vectors)) == piece.count
+    # the private path on signed totals: p**i * d for h0, -p**i * m for hn
+    for total in [*range(-5, 0), *range(0, 6)]:
+        for i in range(0, 3):
+            for reduced in (False, True):
+                signed = total * p**i
+                vectors = list(_scaled_vectors(n, signed, i, p, reduced))
+                assert _graded_count(n, signed, i, p, reduced) == len(vectors)
+                if total < 0:
+                    assert all(max(v) <= -1 and sum(v) == signed for v in vectors)
 
 
 def test_counts_match_bruteforce_small():
