@@ -103,7 +103,8 @@ def test_replay_counts_each_function_under_its_own_name():
                  "                  for key, fn in COUNTED.items()]))"])
     assert (proc.returncode, proc.stderr) == (0, "")
     table = json.loads(proc.stdout)
-    assert len(table) == 13
+    assert sorted(key for key, *_ in table) == sorted(
+        _NO_WORK.keys() - {"cech._int_rank.rows", "cech._simplex_ranks.misses", "cech.comb"})
     for key, module, qualname, generator in table:
         name = qualname.removesuffix(".__init__").removesuffix(".__new__")
         assert (key, generator) == (f"{module.removeprefix('perfproj.')}.{name}", False)
