@@ -339,9 +339,11 @@ def _merged(nvars: int, prime: int, k: int, den: int, items) -> FracPoly:
 def _plane_terms(f: FracPoly, k: int) -> dict[tuple[int, int], int]:
     """The plane curve f at grade k: x**(a/p**k) * y**(b/p**k) -> numerator
     over f._den, keyed by (a, b), read off the stored integer vectors of f.
-    f must be nonzero, with non-negative exponents whose denominators divide
-    p**k, checked term by term in rendering order; the caller checks that f
-    has 2 variables."""
+    f must have 2 variables, be nonzero and have non-negative exponents whose
+    denominators divide p**k, checked in that order, term by term in
+    rendering order."""
+    if f.nvars != 2:
+        raise DomainError("plane curves require exactly 2 variables")
     if f.is_zero:
         raise DomainError("zero polynomial rejected")
     up, down = f.prime ** max(k - f._k, 0), f.prime ** max(f._k - k, 0)

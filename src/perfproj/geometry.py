@@ -131,25 +131,15 @@ class VeroneseMap:
         return "[" + ":".join(self.coordinate_strings(names)) + "]"
 
 
-def _suffixes(total: int, i: int, p: int) -> list[str]:
-    """_power_suffix(c, i, p) at every entry c in 0..total: at a multiple of
-    p (i > 0) it is the grade-(i-1) suffix of c/p, so only the entries
-    coprime to p are formatted at each grade."""
-    if not i:
-        return [_power_suffix(c, 0, p) for c in range(total + 1)]
-    lower = _suffixes(total // p, i - 1, p)
-    return [_power_suffix(c, i, p) if c % p else lower[c // p] for c in range(total + 1)]
-
-
 def _factor_tables(names, i: int, p: int, total: int) -> list[list[str]]:
     """For each name, its factor text at every entry c in 0..total of grade
     i: the name followed by the suffix of c / p**i, and "" at c = 0.
 
-    The tables share one _suffixes table.  A table has total + 1 slots; for
-    a map of n >= 1 that is never more than its comb(total + n, n)
-    coordinates.
+    The tables share one list of suffixes, _power_suffix(c, i, p) for c in
+    1..total.  A table has total + 1 slots; for a map of n >= 1 that is
+    never more than its comb(total + n, n) coordinates.
     """
-    suffixes = _suffixes(total, i, p)[1:]
+    suffixes = [_power_suffix(c, i, p) for c in range(1, total + 1)]
     return [["", *map(name.__add__, suffixes)] for name in names]
 
 
@@ -268,12 +258,11 @@ def _chart(F: dict, den: int, k: int, p: int, chart: str, power: PAdicFrac) -> B
 def blowup_origin(F: FracPoly) -> tuple[BlowupChart, BlowupChart]:
     """Blow up the plane at the origin and transform the curve F into both charts.
 
-    F must vanish at the origin and have non-negative exponents; the returned
-    charts carry the transformed curve, the extracted power of the blown-down
-    variable, and the symbolic fiber over the origin.
+    F must be a plane curve, as fracpoly._plane_terms checks it, that
+    vanishes at the origin; the returned charts carry the transformed curve,
+    the extracted power of the blown-down variable, and the symbolic fiber
+    over the origin.
     """
-    if F.nvars != 2:
-        raise DomainError("blow-up expects a plane curve in 2 variables")
     p, k = F.prime, F.max_pexp()
     terms = _plane_terms(F, k)
     if (0, 0) in terms:

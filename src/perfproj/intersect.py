@@ -57,7 +57,8 @@ i, and each distinct rescaled entry is scaled once.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
 its FracPoly stores, into integer terms (i, j) -> c, x**i * y**j at its
-native grade (_int_terms); the Newton stage and the quotient oracle read
+native grade; _plane_terms also checks the curve (2 variables, nonzero,
+then term by term), and the Newton stage and the quotient oracle read
 those terms.  Only a base entry that reaches the loop turns them into rows,
 with every exponent multiplied by p**s (p**t for G), built fresh because
 _local consumes its rows.
@@ -121,18 +122,8 @@ from .fracpoly import FracPoly, _plane_terms
 _FUEL = 100_000
 
 
-def _int_terms(f: FracPoly, k: int = 0) -> dict[tuple[int, int], int]:
-    """f at grade k as integer terms (i, j) -> nonzero int, x**i * y**j with
-    every exponent multiplied by p**k: fracpoly._plane_terms after the
-    2-variable check, f times its common denominator, which leaves the ideal
-    of f unchanged."""
-    if f.nvars != 2:
-        raise DomainError("plane curves require exactly 2 variables")
-    return _plane_terms(f, k)
-
-
 def _scaled(terms: dict, q: int) -> dict:
-    """The curve of integer terms (_int_terms) rescaled by X -> X**q,
+    """The curve of integer terms (_plane_terms) rescaled by X -> X**q,
     Y -> Y**q, as fresh integer rows by y-degree for the loop: y-exponent ->
     {x-exponent -> nonzero int}."""
     rows: dict[int, dict] = {}
@@ -326,14 +317,14 @@ def local_multiplicity(F: FracPoly, G: FracPoly):
     F and G must be nonzero polynomials in two variables with integer
     exponents and exact rational coefficients.
     """
-    F, G = _int_terms(F), _int_terms(G)
+    F, G = _plane_terms(F, 0), _plane_terms(G, 0)
     return _base_entry(F, G, _newton_stage(_newton_polygon(F), G), 1, 1)
 
 
 # -- Newton stage: a base entry from the Newton polygon of the native curve -----
 
 def _newton_polygon(terms: dict) -> tuple[int, int, list]:
-    """A curve of integer terms (_int_terms) as x**a * y**b * A1, read once
+    """A curve of integer terms (_plane_terms) as x**a * y**b * A1, read once
     at its native grade: (a, b, edges).
 
     Each compact edge of the Newton polygon of A1 is (n, m, length, P): its
@@ -420,7 +411,7 @@ def _newton(stage, q: int):
 
 def _base_entry(F: dict, G: dict, stage, qF: int, qG: int):
     """mu(F(x**qF, y**qF), G(x**qG, y**qG)) for curves F and G of integer
-    terms (_int_terms), qF or qG being 1, and stage the Newton stage
+    terms (_plane_terms), qF or qG being 1, and stage the Newton stage
     (_newton_stage) of the curve not rooted against the other (F's against
     G when neither is): the Newton stage, else the loop on fresh rows."""
     mu = _newton(stage, max(qF, qG))
@@ -440,7 +431,7 @@ def _monomial_staircase(g1: tuple[int, int], g2: tuple[int, int]):
 
 
 def _truncated_quotient_dim(F: dict, G: dict, N: int) -> int:
-    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G of integer terms (_int_terms).
+    """dim Q[x,y] / ((F, G) + m**N), exact, for F and G of integer terms (_plane_terms).
 
     The multiples x**a * y**b * F and x**a * y**b * G, a + b < N, truncated
     below total degree N, are sparse rows (_int_rank) over the N(N+1)/2
@@ -470,7 +461,7 @@ def quotient_dim_oracle(F: FracPoly, G: FracPoly, cap: int = 24) -> int:
     either is a unit, infinite unless one is a pure power x**a and the other
     y**b, and a * b for that pair.
     """
-    F, G = _int_terms(F), _int_terms(G)
+    F, G = _plane_terms(F, 0), _plane_terms(G, 0)
     if len(F) + len(G) == 2:  # one term each: neither curve is zero
         return _monomial_staircase(*F, *G)
     prev = _truncated_quotient_dim(F, G, 1)
@@ -525,7 +516,7 @@ def braided_multiplicity(F: FracPoly, G: FracPoly, grades: int) -> MultiplicityT
     p = F.prime
     kF, kG = F.max_pexp(), G.max_pexp()
     k0 = max(kF, kG)
-    Ft, Gt = _int_terms(F, kF), _int_terms(G, kG)  # the curves at their native grades
+    Ft, Gt = _plane_terms(F, kF), _plane_terms(G, kG)  # the curves at their native grades
     # one curve against itself: mu is symmetric, so entry(d, 0) = entry(0, d)
     self_pair = F == G
     # (0, d) reads F's Newton stage against G rooted by p**d, (d, 0) G's against F

@@ -363,7 +363,7 @@ def fulton_multiplicity(F, G):
     truncation: a shared component through the origin is decided by
     shares_a_component_through_origin, and otherwise fulton_loop runs on the
     rows of intersect._scaled."""
-    Fr, Gr = (intersect._scaled(intersect._int_terms(P), 1) for P in (F, G))
+    Fr, Gr = (intersect._scaled(fracpoly._plane_terms(P, 0), 1) for P in (F, G))
     if shares_a_component_through_origin(Fr, Gr):
         return INFINITE_RANK
     return fulton_loop(Fr, Gr)

@@ -27,7 +27,7 @@ from perfproj import (
     veronese,
     veronese_tower_inclusion,
 )
-from perfproj import fracpoly, geometry
+from perfproj import fracpoly
 from perfproj.exponents import normalize
 
 
@@ -203,13 +203,6 @@ def test_veronese_rows_match_the_per_vector_join(args, names):
     assert veronese(*args).coordinate_strings(names) == veronese_strings_by_join(*args, names)
 
 
-@settings(max_examples=200, deadline=None)
-@given(total=st.integers(0, 400), i=st.integers(0, 4), p=st.sampled_from([2, 3, 5, 7]))
-def test_suffix_table_matches_power_suffix_at_every_slot(total, i, p):
-    table = geometry._suffixes(total, i, p)
-    assert table == [fracpoly._power_suffix(c, i, p) for c in range(total + 1)]
-
-
 _SMALL_VERONESE = {"n": st.integers(0, 2), "d": st.integers(1, 3),
                    "i": st.integers(0, 2), "p": st.sampled_from([2, 3])}
 
@@ -280,7 +273,7 @@ def test_blowup_rejects_bad_curves():
 # each curve fails the first check in this order and would pass the earlier ones:
 # 1 + x^-1 has the origin on no chart, but its negative exponent is found first
 _BLOWUP_CHECKS = [
-    ("x + y + z", 3, "blow-up expects a plane curve in 2 variables"),
+    ("x + y + z", 3, "plane curves require exactly 2 variables"),
     ("x - x", 2, "zero polynomial rejected"),
     ("1 + x^-1", 2, "curve exponents must be non-negative"),
     ("x + 1", 2, "origin not on curve"),

@@ -23,6 +23,7 @@ from perfproj import (
     INFINITE_RANK,
     PAdicFrac,
     QuotientCapExceeded,
+    blowup_origin,
     braided_multiplicity,
     is_prime,
     local_multiplicity,
@@ -30,11 +31,11 @@ from perfproj import (
     quotient_dim_oracle,
 )
 from perfproj.cli import run
+from perfproj.fracpoly import _plane_terms
 from perfproj.intersect import (
     _ELL,
     _bezout_bound,
     _gcd_degree_mod_ell,
-    _int_terms,
     _newton,
     _newton_polygon,
     _newton_stage,
@@ -134,6 +135,26 @@ def test_curve_input_checks_and_their_order(fn, curve, message):
         with pytest.raises(DomainError) as info:
             fn(F, G)
         assert str(info.value) == message
+
+
+# the 3-variable curve would fail every later check too: it has a constant
+# term, a negative and a fractional exponent; each entry point reads the
+# other curve of a pair, a plane curve, as well
+@pytest.mark.parametrize("curve", [parse_poly("1 + x^-1 + y^(1/2) + z", 3, 2),
+                                   FracPoly.zero(3, 2)], ids=["terms", "zero"])
+@pytest.mark.parametrize("entry", [
+    lambda C: local_multiplicity(C, P("x")),
+    lambda C: local_multiplicity(P("y"), C),
+    lambda C: braided_multiplicity(C, P("x"), 1),
+    lambda C: braided_multiplicity(P("y"), C, 1),
+    lambda C: quotient_dim_oracle(C, P("x")),
+    lambda C: quotient_dim_oracle(P("y"), C),
+    blowup_origin,
+], ids=["local_F", "local_G", "braided_F", "braided_G", "oracle_F", "oracle_G", "blowup"])
+def test_every_plane_curve_entry_point_checks_the_variable_count_first(entry, curve):
+    with pytest.raises(DomainError) as info:
+        entry(curve)
+    assert str(info.value) == "plane curves require exactly 2 variables"
 
 
 def test_mult_negative_exponent_is_a_usage_error():
@@ -474,8 +495,8 @@ def test_base_entries_rescale_each_curve_at_most_once(monkeypatch, text_f, text_
     for curve in (F, G):
         k = curve.max_pexp()
         for s in range(3):
-            assert _scaled(_int_terms(curve, k), p**s) == \
-                _scaled(_int_terms(rescale(curve, k + s)), 1)
+            assert _scaled(_plane_terms(curve, k), p**s) == \
+                _scaled(_plane_terms(rescale(curve, k + s), 0), 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,7 +512,7 @@ def _poly(terms):
 
 
 def _rooted(terms: dict, q: int) -> dict:
-    """Integer terms (_int_terms) of a curve rescaled by X -> X**q, Y -> Y**q."""
+    """Integer terms (_plane_terms) of a curve rescaled by X -> X**q, Y -> Y**q."""
     return {(i * q, j * q): c for (i, j), c in terms.items()}
 
 
@@ -510,33 +531,36 @@ def test_certificate_never_holds_on_a_shared_factor(h, a, b):
     H, A, B = _poly(h), _poly(a), _poly(b)
     assume(not (H.is_zero or A.is_zero or B.is_zero))
     assume(max(e[1].num for e in (m.exps for m in H.terms())) >= 1)  # deg_y H >= 1
-    assert not _certified_coprime(_scaled(_int_terms(H * A), 1), _scaled(_int_terms(H * B), 1))
+    assert not _certified_coprime(_scaled(_plane_terms(H * A, 0), 1),
+                                  _scaled(_plane_terms(H * B, 0), 1))
 
 
 def test_certificate_falls_back_when_every_point_is_bad():
     H = P("x^3*y - 15*x^2*y + 71*x*y - 105*y + x")  # (x-3)(x-5)(x-7)*y + x
-    lead = _scaled(_int_terms(H), 1)[1]
+    lead = _scaled(_plane_terms(H, 0), 1)[1]
     assert all(sum(c * x0**e for e, c in lead.items()) % _ELL == 0 for x0 in _CERT_POINTS)
     # a shared factor: the remainder sequence finds it, and so does the loop
-    F, G = (_scaled(_int_terms(H * P(g)), 1) for g in ("y + 1", "x + y"))
+    F, G = (_scaled(_plane_terms(H * P(g), 0), 1) for g in ("y + 1", "x + y"))
     assert not _certified_coprime(F, G)
     assert shares_a_component_through_origin(F, G)
     assert local_multiplicity(H * P("y + 1"), H * P("x + y")) == INFINITE_RANK
     # coprime, but neither leading coefficient survives at any point: the
     # remainder sequence decides
     partner = H - P("2*x")
-    F, G = _scaled(_int_terms(H), 1), _scaled(_int_terms(partner), 1)
+    F, G = _scaled(_plane_terms(H, 0), 1), _scaled(_plane_terms(partner, 0), 1)
     assert not _certified_coprime(F, G)
     assert not shares_a_component_through_origin(F, G)
     assert local_multiplicity(H, partner) == fulton_multiplicity(H, partner) == \
         quotient_dim_oracle(H, partner)
     # one leading coefficient that survives is enough
-    assert _certified_coprime(_scaled(_int_terms(H), 1), _scaled(_int_terms(P("y - x^2")), 1))
+    assert _certified_coprime(_scaled(_plane_terms(H, 0), 1),
+                              _scaled(_plane_terms(P("y - x^2"), 0), 1))
 
 
 def test_certificate_holds_on_coprime_curves():
     for f, g in [("y^2 - x^3", "y - x^2"), ("y^3 - x^2 + x*y", "x"), ("x*y + 1", "y")]:
-        assert _certified_coprime(_scaled(_int_terms(P(f)), 1), _scaled(_int_terms(P(g)), 1))
+        assert _certified_coprime(_scaled(_plane_terms(P(f), 0), 1),
+                                  _scaled(_plane_terms(P(g), 0), 1))
 
 
 def test_step_budget_names_its_numbers(monkeypatch):
@@ -566,7 +590,7 @@ def test_axis_test_decides_a_shared_y_without_the_remainder_sequence(monkeypatch
         raise AssertionError("the loop ran")
 
     monkeypatch.setattr(intersect_mod, "_local", refuse)
-    F, G = _rooted(_int_terms(P(f)), q), _rooted(_int_terms(P(g)), q)
+    F, G = _rooted(_plane_terms(P(f), 0), q), _rooted(_plane_terms(P(g), 0), q)
     assert _newton(_newton_stage(_newton_polygon(F), G), 1) == INFINITE_RANK
     assert _newton(_newton_stage(_newton_polygon(G), F), 1) == INFINITE_RANK
 
@@ -596,8 +620,9 @@ def test_one_surviving_leading_coefficient_certifies_within_a_cpu_limit(monkeypa
     g = "2305843009213693952*x^18 - 2305843009213693951*x^27*y^27"
     out = _in_child("RLIMIT_CPU", 10, (
         "from perfproj import parse_poly\n"
-        "from perfproj.intersect import _int_terms, _local, _scaled\n"
-        f"F, G = (_scaled(_int_terms(parse_poly(text, 2, 2)), 1) for text in ({f!r}, {g!r}))\n"
+        "from perfproj.fracpoly import _plane_terms\n"
+        "from perfproj.intersect import _local, _scaled\n"
+        f"F, G = (_scaled(_plane_terms(parse_poly(text, 2, 2), 0), 1) for text in ({f!r}, {g!r}))\n"
         "print(_local(F, G))\n"))
     assert out == "432\n"
 
@@ -705,7 +730,7 @@ def test_sparse_certificate_matches_the_dense_one(a, b, h, q, r):
     if h is not None:
         A, B = _poly(h) * A, _poly(h) * B
     assume(not (A.is_zero or B.is_zero))
-    F, G = _scaled(_int_terms(A), q), _scaled(_int_terms(B), r)
+    F, G = _scaled(_plane_terms(A, 0), q), _scaled(_plane_terms(B, 0), r)
     for x0 in _CERT_POINTS:  # F(x0, y) and G(x0, y) in F_ell[y], sparse and dense
         dense_f, dense_g = dense_at_mod_ell(F, x0, _ELL), dense_at_mod_ell(G, x0, _ELL)
         f, g = ({b: v for b, v in enumerate(h) if v} for h in (dense_f, dense_g))
@@ -778,7 +803,7 @@ def test_newton_stage_matches_the_fulton_loop(a, c, h, qa, q):
         H = _poly(h)
         A0, C0, qa = H * A0, H * C0, q
     assume(not (A0.is_zero or C0.is_zero))
-    At, C = _rooted(_int_terms(A0), qa), _int_terms(C0)
+    At, C = _rooted(_plane_terms(A0, 0), qa), _plane_terms(C0, 0)
     mu = _newton(_newton_stage(_newton_polygon(At), C), q)
     if h is not None and not H.is_zero and H.constant_term() == 0:
         # a shared factor through the origin is never certified finite
@@ -844,7 +869,7 @@ def test_local_multiplicity_matches_the_fulton_loop(a, b, q, shared, unit, swap)
     # axis, a curve through the origin or one off it); with unit, A plus 1
     A, B = _poly(a + [(0, 0, 1)] if unit else a), _poly(b)
     assume(not (A.is_zero or B.is_zero))
-    B = _rows_poly(_scaled(_int_terms(B), q))
+    B = _rows_poly(_scaled(_plane_terms(B, 0), q))
     if shared is not None:
         A, B = P(shared) * A, P(shared) * B
     F, G = (B, A) if swap else (A, B)
@@ -870,7 +895,7 @@ def _tangent_pair(draw):
     A, B = (P(text) + _poly([(i, j, c) for i, j, c in draw(higher) if n * i + m * j > h])
             for _ in range(2))
     assume(not (A.is_zero or B.is_zero))
-    B = _rows_poly(_scaled(_int_terms(B), draw(st.sampled_from([1, 2, 3, 4]))))
+    B = _rows_poly(_scaled(_plane_terms(B, 0), draw(st.sampled_from([1, 2, 3, 4]))))
     return (B, A) if draw(st.booleans()) else (A, B)
 
 
@@ -887,7 +912,7 @@ def _pair_sharing_a_curve_off_the_origin(draw):
     A, B = _poly(draw(_PIPELINE_TERMS)), _poly(draw(_PIPELINE_TERMS))
     assume(not (A.is_zero or B.is_zero))
     H = P(draw(st.sampled_from(["1", "x + 1", "y - x^2 + 1", "1 - x*y"])))
-    return H * A, H * _rows_poly(_scaled(_int_terms(B), draw(st.sampled_from([1, 2, 3]))))
+    return H * A, H * _rows_poly(_scaled(_plane_terms(B, 0), draw(st.sampled_from([1, 2, 3]))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -896,7 +921,7 @@ def test_a_finite_multiplicity_is_at_most_the_bezout_bound(pair):
     # the loop may drop every term past the bound only because mu never exceeds it
     F, G = pair
     mu = fulton_multiplicity(F, G)
-    N = _bezout_bound(_scaled(_int_terms(F), 1), _scaled(_int_terms(G), 1))
+    N = _bezout_bound(_scaled(_plane_terms(F, 0), 1), _scaled(_plane_terms(G, 0), 1))
     assert mu == INFINITE_RANK or mu <= N, (F, G)
 
 
@@ -917,8 +942,8 @@ def _pair_sharing_a_curve(draw, through_origin: bool):
     H, F1, G1 = _poly(h), _poly(draw(_SMALL_TERMS)), _poly(draw(_SMALL_TERMS))
     assume(not (H.is_zero or F1.is_zero or G1.is_zero))
     assume((H.constant_term() == 0) == through_origin)
-    G1 = _rows_poly(_scaled(_int_terms(G1), draw(st.sampled_from([1, 2, 3]))))
-    F, G = _scaled(_int_terms(H * F1), 1), _scaled(_int_terms(H * G1), 1)
+    G1 = _rows_poly(_scaled(_plane_terms(G1, 0), draw(st.sampled_from([1, 2, 3]))))
+    F, G = _scaled(_plane_terms(H * F1, 0), 1), _scaled(_plane_terms(H * G1, 0), 1)
     assume(not shares_an_axis(F, G))
     return F, G
 
@@ -946,7 +971,7 @@ def test_the_loop_matches_the_reference_on_a_shared_component_off_the_origin(pai
 
 @settings(max_examples=150, deadline=None)
 @given(_pair_sharing_a_curve(through_origin=True) | _pair_sharing_a_curve(through_origin=False)
-       | _tangent_pair().map(lambda pair: tuple(_scaled(_int_terms(f), 1) for f in pair)))
+       | _tangent_pair().map(lambda pair: tuple(_scaled(_plane_terms(f, 0), 1) for f in pair)))
 def test_the_loop_takes_at_most_the_proven_step_bound(pair):
     # between two y-power splits a step lowers deg A(x, 0) + deg B(x, 0) <=
     # 2(N - acc), and a split raises acc
@@ -969,7 +994,8 @@ def test_y_dividing_both_curves_inside_the_loop_is_an_infinite_exit():
 
 
 def test_an_edge_whose_leading_coefficient_vanishes_modulo_ell_certifies_nothing():
-    A, B = _int_terms(_poly([(0, 1, _ELL), (1, 0, -1)])), _int_terms(P("y + x"))  # _ELL*y - x
+    A = _plane_terms(_poly([(0, 1, _ELL), (1, 0, -1)]), 0)  # _ELL*y - x
+    B = _plane_terms(P("y + x"), 0)
     polygon = _newton_polygon(A)
     assert polygon == (0, 0, [(1, 1, 1, {0: -1, 1: _ELL})])
     assert _newton(_newton_stage(polygon, B), 1) is None
@@ -985,13 +1011,13 @@ def test_a_one_term_initial_form_is_decided_for_every_q_without_a_euclid(monkeyp
         raise AssertionError("a Euclid ran")
 
     monkeypatch.setattr(intersect_mod, "_gcd_degree_mod_ell", refuse)
-    A = _int_terms(_poly([(0, 1, 1), (1, 0, -_ELL)]))
-    coprime = _newton_stage(_newton_polygon(A), _int_terms(P("x + y^2")))
+    A = _plane_terms(_poly([(0, 1, 1), (1, 0, -_ELL)]), 0)
+    coprime = _newton_stage(_newton_polygon(A), _plane_terms(P("x + y^2"), 0))
     assert coprime == (1, [])
     assert [_newton(coprime, q) for q in (1, 4, 2**61 - 1)] == [1, 4, 2**61 - 1]
-    sharing_y = _newton_stage(_newton_polygon(A), _int_terms(P("y + x^2")))
+    sharing_y = _newton_stage(_newton_polygon(A), _plane_terms(P("y + x^2"), 0))
     assert sharing_y == (1, []) and _newton(sharing_y, 4) == 4
-    assert intersect_mod._local(_scaled(A, 1), _scaled(_int_terms(P("y + x^2")), 4)) == 4
+    assert intersect_mod._local(_scaled(A, 1), _scaled(_plane_terms(P("y + x^2"), 0), 4)) == 4
 
 
 def test_the_newton_stage_answers_a_unit_at_once():
@@ -1002,7 +1028,7 @@ def test_the_newton_stage_answers_a_unit_at_once():
     for f, g in [([(0, 1, _ELL), (1, 0, -1)], [(0, 0, 1), (1, 0, 1)]),  # _ELL*y - x, 1 + x
                  ([(0, 1, 1), (1, 0, -1)], [(0, 0, _ELL), (1, 0, 1)])]:  # y - x, _ELL + x
         F, G = _poly(f), _poly(g)
-        Ft, Gt = _int_terms(F), _int_terms(G)
+        Ft, Gt = _plane_terms(F, 0), _plane_terms(G, 0)
         assert _newton_stage(_newton_polygon(Ft), Gt) == (0, [])
         assert _newton_stage(_newton_polygon(Gt), Ft) == (0, [])
         assert _newton(_newton_stage(_newton_polygon(Ft), Gt), 1) == 0
@@ -1041,7 +1067,8 @@ def _newton_failures(polygon_of) -> list:
     from polygon_of, leaves uncertified or answers differently."""
     failures = []
     for f, g, q, mu in _NEWTON_CASES:
-        if _newton(_newton_stage(polygon_of(_int_terms(P(f))), _int_terms(P(g))), q) != mu:
+        stage = _newton_stage(polygon_of(_plane_terms(P(f), 0)), _plane_terms(P(g), 0))
+        if _newton(stage, q) != mu:
             failures.append((f, g, q))
     return failures
 
@@ -1049,7 +1076,7 @@ def _newton_failures(polygon_of) -> list:
 def test_newton_stage_certifies_the_pinned_cases():
     assert _newton_failures(_newton_polygon) == []
     for f, g, q, mu in _NEWTON_CASES[2:]:
-        B = _rows_poly(_scaled(_int_terms(P(g)), q))
+        B = _rows_poly(_scaled(_plane_terms(P(g), 0), q))
         assert local_multiplicity(P(f), B) == fulton_multiplicity(P(f), B) == mu == \
             quotient_dim_oracle(P(f), B)
 
