@@ -57,7 +57,8 @@ i, and each distinct rescaled entry is scaled once.
 
 Each curve is read once, by fracpoly._plane_terms from the integer vectors
 its FracPoly stores, into integer terms (i, j) -> c, x**i * y**j at its
-native grade; _plane_terms also checks the curve (2 variables, nonzero,
+native grade: the curve times its common denominator, which leaves its
+ideal unchanged.  _plane_terms also checks the curve (2 variables, nonzero,
 then term by term), and the Newton stage and the quotient oracle read
 those terms.  Only a base entry that reaches the loop turns them into rows,
 with every exponent multiplied by p**s (p**t for G), built fresh because
