@@ -10,9 +10,9 @@ A well-formed argument list is read straight from the command table,
 _COMMANDS; the argparse tree built from the same table parses only the
 rest, so help and usage errors still read as argparse writes them.  An
 integer flag is read as an int and a rational one as a reduced integer
-pair, built into Z[1/p] once its prime is proven, in the order the
-library's own conversion checks them.  --help shows this docstring up to
-this last paragraph.
+pair, which exponents._from_ratio builds into Z[1/p] as the library does:
+the prime is proven first, then the denominator read.  --help shows this
+docstring up to this last paragraph.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import braided, cech, geometry, intersect
 from .braided import bundle_cohomology, kunneth, line_bundle
 from .enumeration import _scaled_vectors
 from .errors import ComputationDiagnostic, DomainError, ParseError
-from .exponents import PAdicFrac, _from_ratio, _require_prime
+from .exponents import PAdicFrac, _from_ratio
 from .fracpoly import parse as parse_poly
 
 
@@ -121,14 +121,6 @@ def _fraction_arg(text: str) -> tuple[int, int]:
         if max(abs(value.numerator), value.denominator) < 10**limit:
             return value.numerator, value.denominator
     raise ComputationDiagnostic(_digit_limit_message())
-
-
-def _rational(pair: tuple[int, int], p: int) -> PAdicFrac:
-    """A rational flag's pair as a PAdicFrac of prime p.  The prime is proven
-    first and the denominator read second, as the library converts a
-    Fraction, so a request with both faults reports the same one."""
-    _require_prime(p)
-    return _from_ratio(*pair, p)
 
 
 class _Flag(NamedTuple):
@@ -257,7 +249,7 @@ def _dim_table(dim: braided.BraidedDim, cell=None) -> list[str]:
 # are computed on demand, so building both would compute them twice.
 
 def _run_h0_family(args, which: str):
-    bundle = line_bundle(args.n, _rational(args.deg, args.p), args.p)
+    bundle = line_bundle(args.n, _from_ratio(*args.deg, args.p), args.p)
     deg = bundle.degree
     fn = {"h0": braided.h0, "hn": braided.hn_top, "euler": braided.euler}[which]
     dim = fn(bundle, args.grades, reduced=args.reduced)
@@ -271,8 +263,8 @@ def _run_h0_family(args, which: str):
 def _run_kunneth(args):
     # each degree is built just before its own bundle, so a bad --n is still
     # reported before a bad --b
-    bundle_a = line_bundle(args.n, _rational(args.a, args.p), args.p)
-    bundle_b = line_bundle(args.m, _rational(args.b, args.p), args.p)
+    bundle_a = line_bundle(args.n, _from_ratio(*args.a, args.p), args.p)
+    bundle_b = line_bundle(args.m, _from_ratio(*args.b, args.p), args.p)
     g = args.grades
     hA, hB = bundle_cohomology(bundle_a, g), bundle_cohomology(bundle_b, g)
     # the last grade first, as _dim_result writes it: each output's last grade
@@ -345,8 +337,8 @@ def _blowup_lines(charts) -> list[str]:
 
 def _run_cech_check(args):
     # read lazily: verify_theorems proves the prime and then converts each
-    # degree as it reads it, so the prime is checked once and the first bad
-    # text or bad denominator is the one reported
+    # degree as it reads it, so a bad prime is reported before any degree and
+    # the first bad text or bad denominator is the one reported
     p = args.p
     degrees = (_from_ratio(*_fraction_arg(text), p) for text in args.degrees.split(",") if text)
     report = cech.verify_theorems(args.n, degrees, args.i, p)
@@ -378,11 +370,11 @@ _COMMANDS = {command: (flags + _COMMON, runner) for command, flags, runner in (
     ("euler", _H0_FLAGS, lambda a: _run_h0_family(a, "euler")),
     ("bezout-line", (_Flag("s", _fraction_arg), _Flag("t", _fraction_arg)),
      lambda a: _dim_result(a, geometry.bezout_line(
-         _rational(a.s, a.p), _rational(a.t, a.p), a.grades, a.p))),
+         _from_ratio(*a.s, a.p), _from_ratio(*a.t, a.p), a.grades, a.p))),
     ("bezout-chi", (_Flag("d", _fraction_arg), _Flag("degf", _int_arg),
                     _Flag("degg", _int_arg)),
      lambda a: _dim_result(a, geometry.bezout_chi(
-         _rational(a.d, a.p), a.degf, a.degg, a.grades, a.p))),
+         _from_ratio(*a.d, a.p), a.degf, a.degg, a.grades, a.p))),
     ("kunneth", (_N, _Flag("m", _int_arg), _Flag("a", _fraction_arg),
                  _Flag("b", _fraction_arg)), _run_kunneth),
     ("veronese", (_N, _Flag("d", _int_arg)), _run_veronese),

@@ -8,7 +8,7 @@ wrong denominator.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
@@ -64,8 +64,9 @@ def _proven_prime(p: int) -> bool:
 
 
 def _denominator_pexp(den: int, p: int) -> int:
-    """The j with den == p**j, for a positive den and a prime p (checked by
-    the caller: p = 1 would never stop); DomainError if den is no power of p."""
+    """The j with den == p**j, for a positive den and a prime p, which
+    _from_ratio proves first: p = 1 would never stop; DomainError if den is
+    no power of p."""
     j = 0
     while den % p == 0:
         den //= p
@@ -81,20 +82,16 @@ class PAdicFrac:
     """An element num / prime**pexp of Z[1/p] in normalized form.
 
     Invariants: pexp >= 0; if pexp > 0 then prime does not divide num;
-    zero is canonically (num=0, pexp=0).  The private keyword _checked is
-    for the package's own constructions, whose prime is proven and whose
-    pair is normalized already: they skip the checks.
+    zero is canonically (num=0, pexp=0).  Every value is built through
+    these checks, the package's own too; once a prime is proven, its check
+    is a cache hit.
     """
 
     num: int
     pexp: int
     prime: int
-    _: KW_ONLY
-    _checked: InitVar[bool] = False
 
-    def __post_init__(self, _checked):
-        if _checked:
-            return
+    def __post_init__(self):
         _require_prime(self.prime)
         if self.pexp < 0:
             raise DomainError("pexp must be non-negative")
@@ -147,7 +144,7 @@ class PAdicFrac:
                 )
             return other
         if isinstance(other, int):
-            return PAdicFrac(other, 0, self.prime, _checked=True)
+            return PAdicFrac(other, 0, self.prime)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "PAdicFrac":
@@ -179,7 +176,7 @@ class PAdicFrac:
     __rmul__ = __mul__
 
     def __neg__(self) -> "PAdicFrac":
-        return PAdicFrac(-self.num, self.pexp, self.prime, _checked=True)
+        return PAdicFrac(-self.num, self.pexp, self.prime)
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -207,20 +204,18 @@ def normalize(a: int, b: int, p: int) -> PAdicFrac:
         raise DomainError("pexp must be non-negative")
     _require_prime(p)
     if a == 0:
-        return PAdicFrac(0, 0, p, _checked=True)
+        return PAdicFrac(0, 0, p)
     while b > 0 and a % p == 0:
         a //= p
         b -= 1
-    return PAdicFrac(a, b, p, _checked=True)
+    return PAdicFrac(a, b, p)
 
 
 def _as_padic(value, p: int) -> PAdicFrac:
     """A number given to a public function as a PAdicFrac of prime p: a
     PAdicFrac of that prime as it is, an int as an integer, a Fraction
     exactly, read and not copied (its denominator must be a power of p);
-    anything else is a TypeError.
-
-    p is checked first, since _denominator_pexp would never stop at p = 1."""
+    anything else is a TypeError."""
     if isinstance(value, PAdicFrac):
         if value.prime != p:
             raise DomainError(f"mixed primes {value.prime} and {p}")
@@ -228,18 +223,17 @@ def _as_padic(value, p: int) -> PAdicFrac:
     if isinstance(value, int):
         return PAdicFrac(int(value), 0, p)
     if isinstance(value, Fraction):
-        _require_prime(p)
         return _from_ratio(value.numerator, value.denominator, p)
     raise TypeError(f"{value!r} is not an int, a Fraction or a PAdicFrac")
 
 
 def _from_ratio(num: int, den: int, p: int) -> PAdicFrac:
-    """num / den in lowest terms, den > 0, as a PAdicFrac of a prime p the
-    caller has proven; DomainError if den is no power of p.
-
-    p does not divide num over a denominator p**j > 1, so the pair is
-    already normalized and nothing is checked twice."""
-    return PAdicFrac(num, _denominator_pexp(den, p), p, _checked=True)
+    """num / den in lowest terms, den > 0, as a PAdicFrac of prime p: the one
+    place a pair becomes a value.  p is proven first, then den is read
+    (DomainError if it is no power of p), so a pair with both faults reports
+    the prime's."""
+    _require_prime(p)
+    return PAdicFrac(num, _denominator_pexp(den, p), p)
 
 
 def cmp(lhs: PAdicFrac, rhs: PAdicFrac) -> int:

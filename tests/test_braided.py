@@ -240,6 +240,22 @@ def test_total_rank():
     assert BraidedDim(3, 0, [1, 2]).total_rank() == 3
 
 
+# total_rank probes the first _PROBE grades of a generator; ROADMAP item 12's
+# exact polynomial form must flip both of these
+@pytest.mark.xfail(strict=True, reason="item 12: a nonzero grade past the probe")
+def test_total_rank_sees_a_nonzero_grade_past_the_probe():
+    dim = hn_top(line_bundle(100000, -1, 2), 4)
+    assert dim.at(17) > 0
+    assert dim.total_rank() == INFINITE_RANK
+
+
+@pytest.mark.xfail(strict=True, reason="item 12: one nonzero grade is taken as infinitely many")
+def test_total_rank_of_one_nonzero_grade_is_finite():
+    dim = h0(line_bundle(0, 1, 2), 4, reduced=True)
+    assert dim.grades_list() == [1, 0, 0, 0]
+    assert dim.total_rank() == 1
+
+
 def _h0_grades(out, n):
     assert out == {"p": 2, "offset": 0, "grades": [comb(2**i + n, n) for i in range(4)],
                    "generator": f"h0(n={n},d=1)"}

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_prime_by_trial_division
+from oracles import is_prime_by_trial_division, run_in_child
 
 from perfproj import (DomainError, PAdicFrac, arith, bezout_chi, bezout_line,
                       blowup_plane_charts, cmp, count_h0_monomials, count_hn_monomials,
                       enumerate_hn_monomials, exponents, is_prime, iter_h0_monomials,
                       line_bundle, normalize, verify_theorems, veronese)
 from perfproj.cli import run
-from perfproj.exponents import _PRIME_BOUND
+from perfproj.exponents import _PRIME_BOUND, _from_ratio
 
 primes = st.sampled_from([2, 3, 5])
 padics = st.builds(normalize, st.integers(-300, 300), st.integers(0, 4), primes)
@@ -214,6 +214,30 @@ def test_a_prime_that_is_no_int_never_reaches_the_cache():
         with pytest.raises(DomainError, match=message):
             line_bundle(1, 1, p)
     assert exponents._proven_prime.cache_info().currsize == 0
+
+
+def test_no_keyword_builds_an_unchecked_value():
+    # 3/3 is not in lowest terms: every value goes through the checks
+    with pytest.raises(TypeError):
+        PAdicFrac(3, 1, 3, _checked=True)
+
+
+@pytest.mark.parametrize("p", [4, 0, -3, 2.0])
+def test_from_ratio_proves_its_prime_before_reading_the_denominator(p):
+    with pytest.raises(DomainError, match=f"^{re.escape(repr(p))} is not a prime$"):
+        _from_ratio(1, 2, p)
+
+
+def test_from_ratio_proves_p_1_before_reading_the_denominator():
+    # 2 % 1 == 0 and 2 // 1 == 2: reading the denominator first never stops
+    done = run_in_child("RLIMIT_CPU", 10, (
+        "from perfproj.errors import DomainError\n"
+        "from perfproj.exponents import _from_ratio\n"
+        "try:\n"
+        "    _from_ratio(1, 2, 1)\n"
+        "except DomainError as e:\n"
+        "    print(e)\n"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 is not a prime\n", "")
 
 
 _PRIME_TAKERS = {

@@ -76,15 +76,15 @@ def test_replay_counts_the_work_of_every_benchmark_request():
         ("sections", 900, "77520bbb"), ("cech", 900, "81ceb193"), ("curves", 900, "8ba62c15")]
     assert [g["counters"] for g in got] == [
         {**_NO_WORK, "braided._mul": 2786, "enumeration._total": 444,
-         "exponents.PAdicFrac": 1767, "exponents._require_prime": 3707,
+         "exponents.PAdicFrac": 1767, "exponents._require_prime": 5030,
          "exponents.is_prime": 3},
         {**_NO_WORK, "cech._int_rank": 28, "cech._int_rank.rows": 247,
          "cech._simplex_ranks.misses": 8, "cech.comb": 6340,
-         "exponents.PAdicFrac": 1416, "exponents._require_prime": 900,
+         "exponents.PAdicFrac": 1416, "exponents._require_prime": 3732,
          "exponents.is_prime": 3},
         {**_NO_WORK, "braided._mul": 2336, "cech._int_rank": 690,
          "cech._int_rank.rows": 6606, "exponents.PAdicFrac": 315,
-         "exponents._require_prime": 2124, "exponents.is_prime": 3,
+         "exponents._require_prime": 2439, "exponents.is_prime": 3,
          "intersect._gcd_degree_mod_ell": 200, "intersect._local": 65,
          "intersect._newton": 1752, "intersect._reduce": 617,
          "intersect._truncated_quotient_dim": 690, "intersect.quotient_dim_oracle": 261},
